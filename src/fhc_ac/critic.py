@@ -150,7 +150,13 @@ def zero_critic(basis: StageFeatureBasis, num_constraints: int) -> CriticState:
 
 def _episode_values(basis: StageFeatureBasis, weights, states) -> np.ndarray:
     """w_h . phi_h(s_h) along a trajectory, shape (H+1,)."""
-    return np.array([weights[h] @ basis.row(h, states[h]) for h in range(len(states))])
+    return np.array([w.dot(m[s]) for w, m, s in zip(weights, basis.matrices, states.tolist())])
+
+
+def _apply_td_updates(basis: StageFeatureBasis, weights, states, increments) -> None:
+    """w_h += increments[h] * phi_h(s_h) at every stage h = 0..H."""
+    for w, m, s, c in zip(weights, basis.matrices, states.tolist(), increments.tolist()):
+        w += c * m[s]
 
 
 def td_errors_penalized(model, basis, critic, episode, multipliers) -> np.ndarray:
@@ -194,8 +200,7 @@ def update_penalized_critic(
     """
     if not sequential:
         deltas = td_errors_penalized(model, basis, critic, episode, multipliers)
-        for h in range(model.horizon + 1):
-            critic.v[h] += step * deltas[h] * basis.row(h, episode.states[h])
+        _apply_td_updates(basis, critic.v, episode.states, step * deltas)
         return deltas
     lam = np.asarray(multipliers, dtype=float)
     costs = episode.rewards + lam @ episode.constraint_costs
@@ -220,8 +225,7 @@ def update_constraint_critic(
     """One episode of TD updates on constraint critic k; returns the deltas."""
     if not sequential:
         deltas = td_errors_constraint(model, basis, critic, episode, k)
-        for h in range(model.horizon + 1):
-            critic.w[k][h] += step * deltas[h] * basis.row(h, episode.states[h])
+        _apply_td_updates(basis, critic.w[k], episode.states, step * deltas)
         return deltas
     deltas = np.empty(model.horizon + 1)
     for h in range(model.horizon):

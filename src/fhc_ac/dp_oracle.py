@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp_model import FiniteHorizonCMDP
+from .mdp_model import FiniteHorizonCMDP, reachable_sets
 from .policy import NonStationaryPolicy
 
 
@@ -39,10 +39,28 @@ def _terminal_cost(model: FiniteHorizonCMDP, lam: np.ndarray) -> np.ndarray:
     return model.terminal_reward + lam @ gap
 
 
-def _distribution_matrices(model: FiniteHorizonCMDP, policy: NonStationaryPolicy):
-    if policy.horizon != model.horizon:
-        raise ValueError("policy horizon does not match model horizon")
-    return [policy.distribution_matrix(h) for h in range(model.horizon)]
+def _distribution_matrices(model: FiniteHorizonCMDP, policy: NonStationaryPolicy) -> np.ndarray:
+    """Every stage's action distributions, shape (H, S, A)."""
+    shape = (model.horizon, model.num_states, model.num_actions)
+    if policy.stage_params.shape != shape:
+        raise ValueError(
+            f"policy table shape {policy.stage_params.shape} does not match the model {shape}"
+        )
+    return np.array([policy.distribution_matrix(h) for h in range(model.horizon)])
+
+
+def _gibbs_gradient(
+    model: FiniteHorizonCMDP, policy: NonStationaryPolicy, targets: np.ndarray
+) -> np.ndarray:
+    """sum_s d_h(s) sum_a mu_h(a|s) psi_h(s,a) t_h(s,a) in closed form, shape (H, S, A).
+
+    With psi_h(s,a) = (e_a - mu_h(s,.)) / tau on row (h, s) of the table, the
+    entry (h, s, a) is d_h(s) mu_h(a|s) (t_h(s,a) - sum_b mu_h(b|s) t_h(s,b)) / tau.
+    """
+    mus = _distribution_matrices(model, policy)
+    d = occupation_measures(model, policy)[:-1, :, None]
+    centered = targets - np.sum(mus * targets, axis=2, keepdims=True)
+    return d * mus * centered / policy.temperature
 
 
 @dataclass(frozen=True)
@@ -140,26 +158,17 @@ def exact_gradient(
     multipliers=(),
     use_baseline: bool = True,
 ):
-    """Per-stage policy gradient of the penalized objective.
+    """Per-stage policy gradient of the penalized objective, shape (H, S, A).
 
     Stage h gets sum_s d_h(s) sum_a mu(a|s) psi_h(s,a) [Q_h(s,a) - baseline],
     with the state value as baseline when `use_baseline` is set. The baseline
     never changes the sum because the scores average to zero under mu.
     """
     solution = backward_induction(model, policy, multipliers)
-    d = occupation_measures(model, policy)
-    grads = []
-    for h in range(model.horizon):
-        g = np.zeros(policy.features.dim(h))
-        targets = solution.action_values[h]
-        if use_baseline:
-            targets = targets - solution.values[h][:, None]
-        mu = policy.distribution_matrix(h)
-        for s in np.nonzero(d[h] > 0.0)[0]:
-            weights = d[h, s] * mu[s] * targets[s]
-            g += weights @ policy.score_matrix(h, s)
-        grads.append(g)
-    return grads
+    targets = solution.action_values
+    if use_baseline:
+        targets = targets - solution.values[:-1, :, None]
+    return _gibbs_gradient(model, policy, targets)
 
 
 def finite_difference_gradient(
@@ -168,24 +177,24 @@ def finite_difference_gradient(
     multipliers=(),
     epsilon: float = 1e-5,
 ):
-    """Central-difference gradient of the penalized objective, per stage."""
+    """Central-difference gradient of the penalized objective, shape (H, S, A).
+
+    Only rows of reachable states are probed; the objective does not depend on
+    the others, whose entries are exactly 0.
+    """
     probe = policy.copy()
-    grads = []
-    for h in range(model.horizon):
-        base = policy.stage_params[h]
-        g = np.zeros_like(base)
-        for i in range(base.size):
-            bumped = base.copy()
-            bumped[i] = base[i] + epsilon
-            probe.stage_params[h] = bumped
-            up = lagrangian_value(model, probe, multipliers)
-            bumped = base.copy()
-            bumped[i] = base[i] - epsilon
-            probe.stage_params[h] = bumped
-            down = lagrangian_value(model, probe, multipliers)
-            g[i] = (up - down) / (2.0 * epsilon)
-        probe.stage_params[h] = base.copy()
-        grads.append(g)
+    theta = probe.stage_params
+    grads = np.zeros_like(theta)
+    for h, states in enumerate(reachable_sets(model)[: model.horizon]):
+        for s in states:
+            for a in range(model.num_actions):
+                base = theta[h, s, a]
+                theta[h, s, a] = base + epsilon
+                up = lagrangian_value(model, probe, multipliers)
+                theta[h, s, a] = base - epsilon
+                down = lagrangian_value(model, probe, multipliers)
+                theta[h, s, a] = base
+                grads[h, s, a] = (up - down) / (2.0 * epsilon)
     return grads
 
 
@@ -208,19 +217,12 @@ def approximate_gradient(
     lam = _coerce_multipliers(model, multipliers)
     weights = fixed_points(model, policy, lam, basis).penalized
     vhat = [basis.feature_matrix(h) @ weights[h] for h in range(model.horizon + 1)]
-    d = occupation_measures(model, policy)
-    grads = []
-    for h in range(model.horizon):
-        cost = _stage_cost(model, lam, h)
-        inner = np.einsum("ijk,ijk->ij", model.kernels[h], cost + vhat[h + 1])
-        inner = inner - vhat[h][:, None]
-        mu = policy.distribution_matrix(h)
-        g = np.zeros(policy.features.dim(h))
-        for s in np.nonzero(d[h] > 0.0)[0]:
-            weights_sa = d[h, s] * mu[s] * inner[s]
-            g += weights_sa @ policy.score_matrix(h, s)
-        grads.append(g)
-    return grads
+    targets = np.array([
+        np.einsum("ijk,ijk->ij", model.kernels[h], _stage_cost(model, lam, h) + vhat[h + 1])
+        - vhat[h][:, None]
+        for h in range(model.horizon)
+    ])
+    return _gibbs_gradient(model, policy, targets)
 
 
 def greedy_response(model: FiniteHorizonCMDP, multipliers=()) -> np.ndarray:

@@ -42,8 +42,8 @@ from .gridworld_env import (
     random_gridworld,
     save_gridworld_config,
 )
-from .mdp_model import load_model, validate
-from .policy import load_policy
+from .mdp_model import model_from_doc, reachable_sets, validate
+from .policy import load_policy, tabular_policy
 from .critic import fixed_points, tabular_basis, validate_basis
 from .trainer import (
     StepSizeSchedules,
@@ -128,7 +128,7 @@ def resolve_model_doc(model_section: dict, base_dir: Path) -> dict:
                 content = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise CliError(f"cannot load model file {path}: {e}", EXIT_BAD_CONFIG)
-        if "rows" in content:
+        if isinstance(content, dict) and "rows" in content:
             return {"kind": "gridworld", "gridworld": content}
         return {"kind": "tables", "tables": content}
     raise CliError(f"unknown model kind {kind!r}", EXIT_BAD_CONFIG)
@@ -137,9 +137,25 @@ def resolve_model_doc(model_section: dict, base_dir: Path) -> dict:
 def model_from_resolved(resolved: dict):
     if resolved["kind"] == "gridworld":
         return build_gridworld(gridworld_config_from_doc(resolved["gridworld"]))
-    from .mdp_model import model_from_doc
-
     return model_from_doc(resolved["tables"])
+
+
+def checked_model(resolved: dict):
+    """Build and validate a resolved model for `train` and the `oracle` commands.
+
+    A description that cannot be built (missing keys, wrong types or shapes)
+    exits 2; a model that fails validation exits 3.
+    """
+    try:
+        model = model_from_resolved(resolved)
+    except (KeyError, TypeError, ValueError) as e:
+        raise CliError(f"bad model description: {e!r}", EXIT_BAD_CONFIG)
+    report = validate(model)
+    if not report:
+        raise CliError(
+            "model failed validation: " + "; ".join(report.violations), EXIT_INVALID_MODEL
+        )
+    return model
 
 
 def experiment_settings(doc: dict, base_dir: Path) -> dict:
@@ -278,7 +294,7 @@ def run_seed(settings: dict, seed: int, out_dir: Path, progress_every: int = 0):
     )
     if not (
         np.all(np.isfinite(metrics.returns))
-        and all(np.all(np.isfinite(p)) for p in state.policy.stage_params)
+        and np.all(np.isfinite(state.policy.stage_params))
         and np.all(np.isfinite(state.multipliers))
     ):
         raise FloatingPointError(f"seed {seed}: training produced non-finite values")
@@ -324,12 +340,7 @@ def worker_count(num_seeds: int) -> int:
 def run_experiment(settings: dict, out_dir: Path, progress_every: int = 0) -> dict:
     """Run every seed, then write the aggregate CSV, summary, and plots."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = model_from_resolved(settings["model"])
-    report = validate(model)
-    if not report:
-        raise CliError(
-            "model failed validation: " + "; ".join(report.violations), EXIT_INVALID_MODEL
-        )
+    model = checked_model(settings["model"])
     sched_report = check_schedules(StepSizeSchedules(**settings["schedules"]))
     if not sched_report:
         raise CliError(
@@ -404,7 +415,7 @@ def run_experiment(settings: dict, out_dir: Path, progress_every: int = 0) -> di
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
     if settings["plots"]:
-        write_experiment_plots(out_dir, outcomes, model, reference, settings["window"])
+        write_experiment_plots(out_dir, outcomes, model.thresholds, reference, settings["window"])
     summary["outcomes"] = outcomes
     return summary
 
@@ -547,7 +558,7 @@ def _downsample(x: np.ndarray, y: np.ndarray, limit: int = 2000):
     return x[idx], y[idx]
 
 
-def write_experiment_plots(out_dir: Path, outcomes: list, model, reference, window: int):
+def write_experiment_plots(out_dir: Path, outcomes: list, thresholds, reference, window: int):
     episodes = np.arange(1, outcomes[0]["ma_return"].size + 1)
     series = []
     for i, o in enumerate(outcomes):
@@ -566,7 +577,7 @@ def write_experiment_plots(out_dir: Path, outcomes: list, model, reference, wind
         ylabel="return",
         hlines=hlines,
     )
-    for k in range(model.num_constraints):
+    for k, threshold in enumerate(thresholds):
         series = []
         for i, o in enumerate(outcomes):
             x, y = _downsample(episodes, o["ma_costs"][k])
@@ -579,7 +590,7 @@ def write_experiment_plots(out_dir: Path, outcomes: list, model, reference, wind
             title=f"Moving-average constraint cost {k + 1} (window {window})",
             xlabel="episode",
             ylabel=f"cost {k + 1}",
-            hlines=[("threshold", float(model.thresholds[k]), "#000000")],
+            hlines=[("threshold", float(threshold), "#000000")],
         )
         series = []
         for i, o in enumerate(outcomes):
@@ -603,27 +614,22 @@ def write_experiment_plots(out_dir: Path, outcomes: list, model, reference, wind
 
 def load_any_model(path: Path):
     """Accept either dense model tables or a grid-world config JSON."""
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise CliError(f"cannot load model {path}: {e}", EXIT_BAD_CONFIG)
-    if "rows" in doc:
-        model = build_gridworld(gridworld_config_from_doc(doc))
-    else:
-        from .mdp_model import model_from_doc
+    return checked_model(resolve_model_doc({"kind": "file", "path": str(path)}, Path()))
 
-        try:
-            model = model_from_doc(doc)
-        except (KeyError, ValueError) as e:
-            raise CliError(f"bad model file {path}: {e}", EXIT_BAD_CONFIG)
-    report = validate(model)
-    if not report:
+
+def load_policy_for(model, path):
+    """Read a policy file or checkpoint whose (H, S, A) table fits the model."""
+    try:
+        policy = load_policy(path)
+    except (OSError, KeyError, TypeError, ValueError) as e:
+        raise CliError(f"cannot load policy {path}: {e!r}", EXIT_BAD_CONFIG)
+    shape = (model.horizon, model.num_states, model.num_actions)
+    if policy.stage_params.shape != shape:
         raise CliError(
-            f"model {path} failed validation: " + "; ".join(report.violations),
-            EXIT_INVALID_MODEL,
+            f"policy {path} has shape {policy.stage_params.shape}, the model needs {shape}",
+            EXIT_BAD_CONFIG,
         )
-    return model
+    return policy
 
 
 def parse_multipliers(raw: str | None, model) -> np.ndarray:
@@ -680,13 +686,14 @@ def cmd_train(args) -> int:
 def cmd_oracle_gradcheck(args) -> int:
     model = load_any_model(Path(args.model))
     rng = np.random.default_rng(args.seed)
-    from .policy import tabular_policy
-
+    sets = reachable_sets(model)
     worst = 0.0
     for _ in range(args.instances):
         policy = tabular_policy(model)
         for h in range(model.horizon):
-            policy.stage_params[h] = rng.uniform(-2.0, 2.0, size=policy.features.dim(h))
+            policy.stage_params[h, sets[h]] = rng.uniform(
+                -2.0, 2.0, size=(len(sets[h]), model.num_actions)
+            )
         lam = -rng.uniform(0.0, 5.0, size=model.num_constraints)
         exact = dp_oracle.exact_gradient(model, policy, lam)
         approx = dp_oracle.finite_difference_gradient(model, policy, lam)
@@ -737,10 +744,7 @@ def cmd_oracle_solve(args) -> int:
 
 def cmd_oracle_evaluate(args) -> int:
     model = load_any_model(Path(args.model))
-    try:
-        policy = load_policy(args.policy)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
-        raise CliError(f"cannot load policy {args.policy}: {e}", EXIT_BAD_CONFIG)
+    policy = load_policy_for(model, args.policy)
     j, totals = dp_oracle.evaluate_policy(model, policy)
     print(f"expected return: {j:.6f}")
     for k in range(model.num_constraints):
@@ -758,10 +762,7 @@ def cmd_oracle_evaluate(args) -> int:
 
 def cmd_oracle_fixedpoint(args) -> int:
     model = load_any_model(Path(args.model))
-    try:
-        policy = load_policy(args.policy)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
-        raise CliError(f"cannot load policy {args.policy}: {e}", EXIT_BAD_CONFIG)
+    policy = load_policy_for(model, args.policy)
     lam = parse_multipliers(args.multipliers, model)
     basis = tabular_basis(model)
     weights = fixed_points(model, policy, lam, basis)
@@ -867,13 +868,8 @@ def cmd_plot(args) -> int:
                 "multipliers": data[:, 2 + M : 2 + 2 * M].reshape(n, M),
             }
         )
-
-    class _Shell:
-        num_constraints = M
-        thresholds = np.asarray(summary["thresholds"], dtype=float)
-
     write_experiment_plots(
-        run_dir, outcomes, _Shell(), summary.get("reference"), summary["window"]
+        run_dir, outcomes, summary["thresholds"], summary.get("reference"), summary["window"]
     )
     print(f"re-rendered plots in {run_dir}")
     return 0
@@ -926,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = oracle_sub.add_parser("evaluate", help="exact return and costs of a policy")
     p_eval.add_argument("--model", required=True)
-    p_eval.add_argument("--policy", required=True, help="policy checkpoint JSON")
+    p_eval.add_argument("--policy", required=True, help="policy JSON or train checkpoint")
     p_eval.add_argument(
         "--multipliers",
         default=None,

@@ -156,38 +156,6 @@ def validate(model: FiniteHorizonCMDP) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=violations)
 
 
-def lagrangian_cost(model: FiniteHorizonCMDP, lam, h: int, s: int, a=None, s_next=None) -> float:
-    """Single-stage Lagrangian cost: reward plus multiplier-weighted constraint costs.
-
-    For h < H this is r_h(s,a,s') + sum_k lam_k * g_k,h(s,a,s'); at the terminal
-    stage h = H the (a, s') arguments collapse and the thresholds enter once:
-    r_H(s) + sum_k lam_k * (g_k,H(s) - alpha_k).
-    """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (model.num_constraints,):
-        raise ValueError(f"lambda must have length {model.num_constraints}")
-    if h == model.horizon:
-        return float(
-            model.terminal_reward[s]
-            + lam @ (model.terminal_constraint_costs[:, s] - model.thresholds)
-        )
-    if 0 <= h < model.horizon:
-        if a is None or s_next is None:
-            raise ValueError("non-terminal stages need (s, a, s')")
-        return float(
-            model.rewards[h, s, a, s_next] + lam @ model.constraint_costs[:, h, s, a, s_next]
-        )
-    raise ValueError(f"stage {h} out of range for horizon {model.horizon}")
-
-
-def sample_next(model: FiniteHorizonCMDP, rng: np.random.Generator, h: int, s: int, a: int) -> int:
-    """Sample s' ~ p_h(s, a, .); deterministic given the rng state."""
-    if not 0 <= h < model.horizon:
-        raise ValueError(f"stage {h} out of range for horizon {model.horizon}")
-    cdf = np.cumsum(model.kernels[h, s, a])
-    return min(int(np.searchsorted(cdf, rng.random(), side="right")), model.num_states - 1)
-
-
 @dataclass(frozen=True)
 class Episode:
     """One sampled trajectory with realized rewards and constraint costs."""
@@ -198,6 +166,7 @@ class Episode:
     terminal_reward: float
     constraint_costs: np.ndarray
     terminal_constraint_costs: np.ndarray
+    action_probs: np.ndarray  # (H, A): the rows mu_h(s_h, .) the actions were drawn from
 
     @property
     def horizon(self) -> int:
@@ -208,6 +177,22 @@ class Episode:
 
     def total_constraint_costs(self) -> np.ndarray:
         return self.constraint_costs.sum(axis=1) + self.terminal_constraint_costs
+
+
+def sample_index(probs: list, u: float) -> int:
+    """Inverse-CDF draw: the first index whose running sum of `probs` exceeds u.
+
+    Returns the last index when no running sum does (round-off below 1). This
+    is min(searchsorted(cumsum(probs), u, side="right"), len - 1) on plain
+    floats, which on short rows is several times cheaper than the array calls.
+    A NaN running sum counts as exceeding u, as it does in searchsorted.
+    """
+    total = 0.0
+    for i, p in enumerate(probs):
+        total += p
+        if not total <= u:
+            return i
+    return len(probs) - 1
 
 
 def rollout(
@@ -224,40 +209,35 @@ def rollout(
     horizon = model.horizon
     if policy.horizon != horizon:
         raise ValueError(f"policy horizon {policy.horizon} != model horizon {horizon}")
-    num_states = model.num_states
+    # One block draw yields the same uniforms, in the same order, as drawing
+    # them one at a time: s0 (when not given), then an action and a successor
+    # per stage.
+    uniforms = iter(rng.random(2 * horizon + (s0 is None)).tolist())
     if s0 is None:
-        cdf = np.cumsum(model.initial_distribution)
-        s0 = min(int(np.searchsorted(cdf, rng.random(), side="right")), num_states - 1)
+        s0 = sample_index(model.initial_distribution.tolist(), next(uniforms))
 
-    num_constraints = model.num_constraints
-    states = np.empty(horizon + 1, dtype=np.int64)
-    actions = np.empty(horizon, dtype=np.int64)
-    rewards = np.empty(horizon)
-    costs = np.empty((num_constraints, horizon))
+    table = policy.distribution_table()
     kernels = model.kernels
-    reward_tables = model.rewards
-    cost_tables = model.constraint_costs
-
-    s = int(s0)
-    states[0] = s
+    visited = [int(s0)]
+    chosen = []
+    s = visited[0]
     for h in range(horizon):
-        a = policy.sample_action(rng, h, s)
-        cdf = np.cumsum(kernels[h, s, a])
-        s_next = min(int(np.searchsorted(cdf, rng.random(), side="right")), num_states - 1)
-        actions[h] = a
-        rewards[h] = reward_tables[h, s, a, s_next]
-        for k in range(num_constraints):
-            costs[k, h] = cost_tables[k, h, s, a, s_next]
-        states[h + 1] = s_next
-        s = s_next
+        a = sample_index(table[h, s].tolist(), next(uniforms))
+        s = sample_index(kernels[h, s, a].tolist(), next(uniforms))
+        chosen.append(a)
+        visited.append(s)
 
+    states = np.array(visited, dtype=np.int64)
+    actions = np.array(chosen, dtype=np.int64)
+    steps = (np.arange(horizon), states[:-1], actions, states[1:])
     return Episode(
         states=states,
         actions=actions,
-        rewards=rewards,
+        rewards=np.asarray(model.rewards[steps], dtype=float),
         terminal_reward=float(model.terminal_reward[s]),
-        constraint_costs=costs,
+        constraint_costs=np.asarray(model.constraint_costs[(slice(None),) + steps], dtype=float),
         terminal_constraint_costs=model.terminal_constraint_costs[:, s].copy(),
+        action_probs=table[steps[:2]],
     )
 
 

@@ -1,4 +1,4 @@
-"""Non-stationary Gibbs policies: one softmax over linear preferences per stage."""
+"""Non-stationary Gibbs policies: one softmax per stage over a dense preference table."""
 
 from __future__ import annotations
 
@@ -6,104 +6,40 @@ import json
 
 import numpy as np
 
-from .mdp_model import FiniteHorizonCMDP, reachable_sets
+from .mdp_model import FiniteHorizonCMDP, sample_index
 
 
-class TabularStateActionFeatures:
-    """One-hot preference features over per-stage reachable (state, action) pairs.
-
-    Stage h has dimension |S_h| * A; the feature vector of (s, a) is the unit
-    vector of its block coordinate. States outside S_h map to the zero vector,
-    which makes the policy uniform there (those states never occur).
-    """
-
-    spec_id = "tabular"
-
-    def __init__(self, reachable: list[np.ndarray], num_states: int, num_actions: int):
-        self.num_states = num_states
-        self.num_actions = num_actions
-        self.reachable = [np.asarray(r, dtype=np.int64) for r in reachable]
-        self.dims = [len(r) * num_actions for r in self.reachable]
-        self._block = []
-        for r in self.reachable:
-            block = np.full(num_states, -1, dtype=np.int64)
-            block[r] = np.arange(len(r)) * num_actions
-            self._block.append(block)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.dims)
-
-    def dim(self, h: int) -> int:
-        return self.dims[h]
-
-    def preferences(self, params: np.ndarray, h: int, s: int) -> np.ndarray:
-        """theta_h . x_h(s, a) for every action a, as a length-A vector."""
-        start = self._block[h][s]
-        if start < 0:
-            return np.zeros(self.num_actions)
-        return params[start : start + self.num_actions]
-
-    def vector(self, h: int, s: int, a: int) -> np.ndarray:
-        out = np.zeros(self.dims[h])
-        start = self._block[h][s]
-        if start >= 0:
-            out[start + a] = 1.0
-        return out
-
-    def matrix(self, h: int, s: int) -> np.ndarray:
-        """Rows x_h(s, a), a = 0..A-1, shape (A, y_h)."""
-        out = np.zeros((self.num_actions, self.dims[h]))
-        start = self._block[h][s]
-        if start >= 0:
-            out[np.arange(self.num_actions), start + np.arange(self.num_actions)] = 1.0
-        return out
-
-    def score_vector(self, h: int, s: int, a: int, probs: np.ndarray) -> np.ndarray:
-        """x_h(s,a) - sum_b probs[b] x_h(s,b), exploiting the block layout."""
-        out = np.zeros(self.dims[h])
-        start = self._block[h][s]
-        if start >= 0:
-            out[start : start + self.num_actions] = -probs
-            out[start + a] += 1.0
-        return out
-
-    def preference_matrix(self, params: np.ndarray, h: int) -> np.ndarray:
-        """Preferences of every (state, action) at stage h, shape (S, A)."""
-        out = np.zeros((self.num_states, self.num_actions))
-        r = self.reachable[h]
-        out[r] = params.reshape(len(r), self.num_actions)
-        return out
+def _gibbs(prefs: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by the row maximum for stability."""
+    z = np.exp(prefs - prefs.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
 class NonStationaryPolicy:
     """A tuple of H per-stage Gibbs distributions mu_h(s, .) over actions.
 
-    Action probabilities are proportional to exp(theta_h . x_h(s, a) / tau),
-    hence strictly positive for every bounded parameter vector. Parameters are
-    kept inside the box [-param_bound, param_bound] by `project_params`.
+    `stage_params` is a dense (H, S, A) table theta and action probabilities are
+    proportional to exp(theta[h, s, a] / tau), hence strictly positive for
+    every bounded table. Rows of states that are never reached stay zero, which
+    is the uniform distribution. Parameters are kept inside the box
+    [-param_bound, param_bound] by `project_params`.
     """
 
-    def __init__(self, features, params=None, temperature: float = 1.0, param_bound: float = 10.0):
+    def __init__(self, stage_params, temperature: float = 1.0, param_bound: float = 10.0):
         if temperature <= 0:
             raise ValueError("temperature must be positive")
         if param_bound <= 0:
             raise ValueError("param_bound must be positive")
-        self.features = features
         self.temperature = float(temperature)
         self.param_bound = float(param_bound)
-        if params is None:
-            self.stage_params = [np.zeros(features.dim(h)) for h in range(features.horizon)]
-        else:
-            if len(params) != features.horizon:
-                raise ValueError("one parameter vector per stage required")
-            self.stage_params = [
-                self.project_params(np.asarray(p, dtype=float)) for p in params
-            ]
+        params = np.asarray(stage_params, dtype=float)
+        if params.ndim != 3:
+            raise ValueError(f"stage_params must have shape (H, S, A), got {params.shape}")
+        self.stage_params = self.project_params(params)
 
     @property
     def horizon(self) -> int:
-        return self.features.horizon
+        return self.stage_params.shape[0]
 
     def _check_stage(self, h: int) -> None:
         if not 0 <= h < self.horizon:
@@ -112,98 +48,78 @@ class NonStationaryPolicy:
     def action_distribution(self, h: int, s: int) -> np.ndarray:
         """The Gibbs distribution over actions at (h, s); entries sum to 1."""
         self._check_stage(h)
-        prefs = self.features.preferences(self.stage_params[h], h, s) / self.temperature
-        z = np.exp(prefs - prefs.max())
-        return z / z.sum()
+        return _gibbs(self.stage_params[h, s] / self.temperature)
+
+    def distribution_table(self) -> np.ndarray:
+        """Action distributions of every stage and state, shape (H, S, A).
+
+        Row (h, s) equals `action_distribution(h, s)` bit for bit; one batched
+        softmax replaces H * S row-by-row ones.
+        """
+        return _gibbs(self.stage_params / self.temperature)
 
     def distribution_matrix(self, h: int) -> np.ndarray:
         """Action distributions for all states at stage h, shape (S, A)."""
         self._check_stage(h)
-        pref = getattr(self.features, "preference_matrix", None)
-        if pref is not None:
-            prefs = pref(self.stage_params[h], h) / self.temperature
-            z = np.exp(prefs - prefs.max(axis=1, keepdims=True))
-            return z / z.sum(axis=1, keepdims=True)
-        num_states = self.features.num_states
-        out = np.empty((num_states, self.features.num_actions))
-        for s in range(num_states):
-            out[s] = self.action_distribution(h, s)
-        return out
+        return _gibbs(self.stage_params[h] / self.temperature)
 
     def sample_action(self, rng: np.random.Generator, h: int, s: int) -> int:
-        probs = self.action_distribution(h, s)
-        cdf = np.cumsum(probs)
-        return min(int(np.searchsorted(cdf, rng.random(), side="right")), len(cdf) - 1)
+        return sample_index(self.action_distribution(h, s).tolist(), rng.random())
 
-    def score(self, h: int, s: int, a: int) -> np.ndarray:
-        """Gradient of log mu_h(s, a) in theta_h: (x(s,a) - E_mu x(s,.)) / tau."""
-        probs = self.action_distribution(h, s)
-        return self.features.score_vector(h, s, a, probs) / self.temperature
+    def score(self, h: int, s: int, a: int, probs=None) -> np.ndarray:
+        """Gradient of log mu_h(s, a) in the row theta[h, s]: (e_a - mu_h(s, .)) / tau.
 
-    def score_matrix(self, h: int, s: int) -> np.ndarray:
-        """Scores of all actions at (h, s), shape (A, y_h)."""
-        probs = self.action_distribution(h, s)
-        x = self.features.matrix(h, s)
-        return (x - probs @ x) / self.temperature
+        The gradient in every other row of the table is zero. `probs` is
+        mu_h(s, .) when the caller already holds it, e.g. a rollout's
+        `action_probs[h]`.
+        """
+        if probs is None:
+            probs = self.action_distribution(h, s)
+        out = -probs
+        out[a] += 1.0
+        return out / self.temperature
 
     def project_params(self, proposed: np.ndarray) -> np.ndarray:
         """Coordinate-wise clamp onto the parameter box; idempotent."""
         return np.clip(proposed, -self.param_bound, self.param_bound)
 
-    def set_stage_params(self, h: int, proposed: np.ndarray) -> None:
-        self._check_stage(h)
-        self.stage_params[h] = self.project_params(np.asarray(proposed, dtype=float))
-
     def copy(self) -> "NonStationaryPolicy":
-        return NonStationaryPolicy(
-            self.features,
-            params=[p.copy() for p in self.stage_params],
-            temperature=self.temperature,
-            param_bound=self.param_bound,
-        )
+        return NonStationaryPolicy(self.stage_params.copy(), self.temperature, self.param_bound)
 
 
 def tabular_policy(
     model: FiniteHorizonCMDP, temperature: float = 1.0, param_bound: float = 10.0
 ) -> NonStationaryPolicy:
-    """Uniform-initialized tabular Gibbs policy on the model's reachable sets."""
-    sets = reachable_sets(model)[: model.horizon]
-    features = TabularStateActionFeatures(sets, model.num_states, model.num_actions)
-    return NonStationaryPolicy(features, temperature=temperature, param_bound=param_bound)
+    """Uniform-initialized Gibbs policy with a zero (H, S, A) table."""
+    shape = (model.horizon, model.num_states, model.num_actions)
+    return NonStationaryPolicy(np.zeros(shape), temperature, param_bound)
+
+
+def policy_to_doc(policy: NonStationaryPolicy) -> dict:
+    """The JSON layout of a policy, shared by policy files and checkpoints."""
+    return {
+        "temperature": policy.temperature,
+        "param_bound": policy.param_bound,
+        "stage_params": policy.stage_params.tolist(),
+    }
+
+
+def policy_from_doc(doc: dict) -> NonStationaryPolicy:
+    return NonStationaryPolicy(
+        doc["stage_params"], float(doc["temperature"]), float(doc["param_bound"])
+    )
 
 
 def save_policy(policy: NonStationaryPolicy, path) -> None:
-    """Write a tabular-policy checkpoint as JSON; round-trips exactly."""
-    features = policy.features
-    if getattr(features, "spec_id", None) != "tabular":
-        raise ValueError("only tabular feature policies can be serialized")
-    doc = {
-        "feature_spec": features.spec_id,
-        "horizon": policy.horizon,
-        "num_states": features.num_states,
-        "num_actions": features.num_actions,
-        "reachable_sets": [r.tolist() for r in features.reachable],
-        "temperature": policy.temperature,
-        "param_bound": policy.param_bound,
-        "stage_params": [p.tolist() for p in policy.stage_params],
-    }
+    """Write the policy as JSON; round-trips exactly."""
     with open(path, "w") as f:
-        json.dump(doc, f)
+        json.dump(policy_to_doc(policy), f)
 
 
 def load_policy(path) -> NonStationaryPolicy:
+    """Read a policy file, or the policy inside a trainer checkpoint."""
     with open(path) as f:
         doc = json.load(f)
-    if doc["feature_spec"] != "tabular":
-        raise ValueError(f"unknown feature spec {doc['feature_spec']!r}")
-    features = TabularStateActionFeatures(
-        [np.asarray(r, dtype=np.int64) for r in doc["reachable_sets"]],
-        int(doc["num_states"]),
-        int(doc["num_actions"]),
-    )
-    return NonStationaryPolicy(
-        features,
-        params=[np.asarray(p, dtype=float) for p in doc["stage_params"]],
-        temperature=float(doc["temperature"]),
-        param_bound=float(doc["param_bound"]),
-    )
+    if not isinstance(doc, dict):
+        raise ValueError("a policy file must hold a JSON object")
+    return policy_from_doc(doc.get("policy", doc))

@@ -26,7 +26,7 @@ from .critic import (
     zero_critic,
 )
 from .mdp_model import FiniteHorizonCMDP, ValidationReport, rollout
-from .policy import NonStationaryPolicy, tabular_policy
+from .policy import NonStationaryPolicy, policy_from_doc, policy_to_doc, tabular_policy
 
 
 @dataclass(frozen=True)
@@ -151,13 +151,21 @@ def make_trainer(
 
 
 def actor_update(
-    policy: NonStationaryPolicy, h: int, s: int, a: int, delta: float, step: float
+    policy: NonStationaryPolicy, h: int, s: int, a: int, delta: float, step: float, probs=None
 ) -> bool:
-    """theta_h <- clamp(theta_h + step * delta * psi_h(s, a)); True if clamped."""
-    proposed = policy.stage_params[h] + (step * delta) * policy.score(h, s, a)
+    """theta[h, s] <- clamp(theta[h, s] + step * delta * psi_h(s, a)); True if clamped.
+
+    The score is zero outside row (h, s), and every other coordinate already
+    lies in the box, so only this row can move or be clamped. `probs` is
+    mu_h(s, .) when the caller already holds it.
+    """
+    row = policy.stage_params[h, s]
+    proposed = row + (step * delta) * policy.score(h, s, a, probs)
     bound = policy.param_bound
-    clipped = bool(proposed.max() > bound or proposed.min() < -bound)
-    policy.stage_params[h] = np.clip(proposed, -bound, bound, out=proposed)
+    clipped = bool(np.maximum.reduce(np.abs(proposed)) > bound)
+    if clipped:
+        np.clip(proposed, -bound, bound, out=proposed)
+    row[:] = proposed
     return clipped
 
 
@@ -171,12 +179,12 @@ def multiplier_update(stored: np.ndarray, estimates: np.ndarray, step: float, co
     ceiling = -config.penalty_floor
     if config.multiplier_sign == "negative":
         proposed = stored - step * estimates
-        floor_hit = bool(np.any(proposed < config.penalty_floor))
-        zero_hit = bool(np.any(proposed > 0.0))
+        floor_hit = bool((proposed < config.penalty_floor).any())
+        zero_hit = bool((proposed > 0.0).any())
         return np.clip(proposed, config.penalty_floor, 0.0), floor_hit, zero_hit
     proposed = stored + step * estimates
-    floor_hit = bool(np.any(proposed > ceiling))
-    zero_hit = bool(np.any(proposed < 0.0))
+    floor_hit = bool((proposed > ceiling).any())
+    zero_hit = bool((proposed < 0.0).any())
     return np.clip(proposed, 0.0, ceiling), floor_hit, zero_hit
 
 
@@ -228,20 +236,23 @@ def train(
         n = state.episode
         lam = sign * state.multipliers
         episode = rollout(model, policy, state.rng)
-        s0 = episode.states[0]
-        phi0 = basis.row(0, s0)
+        states, actions = episode.states.tolist(), episode.actions.tolist()
+        phi0 = basis.row(0, states[0])
         metrics.value_estimates[i] = critic.v[0] @ phi0
         gaps = np.array([critic.w[k][0] @ phi0 for k in range(M)])
 
         a_n = schedules.critic_step(n)
         deltas = update_penalized_critic(
             model, basis, critic, episode, lam, a_n, sequential=config.sequential_critic
-        )
+        ).tolist()
         b_n = schedules.actor_step(n)
         clipped = False
+        # Row (h, s_h) changes only in stage h's own update, so the rollout's
+        # distributions are still current when each stage's score is formed.
+        probs = episode.action_probs
         for h in range(H):
             clipped |= actor_update(
-                policy, h, episode.states[h], episode.actions[h], deltas[h], b_n
+                policy, h, states[h], actions[h], deltas[h], b_n, probs[h]
             )
         for k in range(M):
             update_constraint_critic(
@@ -313,20 +324,15 @@ def stationarity_diagnostics(
     """Exact-gradient stationarity and multiplier-drift check at (theta, lambda)."""
     lam = dp_oracle._coerce_multipliers(model, multipliers)
     grads = dp_oracle.exact_gradient(model, policy, lam, use_baseline=True)
-    bound = policy.param_bound
-    raw_norms = np.zeros(model.horizon)
-    proj_norms = np.zeros(model.horizon)
-    at_bound = 0
-    for h, g in enumerate(grads):
-        theta = policy.stage_params[h]
-        raw_norms[h] = np.linalg.norm(g)
-        proj = g.copy()
-        upper = theta >= bound
-        lower = theta <= -bound
-        proj[upper] = np.minimum(proj[upper], 0.0)
-        proj[lower] = np.maximum(proj[lower], 0.0)
-        proj_norms[h] = np.linalg.norm(proj)
-        at_bound += int(np.count_nonzero(upper | lower))
+    theta, bound = policy.stage_params, policy.param_bound
+    upper = theta >= bound
+    lower = theta <= -bound
+    proj = grads.copy()
+    proj[upper] = np.minimum(proj[upper], 0.0)
+    proj[lower] = np.maximum(proj[lower], 0.0)
+    raw_norms = np.array([np.linalg.norm(g) for g in grads])
+    proj_norms = np.array([np.linalg.norm(g) for g in proj])
+    at_bound = int(np.count_nonzero(upper | lower))
 
     expected_return, totals = dp_oracle.evaluate_policy(model, policy)
     gaps = totals - model.thresholds
@@ -351,20 +357,11 @@ def stationarity_diagnostics(
 
 def save_checkpoint(state: TrainerState, path) -> None:
     """Write the full trainer state as JSON; `load_checkpoint` resumes exactly."""
-    features = state.policy.features
     doc = {
         "config": asdict(state.config),
         "episode": state.episode,
         "multipliers": state.multipliers.tolist(),
-        "policy": {
-            "feature_spec": getattr(features, "spec_id", "tabular"),
-            "num_states": features.num_states,
-            "num_actions": features.num_actions,
-            "reachable_sets": [r.tolist() for r in features.reachable],
-            "temperature": state.policy.temperature,
-            "param_bound": state.policy.param_bound,
-            "stage_params": [p.tolist() for p in state.policy.stage_params],
-        },
+        "policy": policy_to_doc(state.policy),
         "critic": {
             "v": [vh.tolist() for vh in state.critic.v],
             "w": [[wh.tolist() for wh in wk] for wk in state.critic.w],
@@ -380,25 +377,12 @@ def save_checkpoint(state: TrainerState, path) -> None:
 
 
 def load_checkpoint(path) -> TrainerState:
-    from .policy import TabularStateActionFeatures
-
     with open(path) as f:
         doc = json.load(f)
     cfg = dict(doc["config"])
     cfg["schedules"] = StepSizeSchedules(**cfg["schedules"])
     config = TrainerConfig(**cfg)
-    pol = doc["policy"]
-    features = TabularStateActionFeatures(
-        [np.asarray(r, dtype=np.int64) for r in pol["reachable_sets"]],
-        int(pol["num_states"]),
-        int(pol["num_actions"]),
-    )
-    policy = NonStationaryPolicy(
-        features,
-        params=[np.asarray(p, dtype=float) for p in pol["stage_params"]],
-        temperature=float(pol["temperature"]),
-        param_bound=float(pol["param_bound"]),
-    )
+    policy = policy_from_doc(doc["policy"])
     critic = CriticState(
         [np.asarray(vh, dtype=float) for vh in doc["critic"]["v"]],
         [[np.asarray(wh, dtype=float) for wh in wk] for wk in doc["critic"]["w"]],

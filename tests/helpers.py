@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from fhc_ac import make_cmdp, tabular_policy
+from fhc_ac import make_cmdp, reachable_sets, tabular_policy
 
 
 def random_cmdp(
@@ -50,9 +50,12 @@ def random_cmdp(
 
 
 def random_policy(model, rng, scale=1.5, temperature=1.0, param_bound=10.0):
+    """Uniform random preferences on the rows of reachable states, stage by stage."""
     policy = tabular_policy(model, temperature=temperature, param_bound=param_bound)
-    for h in range(model.horizon):
-        policy.stage_params[h] = rng.uniform(-scale, scale, size=policy.features.dim(h))
+    for h, states in enumerate(reachable_sets(model)[: model.horizon]):
+        policy.stage_params[h, states] = rng.uniform(
+            -scale, scale, size=(len(states), model.num_actions)
+        )
     return policy
 
 

@@ -211,12 +211,19 @@ def test_criterion_6_training_reaches_the_unconstrained_optimum_on_5_seeds():
 @pytest.fixture(scope="module")
 def benchmark_run(tmp_path_factory):
     """One five-seed grid-world experiment through the CLI pipeline,
-    shared by criteria 7 and 8."""
+    shared by criteria 7 and 8.
+
+    The seeds run in two worker processes; per-seed results equal those of
+    running them in turn (test_parallel_seed_workers_match_sequential_output),
+    and criterion 10 covers the in-process path.
+    """
     config_path = CONFIGS / "experiment_4x4.json"
     doc = load_experiment_doc(config_path)
     settings = experiment_settings(doc, config_path.parent)
     out_dir = tmp_path_factory.mktemp("benchmark")
-    summary = run_experiment(settings, out_dir)
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("FHC_AC_THREADS", "2")
+        summary = run_experiment(settings, out_dir)
     return summary
 
 

@@ -1,6 +1,8 @@
 """End-to-end command-line checks: configs, CSV schema, exit codes, plots."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,11 @@ from fhc_ac import (
 from fhc_ac.experiment_cli import csv_header, main, worker_count
 
 from helpers import random_cmdp
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# sha256 of the seed-0 CSV of `train --config configs/experiment_4x4.json
+# --episodes 3000 --seeds 0`, taken before the policy became a dense table.
+GOLDEN_4X4_SEED0_SHA256 = "910e63b8d4c88b2d685cc2d28a589688309a02b60dd4751455419a94852cf5c2"
 
 
 def tiny_gridworld_config(tmp_path):
@@ -141,6 +148,17 @@ def test_train_rejects_malformed_configs(tmp_path):
 
     assert main(["train", "--config", str(tmp_path / "missing.json"), "--out-dir", out]) == 2
 
+    # model files that cannot be built exit 2 instead of raising
+    save_model(random_cmdp(np.random.default_rng(0), 3, 2, 2, 1), tmp_path / "tables.json")
+    tables = json.loads((tmp_path / "tables.json").read_text())
+    del tables["horizon"]
+    (tmp_path / "tables.json").write_text(json.dumps(tables))
+    config = write_experiment(tmp_path, model={"kind": "file", "path": "tables.json"})
+    assert main(["train", "--config", str(config), "--out-dir", out]) == 2
+    (tmp_path / "rows.json").write_text(json.dumps({"rows": 2}))
+    config = write_experiment(tmp_path, model={"kind": "file", "path": "rows.json"})
+    assert main(["train", "--config", str(config), "--out-dir", out]) == 2
+
 
 def test_train_rejects_models_that_fail_validation(tmp_path):
     model = random_cmdp(np.random.default_rng(0), 3, 2, 2, 1)
@@ -245,6 +263,9 @@ def test_oracle_commands_reject_invalid_models(tmp_path):
     save_model(broken, path)
     assert main(["oracle", "gradcheck", "--model", str(path)]) == 3
     assert main(["oracle", "solve", "--model", str(tmp_path / "nope.json")]) == 2
+    rows_only = tmp_path / "rows.json"
+    rows_only.write_text(json.dumps({"rows": 2}))
+    assert main(["oracle", "solve", "--model", str(rows_only)]) == 2
 
 
 def test_oracle_solve_reports_the_reference_point(tmp_path, capsys):
@@ -278,6 +299,43 @@ def test_oracle_evaluate_and_fixedpoint_run_on_saved_policies(tmp_path, capsys):
 
     assert main(["oracle", "evaluate", "--model", str(model_path),
                  "--policy", str(policy_path), "--multipliers=-1,-2"]) == 2
+
+    # a policy file in the old ragged per-stage layout is refused with exit 2
+    old_layout = tmp_path / "old.json"
+    old_layout.write_text(json.dumps({
+        "feature_spec": "tabular", "temperature": 1.0, "param_bound": 10.0,
+        "reachable_sets": [[0], [0, 1]], "stage_params": [[0.0, 0.0], [0.0] * 4],
+    }))
+    assert main(["oracle", "evaluate", "--model", str(model_path),
+                 "--policy", str(old_layout)]) == 2
+
+
+def test_oracle_evaluate_and_fixedpoint_accept_train_checkpoints(tmp_path, capsys):
+    config = write_experiment(tmp_path, seeds=[3], episodes=60)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    seed = summary["seeds"][0]
+    capsys.readouterr()
+
+    model_path = str(tmp_path / "model.json")
+    assert main(["oracle", "evaluate", "--model", model_path,
+                 "--policy", seed["checkpoint"]]) == 0
+    want = seed["stationarity"]["expected_return"]
+    assert f"expected return: {want:.6f}" in capsys.readouterr().out
+
+    assert main(["oracle", "fixedpoint", "--model", model_path,
+                 "--policy", seed["checkpoint"]]) == 0
+    assert "max |projected - exact|" in capsys.readouterr().out
+
+
+def test_train_matches_the_golden_4x4_csv(tmp_path):
+    out = tmp_path / "out"
+    argv = ["train", "--config", str(CONFIGS / "experiment_4x4.json"), "--out-dir", str(out),
+            "--episodes", "3000", "--seeds", "0", "--no-plots"]
+    assert main(argv) == 0
+    csv = next(out.glob("*-seed0.csv"))
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == GOLDEN_4X4_SEED0_SHA256
 
 
 def test_plot_rerenders_charts_from_the_run_directory(tmp_path):

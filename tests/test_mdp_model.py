@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from fhc_ac import (
-    lagrangian_cost,
     load_model,
     make_cmdp,
     reachable_sets,
     rollout,
-    sample_next,
     save_model,
+    tabular_policy,
     validate,
 )
+from fhc_ac.mdp_model import sample_index
 
 from helpers import random_cmdp, random_policy
 
@@ -86,33 +86,50 @@ def test_validate_flags_bad_initial_distribution():
     assert not validate(model).ok
 
 
-def test_lagrangian_cost_stage_and_terminal():
-    model = random_cmdp(np.random.default_rng(4), 3, 2, 3, 2)
-    lam = np.array([-0.5, -1.5])
-    got = lagrangian_cost(model, lam, 1, 2, a=1, s_next=0)
-    want = model.rewards[1, 2, 1, 0] + lam @ model.constraint_costs[:, 1, 2, 1, 0]
-    assert got == pytest.approx(want, abs=1e-15)
-
-    got_terminal = lagrangian_cost(model, lam, model.horizon, 1)
-    want_terminal = model.terminal_reward[1] + lam @ (
-        model.terminal_constraint_costs[:, 1] - model.thresholds
-    )
-    assert got_terminal == pytest.approx(want_terminal, abs=1e-15)
-
-    with pytest.raises(ValueError):
-        lagrangian_cost(model, lam, model.horizon + 1, 0)
-    with pytest.raises(ValueError):
-        lagrangian_cost(model, lam, 0, 0)  # stage cost needs both a and s_next
-
-
-def test_sample_next_matches_kernel_frequencies():
-    model = random_cmdp(np.random.default_rng(5), 4, 2, 2, 0)
+def test_rollout_first_transition_matches_kernel_frequencies():
+    model = random_cmdp(np.random.default_rng(5), 4, 2, 1, 0)
+    # preferences (-20, 20) make action 1 certain up to exp(-40) at state 2
+    policy = tabular_policy(model, param_bound=20.0)
+    policy.stage_params[0, 2] = -20.0, 20.0
     rng = np.random.default_rng(9)
     counts = np.zeros(4)
     trials = 40_000
     for _ in range(trials):
-        counts[sample_next(model, rng, 0, 2, 1)] += 1
+        episode = rollout(model, policy, rng, s0=2)
+        assert episode.actions[0] == 1
+        counts[episode.states[1]] += 1
     assert np.abs(counts / trials - model.kernels[0, 2, 1]).max() < 0.01
+
+
+def test_sample_index_matches_searchsorted_on_the_cumulative_sum():
+    def reference(probs, u):
+        cdf = np.cumsum(probs)
+        return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
+
+    rng = np.random.default_rng(12)
+    rows = []
+    for size in (1, 2, 5, 9, 25):
+        for _ in range(40):
+            row = rng.exponential(size=size) * (rng.random(size) < 0.6)
+            if row.sum() > 0:
+                rows.append(row / row.sum())
+    rows.append(np.full(3, 0.1))             # sums to 0.3: draws above it take the last index
+    rows.append(np.array([0.5, np.nan, 0.5]))  # a NaN running sum counts as exceeding u
+    for row in rows:
+        cdf = np.cumsum(row)
+        draws = np.concatenate([rng.random(20), cdf[np.isfinite(cdf)], [0.0, 0.999999]])
+        for u in draws:
+            assert sample_index(row.tolist(), float(u)) == reference(row, u)
+
+
+def test_rollout_records_the_distributions_it_sampled_from():
+    model = random_cmdp(np.random.default_rng(13), 4, 9, 5, 1)
+    policy = random_policy(model, np.random.default_rng(14), scale=3.0)
+    episode = rollout(model, policy, np.random.default_rng(15))
+    assert episode.action_probs.shape == (model.horizon, model.num_actions)
+    for h in range(model.horizon):
+        expected = policy.action_distribution(h, episode.states[h])
+        assert np.array_equal(episode.action_probs[h], expected)
 
 
 def test_rollout_bookkeeping_matches_tables():

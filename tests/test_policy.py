@@ -3,20 +3,14 @@
 import numpy as np
 import pytest
 
-from fhc_ac import (
-    NonStationaryPolicy,
-    TabularStateActionFeatures,
-    load_policy,
-    save_policy,
-    tabular_policy,
-)
+from fhc_ac import NonStationaryPolicy, load_policy, save_policy, tabular_policy
 
 from helpers import random_cmdp, random_policy
 
 
-def small_features():
-    reachable = [np.array([0, 1, 2]), np.array([0, 2])]
-    return TabularStateActionFeatures(reachable, num_states=3, num_actions=2)
+def small_table():
+    """Zero (H, S, A) = (2, 3, 2) table; state 1 is never reached at stage 1."""
+    return np.zeros((2, 3, 2))
 
 
 def test_distributions_are_strictly_positive_and_normalized():
@@ -31,30 +25,44 @@ def test_distributions_are_strictly_positive_and_normalized():
 
 
 def test_zero_parameters_give_uniform_distributions():
-    policy = NonStationaryPolicy(small_features())
+    policy = NonStationaryPolicy(small_table())
     for h in range(2):
         for s in range(3):
             assert np.allclose(policy.action_distribution(h, s), 0.5, atol=1e-15)
 
 
 def test_distribution_matches_hand_computed_softmax():
-    # [DERIVED] stage 0, state 1 occupies block coordinates 2..3 of the
-    # (3 states x 2 actions) layout; preferences (0.8, -0.4) at temperature 2
-    # give probabilities proportional to exp(0.4), exp(-0.2).
-    features = small_features()
-    params = np.zeros(6)
-    params[2], params[3] = 0.8, -0.4
-    policy = NonStationaryPolicy(features, params=[params, np.zeros(4)], temperature=2.0)
+    # [DERIVED] stage 0, state 1 holds preferences (0.8, -0.4); at temperature 2
+    # they give probabilities proportional to exp(0.4), exp(-0.2).
+    params = small_table()
+    params[0, 1] = 0.8, -0.4
+    policy = NonStationaryPolicy(params, temperature=2.0)
     z = np.exp(np.array([0.4, -0.2]))
     assert np.allclose(policy.action_distribution(0, 1), z / z.sum(), atol=1e-15)
 
 
 def test_unreachable_states_fall_back_to_uniform():
-    features = small_features()
-    policy = NonStationaryPolicy(
-        features, params=[np.arange(6.0), np.arange(4.0)], temperature=1.0
-    )
+    # Stage 1 has preferences on its reachable states 0 and 2 only; the row of
+    # state 1 stays zero, which is the uniform distribution.
+    params = small_table()
+    params[0] = np.arange(6.0).reshape(3, 2)
+    params[1, [0, 2]] = np.arange(4.0).reshape(2, 2)
+    policy = NonStationaryPolicy(params, temperature=1.0)
     assert np.allclose(policy.action_distribution(1, 1), 0.5, atol=1e-15)
+
+
+def test_distribution_table_rows_equal_per_state_distributions_exactly():
+    # Nine actions take numpy's blocked summation path, four the plain one.
+    for num_actions, temperature in ((4, 1.0), (9, 0.7)):
+        model = random_cmdp(np.random.default_rng(4), 5, num_actions, 3, 0)
+        policy = random_policy(
+            model, np.random.default_rng(5), scale=8.0, temperature=temperature
+        )
+        table = policy.distribution_table()
+        assert table.shape == (model.horizon, model.num_states, num_actions)
+        for h in range(model.horizon):
+            for s in range(model.num_states):
+                assert np.array_equal(table[h, s], policy.action_distribution(h, s))
 
 
 def test_distribution_matrix_agrees_with_per_state_distributions():
@@ -73,12 +81,14 @@ def test_score_is_gradient_of_log_probability():
     for h in range(model.horizon):
         for s in range(model.num_states):
             for a in range(model.num_actions):
-                score = policy.score(h, s, a)
+                # the full stage gradient: the score on row s, zero elsewhere
+                score = np.zeros_like(policy.stage_params[h])
+                score[s] = policy.score(h, s, a)
                 base = policy.stage_params[h].copy()
                 fd = np.zeros_like(base)
-                for i in range(base.size):
+                for i in np.ndindex(base.shape):
                     for sign in (1.0, -1.0):
-                        policy.stage_params[h] = base.copy()
+                        policy.stage_params[h] = base
                         policy.stage_params[h][i] += sign * eps
                         val = np.log(policy.action_distribution(h, s)[a])
                         fd[i] += sign * val / (2 * eps)
@@ -92,22 +102,12 @@ def test_scores_average_to_zero_under_the_policy():
     for h in range(model.horizon):
         for s in range(model.num_states):
             probs = policy.action_distribution(h, s)
-            mean_score = probs @ policy.score_matrix(h, s)
-            assert np.abs(mean_score).max() < 1e-14
-
-
-def test_score_matrix_rows_match_score_vectors():
-    model = random_cmdp(np.random.default_rng(8), 3, 3, 2, 0)
-    policy = random_policy(model, np.random.default_rng(9))
-    for h in range(model.horizon):
-        for s in range(model.num_states):
-            mat = policy.score_matrix(h, s)
-            for a in range(model.num_actions):
-                assert np.allclose(mat[a], policy.score(h, s, a), atol=1e-14)
+            scores = np.array([policy.score(h, s, a) for a in range(model.num_actions)])
+            assert np.abs(probs @ scores).max() < 1e-14
 
 
 def test_project_params_clamps_and_is_idempotent():
-    policy = NonStationaryPolicy(small_features(), param_bound=2.0)
+    policy = NonStationaryPolicy(small_table(), param_bound=2.0)
     raw = np.array([-5.0, -2.0, 0.3, 1.9, 2.0, 7.0])
     projected = policy.project_params(raw)
     assert np.array_equal(projected, np.array([-2.0, -2.0, 0.3, 1.9, 2.0, 2.0]))
@@ -116,11 +116,13 @@ def test_project_params_clamps_and_is_idempotent():
 
 def test_constructor_rejects_bad_settings():
     with pytest.raises(ValueError):
-        NonStationaryPolicy(small_features(), temperature=0.0)
+        NonStationaryPolicy(small_table(), temperature=0.0)
     with pytest.raises(ValueError):
-        NonStationaryPolicy(small_features(), param_bound=-1.0)
+        NonStationaryPolicy(small_table(), param_bound=-1.0)
     with pytest.raises(ValueError):
-        NonStationaryPolicy(small_features(), params=[np.zeros(6)])
+        NonStationaryPolicy(np.zeros((2, 6)))
+    with pytest.raises(ValueError):
+        NonStationaryPolicy([np.zeros((3, 2)), np.zeros((2, 2))])  # ragged stages
 
 
 def test_sample_action_matches_distribution_frequencies():
@@ -134,12 +136,12 @@ def test_sample_action_matches_distribution_frequencies():
     assert np.abs(counts / trials - policy.action_distribution(0, 1)).max() < 0.01
 
 
-def test_tabular_policy_uses_model_reachable_sets():
+def test_tabular_policy_is_a_zero_table_of_the_model_shape():
     model = random_cmdp(np.random.default_rng(13), 4, 2, 3, 0)
     policy = tabular_policy(model)
     assert policy.horizon == model.horizon
-    for h in range(model.horizon):
-        assert policy.features.dim(h) > 0
+    assert policy.stage_params.shape == (model.horizon, model.num_states, model.num_actions)
+    assert not policy.stage_params.any()
 
 
 def test_save_load_round_trip(tmp_path):
