@@ -20,32 +20,47 @@ SINGULAR_TOL = 1e-10
 
 
 class StageFeatureBasis:
-    """H+1 stage feature matrices phi_h, stored dense with shape (S, x_h).
+    """H+1 stage feature matrices phi_h of shape (S, x_h), in one padded tensor.
 
-    Rows for states outside the stage's reachable set are zero by
-    construction; those states carry no occupation mass, so they never enter
-    updates or the limiting equations.
+    `features` is (H+1, S, X) with X the widest stage; stage h fills its first
+    x_h columns and the rest stay zero, so the TD step of every stage is one
+    gather, one multiply-sum and one add over padded (H+1, X) weights. Rows
+    for states outside the stage's reachable set are zero by construction;
+    those states carry no occupation mass, so they never enter updates or the
+    limiting equations.
     """
 
     def __init__(self, matrices, reachable):
-        self.matrices = [np.ascontiguousarray(m, dtype=float) for m in matrices]
+        matrices = [np.asarray(m, dtype=float) for m in matrices]
         self.reachable = [np.asarray(r, dtype=np.int64) for r in reachable]
-        if len(self.matrices) != len(self.reachable):
+        if len(matrices) != len(self.reachable):
             raise ValueError("need one reachable set per stage matrix")
+        if not matrices or any(m.ndim != 2 or len(m) != len(matrices[0]) for m in matrices):
+            raise ValueError("stage feature matrices must be 2-D with one row per state")
+        self.dims = [m.shape[1] for m in matrices]
+        self.features = np.zeros((len(matrices), len(matrices[0]), max(self.dims)))
+        for h, m in enumerate(matrices):
+            self.features[h, :, : self.dims[h]] = m
+        self.stages = np.arange(len(matrices))
 
     @property
     def horizon(self) -> int:
-        return len(self.matrices) - 1
+        return len(self.dims) - 1
 
     def dim(self, h: int) -> int:
-        return self.matrices[h].shape[1]
+        return self.dims[h]
 
     def feature_matrix(self, h: int) -> np.ndarray:
-        return self.matrices[h]
+        """phi_h without padding, shape (S, x_h), as a view."""
+        return self.features[h, :, : self.dims[h]]
+
+    @property
+    def matrices(self) -> list:
+        return [self.feature_matrix(h) for h in range(self.horizon + 1)]
 
     def row(self, h: int, s: int) -> np.ndarray:
-        """phi_h(s) as a view into the stage matrix."""
-        return self.matrices[h][s]
+        """phi_h(s) padded to X, the layout of the critic weights."""
+        return self.features[h, s]
 
 
 def tabular_basis(model: FiniteHorizonCMDP) -> StageFeatureBasis:
@@ -102,7 +117,7 @@ def validate_basis(basis: StageFeatureBasis, model: FiniteHorizonCMDP) -> Valida
         return ValidationReport(False, violations, notes)
     for h, r in enumerate(sets):
         mat = basis.feature_matrix(h)
-        if mat.ndim != 2 or mat.shape[0] != model.num_states:
+        if mat.shape[0] != model.num_states:
             violations.append(f"stage {h}: feature matrix shape {mat.shape} invalid")
             continue
         x = mat.shape[1]
@@ -128,35 +143,51 @@ def validate_basis(basis: StageFeatureBasis, model: FiniteHorizonCMDP) -> Valida
 
 @dataclass
 class CriticState:
-    """Mutable weights: `v[h]` for the penalized critic, `w[k][h]` per constraint."""
+    """Mutable weights padded to the widest stage: `v` (H+1, X) for the penalized
+    critic, `w` (M, H+1, X) for the constraint critics; `v[h, :x_h]` and
+    `w[k, h, :x_h]` are stage h's weights and the padding stays zero."""
 
-    v: list
-    w: list
+    v: np.ndarray
+    w: np.ndarray
 
     def copy(self) -> "CriticState":
-        return CriticState(
-            [vh.copy() for vh in self.v],
-            [[wh.copy() for wh in wk] for wk in self.w],
-        )
+        return CriticState(self.v.copy(), self.w.copy())
 
 
 def zero_critic(basis: StageFeatureBasis, num_constraints: int) -> CriticState:
-    dims = [basis.dim(h) for h in range(basis.horizon + 1)]
-    return CriticState(
-        [np.zeros(x) for x in dims],
-        [[np.zeros(x) for x in dims] for _ in range(num_constraints)],
+    stages, _, width = basis.features.shape
+    return CriticState(np.zeros((stages, width)), np.zeros((num_constraints, stages, width)))
+
+
+def _td_errors(basis, weights, episode, stage_costs, terminal_cost):
+    """All H+1 temporal differences of one critic with padded `weights` (H+1, X).
+
+    Returns the deltas and the gathered features phi_h(s_h), (H+1, X).
+    """
+    phi = basis.features[basis.stages, episode.states]
+    vals = (weights * phi).sum(axis=-1)
+    deltas = np.empty(vals.shape[0])
+    deltas[:-1] = stage_costs + vals[1:] - vals[:-1]
+    deltas[-1] = terminal_cost - vals[-1]
+    return deltas, phi
+
+
+def _penalized_costs(model, episode, multipliers):
+    """Realized penalized stage costs and the penalized terminal cost."""
+    lam = np.asarray(multipliers, dtype=float)
+    costs = episode.rewards + lam @ episode.constraint_costs
+    cterm = episode.terminal_reward + lam @ (
+        episode.terminal_constraint_costs - model.thresholds
     )
+    return costs, cterm
 
 
-def _episode_values(basis: StageFeatureBasis, weights, states) -> np.ndarray:
-    """w_h . phi_h(s_h) along a trajectory, shape (H+1,)."""
-    return np.array([w.dot(m[s]) for w, m, s in zip(weights, basis.matrices, states.tolist())])
-
-
-def _apply_td_updates(basis: StageFeatureBasis, weights, states, increments) -> None:
-    """w_h += increments[h] * phi_h(s_h) at every stage h = 0..H."""
-    for w, m, s, c in zip(weights, basis.matrices, states.tolist(), increments.tolist()):
-        w += c * m[s]
+def _constraint_costs(model, episode, k):
+    """Realized stage costs of constraint k and its terminal cost minus the threshold."""
+    return (
+        episode.constraint_costs[k],
+        episode.terminal_constraint_costs[k] - model.thresholds[k],
+    )
 
 
 def td_errors_penalized(model, basis, critic, episode, multipliers) -> np.ndarray:
@@ -166,80 +197,34 @@ def td_errors_penalized(model, basis, critic, episode, multipliers) -> np.ndarra
     estimate against stage h's estimate; the terminal entry compares the
     penalized terminal cost against the terminal estimate.
     """
-    lam = np.asarray(multipliers, dtype=float)
-    vals = _episode_values(basis, critic.v, episode.states)
-    costs = episode.rewards + lam @ episode.constraint_costs
-    cterm = episode.terminal_reward + lam @ (
-        episode.terminal_constraint_costs - model.thresholds
-    )
-    deltas = np.empty(model.horizon + 1)
-    deltas[:-1] = costs + vals[1:] - vals[:-1]
-    deltas[-1] = cterm - vals[-1]
-    return deltas
+    costs = _penalized_costs(model, episode, multipliers)
+    return _td_errors(basis, critic.v, episode, *costs)[0]
 
 
 def td_errors_constraint(model, basis, critic, episode, k) -> np.ndarray:
     """All H+1 temporal differences of constraint critic k, at current weights."""
-    vals = _episode_values(basis, critic.w[k], episode.states)
-    deltas = np.empty(model.horizon + 1)
-    deltas[:-1] = episode.constraint_costs[k] + vals[1:] - vals[:-1]
-    deltas[-1] = episode.terminal_constraint_costs[k] - model.thresholds[k] - vals[-1]
-    return deltas
+    return _td_errors(basis, critic.w[k], episode, *_constraint_costs(model, episode, k))[0]
 
 
-def update_penalized_critic(
-    model, basis, critic, episode, multipliers, step, sequential=False
-) -> np.ndarray:
+def update_penalized_critic(model, basis, critic, episode, multipliers, step) -> np.ndarray:
     """One episode of TD updates on the penalized critic; returns the deltas.
 
-    The default computes every delta from the weights held at episode start
-    and then applies all updates, which coincides with applying them in stage
-    order because each stage's weights are touched exactly once and delta_h
-    reads only stages h and h+1 before their own updates. `sequential` runs
-    the literal in-order variant.
+    Every delta reads the weights held at episode start, and then
+    v[h] += step * delta_h * phi_h(s_h) at every stage in one add. That equals
+    the in-order sweep over stages, because each stage's weights are touched
+    once and delta_h reads only stages h and h+1 before their own updates.
     """
-    if not sequential:
-        deltas = td_errors_penalized(model, basis, critic, episode, multipliers)
-        _apply_td_updates(basis, critic.v, episode.states, step * deltas)
-        return deltas
-    lam = np.asarray(multipliers, dtype=float)
-    costs = episode.rewards + lam @ episode.constraint_costs
-    deltas = np.empty(model.horizon + 1)
-    for h in range(model.horizon):
-        phi = basis.row(h, episode.states[h])
-        nxt = critic.v[h + 1] @ basis.row(h + 1, episode.states[h + 1])
-        deltas[h] = costs[h] + nxt - critic.v[h] @ phi
-        critic.v[h] += step * deltas[h] * phi
-    cterm = episode.terminal_reward + lam @ (
-        episode.terminal_constraint_costs - model.thresholds
-    )
-    phi = basis.row(model.horizon, episode.states[-1])
-    deltas[-1] = cterm - critic.v[model.horizon] @ phi
-    critic.v[model.horizon] += step * deltas[-1] * phi
+    costs = _penalized_costs(model, episode, multipliers)
+    deltas, phi = _td_errors(basis, critic.v, episode, *costs)
+    critic.v += (step * deltas)[:, None] * phi
     return deltas
 
 
-def update_constraint_critic(
-    model, basis, critic, episode, k, step, sequential=False
-) -> np.ndarray:
+def update_constraint_critic(model, basis, critic, episode, k, step) -> np.ndarray:
     """One episode of TD updates on constraint critic k; returns the deltas."""
-    if not sequential:
-        deltas = td_errors_constraint(model, basis, critic, episode, k)
-        _apply_td_updates(basis, critic.w[k], episode.states, step * deltas)
-        return deltas
-    deltas = np.empty(model.horizon + 1)
-    for h in range(model.horizon):
-        phi = basis.row(h, episode.states[h])
-        nxt = critic.w[k][h + 1] @ basis.row(h + 1, episode.states[h + 1])
-        deltas[h] = episode.constraint_costs[k, h] + nxt - critic.w[k][h] @ phi
-        critic.w[k][h] += step * deltas[h] * phi
-    phi = basis.row(model.horizon, episode.states[-1])
-    deltas[-1] = (
-        episode.terminal_constraint_costs[k]
-        - model.thresholds[k]
-        - critic.w[k][model.horizon] @ phi
-    )
-    critic.w[k][model.horizon] += step * deltas[-1] * phi
+    costs = _constraint_costs(model, episode, k)
+    deltas, phi = _td_errors(basis, critic.w[k], episode, *costs)
+    critic.w[k] += (step * deltas)[:, None] * phi
     return deltas
 
 

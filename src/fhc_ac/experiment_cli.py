@@ -169,9 +169,11 @@ def experiment_settings(doc: dict, base_dir: Path) -> dict:
         raise CliError(f"bad schedules section: {e}", EXIT_BAD_CONFIG)
     seeds = doc["seeds"]
     if not isinstance(seeds, list) or not seeds or not all(
-        isinstance(s, int) for s in seeds
+        isinstance(s, int) and s >= 0 for s in seeds
     ):
-        raise CliError("'seeds' must be a non-empty list of integers", EXIT_BAD_CONFIG)
+        raise CliError(
+            "'seeds' must be a non-empty list of non-negative integers", EXIT_BAD_CONFIG
+        )
     if len(set(seeds)) != len(seeds):
         raise CliError("'seeds' contains duplicates", EXIT_BAD_CONFIG)
     episodes = doc["episodes"]
@@ -192,6 +194,7 @@ def experiment_settings(doc: dict, base_dir: Path) -> dict:
             "param_bound": float(doc.get("param_bound", 10.0)),
             "penalty_floor": float(doc.get("penalty_floor", -100.0)),
             "schedules": dataclasses.asdict(sched),
+            # No effect on training; kept because config_hash digests it.
             "sequential_critic": bool(doc.get("sequential_critic", False)),
             "multiplier_sign": doc.get("multiplier_sign", "negative"),
             "plots": bool(doc.get("plots", True)),
@@ -217,7 +220,6 @@ def trainer_config(settings: dict, seed: int) -> TrainerConfig:
         param_bound=settings["param_bound"],
         penalty_floor=settings["penalty_floor"],
         schedules=StepSizeSchedules(**settings["schedules"]),
-        sequential_critic=settings["sequential_critic"],
         multiplier_sign=settings["multiplier_sign"],
     )
 
@@ -322,8 +324,8 @@ def run_seed(settings: dict, seed: int, out_dir: Path, progress_every: int = 0):
 
 
 def _seed_worker(payload):
-    settings, seed, out_dir = payload
-    return run_seed(settings, seed, Path(out_dir))
+    settings, seed, out_dir, progress_every = payload
+    return run_seed(settings, seed, Path(out_dir), progress_every)
 
 
 def worker_count(num_seeds: int) -> int:
@@ -357,7 +359,9 @@ def run_experiment(settings: dict, out_dir: Path, progress_every: int = 0) -> di
     started = time.perf_counter()
     workers = worker_count(len(settings["seeds"]))
     if workers > 1:
-        payloads = [(settings, seed, str(out_dir)) for seed in settings["seeds"]]
+        payloads = [
+            (settings, seed, str(out_dir), progress_every) for seed in settings["seeds"]
+        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_seed_worker, payloads))
     else:
@@ -654,16 +658,17 @@ def parse_multipliers(raw: str | None, model) -> np.ndarray:
 def cmd_train(args) -> int:
     config_path = Path(args.config)
     doc = load_experiment_doc(config_path)
-    settings = experiment_settings(doc, config_path.parent)
+    # Overrides replace config entries before the checks, so both face the same ones.
     if args.episodes is not None:
-        settings["episodes"] = args.episodes
+        doc["episodes"] = args.episodes
     if args.seeds is not None:
         try:
-            settings["seeds"] = [int(s) for s in args.seeds.split(",")]
+            doc["seeds"] = [int(s) for s in args.seeds.split(",")]
         except ValueError:
             raise CliError(f"bad --seeds value {args.seeds!r}", EXIT_BAD_CONFIG)
     if args.no_plots:
-        settings["plots"] = False
+        doc["plots"] = False
+    settings = experiment_settings(doc, config_path.parent)
     out_dir = Path(args.out_dir)
     summary = run_experiment(settings, out_dir, progress_every=args.progress_every)
     print(f"experiment {summary['name']} ({summary['config_hash']})")
@@ -842,6 +847,38 @@ def cmd_env_benchmark(args) -> int:
     return _save_and_summarize_gridworld(config, args.out)
 
 
+def _check_plot_inputs(summary, summary_path: Path) -> None:
+    """Exit 2 unless summary.json holds every entry `plot` reads, with its type."""
+
+    def numbers(xs):
+        return isinstance(xs, list) and all(isinstance(x, (int, float)) for x in xs)
+
+    try:
+        reference = summary.get("reference")
+        ok = (
+            isinstance(summary["num_constraints"], int)
+            and numbers(summary["thresholds"])
+            and len(summary["thresholds"]) == summary["num_constraints"]
+            and isinstance(summary["window"], int)
+            and summary["window"] > 0
+            and isinstance(summary["seeds"], list)
+            and len(summary["seeds"]) > 0
+            and all(isinstance(e["seed"], int) and isinstance(e["csv"], str)
+                    for e in summary["seeds"])
+            and (reference is None or not reference["feasible"]
+                 or numbers([reference["best_return"]]))
+        )
+    except (AttributeError, KeyError, TypeError):
+        ok = False
+    if not ok:
+        raise CliError(
+            f"{summary_path} needs num_constraints, one threshold per constraint, a "
+            "positive window, a non-empty seeds list of {seed, csv} and a null or "
+            "well-formed reference",
+            EXIT_BAD_CONFIG,
+        )
+
+
 def cmd_plot(args) -> int:
     run_dir = Path(args.run_dir)
     summary_path = run_dir / "summary.json"
@@ -849,6 +886,7 @@ def cmd_plot(args) -> int:
         summary = json.loads(summary_path.read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise CliError(f"cannot read {summary_path}: {e}", EXIT_BAD_CONFIG)
+    _check_plot_inputs(summary, summary_path)
     M = summary["num_constraints"]
     outcomes = []
     for seed_info in summary["seeds"]:
@@ -857,9 +895,15 @@ def cmd_plot(args) -> int:
             csv_path = run_dir / csv_path.name
         try:
             data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-        except OSError as e:
+        except (OSError, ValueError) as e:
             raise CliError(f"cannot read {csv_path}: {e}", EXIT_BAD_CONFIG)
-        n = data.shape[0]
+        n, columns = data.shape
+        if n == 0 or columns != 3 + 3 * M:
+            raise CliError(
+                f"{csv_path} holds {n} rows of {columns} columns, "
+                f"expected rows of {3 + 3 * M}",
+                EXIT_BAD_CONFIG,
+            )
         outcomes.append(
             {
                 "seed": seed_info["seed"],

@@ -8,12 +8,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .policy import NonStationaryPolicy
 
 PROB_TOL = 1e-12
 
@@ -197,18 +193,22 @@ def sample_index(probs: list, u: float) -> int:
 
 def rollout(
     model: FiniteHorizonCMDP,
-    policy: "NonStationaryPolicy",
+    table: np.ndarray,
     rng: np.random.Generator,
     s0: int | None = None,
 ) -> Episode:
-    """Sample a full episode: a_h ~ policy, s_{h+1} ~ p_h(s_h, a_h, .).
+    """Sample a full episode: a_h ~ table[h, s_h], s_{h+1} ~ p_h(s_h, a_h, .).
 
-    Draws s0 from the initial distribution when not given. Raises ValueError
-    on a policy/model horizon mismatch.
+    `table` holds the action distributions of every stage and state, shape
+    (H, S, A), e.g. `NonStationaryPolicy.distribution_table()`. Draws s0 from
+    the initial distribution when not given. Raises ValueError when the table
+    does not cover the model's horizon.
     """
     horizon = model.horizon
-    if policy.horizon != horizon:
-        raise ValueError(f"policy horizon {policy.horizon} != model horizon {horizon}")
+    if table.shape[0] != horizon:
+        raise ValueError(
+            f"distribution table has {table.shape[0]} stages, model horizon {horizon}"
+        )
     # One block draw yields the same uniforms, in the same order, as drawing
     # them one at a time: s0 (when not given), then an action and a successor
     # per stage.
@@ -216,7 +216,6 @@ def rollout(
     if s0 is None:
         s0 = sample_index(model.initial_distribution.tolist(), next(uniforms))
 
-    table = policy.distribution_table()
     kernels = model.kernels
     visited = [int(s0)]
     chosen = []

@@ -94,7 +94,6 @@ class TrainerConfig:
     param_bound: float = 10.0
     penalty_floor: float = -100.0
     schedules: StepSizeSchedules = field(default_factory=StepSizeSchedules)
-    sequential_critic: bool = False
     multiplier_sign: str = "negative"
 
     def __post_init__(self):
@@ -150,22 +149,25 @@ def make_trainer(
     )
 
 
-def actor_update(
-    policy: NonStationaryPolicy, h: int, s: int, a: int, delta: float, step: float, probs=None
-) -> bool:
-    """theta[h, s] <- clamp(theta[h, s] + step * delta * psi_h(s, a)); True if clamped.
+def actor_update(policy: NonStationaryPolicy, episode, deltas, step: float) -> bool:
+    """theta[h, s_h] <- theta[h, s_h] + step * delta_h * psi_h(s_h, a_h) for all h < H,
+    clamped into the box; True if any coordinate was clamped.
 
-    The score is zero outside row (h, s), and every other coordinate already
-    lies in the box, so only this row can move or be clamped. `probs` is
-    mu_h(s, .) when the caller already holds it.
+    The score psi_h is zero outside row (h, s_h), and these H rows are
+    distinct, so one fancy-indexed step equals H separate stage updates. Every
+    other coordinate already lies in the box, so only these rows can move or
+    be clamped. The scores use `episode.action_probs`, the rows mu_h(s_h, .)
+    the actions were drawn from; `deltas` are the penalized critic's H+1
+    temporal differences, the terminal one drives no actor step.
     """
-    row = policy.stage_params[h, s]
-    proposed = row + (step * delta) * policy.score(h, s, a, probs)
+    moved = (np.arange(policy.horizon), episode.states[:-1])
+    score = policy.score(*moved, episode.actions, episode.action_probs)
+    proposed = policy.stage_params[moved] + (step * deltas[:-1])[:, None] * score
     bound = policy.param_bound
-    clipped = bool(np.maximum.reduce(np.abs(proposed)) > bound)
+    clipped = bool(np.abs(proposed).max(initial=0.0) > bound)
     if clipped:
         np.clip(proposed, -bound, bound, out=proposed)
-    row[:] = proposed
+    policy.stage_params[moved] = proposed
     return clipped
 
 
@@ -176,16 +178,19 @@ def multiplier_update(stored: np.ndarray, estimates: np.ndarray, step: float, co
     -step * estimate and is clamped into [penalty_floor, 0]; the positive
     convention mirrors everything through zero.
     """
-    ceiling = -config.penalty_floor
     if config.multiplier_sign == "negative":
         proposed = stored - step * estimates
-        floor_hit = bool((proposed < config.penalty_floor).any())
-        zero_hit = bool((proposed > 0.0).any())
-        return np.clip(proposed, config.penalty_floor, 0.0), floor_hit, zero_hit
-    proposed = stored + step * estimates
-    floor_hit = bool((proposed > ceiling).any())
-    zero_hit = bool((proposed < 0.0).any())
-    return np.clip(proposed, 0.0, ceiling), floor_hit, zero_hit
+        lo, hi = config.penalty_floor, 0.0
+        floor_hit = bool((proposed < lo).any())
+        zero_hit = bool((proposed > hi).any())
+    else:
+        proposed = stored + step * estimates
+        lo, hi = 0.0, -config.penalty_floor
+        floor_hit = bool((proposed > hi).any())
+        zero_hit = bool((proposed < lo).any())
+    if floor_hit or zero_hit:  # the clamp is the identity otherwise
+        np.clip(proposed, lo, hi, out=proposed)
+    return proposed, floor_hit, zero_hit
 
 
 @dataclass
@@ -232,32 +237,25 @@ def train(
     )
 
     policy, critic, basis = state.policy, state.critic, state.basis
+    # The actor moves only the H rows (h, s_h) of each episode, so the
+    # distribution table is built once and refreshed row by row.
+    table = policy.distribution_table()
+    stages = np.arange(H)
     for i in range(count):
         n = state.episode
         lam = sign * state.multipliers
-        episode = rollout(model, policy, state.rng)
-        states, actions = episode.states.tolist(), episode.actions.tolist()
-        phi0 = basis.row(0, states[0])
+        episode = rollout(model, table, state.rng)
+        phi0 = basis.row(0, episode.states[0])
         metrics.value_estimates[i] = critic.v[0] @ phi0
-        gaps = np.array([critic.w[k][0] @ phi0 for k in range(M)])
+        gaps = critic.w[:, 0] @ phi0
 
         a_n = schedules.critic_step(n)
-        deltas = update_penalized_critic(
-            model, basis, critic, episode, lam, a_n, sequential=config.sequential_critic
-        ).tolist()
-        b_n = schedules.actor_step(n)
-        clipped = False
-        # Row (h, s_h) changes only in stage h's own update, so the rollout's
-        # distributions are still current when each stage's score is formed.
-        probs = episode.action_probs
-        for h in range(H):
-            clipped |= actor_update(
-                policy, h, states[h], actions[h], deltas[h], b_n, probs[h]
-            )
+        deltas = update_penalized_critic(model, basis, critic, episode, lam, a_n)
+        clipped = actor_update(policy, episode, deltas, schedules.actor_step(n))
+        moved = (stages, episode.states[:-1])
+        table[moved] = policy.distribution_rows(*moved)
         for k in range(M):
-            update_constraint_critic(
-                model, basis, critic, episode, k, a_n, sequential=config.sequential_critic
-            )
+            update_constraint_critic(model, basis, critic, episode, k, a_n)
         if M:
             c_n = schedules.multiplier_step(n)
             state.multipliers, floor_hit, zero_hit = multiplier_update(
@@ -362,10 +360,7 @@ def save_checkpoint(state: TrainerState, path) -> None:
         "episode": state.episode,
         "multipliers": state.multipliers.tolist(),
         "policy": policy_to_doc(state.policy),
-        "critic": {
-            "v": [vh.tolist() for vh in state.critic.v],
-            "w": [[wh.tolist() for wh in wk] for wk in state.critic.w],
-        },
+        "critic": {"v": state.critic.v.tolist(), "w": state.critic.w.tolist()},
         "basis": {
             "matrices": [m.tolist() for m in state.basis.matrices],
             "reachable": [r.tolist() for r in state.basis.reachable],
@@ -383,10 +378,8 @@ def load_checkpoint(path) -> TrainerState:
     cfg["schedules"] = StepSizeSchedules(**cfg["schedules"])
     config = TrainerConfig(**cfg)
     policy = policy_from_doc(doc["policy"])
-    critic = CriticState(
-        [np.asarray(vh, dtype=float) for vh in doc["critic"]["v"]],
-        [[np.asarray(wh, dtype=float) for wh in wk] for wk in doc["critic"]["w"]],
-    )
+    v = np.asarray(doc["critic"]["v"], dtype=float)
+    critic = CriticState(v, np.asarray(doc["critic"]["w"], dtype=float).reshape((-1,) + v.shape))
     basis = StageFeatureBasis(
         [np.asarray(m, dtype=float) for m in doc["basis"]["matrices"]],
         [np.asarray(r, dtype=np.int64) for r in doc["basis"]["reachable"]],

@@ -63,9 +63,9 @@ def test_td_errors_match_hand_computed_values():
     basis = tabular_basis(model)
     critic = zero_critic(basis, model.num_constraints)
     for h in range(model.horizon + 1):
-        critic.v[h] = rng.normal(size=basis.dim(h))
-        critic.w[0][h] = rng.normal(size=basis.dim(h))
-    episode = rollout(model, policy, np.random.default_rng(6))
+        critic.v[h, : basis.dim(h)] = rng.normal(size=basis.dim(h))
+        critic.w[0, h, : basis.dim(h)] = rng.normal(size=basis.dim(h))
+    episode = rollout(model, policy.distribution_table(), np.random.default_rng(6))
     lam = np.array([-0.4])
 
     deltas = td_errors_penalized(model, basis, critic, episode, lam)
@@ -105,12 +105,74 @@ def test_update_moves_weights_along_features():
     policy = random_policy(model, rng)
     basis = tabular_basis(model)
     critic = zero_critic(basis, 1)
-    episode = rollout(model, policy, np.random.default_rng(8))
+    episode = rollout(model, policy.distribution_table(), np.random.default_rng(8))
     before = critic.copy()
     deltas = update_penalized_critic(model, basis, critic, episode, [-0.5], step=0.1)
     for h in range(model.horizon + 1):
         expected = before.v[h] + 0.1 * deltas[h] * basis.row(h, episode.states[h])
         assert np.allclose(critic.v[h], expected, atol=1e-15)
+
+
+def test_random_basis_updates_follow_the_per_stage_formula():
+    # Stages of different widths share one padded layout; the padding of
+    # every narrower stage must stay zero.
+    rng = np.random.default_rng(11)
+    model = random_cmdp(rng, 4, 3, 4, 2)
+    policy = random_policy(model, rng)
+    basis = random_basis(model, rng, dims=[1, 2, 2, 1, 2])
+    critic = zero_critic(basis, 2)
+    for h in range(model.horizon + 1):
+        x = basis.dim(h)
+        critic.v[h, :x] = rng.normal(size=x)
+        critic.w[:, h, :x] = rng.normal(size=(2, x))
+    lam = np.array([-0.3, -1.1])
+    table = policy.distribution_table()
+    ep_rng = np.random.default_rng(12)
+    H = model.horizon
+    for _ in range(20):
+        episode = rollout(model, table, ep_rng)
+        s = episode.states
+        before = critic.copy()
+        weights = [before.v] + [before.w[k] for k in range(2)]
+        stage_costs = [episode.rewards + lam @ episode.constraint_costs]
+        stage_costs += [episode.constraint_costs[k] for k in range(2)]
+        terminal = [
+            episode.terminal_reward
+            + lam @ (episode.terminal_constraint_costs - model.thresholds)
+        ]
+        terminal += [
+            episode.terminal_constraint_costs[k] - model.thresholds[k] for k in range(2)
+        ]
+        got = [update_penalized_critic(model, basis, critic, episode, lam, 0.05)]
+        got += [update_constraint_critic(model, basis, critic, episode, k, 0.05) for k in range(2)]
+        after = [critic.v] + [critic.w[k] for k in range(2)]
+        for w, g, term, deltas, new in zip(weights, stage_costs, terminal, got, after):
+            def value(h):
+                x = basis.dim(h)
+                return w[h, :x] @ basis.feature_matrix(h)[s[h]]
+
+            for h in range(H + 1):
+                target = g[h] + value(h + 1) if h < H else term
+                assert deltas[h] == pytest.approx(target - value(h), abs=1e-12)
+                x = basis.dim(h)
+                step = 0.05 * deltas[h] * basis.feature_matrix(h)[s[h]]
+                assert np.allclose(new[h, :x], w[h, :x] + step, rtol=0, atol=1e-12)
+                assert not new[h, x:].any()
+
+
+def sequential_sweep(basis, weights, states, stage_costs, terminal_cost, step):
+    """The literal in-order TD sweep: stage h reads stage h + 1 before moving."""
+    H = len(stage_costs)
+    deltas = np.empty(H + 1)
+    for h in range(H + 1):
+        phi = basis.row(h, states[h])
+        if h < H:
+            target = stage_costs[h] + weights[h + 1] @ basis.row(h + 1, states[h + 1])
+        else:
+            target = terminal_cost
+        deltas[h] = target - weights[h] @ phi
+        weights[h] += step * deltas[h] * phi
+    return deltas
 
 
 def test_synchronous_and_sequential_updates_coincide():
@@ -122,32 +184,35 @@ def test_synchronous_and_sequential_updates_coincide():
     policy = random_policy(model, rng)
     basis = tabular_basis(model)
     critic_a = zero_critic(basis, 2)
-    critic_b = zero_critic(basis, 2)
     for h in range(model.horizon + 1):
-        critic_a.v[h] = rng.normal(size=basis.dim(h))
-        critic_a.w[0][h] = rng.normal(size=basis.dim(h))
-        critic_a.w[1][h] = rng.normal(size=basis.dim(h))
+        critic_a.v[h, : basis.dim(h)] = rng.normal(size=basis.dim(h))
+        critic_a.w[0, h, : basis.dim(h)] = rng.normal(size=basis.dim(h))
+        critic_a.w[1, h, : basis.dim(h)] = rng.normal(size=basis.dim(h))
     critic_b = critic_a.copy()
     lam = np.array([-0.7, -0.1])
+    table = policy.distribution_table()
     rng_a, rng_b = np.random.default_rng(10), np.random.default_rng(10)
     for _ in range(50):
-        ep_a = rollout(model, policy, rng_a)
-        ep_b = rollout(model, policy, rng_b)
+        ep_a = rollout(model, table, rng_a)
+        ep_b = rollout(model, table, rng_b)
         d_a = update_penalized_critic(model, basis, critic_a, ep_a, lam, 0.05)
-        d_b = update_penalized_critic(
-            model, basis, critic_b, ep_b, lam, 0.05, sequential=True
-        )
+        costs = ep_b.rewards + lam @ ep_b.constraint_costs
+        cterm = ep_b.terminal_reward + lam @ (ep_b.terminal_constraint_costs - model.thresholds)
+        d_b = sequential_sweep(basis, critic_b.v, ep_b.states, costs, cterm, 0.05)
         assert np.array_equal(d_a, d_b)
         for k in range(2):
             x_a = update_constraint_critic(model, basis, critic_a, ep_a, k, 0.05)
-            x_b = update_constraint_critic(
-                model, basis, critic_b, ep_b, k, 0.05, sequential=True
+            x_b = sequential_sweep(
+                basis,
+                critic_b.w[k],
+                ep_b.states,
+                ep_b.constraint_costs[k],
+                ep_b.terminal_constraint_costs[k] - model.thresholds[k],
+                0.05,
             )
             assert np.array_equal(x_a, x_b)
-    for h in range(model.horizon + 1):
-        assert np.array_equal(critic_a.v[h], critic_b.v[h])
-        for k in range(2):
-            assert np.array_equal(critic_a.w[k][h], critic_b.w[k][h])
+    assert np.array_equal(critic_a.v, critic_b.v)
+    assert np.array_equal(critic_a.w, critic_b.w)
 
 
 def test_fixed_points_with_tabular_basis_equal_exact_values():

@@ -1,5 +1,6 @@
 """End-to-end command-line checks: configs, CSV schema, exit codes, plots."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -26,6 +27,15 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # sha256 of the seed-0 CSV of `train --config configs/experiment_4x4.json
 # --episodes 3000 --seeds 0`, taken before the policy became a dense table.
 GOLDEN_4X4_SEED0_SHA256 = "910e63b8d4c88b2d685cc2d28a589688309a02b60dd4751455419a94852cf5c2"
+# sha256 of the JSON of that run's final (H, S, A) policy table, taken before
+# the critics became padded tables.
+GOLDEN_4X4_SEED0_THETA_SHA256 = "a6a3354e7d140c8bd63149e5c8e5456e7c4ec9de59d1ae1eeefa4105c6573cd5"
+# sha256 of the seed-0 CSV of the two-constraint run in
+# test_train_matches_the_golden_two_constraint_run, taken before the critics
+# became padded tables.
+GOLDEN_M2_SEED0_SHA256 = "f517f9144888295549e7bacb87b0c960618db376b13cceaab98404b714dff9f3"
+# sha256 of the JSON of that run's final (H, S, A) policy table, taken likewise.
+GOLDEN_M2_SEED0_THETA_SHA256 = "ef1f4fc3b4c6a46c01054caf699543d56b440e234c93fb0401d2d14d537f65eb"
 
 
 def tiny_gridworld_config(tmp_path):
@@ -160,6 +170,17 @@ def test_train_rejects_malformed_configs(tmp_path):
     assert main(["train", "--config", str(config), "--out-dir", out]) == 2
 
 
+def test_train_overrides_face_the_config_checks(tmp_path):
+    config = write_experiment(tmp_path)
+    out = str(tmp_path / "out")
+    for override in (["--episodes", "0"], ["--episodes", "-5"], ["--seeds", "-1"],
+                     ["--seeds", "0,0"], ["--seeds", "0,x"]):
+        assert main(["train", "--config", str(config), "--out-dir", out] + override) == 2
+    config = write_experiment(tmp_path, seeds=[-1])
+    assert main(["train", "--config", str(config), "--out-dir", out]) == 2
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 def test_train_rejects_models_that_fail_validation(tmp_path):
     model = random_cmdp(np.random.default_rng(0), 3, 2, 2, 1)
     broken = make_cmdp(
@@ -204,6 +225,18 @@ def test_parallel_seed_workers_match_sequential_output(tmp_path, monkeypatch):
     assert main(["train", "--config", str(config), "--out-dir", str(out_par)]) == 0
     for csv_seq in out_seq.glob("*-seed*.csv"):
         assert csv_seq.read_bytes() == (out_par / csv_seq.name).read_bytes()
+
+
+def test_parallel_seed_workers_report_progress(tmp_path, monkeypatch, capfd):
+    config = write_experiment(tmp_path, episodes=100)
+    monkeypatch.setenv("FHC_AC_THREADS", "2")
+    argv = ["train", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+            "--progress-every", "50"]
+    assert main(argv) == 0
+    err = capfd.readouterr().err
+    for seed in (0, 1):
+        for done in (50, 100):
+            assert f"seed {seed}: episode {done}/100" in err
 
 
 def test_env_generate_writes_a_loadable_calibrated_world(tmp_path, capsys):
@@ -329,6 +362,14 @@ def test_oracle_evaluate_and_fixedpoint_accept_train_checkpoints(tmp_path, capsy
     assert "max |projected - exact|" in capsys.readouterr().out
 
 
+def final_theta_sha256(out):
+    """Hash of the seed-0 run's final policy table. A last-bit change in the
+    critics or the actor rarely changes a sampled action, so the CSV alone
+    would miss it; the table does not."""
+    doc = json.loads(next(out.glob("*-seed0.checkpoint.json")).read_text())
+    return hashlib.sha256(json.dumps(doc["policy"]["stage_params"]).encode()).hexdigest()
+
+
 def test_train_matches_the_golden_4x4_csv(tmp_path):
     out = tmp_path / "out"
     argv = ["train", "--config", str(CONFIGS / "experiment_4x4.json"), "--out-dir", str(out),
@@ -336,6 +377,26 @@ def test_train_matches_the_golden_4x4_csv(tmp_path):
     assert main(argv) == 0
     csv = next(out.glob("*-seed0.csv"))
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == GOLDEN_4X4_SEED0_SHA256
+    assert final_theta_sha256(out) == GOLDEN_4X4_SEED0_THETA_SHA256
+
+
+def test_train_matches_the_golden_two_constraint_run(tmp_path):
+    # Both multipliers move, so the run pins how the penalized costs
+    # r + lam_1 g_1 + lam_2 g_2 are formed: the CSV through the sampled
+    # actions and the multipliers, the final policy table to the last bit.
+    model = dataclasses.replace(
+        random_cmdp(np.random.default_rng(2), 4, 3, 4, 2), thresholds=np.array([3.5, 3.0])
+    )
+    save_model(model, tmp_path / "m2.json")
+    config = write_experiment(
+        tmp_path, model={"kind": "file", "path": "m2.json"}, episodes=2000, seeds=[0],
+        window=200,
+    )
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out-dir", str(out)]) == 0
+    csv = next(out.glob("*-seed0.csv"))
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == GOLDEN_M2_SEED0_SHA256
+    assert final_theta_sha256(out) == GOLDEN_M2_SEED0_THETA_SHA256
 
 
 def test_plot_rerenders_charts_from_the_run_directory(tmp_path):
@@ -349,3 +410,31 @@ def test_plot_rerenders_charts_from_the_run_directory(tmp_path):
     for name in ("returns.svg", "costs_1.svg", "multipliers_1.svg"):
         assert (out / name).read_text().startswith("<svg")
     assert main(["plot", "--run-dir", str(tmp_path / "nowhere")]) == 2
+
+
+def test_plot_rejects_malformed_summaries(tmp_path):
+    config = write_experiment(tmp_path, seeds=[0], episodes=50)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out-dir", str(out)]) == 0
+    summary_path = out / "summary.json"
+    good = json.loads(summary_path.read_text())
+    csv_path = Path(good["seeds"][0]["csv"])
+    broken = [
+        {"seeds": []},
+        [good],
+        {**good, "seeds": []},
+        {**good, "num_constraints": "1"},
+        {**good, "thresholds": []},
+        {**good, "thresholds": ["a"]},
+        {**good, "window": None},
+        {**good, "seeds": [{"seed": 0}]},
+        {**good, "reference": {"feasible": True}},
+        {**good, "num_constraints": 2, "thresholds": [1.0, 2.0]},  # CSV has one cost column
+    ]
+    for doc in broken:
+        summary_path.write_text(json.dumps(doc))
+        assert main(["plot", "--run-dir", str(out)]) == 2, doc
+    summary_path.write_text(json.dumps(good))
+    csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n")  # header only
+    with pytest.warns(UserWarning, match="no data"):
+        assert main(["plot", "--run-dir", str(out)]) == 2

@@ -91,11 +91,12 @@ def test_rollout_first_transition_matches_kernel_frequencies():
     # preferences (-20, 20) make action 1 certain up to exp(-40) at state 2
     policy = tabular_policy(model, param_bound=20.0)
     policy.stage_params[0, 2] = -20.0, 20.0
+    table = policy.distribution_table()
     rng = np.random.default_rng(9)
     counts = np.zeros(4)
     trials = 40_000
     for _ in range(trials):
-        episode = rollout(model, policy, rng, s0=2)
+        episode = rollout(model, table, rng, s0=2)
         assert episode.actions[0] == 1
         counts[episode.states[1]] += 1
     assert np.abs(counts / trials - model.kernels[0, 2, 1]).max() < 0.01
@@ -125,7 +126,7 @@ def test_sample_index_matches_searchsorted_on_the_cumulative_sum():
 def test_rollout_records_the_distributions_it_sampled_from():
     model = random_cmdp(np.random.default_rng(13), 4, 9, 5, 1)
     policy = random_policy(model, np.random.default_rng(14), scale=3.0)
-    episode = rollout(model, policy, np.random.default_rng(15))
+    episode = rollout(model, policy.distribution_table(), np.random.default_rng(15))
     assert episode.action_probs.shape == (model.horizon, model.num_actions)
     for h in range(model.horizon):
         expected = policy.action_distribution(h, episode.states[h])
@@ -135,7 +136,7 @@ def test_rollout_records_the_distributions_it_sampled_from():
 def test_rollout_bookkeeping_matches_tables():
     model = random_cmdp(np.random.default_rng(6), 3, 2, 4, 2)
     policy = random_policy(model, np.random.default_rng(7))
-    episode = rollout(model, policy, np.random.default_rng(8))
+    episode = rollout(model, policy.distribution_table(), np.random.default_rng(8))
     H = model.horizon
     assert episode.states.shape == (H + 1,)
     assert episode.actions.shape == (H,)
@@ -161,10 +162,18 @@ def test_rollout_bookkeeping_matches_tables():
 def test_rollout_is_deterministic_given_seed():
     model = random_cmdp(np.random.default_rng(10), 3, 2, 3, 1)
     policy = random_policy(model, np.random.default_rng(11))
-    first = rollout(model, policy, np.random.default_rng(42))
-    second = rollout(model, policy, np.random.default_rng(42))
+    table = policy.distribution_table()
+    first = rollout(model, table, np.random.default_rng(42))
+    second = rollout(model, table, np.random.default_rng(42))
     assert np.array_equal(first.states, second.states)
     assert np.array_equal(first.actions, second.actions)
+
+
+def test_rollout_rejects_a_table_of_another_horizon():
+    model = random_cmdp(np.random.default_rng(10), 3, 2, 3, 1)
+    table = random_policy(model, np.random.default_rng(11)).distribution_table()
+    with pytest.raises(ValueError):
+        rollout(model, table[:-1], np.random.default_rng(0))
 
 
 def test_reachable_sets_follow_kernel_support():

@@ -106,6 +106,20 @@ def test_scores_average_to_zero_under_the_policy():
             assert np.abs(probs @ scores).max() < 1e-14
 
 
+def test_batched_scores_equal_the_per_row_scores_exactly():
+    model = random_cmdp(np.random.default_rng(6), 4, 3, 3, 0)
+    policy = random_policy(model, np.random.default_rng(7), scale=3.0)
+    rng = np.random.default_rng(8)
+    stages = rng.integers(model.horizon, size=10)
+    states = rng.integers(model.num_states, size=10)
+    actions = rng.integers(model.num_actions, size=10)
+    expected = np.array([policy.score(*hsa) for hsa in zip(stages, states, actions)])
+    batched = policy.score(stages, states, actions)
+    assert np.array_equal(batched, expected)
+    given = policy.distribution_table()[stages, states]
+    assert np.array_equal(policy.score(stages, states, actions, given), expected)
+
+
 def test_project_params_clamps_and_is_idempotent():
     policy = NonStationaryPolicy(small_table(), param_bound=2.0)
     raw = np.array([-5.0, -2.0, 0.3, 1.9, 2.0, 7.0])

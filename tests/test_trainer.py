@@ -16,6 +16,7 @@ from fhc_ac import (
     make_trainer,
     moving_average,
     multiplier_update,
+    rollout,
     save_checkpoint,
     stationarity_diagnostics,
     tabular_policy,
@@ -81,27 +82,51 @@ def test_moving_average_matches_direct_windowed_means():
         moving_average(values.reshape(-1, 1), 3)
 
 
+def moved_rows(model, episode):
+    mask = np.zeros((model.horizon, model.num_states), dtype=bool)
+    mask[np.arange(model.horizon), episode.states[:-1]] = True
+    return mask
+
+
 def test_actor_update_applies_the_scaled_score():
     rng = np.random.default_rng(2)
-    model = random_cmdp(rng, 3, 2, 2, 1)
+    model = random_cmdp(rng, 3, 2, 5, 1)
     policy = random_policy(model, rng)
-    expected = policy.stage_params[0].copy()
-    expected[1] += 0.1 * policy.score(0, 1, 0)
-    clipped = actor_update(policy, 0, 1, 0, delta=0.5, step=0.2)
-    assert not clipped
-    assert np.allclose(policy.stage_params[0], expected, atol=1e-15)
+    reference = policy.copy()
+    episode = rollout(model, policy.distribution_table(), np.random.default_rng(3))
+    deltas = rng.normal(size=model.horizon + 1)
+    clipped = actor_update(policy, episode, deltas, step=0.2)
+    assert clipped is False
+    # every moved row gets exactly the update of its own stage step
+    for h in range(model.horizon):
+        s, a = episode.states[h], episode.actions[h]
+        expected = reference.stage_params[h, s] + (0.2 * deltas[h]) * reference.score(h, s, a)
+        assert np.array_equal(policy.stage_params[h, s], expected)
+    mask = moved_rows(model, episode)
+    assert not np.array_equal(policy.stage_params[mask], reference.stage_params[mask])
+    assert np.array_equal(policy.stage_params[~mask], reference.stage_params[~mask])
 
 
 def test_actor_update_clamps_into_the_parameter_box():
     rng = np.random.default_rng(3)
-    model = random_cmdp(rng, 3, 2, 2, 1)
+    model = random_cmdp(rng, 3, 2, 4, 1)
     policy = tabular_policy(model, param_bound=0.5)
-    policy.stage_params[0][:] = 0.49
-    clipped = actor_update(policy, 0, 0, 1, delta=50.0, step=1.0)
-    assert clipped
-    theta = policy.stage_params[0]
+    policy.stage_params[:] = 0.49
+    episode = rollout(model, policy.distribution_table(), np.random.default_rng(4))
+    deltas = np.full(model.horizon + 1, 50.0)
+    deltas[1] = 0.0  # this stage's row stays put and inside the box
+    clipped = actor_update(policy, episode, deltas, step=1.0)
+    assert clipped is True
+    theta = policy.stage_params
     assert theta.max() <= 0.5 and theta.min() >= -0.5
-    assert np.any(np.abs(theta) == 0.5)
+    mask = moved_rows(model, episode)
+    for h in range(model.horizon):
+        row = theta[h, episode.states[h]]
+        if h == 1:
+            assert np.all(row == 0.49)
+        else:
+            assert np.any(np.abs(row) == 0.5)
+    assert np.all(theta[~mask] == 0.49)
 
 
 def test_multiplier_update_moves_against_the_gap_and_clamps():
@@ -202,8 +227,8 @@ def test_checkpoint_resume_reproduces_the_straight_run(tmp_path):
         assert np.array_equal(
             state_full.policy.stage_params[h], state_resumed.policy.stage_params[h]
         )
-    for h in range(model.horizon + 1):
-        assert np.array_equal(state_full.critic.v[h], state_resumed.critic.v[h])
+    assert np.array_equal(state_full.critic.v, state_resumed.critic.v)
+    assert np.array_equal(state_full.critic.w, state_resumed.critic.w)
 
 
 def test_stationarity_reports_exact_drift_for_interior_multipliers():
