@@ -160,16 +160,26 @@ def zero_critic(basis: StageFeatureBasis, num_constraints: int) -> CriticState:
 
 
 def _td_errors(basis, weights, episode, stage_costs, terminal_cost):
-    """All H+1 temporal differences of one critic with padded `weights` (H+1, X).
+    """All H+1 temporal differences of critics with padded `weights` (..., H+1, X).
 
-    Returns the deltas and the gathered features phi_h(s_h), (H+1, X).
+    Leading axes stack critics: `stage_costs` is (..., H) and `terminal_cost`
+    (...). Returns the deltas (..., H+1) and the gathered features
+    phi_h(s_h), (H+1, X), which every stacked critic shares.
     """
     phi = basis.features[basis.stages, episode.states]
     vals = (weights * phi).sum(axis=-1)
-    deltas = np.empty(vals.shape[0])
-    deltas[:-1] = stage_costs + vals[1:] - vals[:-1]
-    deltas[-1] = terminal_cost - vals[-1]
+    deltas = np.empty(vals.shape)
+    deltas[..., :-1] = stage_costs + vals[..., 1:] - vals[..., :-1]
+    deltas[..., -1] = terminal_cost - vals[..., -1]
     return deltas, phi
+
+
+def _td_step(basis, weights, episode, costs, step) -> np.ndarray:
+    """Move `weights` in place by step * delta_h * phi_h(s_h) at every stage;
+    returns the deltas."""
+    deltas, phi = _td_errors(basis, weights, episode, *costs)
+    weights += (step * deltas)[..., None] * phi
+    return deltas
 
 
 def _penalized_costs(model, episode, multipliers):
@@ -182,12 +192,10 @@ def _penalized_costs(model, episode, multipliers):
     return costs, cterm
 
 
-def _constraint_costs(model, episode, k):
-    """Realized stage costs of constraint k and its terminal cost minus the threshold."""
-    return (
-        episode.constraint_costs[k],
-        episode.terminal_constraint_costs[k] - model.thresholds[k],
-    )
+def _constraint_costs(model, episode):
+    """Realized stage costs of every constraint (M, H) and the terminal costs
+    minus the thresholds (M,)."""
+    return episode.constraint_costs, episode.terminal_constraint_costs - model.thresholds
 
 
 def td_errors_penalized(model, basis, critic, episode, multipliers) -> np.ndarray:
@@ -201,9 +209,10 @@ def td_errors_penalized(model, basis, critic, episode, multipliers) -> np.ndarra
     return _td_errors(basis, critic.v, episode, *costs)[0]
 
 
-def td_errors_constraint(model, basis, critic, episode, k) -> np.ndarray:
-    """All H+1 temporal differences of constraint critic k, at current weights."""
-    return _td_errors(basis, critic.w[k], episode, *_constraint_costs(model, episode, k))[0]
+def td_errors_constraint(model, basis, critic, episode) -> np.ndarray:
+    """The H+1 temporal differences of all M constraint critics, (M, H+1), at
+    current weights."""
+    return _td_errors(basis, critic.w, episode, *_constraint_costs(model, episode))[0]
 
 
 def update_penalized_critic(model, basis, critic, episode, multipliers, step) -> np.ndarray:
@@ -214,18 +223,13 @@ def update_penalized_critic(model, basis, critic, episode, multipliers, step) ->
     the in-order sweep over stages, because each stage's weights are touched
     once and delta_h reads only stages h and h+1 before their own updates.
     """
-    costs = _penalized_costs(model, episode, multipliers)
-    deltas, phi = _td_errors(basis, critic.v, episode, *costs)
-    critic.v += (step * deltas)[:, None] * phi
-    return deltas
+    return _td_step(basis, critic.v, episode, _penalized_costs(model, episode, multipliers), step)
 
 
-def update_constraint_critic(model, basis, critic, episode, k, step) -> np.ndarray:
-    """One episode of TD updates on constraint critic k; returns the deltas."""
-    costs = _constraint_costs(model, episode, k)
-    deltas, phi = _td_errors(basis, critic.w[k], episode, *costs)
-    critic.w[k] += (step * deltas)[:, None] * phi
-    return deltas
+def update_constraint_critic(model, basis, critic, episode, step) -> np.ndarray:
+    """One episode of TD updates on all M constraint critics in one step, each
+    as `update_penalized_critic` does; returns the (M, H+1) deltas."""
+    return _td_step(basis, critic.w, episode, _constraint_costs(model, episode), step)
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray, h: int) -> np.ndarray:
@@ -235,7 +239,7 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray, h: int) -> np.ndarray:
             f"feature Gram matrix at stage {h} is numerically singular "
             f"(smallest singular value {0.0 if sig.size == 0 else sig.min():.3e})"
         )
-    return vt.T @ ((u.T @ rhs) / sig)
+    return vt.T @ ((u.T @ rhs) / sig[:, None])
 
 
 @dataclass(frozen=True)
@@ -256,49 +260,33 @@ def fixed_points(
 
     At the terminal stage the weights are the occupation-weighted projection
     of the terminal cost; below, each stage projects its expected one-step
-    target built from the next stage's already-solved approximation. Raises
-    `LinAlgError` when a stage's feature Gram matrix is singular under the
-    policy's occupation measure.
+    target built from the next stage's already-solved approximation. The
+    penalized and the M constraint critics share the stage Gram matrices, so
+    one chain solves all 1+M of them. Raises `LinAlgError` when a stage's
+    feature Gram matrix is singular under the policy's occupation measure.
     """
     lam = dp_oracle._coerce_multipliers(model, multipliers)
-    H, M = model.horizon, model.num_constraints
-    mus = [policy.distribution_matrix(h) for h in range(H)]
+    H = model.horizon
+    mus = dp_oracle._distribution_matrices(model, policy)
     d = dp_oracle.occupation_measures(model, policy)
-    step_matrices = [
-        np.einsum("ij,ijk->ik", mus[h], model.kernels[h]) for h in range(H)
-    ]
+    steps = np.einsum("hij,hijk->hik", mus, model.kernels)
+    # Expected one-step costs under the policy, (1+M, H, S): the penalized
+    # channel first, then the M constraint channels.
+    expected = np.sum(mus * model.channel_costs, axis=-1)
+    terminal = model.channel_terminal
+    stage_costs = np.concatenate([dp_oracle._penalize(expected, lam)[None], expected[1:]])
+    terminal = np.concatenate([dp_oracle._penalize(terminal, lam)[None], terminal[1:]])
 
-    def chain(stage_costs, terminal_cost):
-        phi = basis.feature_matrix(H)
-        gram = phi.T @ (d[H][:, None] * phi)
-        out = [None] * (H + 1)
-        out[H] = _solve_gram(gram, phi.T @ (d[H] * terminal_cost), H)
-        for h in range(H - 1, -1, -1):
-            phi = basis.feature_matrix(h)
-            gram = phi.T @ (d[h][:, None] * phi)
-            target = stage_costs[h] + step_matrices[h] @ (
-                basis.feature_matrix(h + 1) @ out[h + 1]
-            )
-            out[h] = _solve_gram(gram, phi.T @ (d[h] * target), h)
-        return out
-
-    def expected_costs(tensor_for_stage, terminal):
-        costs = []
-        for h in range(H):
-            inner = np.einsum("ijk,ijk->ij", model.kernels[h], tensor_for_stage(h))
-            costs.append(np.sum(mus[h] * inner, axis=1))
-        return costs, terminal
-
-    pen_stage, pen_term = expected_costs(
-        lambda h: dp_oracle._stage_cost(model, lam, h),
-        dp_oracle._terminal_cost(model, lam),
+    weights = [None] * (H + 1)   # stage h: (x_h, 1+M), one column per critic
+    target = terminal.T
+    for h in range(H, -1, -1):
+        if h < H:
+            next_values = basis.feature_matrix(h + 1) @ weights[h + 1]
+            target = stage_costs[:, h].T + steps[h] @ next_values
+        phi = basis.feature_matrix(h)
+        gram = phi.T @ (d[h][:, None] * phi)
+        weights[h] = _solve_gram(gram, phi.T @ (d[h][:, None] * target), h)
+    return FixedPointWeights(
+        penalized=[w[:, 0] for w in weights],
+        constraints=[list(stages) for stages in zip(*(w.T[1:] for w in weights))],
     )
-    penalized = chain(pen_stage, pen_term)
-    constraints = []
-    for k in range(M):
-        g_stage, g_term = expected_costs(
-            lambda h: model.constraint_costs[k, h],
-            model.terminal_constraint_costs[k] - model.thresholds[k],
-        )
-        constraints.append(chain(g_stage, g_term))
-    return FixedPointWeights(penalized=penalized, constraints=constraints)

@@ -1,14 +1,18 @@
 """Exact dynamic-programming tools for finite-horizon constrained MDPs.
 
-Everything here works on the dense model tables: policy evaluation by backward
-induction, stage occupation measures, exact and finite-difference policy
-gradients of the penalized objective, and a multiplier-sweep reference solution
-for the constrained problem.
+Everything here works on the model's cached channel tables: channel 0 is the
+reward, channel k the k-th constraint cost. The penalized objective is linear
+in the channels, so one backward recursion evaluates a fixed policy for all of
+them at once and every penalized quantity is the combination r + lam . g of
+its channel values. On top of it sit stage occupation measures, exact and
+finite-difference policy gradients of the penalized objective, and a
+multiplier-sweep reference solution for the constrained problem.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,15 +32,9 @@ def _coerce_multipliers(model: FiniteHorizonCMDP, multipliers) -> np.ndarray:
     return lam
 
 
-def _stage_cost(model: FiniteHorizonCMDP, lam: np.ndarray, h: int) -> np.ndarray:
-    """Penalized transition cost r_h + sum_k lam_k g_h^k, shape (S, A, S)."""
-    return model.rewards[h] + np.tensordot(lam, model.constraint_costs[:, h], axes=(0, 0))
-
-
-def _terminal_cost(model: FiniteHorizonCMDP, lam: np.ndarray) -> np.ndarray:
-    """Penalized terminal cost r_H + sum_k lam_k (g_H^k - alpha_k), shape (S,)."""
-    gap = model.terminal_constraint_costs - model.thresholds[:, None]
-    return model.terminal_reward + lam @ gap
+def _penalize(channels: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The penalized combination r + sum_k lam_k g_k of a channel stack (1+M, ...)."""
+    return channels[0] + np.tensordot(lam, channels[1:], axes=1)
 
 
 def _distribution_matrices(model: FiniteHorizonCMDP, policy: NonStationaryPolicy) -> np.ndarray:
@@ -46,7 +44,33 @@ def _distribution_matrices(model: FiniteHorizonCMDP, policy: NonStationaryPolicy
         raise ValueError(
             f"policy table shape {policy.stage_params.shape} does not match the model {shape}"
         )
-    return np.array([policy.distribution_matrix(h) for h in range(model.horizon)])
+    return policy.distribution_table()
+
+
+def _channel_values(model: FiniteHorizonCMDP, mus: np.ndarray):
+    """Evaluate every channel under the stage distributions `mus` (H, S, A).
+
+    Q_h = c_h + P_h V_{h+1} and V_h(s) = sum_a mu_h(a|s) Q_h(s, a), starting
+    from the terminal table. Returns the state values (1+M, H+1, S) and the
+    action values (1+M, H, S, A); constraint channels hold the gaps S_k - alpha_k.
+    """
+    costs = model.channel_costs
+    C, H, S, A = costs.shape
+    kernels = model.kernels.reshape(H, S * A, S)
+    values = np.empty((C, H + 1, S))
+    action_values = np.empty((C, H, S, A))
+    values[:, H] = model.channel_terminal
+    for h in range(H - 1, -1, -1):
+        q = costs[:, h] + (values[:, h + 1] @ kernels[h].T).reshape(C, S, A)
+        action_values[:, h] = q
+        values[:, h] = np.einsum("ij,cij->ci", mus[h], q)
+    return values, action_values
+
+
+def _totals(model: FiniteHorizonCMDP, values: np.ndarray):
+    """Expected return and constraint totals (M,) from the channel values."""
+    starts = values[:, 0] @ model.initial_distribution
+    return float(starts[0]), starts[1:] + model.thresholds
 
 
 def _gibbs_gradient(
@@ -86,49 +110,23 @@ def backward_induction(
 ) -> ExactSolution:
     """Evaluate `policy` exactly: penalized values plus per-constraint values."""
     lam = _coerce_multipliers(model, multipliers)
-    H, S, A, M = model.horizon, model.num_states, model.num_actions, model.num_constraints
-    mus = _distribution_matrices(model, policy)
-
-    values = np.zeros((H + 1, S))
-    action_values = np.zeros((H, S, A))
-    constraint_values = np.zeros((M, H + 1, S))
-
-    values[H] = _terminal_cost(model, lam)
-    constraint_values[:, H] = model.terminal_constraint_costs - model.thresholds[:, None]
-    for h in range(H - 1, -1, -1):
-        p = model.kernels[h]
-        q = np.einsum("ijk,ijk->ij", p, _stage_cost(model, lam, h) + values[h + 1])
-        action_values[h] = q
-        values[h] = np.sum(mus[h] * q, axis=1)
-        for k in range(M):
-            qk = np.einsum(
-                "ijk,ijk->ij", p, model.constraint_costs[k, h] + constraint_values[k, h + 1]
-            )
-            constraint_values[k, h] = np.sum(mus[h] * qk, axis=1)
-
-    beta = model.initial_distribution
-    lagrangian = float(beta @ values[0])
-    gaps = constraint_values[:, 0] @ beta                # (M,) values of S_k - alpha_k
-    expected_return = lagrangian - float(lam @ gaps)
+    values, action_values = _channel_values(model, _distribution_matrices(model, policy))
+    penalized = _penalize(values, lam)
+    expected_return, totals = _totals(model, values)
     return ExactSolution(
         multipliers=lam,
-        values=values,
-        action_values=action_values,
-        constraint_values=constraint_values,
-        lagrangian=lagrangian,
+        values=penalized,
+        action_values=_penalize(action_values, lam),
+        constraint_values=values[1:],
+        lagrangian=float(model.initial_distribution @ penalized[0]),
         expected_return=expected_return,
-        constraint_totals=gaps + model.thresholds,
+        constraint_totals=totals,
     )
 
 
 def lagrangian_value(model: FiniteHorizonCMDP, policy: NonStationaryPolicy, multipliers=()) -> float:
-    """beta-weighted penalized value of the policy; cheap path for probes."""
-    lam = _coerce_multipliers(model, multipliers)
-    v = _terminal_cost(model, lam)
-    for h in range(model.horizon - 1, -1, -1):
-        q = np.einsum("ijk,ijk->ij", model.kernels[h], _stage_cost(model, lam, h) + v)
-        v = np.sum(policy.distribution_matrix(h) * q, axis=1)
-    return float(model.initial_distribution @ v)
+    """beta-weighted penalized value of the policy."""
+    return backward_induction(model, policy, multipliers).lagrangian
 
 
 def evaluate_policy(model: FiniteHorizonCMDP, policy: NonStationaryPolicy):
@@ -216,12 +214,12 @@ def approximate_gradient(
         raise ValueError("a stage feature basis is required")
     lam = _coerce_multipliers(model, multipliers)
     weights = fixed_points(model, policy, lam, basis).penalized
-    vhat = [basis.feature_matrix(h) @ weights[h] for h in range(model.horizon + 1)]
-    targets = np.array([
-        np.einsum("ijk,ijk->ij", model.kernels[h], _stage_cost(model, lam, h) + vhat[h + 1])
-        - vhat[h][:, None]
-        for h in range(model.horizon)
-    ])
+    vhat = np.array([basis.feature_matrix(h) @ w for h, w in enumerate(weights)])
+    targets = (
+        _penalize(model.channel_costs, lam)
+        + np.einsum("hijk,hk->hij", model.kernels, vhat[1:])
+        - vhat[:-1, :, None]
+    )
     return _gibbs_gradient(model, policy, targets)
 
 
@@ -229,10 +227,11 @@ def greedy_response(model: FiniteHorizonCMDP, multipliers=()) -> np.ndarray:
     """Deterministic stage policy maximizing the penalized objective, (H, S)."""
     lam = _coerce_multipliers(model, multipliers)
     H, S = model.horizon, model.num_states
+    costs = _penalize(model.channel_costs, lam)
+    v = _penalize(model.channel_terminal, lam)
     actions = np.zeros((H, S), dtype=np.int64)
-    v = _terminal_cost(model, lam)
     for h in range(H - 1, -1, -1):
-        q = np.einsum("ijk,ijk->ij", model.kernels[h], _stage_cost(model, lam, h) + v)
+        q = costs[h] + model.kernels[h] @ v
         actions[h] = np.argmax(q, axis=1)
         v = q[np.arange(S), actions[h]]
     return actions
@@ -243,18 +242,9 @@ def evaluate_deterministic(model: FiniteHorizonCMDP, actions: np.ndarray):
     actions = np.asarray(actions, dtype=np.int64)
     if actions.shape != (model.horizon, model.num_states):
         raise ValueError("actions must have shape (H, S)")
-    H, S, M = model.horizon, model.num_states, model.num_constraints
-    rows = np.arange(S)
-    v = model.terminal_reward.copy()
-    w = model.terminal_constraint_costs.copy()
-    for h in range(H - 1, -1, -1):
-        p = model.kernels[h][rows, actions[h]]              # (S, S')
-        r = model.rewards[h][rows, actions[h]]              # (S, S')
-        v = np.sum(p * (r + v), axis=1)
-        g = model.constraint_costs[:, h][:, rows, actions[h]]  # (M, S, S')
-        w = np.einsum("kij,ij->ki", g, p) + np.einsum("ij,kj->ki", p, w) if M else w
-    beta = model.initial_distribution
-    return float(beta @ v), w @ beta if M else np.zeros(0)
+    one_hot = np.zeros(actions.shape + (model.num_actions,))
+    np.put_along_axis(one_hot, actions[..., None], 1.0, axis=-1)
+    return _totals(model, _channel_values(model, one_hot)[0])
 
 
 @dataclass(frozen=True)
@@ -271,6 +261,7 @@ class ReferenceSolution:
 
     best_return: float
     best_multipliers: np.ndarray
+    best_costs: np.ndarray         # (M,) constraint totals of the best policy
     best_actions: np.ndarray
     feasible: bool
     unconstrained: SweepPoint
@@ -289,11 +280,15 @@ def constrained_reference(
     Solves the greedy penalized problem on a grid of multipliers in
     [penalty_floor, 0]^M, evaluates each greedy policy exactly, and keeps the
     best feasible return. Cost monotonicity along each axis is reported as a
-    diagnostic only; ties in the greedy argmax can break it locally.
+    diagnostic only; ties in the greedy argmax can break it locally. Raises
+    ValueError for a floor that is not finite and negative, fewer than two
+    points per axis, or a grid of more than 200,000 points.
     """
     M = model.num_constraints
-    if penalty_floor >= 0:
-        raise ValueError("penalty_floor must be negative")
+    if not (math.isfinite(penalty_floor) and penalty_floor < 0):
+        raise ValueError("penalty_floor must be finite and negative")
+    if num_points < 2:
+        raise ValueError("num_points must be at least 2 so the grid spans [penalty_floor, 0]")
     if M > 0 and num_points ** M > 200_000:
         raise ValueError("multiplier grid too large; reduce num_points")
     axis = np.linspace(penalty_floor, 0.0, num_points)
@@ -301,17 +296,13 @@ def constrained_reference(
 
     sweep = []
     best = None
-    best_actions = None
-    unconstrained = None
+    best_actions = np.zeros((model.horizon, model.num_states), dtype=np.int64)
     for lam in grid:
         actions = greedy_response(model, lam)
         j, totals = evaluate_deterministic(model, actions)
-        feasible = bool(np.all(totals <= model.thresholds + slack))
-        point = SweepPoint(lam, j, totals, feasible)
+        point = SweepPoint(lam, j, totals, bool(np.all(totals <= model.thresholds + slack)))
         sweep.append(point)
-        if np.all(lam == 0.0):
-            unconstrained = point
-        if feasible and (best is None or j > best.expected_return):
+        if point.feasible and (best is None or j > best.expected_return):
             best = point
             best_actions = actions
 
@@ -321,21 +312,14 @@ def constrained_reference(
         monotone = bool(np.all(np.diff(costs) >= -1e-9))
 
     if best is None:
-        return ReferenceSolution(
-            best_return=float("nan"),
-            best_multipliers=np.full(M, np.nan),
-            best_actions=np.zeros((model.horizon, model.num_states), dtype=np.int64),
-            feasible=False,
-            unconstrained=unconstrained,
-            sweep=sweep,
-            monotone_costs=monotone,
-        )
+        best = SweepPoint(np.full(M, np.nan), float("nan"), np.full(M, np.nan), False)
     return ReferenceSolution(
         best_return=best.expected_return,
         best_multipliers=best.multipliers,
+        best_costs=best.constraint_totals,
         best_actions=best_actions,
-        feasible=True,
-        unconstrained=unconstrained,
+        feasible=best.feasible,
+        unconstrained=sweep[-1],  # the grid's last point is lam = 0
         sweep=sweep,
         monotone_costs=monotone,
     )

@@ -158,52 +158,75 @@ def checked_model(resolved: dict):
     return model
 
 
+def _integer(x) -> bool:
+    """A JSON integer; booleans are ints in Python but not here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _real(x) -> bool:
+    """A JSON number that is a finite double, booleans excluded."""
+    return (_integer(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
+
+
+# The checked experiment settings: key -> (default, accepts, what it must be).
+SETTING_RULES = {
+    "episodes": (None, lambda x: _integer(x) and x > 0, "a positive integer"),
+    "seeds": (
+        None,
+        lambda x: isinstance(x, list) and len(x) > 0
+        and all(_integer(s) and s >= 0 for s in x) and len(set(x)) == len(x),
+        "a non-empty list of distinct non-negative integers",
+    ),
+    "window": (10_000, lambda x: _integer(x) and x > 0, "a positive integer"),
+    "temperature": (1.0, lambda x: _real(x) and x > 0, "a positive number"),
+    "param_bound": (10.0, lambda x: _real(x) and x > 0, "a positive number"),
+    "penalty_floor": (-100.0, lambda x: _real(x) and x < 0, "a negative number"),
+    "schedules": (
+        {},
+        lambda x: isinstance(x, dict) and all(map(_real, x.values())),
+        "an object of finite numbers",
+    ),
+    "multiplier_sign": (
+        "negative", lambda x: x in ("negative", "positive"), "'negative' or 'positive'"
+    ),
+}
+
+
 def experiment_settings(doc: dict, base_dir: Path) -> dict:
-    """Apply defaults and resolve the model; returns the canonical settings."""
-    schedules = doc.get("schedules", {})
-    if not isinstance(schedules, dict):
-        raise CliError("'schedules' must be an object", EXIT_BAD_CONFIG)
+    """Apply defaults, check every value and resolve the model; returns the
+    canonical settings.
+
+    A value that breaks its SETTING_RULES entry exits 2; the step-size
+    exponents and scales are judged later by `check_schedules`.
+    """
+    values = {}
+    for key, (default, accepts, what) in SETTING_RULES.items():
+        values[key] = doc.get(key, default)
+        if not accepts(values[key]):
+            raise CliError(f"{key!r} must be {what}", EXIT_BAD_CONFIG)
     try:
-        sched = StepSizeSchedules(**schedules)
+        sched = StepSizeSchedules(**values["schedules"])
     except TypeError as e:
         raise CliError(f"bad schedules section: {e}", EXIT_BAD_CONFIG)
-    seeds = doc["seeds"]
-    if not isinstance(seeds, list) or not seeds or not all(
-        isinstance(s, int) and s >= 0 for s in seeds
-    ):
-        raise CliError(
-            "'seeds' must be a non-empty list of non-negative integers", EXIT_BAD_CONFIG
-        )
-    if len(set(seeds)) != len(seeds):
-        raise CliError("'seeds' contains duplicates", EXIT_BAD_CONFIG)
-    episodes = doc["episodes"]
-    if not isinstance(episodes, int) or episodes <= 0:
-        raise CliError("'episodes' must be a positive integer", EXIT_BAD_CONFIG)
-    window = doc.get("window", 10_000)
-    if not isinstance(window, int) or window <= 0:
-        raise CliError("'window' must be a positive integer", EXIT_BAD_CONFIG)
     try:
         resolved_model = resolve_model_doc(doc["model"], base_dir)
-        settings = {
-            "name": doc.get("name", "experiment"),
-            "model": resolved_model,
-            "episodes": episodes,
-            "seeds": list(seeds),
-            "window": window,
-            "temperature": float(doc.get("temperature", 1.0)),
-            "param_bound": float(doc.get("param_bound", 10.0)),
-            "penalty_floor": float(doc.get("penalty_floor", -100.0)),
-            "schedules": dataclasses.asdict(sched),
-            # No effect on training; kept because config_hash digests it.
-            "sequential_critic": bool(doc.get("sequential_critic", False)),
-            "multiplier_sign": doc.get("multiplier_sign", "negative"),
-            "plots": bool(doc.get("plots", True)),
-        }
     except (TypeError, ValueError) as e:
-        raise CliError(f"bad experiment config: {e}", EXIT_BAD_CONFIG)
-    if settings["multiplier_sign"] not in ("negative", "positive"):
-        raise CliError("'multiplier_sign' must be 'negative' or 'positive'", EXIT_BAD_CONFIG)
-    return settings
+        raise CliError(f"bad model section: {e}", EXIT_BAD_CONFIG)
+    return {
+        "name": doc.get("name", "experiment"),
+        "model": resolved_model,
+        "episodes": values["episodes"],
+        "seeds": list(values["seeds"]),
+        "window": values["window"],
+        "temperature": float(values["temperature"]),
+        "param_bound": float(values["param_bound"]),
+        "penalty_floor": float(values["penalty_floor"]),
+        "schedules": dataclasses.asdict(sched),
+        # No effect on training; kept because config_hash digests it.
+        "sequential_critic": bool(doc.get("sequential_critic", False)),
+        "multiplier_sign": values["multiplier_sign"],
+        "plots": bool(doc.get("plots", True)),
+    }
 
 
 def config_hash(settings: dict) -> str:
@@ -220,8 +243,16 @@ def trainer_config(settings: dict, seed: int) -> TrainerConfig:
         param_bound=settings["param_bound"],
         penalty_floor=settings["penalty_floor"],
         schedules=StepSizeSchedules(**settings["schedules"]),
-        multiplier_sign=settings["multiplier_sign"],
     )
+
+
+def reported_multipliers(settings: dict, multipliers: np.ndarray) -> np.ndarray:
+    """Multipliers as a run reports them in its CSV, summary and plots.
+
+    The trainer keeps the non-positive penalties; the "positive" convention
+    mirrors them through zero as 0.0 - lambda, which maps a zero to +0.0.
+    """
+    return 0.0 - multipliers if settings["multiplier_sign"] == "positive" else multipliers
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +331,9 @@ def run_seed(settings: dict, seed: int, out_dir: Path, progress_every: int = 0):
         and np.all(np.isfinite(state.multipliers))
     ):
         raise FloatingPointError(f"seed {seed}: training produced non-finite values")
+    metrics = dataclasses.replace(
+        metrics, multipliers=reported_multipliers(settings, metrics.multipliers)
+    )
     run_id = f"{config_hash(settings)}-seed{seed}"
     csv_path = out_dir / f"{run_id}.csv"
     ma = write_run_csv(csv_path, metrics, settings["window"])
@@ -316,7 +350,7 @@ def run_seed(settings: dict, seed: int, out_dir: Path, progress_every: int = 0):
         "multipliers": metrics.multipliers,
         "final_ma_return": float(ma["ma_return"][-1]),
         "final_ma_costs": [float(c[-1]) for c in ma["ma_costs"]],
-        "final_multipliers": state.multipliers.tolist(),
+        "final_multipliers": reported_multipliers(settings, state.multipliers).tolist(),
         "theta_clipped_tail": int(np.count_nonzero(metrics.theta_clipped[tail])),
         "floor_clipped_tail": int(np.count_nonzero(metrics.multiplier_floor_clipped[tail])),
         "seconds": time.perf_counter() - started,
@@ -720,9 +754,12 @@ def cmd_oracle_solve(args) -> int:
         j, _ = dp_oracle.evaluate_deterministic(model, actions)
         print(f"unconstrained optimal return: {j:.6f}")
         return 0
-    ref = dp_oracle.constrained_reference(
-        model, penalty_floor=args.floor, num_points=args.points
-    )
+    try:
+        ref = dp_oracle.constrained_reference(
+            model, penalty_floor=args.floor, num_points=args.points
+        )
+    except ValueError as e:
+        raise CliError(f"bad multiplier grid: {e}", EXIT_BAD_CONFIG)
     u = ref.unconstrained
     print(
         f"unconstrained: return={u.expected_return:.6f} "
@@ -732,15 +769,10 @@ def cmd_oracle_solve(args) -> int:
     if not ref.feasible:
         print("no feasible point found on the multiplier grid")
         return EXIT_NUMERICAL_FAILURE
-    best_costs = None
-    for p in ref.sweep:
-        if p.feasible and p.expected_return == ref.best_return:
-            best_costs = p.constraint_totals
-            break
     print(
         f"best feasible greedy policy: J*={ref.best_return:.6f} at multipliers "
         f"{np.array2string(ref.best_multipliers, precision=4)} "
-        f"costs={np.array2string(best_costs, precision=4)}"
+        f"costs={np.array2string(ref.best_costs, precision=4)}"
     )
     if not ref.monotone_costs:
         print("note: costs were not monotone along the sweep (greedy ties)")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,8 @@ class FiniteHorizonCMDP:
     Shapes: kernels and rewards are (H, S, A, S); constraint_costs is
     (M, H, S, A, S); terminal_reward (S,); terminal_constraint_costs (M, S);
     thresholds (M,); initial_distribution (S,). Immutable after construction
-    and safe to share across concurrent runs.
+    and safe to share across concurrent runs: no array is changed in place,
+    so the derived channel tables below are computed once and cached.
     """
 
     kernels: np.ndarray
@@ -59,6 +61,22 @@ class FiniteHorizonCMDP:
     @property
     def num_constraints(self) -> int:
         return self.thresholds.shape[0]
+
+    @cached_property
+    def channel_costs(self) -> np.ndarray:
+        """sum_s' p_h(s, a, s') c_h(s, a, s') of every channel, (1+M, H, S, A):
+        channel 0 is the reward and channel k the k-th constraint cost."""
+        costs = np.empty((1 + self.num_constraints,) + self.kernels.shape[:-1])
+        costs[0] = np.einsum("hijk,hijk->hij", self.kernels, self.rewards)
+        costs[1:] = np.einsum("hijk,chijk->chij", self.kernels, self.constraint_costs)
+        return costs
+
+    @cached_property
+    def channel_terminal(self) -> np.ndarray:
+        """Terminal cost of every channel, shape (1+M, S); the constraint rows
+        already subtract their thresholds."""
+        gaps = self.terminal_constraint_costs - self.thresholds[:, None]
+        return np.concatenate([self.terminal_reward[None], gaps])
 
 
 def make_cmdp(

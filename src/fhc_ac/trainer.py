@@ -2,11 +2,13 @@
 
 Every episode applies, in order: TD updates to the penalized critic, one
 projected gradient step per stage of the actor driven by the same temporal
-differences, TD updates to each constraint critic, and a clamped update of
-each Lagrange multiplier driven by the constraint critic's initial-stage
-estimate. All updates within an episode read the weights held at episode
-start. The three step-size sequences decay at separated rates so the critics
-equilibrate fastest, the actor next, and the multipliers slowest.
+differences, one TD step of all constraint critics together, and a clamped
+update of the Lagrange multipliers driven by the constraint critics'
+initial-stage estimates. The multipliers are the non-positive penalties
+lambda in [penalty_floor, 0] that enter the costs r + lambda . g. All
+updates within an episode read the weights held at episode start. The three
+step-size sequences decay at separated rates so the critics equilibrate
+fastest, the actor next, and the multipliers slowest.
 """
 
 from __future__ import annotations
@@ -94,18 +96,10 @@ class TrainerConfig:
     param_bound: float = 10.0
     penalty_floor: float = -100.0
     schedules: StepSizeSchedules = field(default_factory=StepSizeSchedules)
-    multiplier_sign: str = "negative"
 
     def __post_init__(self):
-        if self.multiplier_sign not in ("negative", "positive"):
-            raise ValueError("multiplier_sign must be 'negative' or 'positive'")
         if self.penalty_floor >= 0:
             raise ValueError("penalty_floor must be negative")
-
-    @property
-    def sign(self) -> float:
-        """Factor mapping stored multipliers to the penalties in the costs."""
-        return 1.0 if self.multiplier_sign == "negative" else -1.0
 
 
 @dataclass
@@ -116,13 +110,13 @@ class TrainerState:
     policy: NonStationaryPolicy
     critic: CriticState
     basis: StageFeatureBasis
-    multipliers: np.ndarray      # stored in the run's sign convention
+    multipliers: np.ndarray      # non-positive penalties, (M,)
     episode: int
     rng: np.random.Generator
 
     def signed_multipliers(self) -> np.ndarray:
         """Multipliers as the non-positive penalties entering the costs."""
-        return self.config.sign * self.multipliers
+        return self.multipliers.copy()
 
 
 def make_trainer(
@@ -172,24 +166,16 @@ def actor_update(policy: NonStationaryPolicy, episode, deltas, step: float) -> b
 
 
 def multiplier_update(stored: np.ndarray, estimates: np.ndarray, step: float, config: TrainerConfig):
-    """Clamped multiplier step; returns (new stored values, floor hit, zero hit).
+    """Clamped multiplier step; returns (new multipliers, floor hit, zero hit).
 
-    In the default negative convention each multiplier moves by
-    -step * estimate and is clamped into [penalty_floor, 0]; the positive
-    convention mirrors everything through zero.
+    Each multiplier moves by -step * estimate and is clamped into
+    [penalty_floor, 0].
     """
-    if config.multiplier_sign == "negative":
-        proposed = stored - step * estimates
-        lo, hi = config.penalty_floor, 0.0
-        floor_hit = bool((proposed < lo).any())
-        zero_hit = bool((proposed > hi).any())
-    else:
-        proposed = stored + step * estimates
-        lo, hi = 0.0, -config.penalty_floor
-        floor_hit = bool((proposed > hi).any())
-        zero_hit = bool((proposed < lo).any())
+    proposed = stored - step * estimates
+    floor_hit = bool((proposed < config.penalty_floor).any())
+    zero_hit = bool((proposed > 0.0).any())
     if floor_hit or zero_hit:  # the clamp is the identity otherwise
-        np.clip(proposed, lo, hi, out=proposed)
+        np.clip(proposed, config.penalty_floor, 0.0, out=proposed)
     return proposed, floor_hit, zero_hit
 
 
@@ -223,7 +209,6 @@ def train(
         state = make_trainer(model, config)
     H, M = model.horizon, model.num_constraints
     schedules = config.schedules
-    sign = config.sign
     count = max(config.episodes - state.episode, 0)
     metrics = TrainingMetrics(
         returns=np.zeros(count),
@@ -243,7 +228,7 @@ def train(
     stages = np.arange(H)
     for i in range(count):
         n = state.episode
-        lam = sign * state.multipliers
+        lam = state.multipliers
         episode = rollout(model, table, state.rng)
         phi0 = basis.row(0, episode.states[0])
         metrics.value_estimates[i] = critic.v[0] @ phi0
@@ -254,9 +239,8 @@ def train(
         clipped = actor_update(policy, episode, deltas, schedules.actor_step(n))
         moved = (stages, episode.states[:-1])
         table[moved] = policy.distribution_rows(*moved)
-        for k in range(M):
-            update_constraint_critic(model, basis, critic, episode, k, a_n)
         if M:
+            update_constraint_critic(model, basis, critic, episode, a_n)
             c_n = schedules.multiplier_step(n)
             state.multipliers, floor_hit, zero_hit = multiplier_update(
                 state.multipliers, gaps, c_n, config

@@ -69,8 +69,10 @@ def test_td_errors_match_hand_computed_values():
     lam = np.array([-0.4])
 
     deltas = td_errors_penalized(model, basis, critic, episode, lam)
-    xis = td_errors_constraint(model, basis, critic, episode, 0)
+    xis = td_errors_constraint(model, basis, critic, episode)
     H = model.horizon
+    assert xis.shape == (1, H + 1)
+    xis = xis[0]
     for h in range(H):
         s, nxt = episode.states[h], episode.states[h + 1]
         cost = episode.rewards[h] + lam[0] * episode.constraint_costs[0, h]
@@ -144,7 +146,7 @@ def test_random_basis_updates_follow_the_per_stage_formula():
             episode.terminal_constraint_costs[k] - model.thresholds[k] for k in range(2)
         ]
         got = [update_penalized_critic(model, basis, critic, episode, lam, 0.05)]
-        got += [update_constraint_critic(model, basis, critic, episode, k, 0.05) for k in range(2)]
+        got += list(update_constraint_critic(model, basis, critic, episode, 0.05))
         after = [critic.v] + [critic.w[k] for k in range(2)]
         for w, g, term, deltas, new in zip(weights, stage_costs, terminal, got, after):
             def value(h):
@@ -158,6 +160,39 @@ def test_random_basis_updates_follow_the_per_stage_formula():
                 step = 0.05 * deltas[h] * basis.feature_matrix(h)[s[h]]
                 assert np.allclose(new[h, :x], w[h, :x] + step, rtol=0, atol=1e-12)
                 assert not new[h, x:].any()
+
+
+def test_batched_constraint_step_equals_the_per_critic_formula_exactly():
+    # One TD step moves all M constraint critics; each must get the bits the
+    # single-critic formula gives it, with stages of different widths.
+    rng = np.random.default_rng(13)
+    M = 3
+    model = random_cmdp(rng, 4, 3, 4, M)
+    policy = random_policy(model, rng)
+    basis = random_basis(model, rng, dims=[1, 2, 2, 1, 2])
+    critic = zero_critic(basis, M)
+    for h in range(model.horizon + 1):
+        critic.w[:, h, : basis.dim(h)] = rng.normal(size=(M, basis.dim(h)))
+    reference = critic.w.copy()
+    table = policy.distribution_table()
+    ep_rng = np.random.default_rng(14)
+    stages = np.arange(model.horizon + 1)
+    for n in range(30):
+        episode = rollout(model, table, ep_rng)
+        step = 0.5 / (n + 1)
+        before = td_errors_constraint(model, basis, critic, episode)
+        got = update_constraint_critic(model, basis, critic, episode, step)
+        assert got.shape == (M, model.horizon + 1)
+        assert np.array_equal(before, got)
+        phi = basis.features[stages, episode.states]
+        for k in range(M):
+            vals = (reference[k] * phi).sum(axis=-1)
+            deltas = np.empty(model.horizon + 1)
+            deltas[:-1] = episode.constraint_costs[k] + vals[1:] - vals[:-1]
+            deltas[-1] = episode.terminal_constraint_costs[k] - model.thresholds[k] - vals[-1]
+            reference[k] += (step * deltas)[:, None] * phi
+            assert np.array_equal(got[k], deltas)
+        assert np.array_equal(critic.w, reference)
 
 
 def sequential_sweep(basis, weights, states, stage_costs, terminal_cost, step):
@@ -200,8 +235,8 @@ def test_synchronous_and_sequential_updates_coincide():
         cterm = ep_b.terminal_reward + lam @ (ep_b.terminal_constraint_costs - model.thresholds)
         d_b = sequential_sweep(basis, critic_b.v, ep_b.states, costs, cterm, 0.05)
         assert np.array_equal(d_a, d_b)
+        x_a = update_constraint_critic(model, basis, critic_a, ep_a, 0.05)
         for k in range(2):
-            x_a = update_constraint_critic(model, basis, critic_a, ep_a, k, 0.05)
             x_b = sequential_sweep(
                 basis,
                 critic_b.w[k],
@@ -210,7 +245,7 @@ def test_synchronous_and_sequential_updates_coincide():
                 ep_b.terminal_constraint_costs[k] - model.thresholds[k],
                 0.05,
             )
-            assert np.array_equal(x_a, x_b)
+            assert np.array_equal(x_a[k], x_b)
     assert np.array_equal(critic_a.v, critic_b.v)
     assert np.array_equal(critic_a.w, critic_b.w)
 

@@ -1,5 +1,8 @@
 """Exact solver against brute-force trajectory and policy enumeration."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from fhc_ac import (
     make_cmdp,
     occupation_measures,
     tabular_basis,
+    tabular_policy,
 )
 
 from helpers import (
@@ -27,6 +31,49 @@ from helpers import (
     random_cmdp,
     random_policy,
 )
+
+
+def test_channel_tables_equal_per_state_action_expectations():
+    rng = np.random.default_rng(40)
+    model = random_cmdp(rng, 3, 2, 3, 2)
+    H, S, A, M = model.horizon, model.num_states, model.num_actions, model.num_constraints
+    costs = model.channel_costs
+    assert costs.shape == (1 + M, H, S, A)
+    for h in range(H):
+        for s in range(S):
+            for a in range(A):
+                p = model.kernels[h, s, a]
+                expected = [math.fsum(p * model.rewards[h, s, a])]
+                expected += [math.fsum(p * model.constraint_costs[k, h, s, a]) for k in range(M)]
+                assert costs[:, h, s, a] == pytest.approx(expected, rel=1e-14, abs=1e-15)
+    terminal = model.channel_terminal
+    assert terminal.shape == (1 + M, S)
+    assert np.array_equal(terminal[0], model.terminal_reward)
+    for k in range(M):
+        assert np.array_equal(
+            terminal[1 + k], model.terminal_constraint_costs[k] - model.thresholds[k]
+        )
+    # cached once per model; a replaced model computes its own tables
+    assert model.channel_costs is costs and model.channel_terminal is terminal
+    moved = dataclasses.replace(model, thresholds=model.thresholds + 1.0)
+    assert np.array_equal(moved.channel_terminal[1:], terminal[1:] - 1.0)
+    assert np.array_equal(moved.channel_costs, costs)
+
+
+def test_evaluate_deterministic_equals_backward_induction_of_the_one_hot_policy():
+    for seed, M in ((41, 0), (42, 1), (43, 3)):
+        rng = np.random.default_rng(seed)
+        model = random_cmdp(rng, 4, 3, 3, M)
+        actions = rng.integers(model.num_actions, size=(model.horizon, model.num_states))
+        # exp(-10 / 1e-3) underflows to 0, so the Gibbs rows are exactly one-hot
+        policy = tabular_policy(model, temperature=1e-3, param_bound=10.0)
+        np.put_along_axis(policy.stage_params, actions[..., None], 10.0, axis=-1)
+        assert set(np.unique(policy.distribution_table())) == {0.0, 1.0}
+        solution = backward_induction(model, policy, np.zeros(M))
+        j, totals = evaluate_deterministic(model, actions)
+        assert j == solution.expected_return
+        assert np.array_equal(totals, solution.constraint_totals)
+        assert totals.shape == (M,)
 
 
 def test_backward_induction_matches_trajectory_enumeration():

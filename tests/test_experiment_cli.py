@@ -11,6 +11,7 @@ import pytest
 from fhc_ac import (
     build_gridworld,
     calibrate_threshold,
+    constrained_reference,
     make_cmdp,
     moving_average,
     random_gridworld,
@@ -155,6 +156,20 @@ def test_train_rejects_malformed_configs(tmp_path):
 
     config = write_experiment(tmp_path, schedules={"critic_rate": 0.6})
     assert main(["train", "--config", str(config), "--out-dir", out]) == 2
+
+    # JSON booleans are not integers, and out-of-range or mistyped numbers
+    # exit 2 before any training starts
+    for bad_values in (
+        {"seeds": [True]}, {"episodes": True}, {"window": True},
+        {"penalty_floor": 0}, {"penalty_floor": float("nan")}, {"temperature": 0},
+        {"temperature": False}, {"temperature": 10**400}, {"param_bound": -1},
+        {"param_bound": "12"},
+        {"schedules": {"critic_scale": "x"}}, {"schedules": {"actor_scale": True}},
+        {"multiplier_sign": "both"},
+    ):
+        config = write_experiment(tmp_path, **bad_values)
+        assert main(["train", "--config", str(config), "--out-dir", out]) == 2, bad_values
+    assert not (tmp_path / "out").exists()
 
     assert main(["train", "--config", str(tmp_path / "missing.json"), "--out-dir", out]) == 2
 
@@ -307,6 +322,28 @@ def test_oracle_solve_reports_the_reference_point(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "unconstrained" in out
     assert "best feasible" in out
+
+
+def test_oracle_solve_prints_the_best_points_own_costs_and_rejects_bad_grids(
+    tmp_path, capsys
+):
+    model = dataclasses.replace(
+        random_cmdp(np.random.default_rng(2), 4, 3, 4, 2), thresholds=np.array([3.6, 3.42])
+    )
+    path = tmp_path / "m2.json"
+    save_model(model, path)
+    assert main(["oracle", "solve", "--model", str(path), "--points", "21"]) == 0
+    ref = constrained_reference(model, num_points=21)
+    assert ref.feasible
+    best = [p for p in ref.sweep if np.array_equal(p.multipliers, ref.best_multipliers)]
+    assert len(best) == 1 and np.array_equal(best[0].constraint_totals, ref.best_costs)
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("best feasible greedy policy:"))
+    assert line.endswith(f"costs={np.array2string(ref.best_costs, precision=4)}")
+
+    for bad in (["--points", "0"], ["--points", "1"], ["--floor", "1"], ["--floor", "0"],
+                ["--floor", "nan"], ["--points", "500"]):
+        assert main(["oracle", "solve", "--model", str(path)] + bad) == 2, bad
 
 
 def test_oracle_evaluate_and_fixedpoint_run_on_saved_policies(tmp_path, capsys):
