@@ -224,17 +224,20 @@ def approximate_gradient(
 
 
 def greedy_response(model: FiniteHorizonCMDP, multipliers=()) -> np.ndarray:
-    """Deterministic stage policy maximizing the penalized objective, (H, S)."""
+    """Deterministic stage policy maximizing the penalized objective, (H, S).
+
+    q is built on the optimal values, and each (h, s) takes the lowest action
+    index whose q lies within 1e-12 * max(1, |row max|) of the row max, so
+    tied actions do not depend on the summation order of q.
+    """
     lam = _coerce_multipliers(model, multipliers)
-    H, S = model.horizon, model.num_states
-    costs = _penalize(model.channel_costs, lam)
+    q = _penalize(model.channel_costs, lam)
     v = _penalize(model.channel_terminal, lam)
-    actions = np.zeros((H, S), dtype=np.int64)
-    for h in range(H - 1, -1, -1):
-        q = costs[h] + model.kernels[h] @ v
-        actions[h] = np.argmax(q, axis=1)
-        v = q[np.arange(S), actions[h]]
-    return actions
+    for h in range(model.horizon - 1, -1, -1):
+        q[h] += model.kernels[h] @ v
+        v = q[h].max(axis=1)
+    best = q.max(axis=2, keepdims=True)
+    return np.argmax(q >= best - 1e-12 * np.maximum(1.0, np.abs(best)), axis=2)
 
 
 def evaluate_deterministic(model: FiniteHorizonCMDP, actions: np.ndarray):

@@ -43,6 +43,7 @@ from .gridworld_env import (
     save_gridworld_config,
 )
 from .mdp_model import model_from_doc, reachable_sets, validate
+from .plots import write_experiment_plots
 from .policy import load_policy, tabular_policy
 from .critic import fixed_points, tabular_basis, validate_basis
 from .trainer import (
@@ -59,8 +60,6 @@ from .trainer import (
 EXIT_BAD_CONFIG = 2
 EXIT_INVALID_MODEL = 3
 EXIT_NUMERICAL_FAILURE = 4
-
-PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2"]
 
 
 class CliError(Exception):
@@ -268,45 +267,74 @@ def csv_header(num_constraints: int) -> str:
     return ",".join(cols)
 
 
+def write_columns(path: Path, header: str, columns: list) -> None:
+    """Write equal-length 1-D arrays as CSV columns, each value as its exact `repr`."""
+    rows = zip(*(c.tolist() for c in columns))
+    path.write_text("\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n")
+
+
 def write_run_csv(path: Path, metrics, window: int) -> dict:
     """Write one seed's per-episode CSV; returns the ma columns for reuse."""
     n, m = metrics.constraint_totals.shape
     ma_return = moving_average(metrics.returns, window)
-    ma_costs = [moving_average(metrics.constraint_totals[:, k], window) for k in range(m)]
-    columns = [list(range(1, n + 1)), metrics.returns.tolist()]
-    columns += [metrics.constraint_totals[:, k].tolist() for k in range(m)]
-    columns += [metrics.multipliers[:, k].tolist() for k in range(m)]
-    columns.append(ma_return.tolist())
-    columns += [c.tolist() for c in ma_costs]
-    lines = [csv_header(m)]
-    lines.extend(",".join(map(repr, row)) for row in zip(*columns))
-    path.write_text("\n".join(lines) + "\n")
-    return {"ma_return": ma_return, "ma_costs": np.array(ma_costs).reshape(m, n)}
+    ma_costs = np.array(
+        [moving_average(metrics.constraint_totals[:, k], window) for k in range(m)]
+    ).reshape(m, n)
+    write_columns(
+        path,
+        csv_header(m),
+        [np.arange(1, n + 1), metrics.returns, *metrics.constraint_totals.T,
+         *metrics.multipliers.T, ma_return, *ma_costs],
+    )
+    return {"ma_return": ma_return, "ma_costs": ma_costs}
 
 
-def write_aggregate_csv(path: Path, outcomes: list, num_constraints: int) -> None:
+def read_run_series(run_dir: Path, seed_entries: list, num_constraints: int) -> dict:
+    """Read the K seeds' curves back from the CSVs that summary.json's `{seed, csv}`
+    entries name (a relative `csv` by its name in `run_dir`): "ma_return" (K, n),
+    "ma_costs" and "multipliers" (M, K, n). A CSV that cannot be read, has another
+    header than `csv_header(M)`, or whose row count is 0 or not the first's exits 2.
+    """
+    m = num_constraints
+    header = csv_header(m)
+    tables = []
+    for entry in seed_entries:
+        csv_path = Path(entry["csv"])
+        if not csv_path.is_absolute():
+            csv_path = run_dir / csv_path.name
+        try:
+            with open(csv_path) as f:
+                found = f.readline().rstrip("\n")
+                # lambda_1..lambda_M, ma_return, ma_cost_1..ma_cost_M
+                data = np.loadtxt(f, delimiter=",", usecols=range(2 + m, 3 + 3 * m), ndmin=2)
+        except (OSError, ValueError) as e:
+            raise CliError(f"cannot read {csv_path}: {e}", EXIT_BAD_CONFIG)
+        n = data.shape[0]
+        if found != header or n == 0 or (tables and n != tables[0].shape[0]):
+            raise CliError(
+                f"{csv_path} has header {found!r} and {n} rows; expected {header!r} and "
+                "a positive row count shared by every seed",
+                EXIT_BAD_CONFIG,
+            )
+        tables.append(data)
+    curves = np.stack(tables).transpose(2, 0, 1)
+    return {
+        "seeds": [entry["seed"] for entry in seed_entries],
+        "multipliers": curves[:m],
+        "ma_return": curves[m],
+        "ma_costs": curves[m + 1 :],
+    }
+
+
+def write_aggregate_csv(path: Path, series: dict) -> None:
     """Across-seed mean/min/max of every moving-average column, per episode."""
-    stacked_return = np.stack([o["ma_return"] for o in outcomes])
-    n = stacked_return.shape[1]
-    cols = ["episode,ma_return_mean,ma_return_min,ma_return_max"]
-    data = [
-        np.arange(1, n + 1),
-        stacked_return.mean(axis=0),
-        stacked_return.min(axis=0),
-        stacked_return.max(axis=0),
-    ]
-    for k in range(num_constraints):
-        stacked = np.stack([o["ma_costs"][k] for o in outcomes])
-        cols[0] += f",ma_cost_{k + 1}_mean,ma_cost_{k + 1}_min,ma_cost_{k + 1}_max"
-        data += [stacked.mean(axis=0), stacked.min(axis=0), stacked.max(axis=0)]
-    lines = [cols[0]]
-    int_first = data[0].tolist()
-    float_rest = [d.tolist() for d in data[1:]]
-    for i in range(n):
-        lines.append(
-            ",".join([repr(int_first[i])] + [repr(col[i]) for col in float_rest])
-        )
-    path.write_text("\n".join(lines) + "\n")
+    names = ["episode"]
+    columns = [np.arange(1, series["ma_return"].shape[1] + 1)]
+    for k, curves in enumerate([series["ma_return"], *series["ma_costs"]]):
+        name = f"ma_cost_{k}" if k else "ma_return"
+        names += [f"{name}_mean", f"{name}_min", f"{name}_max"]
+        columns += [curves.mean(axis=0), curves.min(axis=0), curves.max(axis=0)]
+    write_columns(path, ",".join(names), columns)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +342,7 @@ def write_aggregate_csv(path: Path, outcomes: list, num_constraints: int) -> Non
 
 
 def run_seed(settings: dict, seed: int, out_dir: Path, progress_every: int = 0):
-    """Train one seed, write its CSV and checkpoint, return a summary dict."""
+    """Train one seed, write its CSV and checkpoint, return its summary.json record."""
     model = model_from_resolved(settings["model"])
     config = trainer_config(settings, seed)
     started = time.perf_counter()
@@ -345,9 +373,6 @@ def run_seed(settings: dict, seed: int, out_dir: Path, progress_every: int = 0):
         "run_id": run_id,
         "csv": str(csv_path),
         "checkpoint": str(checkpoint_path),
-        "ma_return": ma["ma_return"],
-        "ma_costs": ma["ma_costs"],
-        "multipliers": metrics.multipliers,
         "final_ma_return": float(ma["ma_return"][-1]),
         "final_ma_costs": [float(c[-1]) for c in ma["ma_costs"]],
         "final_multipliers": reported_multipliers(settings, state.multipliers).tolist(),
@@ -374,8 +399,12 @@ def worker_count(num_seeds: int) -> int:
 
 
 def run_experiment(settings: dict, out_dir: Path, progress_every: int = 0) -> dict:
-    """Run every seed, then write the aggregate CSV, summary, and plots."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Run every seed, then write the aggregate CSV, summary, and plots; the
+    aggregate and the plots read the seeds' CSVs back, as `plot` does."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise CliError(f"cannot create output directory {out_dir}: {e}", EXIT_BAD_CONFIG)
     model = checked_model(settings["model"])
     sched_report = check_schedules(StepSizeSchedules(**settings["schedules"]))
     if not sched_report:
@@ -397,14 +426,15 @@ def run_experiment(settings: dict, out_dir: Path, progress_every: int = 0) -> di
             (settings, seed, str(out_dir), progress_every) for seed in settings["seeds"]
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_seed_worker, payloads))
+            records = list(pool.map(_seed_worker, payloads))
     else:
-        outcomes = [
+        records = [
             run_seed(settings, seed, out_dir, progress_every) for seed in settings["seeds"]
         ]
 
     M = model.num_constraints
-    write_aggregate_csv(out_dir / "aggregate.csv", outcomes, M)
+    series = read_run_series(out_dir, records, M)
+    write_aggregate_csv(out_dir / "aggregate.csv", series)
 
     reference = None
     if M > 0:
@@ -420,15 +450,15 @@ def run_experiment(settings: dict, out_dir: Path, progress_every: int = 0) -> di
             "thresholds": model.thresholds.tolist(),
         }
 
-    for outcome in outcomes:
-        state = load_checkpoint(outcome["checkpoint"])
+    for record in records:
+        state = load_checkpoint(record["checkpoint"])
         diag = stationarity_diagnostics(
             model,
             state.policy,
             state.signed_multipliers(),
             penalty_floor=settings["penalty_floor"],
         )
-        outcome["stationarity"] = {
+        record["stationarity"] = {
             "max_projected_gradient_norm": diag.max_projected_gradient_norm,
             "max_multiplier_drift": diag.max_multiplier_drift,
             "theta_bound_active": diag.theta_bound_active,
@@ -444,206 +474,14 @@ def run_experiment(settings: dict, out_dir: Path, progress_every: int = 0) -> di
         "num_constraints": M,
         "thresholds": model.thresholds.tolist(),
         "reference": reference,
-        "seeds": [
-            {k: v for k, v in o.items() if k not in ("ma_return", "ma_costs", "multipliers")}
-            for o in outcomes
-        ],
+        "seeds": records,
         "wall_seconds": time.perf_counter() - started,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
     if settings["plots"]:
-        write_experiment_plots(out_dir, outcomes, model.thresholds, reference, settings["window"])
-    summary["outcomes"] = outcomes
+        write_experiment_plots(out_dir, series, model.thresholds, reference, settings["window"])
     return summary
-
-
-# ---------------------------------------------------------------------------
-# SVG plotting
-
-
-def _nice_ticks(lo: float, hi: float, target: int = 6):
-    if not math.isfinite(lo) or not math.isfinite(hi):
-        return [0.0, 1.0]
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / target
-    mag = 10.0 ** math.floor(math.log10(raw))
-    step = next(m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * mag)
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + step * 1e-9:
-        ticks.append(0.0 if abs(t) < step * 1e-9 else t)
-        t += step
-    return ticks
-
-
-def _format_tick(value: float) -> str:
-    if value == int(value) and abs(value) < 1e6:
-        return str(int(value))
-    return f"{value:.4g}"
-
-
-def render_line_chart(path: Path, series: list, title: str, xlabel: str, ylabel: str, hlines=()):
-    """Write a self-contained SVG line chart.
-
-    `series` entries are dicts with keys x, y, label, color; `hlines` entries
-    are (label, value, color) reference lines.
-    """
-    width, height = 880, 540
-    left, right, top, bottom = 80, 20, 50, 60
-    plot_w, plot_h = width - left - right, height - top - bottom
-
-    xs = np.concatenate([np.asarray(s["x"], dtype=float) for s in series])
-    ys = np.concatenate([np.asarray(s["y"], dtype=float) for s in series])
-    y_extra = np.array([v for _, v, _ in hlines], dtype=float)
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    all_y = np.concatenate([ys, y_extra]) if y_extra.size else ys
-    y_lo, y_hi = float(all_y.min()), float(all_y.max())
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-
-    def sx(x):
-        return left + (x - x_lo) / (x_hi - x_lo) * plot_w
-
-    def sy(y):
-        return top + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="Helvetica, Arial, sans-serif">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="28" text-anchor="middle" font-size="17">{title}</text>',
-        f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
-        'fill="none" stroke="#444" stroke-width="1"/>',
-    ]
-    for t in _nice_ticks(x_lo, x_hi):
-        if not x_lo <= t <= x_hi:
-            continue
-        x = sx(t)
-        parts.append(
-            f'<line x1="{x:.1f}" y1="{top + plot_h}" x2="{x:.1f}" '
-            f'y2="{top + plot_h + 5}" stroke="#444"/>'
-        )
-        parts.append(
-            f'<text x="{x:.1f}" y="{top + plot_h + 20}" text-anchor="middle" '
-            f'font-size="12">{_format_tick(t)}</text>'
-        )
-    for t in _nice_ticks(y_lo, y_hi):
-        if not y_lo <= t <= y_hi:
-            continue
-        y = sy(t)
-        parts.append(
-            f'<line x1="{left - 5}" y1="{y:.1f}" x2="{left}" y2="{y:.1f}" stroke="#444"/>'
-        )
-        parts.append(
-            f'<line x1="{left}" y1="{y:.1f}" x2="{left + plot_w}" y2="{y:.1f}" '
-            'stroke="#ddd" stroke-width="0.5"/>'
-        )
-        parts.append(
-            f'<text x="{left - 9}" y="{y + 4:.1f}" text-anchor="end" '
-            f'font-size="12">{_format_tick(t)}</text>'
-        )
-    parts.append(
-        f'<text x="{left + plot_w / 2:.1f}" y="{height - 15}" text-anchor="middle" '
-        f'font-size="14">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="22" y="{top + plot_h / 2:.1f}" text-anchor="middle" font-size="14" '
-        f'transform="rotate(-90 22 {top + plot_h / 2:.1f})">{ylabel}</text>'
-    )
-    for label, value, color in hlines:
-        y = sy(value)
-        parts.append(
-            f'<line x1="{left}" y1="{y:.1f}" x2="{left + plot_w}" y2="{y:.1f}" '
-            f'stroke="{color}" stroke-width="1.3" stroke-dasharray="7,5"/>'
-        )
-    for s in series:
-        pts = " ".join(
-            f"{sx(x):.1f},{sy(y):.1f}" for x, y in zip(s["x"], s["y"])
-        )
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{s["color"]}" stroke-width="1.4"/>'
-        )
-    legend_y = top + 14
-    for entry in list(series) + [
-        {"label": lbl, "color": col} for lbl, _, col in hlines
-    ]:
-        parts.append(
-            f'<line x1="{left + plot_w - 150}" y1="{legend_y - 4}" '
-            f'x2="{left + plot_w - 122}" y2="{legend_y - 4}" '
-            f'stroke="{entry["color"]}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{left + plot_w - 115}" y="{legend_y}" font-size="12">'
-            f'{entry["label"]}</text>'
-        )
-        legend_y += 17
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
-
-
-def _downsample(x: np.ndarray, y: np.ndarray, limit: int = 2000):
-    stride = max(1, len(x) // limit)
-    idx = np.arange(0, len(x), stride)
-    if idx[-1] != len(x) - 1:
-        idx = np.append(idx, len(x) - 1)
-    return x[idx], y[idx]
-
-
-def write_experiment_plots(out_dir: Path, outcomes: list, thresholds, reference, window: int):
-    episodes = np.arange(1, outcomes[0]["ma_return"].size + 1)
-    series = []
-    for i, o in enumerate(outcomes):
-        x, y = _downsample(episodes, o["ma_return"])
-        series.append(
-            {"x": x, "y": y, "label": f"seed {o['seed']}", "color": PALETTE[i % len(PALETTE)]}
-        )
-    hlines = []
-    if reference and reference["feasible"]:
-        hlines.append(("reference J*", reference["best_return"], "#000000"))
-    render_line_chart(
-        out_dir / "returns.svg",
-        series,
-        title=f"Moving-average return (window {window})",
-        xlabel="episode",
-        ylabel="return",
-        hlines=hlines,
-    )
-    for k, threshold in enumerate(thresholds):
-        series = []
-        for i, o in enumerate(outcomes):
-            x, y = _downsample(episodes, o["ma_costs"][k])
-            series.append(
-                {"x": x, "y": y, "label": f"seed {o['seed']}", "color": PALETTE[i % len(PALETTE)]}
-            )
-        render_line_chart(
-            out_dir / f"costs_{k + 1}.svg",
-            series,
-            title=f"Moving-average constraint cost {k + 1} (window {window})",
-            xlabel="episode",
-            ylabel=f"cost {k + 1}",
-            hlines=[("threshold", float(threshold), "#000000")],
-        )
-        series = []
-        for i, o in enumerate(outcomes):
-            lam = o["multipliers"][:, k]
-            x, y = _downsample(episodes, lam)
-            series.append(
-                {"x": x, "y": y, "label": f"seed {o['seed']}", "color": PALETTE[i % len(PALETTE)]}
-            )
-        render_line_chart(
-            out_dir / f"multipliers_{k + 1}.svg",
-            series,
-            title=f"Lagrange multiplier {k + 1}",
-            xlabel="episode",
-            ylabel=f"lambda_{k + 1}",
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +561,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_oracle_gradcheck(args) -> int:
+    if args.instances < 1:
+        raise CliError("--instances must be at least 1", EXIT_BAD_CONFIG)
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise CliError("--tolerance must be a positive finite number", EXIT_BAD_CONFIG)
     model = load_any_model(Path(args.model))
     rng = np.random.default_rng(args.seed)
     sets = reachable_sets(model)
@@ -817,7 +659,6 @@ def cmd_oracle_fixedpoint(args) -> int:
 
 
 def _save_and_summarize_gridworld(config, out) -> int:
-    save_gridworld_config(config, out)
     model = build_gridworld(config)
     report = validate(model)
     if not report:
@@ -825,6 +666,10 @@ def _save_and_summarize_gridworld(config, out) -> int:
             "generated model failed validation: " + "; ".join(report.violations),
             EXIT_INVALID_MODEL,
         )
+    try:
+        save_gridworld_config(config, out)
+    except OSError as e:
+        raise CliError(f"cannot write {out}: {e}", EXIT_BAD_CONFIG)
     ref = dp_oracle.constrained_reference(model)
     print(f"wrote {out}")
     print(
@@ -919,33 +764,9 @@ def cmd_plot(args) -> int:
     except (OSError, json.JSONDecodeError) as e:
         raise CliError(f"cannot read {summary_path}: {e}", EXIT_BAD_CONFIG)
     _check_plot_inputs(summary, summary_path)
-    M = summary["num_constraints"]
-    outcomes = []
-    for seed_info in summary["seeds"]:
-        csv_path = Path(seed_info["csv"])
-        if not csv_path.is_absolute():
-            csv_path = run_dir / csv_path.name
-        try:
-            data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-        except (OSError, ValueError) as e:
-            raise CliError(f"cannot read {csv_path}: {e}", EXIT_BAD_CONFIG)
-        n, columns = data.shape
-        if n == 0 or columns != 3 + 3 * M:
-            raise CliError(
-                f"{csv_path} holds {n} rows of {columns} columns, "
-                f"expected rows of {3 + 3 * M}",
-                EXIT_BAD_CONFIG,
-            )
-        outcomes.append(
-            {
-                "seed": seed_info["seed"],
-                "ma_return": data[:, 2 + 2 * M],
-                "ma_costs": data[:, 3 + 2 * M : 3 + 3 * M].T.reshape(M, n),
-                "multipliers": data[:, 2 + M : 2 + 2 * M].reshape(n, M),
-            }
-        )
+    series = read_run_series(run_dir, summary["seeds"], summary["num_constraints"])
     write_experiment_plots(
-        run_dir, outcomes, summary["thresholds"], summary.get("reference"), summary["window"]
+        run_dir, series, summary["thresholds"], summary.get("reference"), summary["window"]
     )
     print(f"re-rendered plots in {run_dir}")
     return 0

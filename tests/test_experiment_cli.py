@@ -37,6 +37,16 @@ GOLDEN_4X4_SEED0_THETA_SHA256 = "a6a3354e7d140c8bd63149e5c8e5456e7c4ec9de59d1ae1
 GOLDEN_M2_SEED0_SHA256 = "f517f9144888295549e7bacb87b0c960618db376b13cceaab98404b714dff9f3"
 # sha256 of the JSON of that run's final (H, S, A) policy table, taken likewise.
 GOLDEN_M2_SEED0_THETA_SHA256 = "ef1f4fc3b4c6a46c01054caf699543d56b440e234c93fb0401d2d14d537f65eb"
+# sha256 of the aggregate CSV and the charts of `train --config
+# configs/experiment_4x4.json --episodes 2000 --seeds 0,1`, taken while the
+# charts were still rendered from arrays the seeds returned, not read back
+# from their CSVs.
+GOLDEN_4X4_TWO_SEED_SHA256 = {
+    "aggregate.csv": "43db9db778904a64180829d35b6206af21e7ec97c319fb4c708e3519a20ef4f9",
+    "returns.svg": "1ac2924dadcd3674c3dc519c57b9308a37e3c32b8145a5ffd6de3cecfad8a437",
+    "costs_1.svg": "f58dc1beef4da4c7276927cc54f883160a9a78713a3dee40002b47ba427db733",
+    "multipliers_1.svg": "db8421728a9d3cf6a1391c58054eae7f340fc0ae151c6109579ec1aa548aeb14",
+}
 
 
 def tiny_gridworld_config(tmp_path):
@@ -217,6 +227,14 @@ def test_train_rejects_invalid_schedules_with_validation_exit(tmp_path):
     assert main(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
 
 
+def test_train_exits_2_when_the_output_directory_cannot_be_made(tmp_path):
+    config = write_experiment(tmp_path)
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    for out in (a_file, a_file / "below"):
+        assert main(["train", "--config", str(config), "--out-dir", str(out)]) == 2, out
+
+
 def test_worker_count_reads_the_thread_variable(monkeypatch):
     monkeypatch.delenv("FHC_AC_THREADS", raising=False)
     assert worker_count(5) == 1
@@ -272,6 +290,15 @@ def test_env_generate_writes_a_loadable_calibrated_world(tmp_path, capsys):
                  "--start", "9,9", "--out", str(out)]) == 2
 
 
+def test_env_generate_validates_before_it_writes(tmp_path):
+    out = tmp_path / "grid.json"
+    small = ["env", "generate", "--rows", "2", "--cols", "2", "--horizon", "2"]
+    assert main(small + ["--out", str(tmp_path / "missing" / "grid.json")]) == 2
+    # a NaN threshold fails validation, and nothing is written
+    assert main(small + ["--threshold-fraction", "nan", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_env_benchmark_writes_the_fixed_world_deterministically(tmp_path, capsys):
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["env", "benchmark", "--horizon", "6", "--out", str(out_a)]) == 0
@@ -294,6 +321,15 @@ def test_oracle_gradcheck_passes_on_a_valid_model(tmp_path, capsys):
     )
     assert code == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_oracle_gradcheck_rejects_arguments_that_check_nothing(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    save_model(random_cmdp(np.random.default_rng(1), 3, 2, 2, 1), path)
+    for bad in (["--instances", "0"], ["--instances", "-3"], ["--tolerance", "nan"],
+                ["--tolerance", "inf"], ["--tolerance", "0"], ["--tolerance=-1e-5"]):
+        assert main(["oracle", "gradcheck", "--model", str(path)] + bad) == 2, bad
+    assert "PASS" not in capsys.readouterr().out
 
 
 def test_oracle_commands_reject_invalid_models(tmp_path):
@@ -437,16 +473,32 @@ def test_train_matches_the_golden_two_constraint_run(tmp_path):
 
 
 def test_plot_rerenders_charts_from_the_run_directory(tmp_path):
-    config = write_experiment(tmp_path, seeds=[0], episodes=120, plots=True)
     out = tmp_path / "out"
-    assert main(["train", "--config", str(config), "--out-dir", str(out)]) == 0
-    for name in ("returns.svg", "costs_1.svg", "multipliers_1.svg"):
-        assert (out / name).read_text().startswith("<svg")
+    argv = ["train", "--config", str(CONFIGS / "experiment_4x4.json"), "--out-dir", str(out),
+            "--episodes", "2000", "--seeds", "0,1"]
+    assert main(argv) == 0
+    written = {}
+    for name, digest in GOLDEN_4X4_TWO_SEED_SHA256.items():
+        written[name] = (out / name).read_bytes()
+        assert hashlib.sha256(written[name]).hexdigest() == digest, name
+    charts = [name for name in written if name.endswith(".svg")]
+    for name in charts:
         (out / name).unlink()
     assert main(["plot", "--run-dir", str(out)]) == 0
-    for name in ("returns.svg", "costs_1.svg", "multipliers_1.svg"):
-        assert (out / name).read_text().startswith("<svg")
+    for name in charts:
+        assert (out / name).read_bytes() == written[name], name
     assert main(["plot", "--run-dir", str(tmp_path / "nowhere")]) == 2
+
+
+def test_train_and_plot_chart_an_unconstrained_run(tmp_path):
+    save_model(random_cmdp(np.random.default_rng(0), 3, 2, 2, 0), tmp_path / "m0.json")
+    config = write_experiment(tmp_path, model={"kind": "file", "path": "m0.json"}, plots=True)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*.svg")) == ["returns.svg"]
+    written = (out / "returns.svg").read_bytes()
+    assert main(["plot", "--run-dir", str(out)]) == 0
+    assert (out / "returns.svg").read_bytes() == written
 
 
 def test_plot_rejects_malformed_summaries(tmp_path):
@@ -456,6 +508,8 @@ def test_plot_rejects_malformed_summaries(tmp_path):
     summary_path = out / "summary.json"
     good = json.loads(summary_path.read_text())
     csv_path = Path(good["seeds"][0]["csv"])
+    short = csv_path.with_name("short.csv")
+    short.write_text("\n".join(csv_path.read_text().splitlines()[:11]) + "\n")
     broken = [
         {"seeds": []},
         [good],
@@ -467,6 +521,7 @@ def test_plot_rejects_malformed_summaries(tmp_path):
         {**good, "seeds": [{"seed": 0}]},
         {**good, "reference": {"feasible": True}},
         {**good, "num_constraints": 2, "thresholds": [1.0, 2.0]},  # CSV has one cost column
+        {**good, "seeds": good["seeds"] + [{"seed": 1, "csv": str(short)}]},  # 50 and 10 rows
     ]
     for doc in broken:
         summary_path.write_text(json.dumps(doc))

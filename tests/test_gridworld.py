@@ -1,5 +1,7 @@
 """Grid-world construction: kernels, schedules, calibration, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,33 @@ def test_calibrate_threshold_scales_the_unconstrained_policy_cost():
     assert np.array_equal(calibrated.stage_rewards, config.stage_rewards)
     with pytest.raises(ValueError):
         calibrate_threshold(config, fraction=0.0)
+
+
+def test_greedy_response_takes_the_lowest_index_among_tied_actions():
+    # The reward-greedy q values of this world tie across actions at several
+    # (h, s). Recomputed on the optimal values with math.fsum, the choice must
+    # still be the lowest index within 1e-12 * max(1, |row max|) of the row
+    # max, whatever order numpy summed them in.
+    model = build_gridworld(random_gridworld(4, 4, 10, seed=3))
+    actions = greedy_response(model, np.zeros(1))
+    kernels, rewards = model.kernels.tolist(), model.rewards.tolist()
+    v = model.terminal_reward.tolist()
+    ties = 0
+    for h in range(model.horizon - 1, -1, -1):
+        next_v = []
+        for s in range(model.num_states):
+            q = [
+                math.fsum([p * r for p, r in zip(kernels[h][s][a], rewards[h][s][a])]
+                          + [p * w for p, w in zip(kernels[h][s][a], v)])
+                for a in range(model.num_actions)
+            ]
+            best = max(q)
+            tied = [a for a, x in enumerate(q) if x >= best - 1e-12 * max(1.0, abs(best))]
+            assert actions[h, s] == tied[0], (h, s, q)
+            ties += len(tied) > 1
+            next_v.append(best)
+        v = next_v
+    assert ties > 0
 
 
 def test_benchmark_gridworld_lights_the_central_block_with_one_costly_cell():
