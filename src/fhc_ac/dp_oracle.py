@@ -5,15 +5,14 @@ reward, channel k the k-th constraint cost. The penalized objective is linear
 in the channels, so one backward recursion evaluates a fixed policy for all of
 them at once and every penalized quantity is the combination r + lam . g of
 its channel values. On top of it sit stage occupation measures, exact and
-finite-difference policy gradients of the penalized objective, and a
-multiplier-sweep reference solution for the constrained problem.
+finite-difference policy gradients of the penalized objective, and the exact
+constrained optimum by cutting planes on the Lagrangian dual.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -251,78 +250,124 @@ def evaluate_deterministic(model: FiniteHorizonCMDP, actions: np.ndarray):
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    multipliers: np.ndarray
-    expected_return: float
-    constraint_totals: np.ndarray
-    feasible: bool
-
-
-@dataclass(frozen=True)
 class ReferenceSolution:
-    """Best feasible deterministic greedy policy found on a multiplier grid."""
+    """The constrained optimum: a mixture of deterministic greedy policies.
+
+    Drawing policy i with probability weights[i] at the start of an episode
+    attains `best_return` at `best_costs`. `best_multipliers` (lambda*, in
+    [penalty_floor, 0]^M) minimize the dual. When no mixture meets the
+    thresholds within the floor, `feasible` is False, the return and the
+    multipliers are NaN and the mixture is empty.
+    """
 
     best_return: float
-    best_multipliers: np.ndarray
-    best_costs: np.ndarray         # (M,) constraint totals of the best policy
-    best_actions: np.ndarray
+    best_multipliers: np.ndarray      # (M,)
+    best_costs: np.ndarray            # (M,) constraint totals of the mixture
+    policies: np.ndarray              # (K, H, S) deterministic stage policies
+    weights: np.ndarray               # (K,) mixture probabilities
     feasible: bool
-    unconstrained: SweepPoint
-    sweep: list[SweepPoint] = field(repr=False)
-    monotone_costs: bool = True
+    unconstrained_return: float       # the greedy policy at lambda = 0
+    unconstrained_costs: np.ndarray   # (M,)
+
+
+def _simplex(A: np.ndarray, c: np.ndarray, basis: list, tol: float):
+    """Maximize c . x subject to A x = e_0 and x >= 0, from a feasible `basis`.
+
+    Bland's rule: the lowest-index column with a positive reduced cost
+    enters and ratio ties leave by the lowest basic index, so no basis
+    repeats. Returns the optimal basis, its basic values and the row prices
+    y = c_B B^-1.
+    """
+    rhs = np.zeros(A.shape[0])
+    rhs[0] = 1.0
+    for _ in range(10_000):
+        B = A[:, basis]
+        x = np.linalg.solve(B, rhs)
+        y = np.linalg.solve(B.T, c[basis])
+        reduced = c - y @ A
+        reduced[basis] = 0.0
+        entering = np.flatnonzero(reduced > tol)
+        if entering.size == 0:
+            return basis, x, y
+        d = np.linalg.solve(B, A[:, entering[0]])
+        rows = np.flatnonzero(d > 1e-12)
+        if rows.size == 0:
+            raise FloatingPointError("the master problem is unbounded")
+        ratios = np.maximum(x[rows], 0.0) / d[rows]
+        leaving = min(rows[ratios == ratios.min()], key=lambda r: basis[r])
+        basis[leaving] = int(entering[0])
+    raise FloatingPointError("the master simplex did not converge")
 
 
 def constrained_reference(
-    model: FiniteHorizonCMDP,
-    penalty_floor: float = -100.0,
-    num_points: int = 101,
-    slack: float = 1e-9,
+    model: FiniteHorizonCMDP, penalty_floor: float = -100.0
 ) -> ReferenceSolution:
-    """Reference value for the constrained problem via a multiplier sweep.
+    """The exact constrained optimum, by Kelley's cutting planes on the dual.
 
-    Solves the greedy penalized problem on a grid of multipliers in
-    [penalty_floor, 0]^M, evaluates each greedy policy exactly, and keeps the
-    best feasible return. Cost monotonicity along each axis is reported as a
-    diagnostic only; ties in the greedy argmax can break it locally. Raises
-    ValueError for a floor that is not finite and negative, fewer than two
-    points per axis, or a grid of more than 200,000 points.
+    D(lam) = max_pi J(pi) + lam . (G(pi) - alpha) over lam in
+    [penalty_floor, 0]^M is the upper envelope of one plane per deterministic
+    policy, and its minimum is the constrained optimum J*. Starting at
+    lam = 0, each greedy solve adds the plane of the policy that attains
+    D(lam), and the restricted master
+
+        max sum_i w_i J_i + penalty_floor * sum_k mu_k
+        s.t. sum_i w_i = 1,  sum_i w_i (G_ik - alpha_k) <= mu_k,  w, mu >= 0
+
+    picks the next lam as minus its row prices; its value is the minimum of
+    the planes so far. The method stops once D at that lam equals the master
+    value to 1e-10 relative; the master's weights are then an optimal mixture
+    of at most M+1 policies, and a positive elastic mu means no mixture meets
+    the thresholds within the floor. Raises ValueError for a floor that is not
+    finite and negative.
     """
     M = model.num_constraints
     if not (math.isfinite(penalty_floor) and penalty_floor < 0):
         raise ValueError("penalty_floor must be finite and negative")
-    if num_points < 2:
-        raise ValueError("num_points must be at least 2 so the grid spans [penalty_floor, 0]")
-    if M > 0 and num_points ** M > 200_000:
-        raise ValueError("multiplier grid too large; reduce num_points")
-    axis = np.linspace(penalty_floor, 0.0, num_points)
-    grid = [np.zeros(0)] if M == 0 else [np.array(c) for c in itertools.product(axis, repeat=M)]
+    policies, returns, gaps = [], [], []
 
-    sweep = []
-    best = None
-    best_actions = np.zeros((model.horizon, model.num_states), dtype=np.int64)
-    for lam in grid:
+    def add_plane(lam: np.ndarray) -> float:
         actions = greedy_response(model, lam)
         j, totals = evaluate_deterministic(model, actions)
-        point = SweepPoint(lam, j, totals, bool(np.all(totals <= model.thresholds + slack)))
-        sweep.append(point)
-        if point.feasible and (best is None or j > best.expected_return):
-            best = point
-            best_actions = actions
+        policies.append(actions)
+        returns.append(j)
+        gaps.append(totals - model.thresholds)
+        return j + lam @ gaps[-1]
 
-    monotone = True
-    if M == 1 and len(sweep) > 1:
-        costs = np.array([p.constraint_totals[0] for p in sweep])
-        monotone = bool(np.all(np.diff(costs) >= -1e-9))
+    add_plane(np.zeros(M))
+    # Columns: mu_1..mu_M, the slacks s_1..s_M, then one w_i per plane. The
+    # lam = 0 policy with mu_k or s_k absorbing each row's gap is feasible.
+    fixed = np.vstack([np.zeros((1, 2 * M)), np.hstack([-np.eye(M), np.eye(M)])])
+    basis = [2 * M] + [k if gaps[0][k] > 0 else M + k for k in range(M)]
+    for _ in range(10_000):
+        plane_gaps = np.reshape(gaps, (len(gaps), M))
+        A = np.hstack([fixed, np.vstack([np.ones(len(gaps)), plane_gaps.T])])
+        c = np.concatenate([np.full(M, penalty_floor), np.zeros(M), returns])
+        scale = max(1.0, np.abs(c).max(), -penalty_floor * np.abs(A).max())
+        basis, x, y = _simplex(A, c, basis, 1e-12 * scale)
+        lam = np.clip(-y[1:], penalty_floor, 0.0) + 0.0
+        if add_plane(lam) <= y[0] + 1e-10 * max(1.0, abs(y[0])):
+            break
+    else:
+        raise FloatingPointError("the cutting planes did not converge")
 
-    if best is None:
-        best = SweepPoint(np.full(M, np.nan), float("nan"), np.full(M, np.nan), False)
+    values = np.zeros(A.shape[1])
+    values[basis] = x
+    mixture = np.flatnonzero(values[2 * M:] > 1e-12)
+    weights = values[2 * M:][mixture] / values[2 * M:][mixture].sum()
+    feasible = bool(np.all(values[:M] <= 1e-9))
+    if feasible:
+        best_return = float(weights @ np.array(returns)[mixture])
+        best_costs = weights @ plane_gaps[mixture] + model.thresholds
+    else:
+        best_return, lam, best_costs = float("nan"), np.full(M, np.nan), np.full(M, np.nan)
+        mixture, weights = mixture[:0], weights[:0]
     return ReferenceSolution(
-        best_return=best.expected_return,
-        best_multipliers=best.multipliers,
-        best_costs=best.constraint_totals,
-        best_actions=best_actions,
-        feasible=best.feasible,
-        unconstrained=sweep[-1],  # the grid's last point is lam = 0
-        sweep=sweep,
-        monotone_costs=monotone,
+        best_return=best_return,
+        best_multipliers=lam,
+        best_costs=best_costs,
+        policies=np.array(policies)[mixture],
+        weights=weights,
+        feasible=feasible,
+        unconstrained_return=returns[0],
+        unconstrained_costs=gaps[0] + model.thresholds,
     )

@@ -400,11 +400,8 @@ def worker_count(num_seeds: int) -> int:
 
 def run_experiment(settings: dict, out_dir: Path, progress_every: int = 0) -> dict:
     """Run every seed, then write the aggregate CSV, summary, and plots; the
-    aggregate and the plots read the seeds' CSVs back, as `plot` does."""
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise CliError(f"cannot create output directory {out_dir}: {e}", EXIT_BAD_CONFIG)
+    aggregate and the plots read the seeds' CSVs back, as `plot` does. The
+    output directory is made only once the model, schedules and basis pass."""
     model = checked_model(settings["model"])
     sched_report = check_schedules(StepSizeSchedules(**settings["schedules"]))
     if not sched_report:
@@ -418,6 +415,10 @@ def run_experiment(settings: dict, out_dir: Path, progress_every: int = 0) -> di
             "feature basis rejected: " + "; ".join(basis_report.violations),
             EXIT_INVALID_MODEL,
         )
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise CliError(f"cannot create output directory {out_dir}: {e}", EXIT_BAD_CONFIG)
 
     started = time.perf_counter()
     workers = worker_count(len(settings["seeds"]))
@@ -444,9 +445,11 @@ def run_experiment(settings: dict, out_dir: Path, progress_every: int = 0) -> di
         reference = {
             "best_return": ref.best_return,
             "best_multipliers": ref.best_multipliers.tolist(),
+            "best_costs": ref.best_costs.tolist(),
+            "weights": ref.weights.tolist(),
             "feasible": ref.feasible,
-            "unconstrained_return": ref.unconstrained.expected_return,
-            "unconstrained_costs": ref.unconstrained.constraint_totals.tolist(),
+            "unconstrained_return": ref.unconstrained_return,
+            "unconstrained_costs": ref.unconstrained_costs.tolist(),
             "thresholds": model.thresholds.tolist(),
         }
 
@@ -528,6 +531,8 @@ def parse_multipliers(raw: str | None, model) -> np.ndarray:
 
 
 def cmd_train(args) -> int:
+    if args.progress_every < 0:
+        raise CliError("--progress-every must be a non-negative integer", EXIT_BAD_CONFIG)
     config_path = Path(args.config)
     doc = load_experiment_doc(config_path)
     # Overrides replace config entries before the checks, so both face the same ones.
@@ -597,27 +602,26 @@ def cmd_oracle_solve(args) -> int:
         print(f"unconstrained optimal return: {j:.6f}")
         return 0
     try:
-        ref = dp_oracle.constrained_reference(
-            model, penalty_floor=args.floor, num_points=args.points
-        )
+        ref = dp_oracle.constrained_reference(model, penalty_floor=args.floor)
     except ValueError as e:
-        raise CliError(f"bad multiplier grid: {e}", EXIT_BAD_CONFIG)
-    u = ref.unconstrained
+        raise CliError(f"bad --floor: {e}", EXIT_BAD_CONFIG)
     print(
-        f"unconstrained: return={u.expected_return:.6f} "
-        f"costs={np.array2string(u.constraint_totals, precision=4)}"
+        f"unconstrained: return={ref.unconstrained_return:.6f} "
+        f"costs={np.array2string(ref.unconstrained_costs, precision=4)}"
     )
     print(f"thresholds: {np.array2string(model.thresholds, precision=4)}")
     if not ref.feasible:
-        print("no feasible point found on the multiplier grid")
+        print("no mixture of policies meets the thresholds with multipliers above the floor")
         return EXIT_NUMERICAL_FAILURE
     print(
         f"best feasible greedy policy: J*={ref.best_return:.6f} at multipliers "
         f"{np.array2string(ref.best_multipliers, precision=4)} "
         f"costs={np.array2string(ref.best_costs, precision=4)}"
     )
-    if not ref.monotone_costs:
-        print("note: costs were not monotone along the sweep (greedy ties)")
+    print(
+        f"mixture of {ref.weights.size} deterministic policies, weights "
+        f"{np.array2string(ref.weights, precision=6)}"
+    )
     return 0
 
 
@@ -673,14 +677,14 @@ def _save_and_summarize_gridworld(config, out) -> int:
     ref = dp_oracle.constrained_reference(model)
     print(f"wrote {out}")
     print(
-        f"unconstrained: return={ref.unconstrained.expected_return:.4f} "
-        f"costs={np.array2string(ref.unconstrained.constraint_totals, precision=4)}"
+        f"unconstrained: return={ref.unconstrained_return:.4f} "
+        f"costs={np.array2string(ref.unconstrained_costs, precision=4)}"
     )
     print(f"thresholds: {np.array2string(config.thresholds, precision=4)}")
     if ref.feasible:
         print(f"reference J*: {ref.best_return:.4f}")
     else:
-        print("warning: no feasible greedy policy on the default multiplier grid")
+        print("warning: no mixture of policies meets the thresholds within the default floor")
     return 0
 
 
@@ -811,10 +815,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--tolerance", type=float, default=1e-5)
     p_grad.set_defaults(func=cmd_oracle_gradcheck)
 
-    p_solve = oracle_sub.add_parser("solve", help="multiplier-sweep reference solution")
+    p_solve = oracle_sub.add_parser(
+        "solve", help="exact constrained optimum: a mixture of deterministic policies"
+    )
     p_solve.add_argument("--model", required=True)
-    p_solve.add_argument("--floor", type=float, default=-100.0)
-    p_solve.add_argument("--points", type=int, default=101)
+    p_solve.add_argument(
+        "--floor", type=float, default=-100.0, help="lower end of every multiplier's range"
+    )
     p_solve.set_defaults(func=cmd_oracle_solve)
 
     p_eval = oracle_sub.add_parser("evaluate", help="exact return and costs of a policy")

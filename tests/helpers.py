@@ -164,3 +164,56 @@ def brute_deterministic_value(model, actions):
         J += p * r
         totals += p * c
     return J, totals
+
+
+def occupation_lp(model):
+    """The constrained optimum as a linear program over stage occupations.
+
+    Variables x_h(s, a) >= 0 with sum_a x_0(s, a) = beta(s) and
+    sum_a x_{h+1}(s', a) = sum_{s,a} x_h(s, a) p_h(s, a, s'); maximize the
+    expected return subject to one expected-cost row per constraint. Solved
+    by HiGHS, so it shares no code with the package's cutting planes.
+    Returns (J*, lambda*) with lambda*_k = dJ*/d(-alpha_k) <= 0, the price
+    of constraint k, or None when no occupation meets the thresholds.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    H, S, A, _ = model.kernels.shape
+    M = model.num_constraints
+    n = H * S * A
+    # Expected stage payoffs, the last stage carrying the terminal ones.
+    reward = np.einsum("hijk,hijk->hij", model.kernels, model.rewards)
+    reward[-1] += model.kernels[-1] @ model.terminal_reward
+    costs = np.einsum("hijk,chijk->chij", model.kernels, model.constraint_costs)
+    costs[:, -1] += np.einsum("ijk,ck->cij", model.kernels[-1], model.terminal_constraint_costs)
+
+    cols = np.arange(n)
+    rows = cols // A  # row h*S + s holds every action of state s at stage h
+    h, s, a, s_next = np.nonzero(model.kernels[:-1])
+    flow_rows = (h + 1) * S + s_next
+    flow_cols = (h * S + s) * A + a
+    a_eq = sparse.csr_matrix(
+        (
+            np.concatenate([np.ones(n), -model.kernels[h, s, a, s_next]]),
+            (np.concatenate([rows, flow_rows]), np.concatenate([cols, flow_cols])),
+        ),
+        shape=(H * S, n),
+    )
+    b_eq = np.zeros(H * S)
+    b_eq[:S] = model.initial_distribution
+    result = linprog(
+        -reward.ravel(),
+        A_ub=costs.reshape(M, n) if M else None,
+        b_ub=model.thresholds if M else None,
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    if result.status == 2:
+        return None
+    assert result.status == 0, result.message
+    prices = result.ineqlin.marginals if M else np.zeros(0)
+    return -result.fun, np.asarray(prices)

@@ -2,9 +2,11 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fhc_ac import (
     approximate_gradient,
@@ -21,6 +23,7 @@ from fhc_ac import (
     tabular_basis,
     tabular_policy,
 )
+from fhc_ac.experiment_cli import load_any_model
 
 from helpers import (
     brute_deterministic_value,
@@ -28,9 +31,12 @@ from helpers import (
     brute_policy_value,
     brute_state_values,
     iter_deterministic_policies,
+    occupation_lp,
     random_cmdp,
     random_policy,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_channel_tables_equal_per_state_action_expectations():
@@ -187,48 +193,82 @@ def test_greedy_response_attains_best_deterministic_penalized_value():
         assert penalized(greedy) == pytest.approx(best, abs=1e-12)
 
 
+def calibrated_cmdp(seed, num_constraints, num_states=3, num_actions=2, horizon=3):
+    """A random CMDP whose thresholds are 0.9 to 1.02 times the reward-greedy
+    policy's costs, so most constraints bind, some hold slack and some draws
+    are infeasible."""
+    rng = np.random.default_rng(seed)
+    model = random_cmdp(rng, num_states, num_actions, horizon, num_constraints)
+    _, free = evaluate_deterministic(model, greedy_response(model, np.zeros(num_constraints)))
+    return dataclasses.replace(
+        model, thresholds=free * rng.uniform(0.9, 1.02, size=num_constraints)
+    )
+
+
+def mixture_totals(model, ref):
+    """The reference mixture's J and costs, evaluated policy by policy."""
+    evaluated = [evaluate_deterministic(model, actions) for actions in ref.policies]
+    return (
+        math.fsum(w * j for w, (j, _) in zip(ref.weights, evaluated)),
+        sum(w * totals for w, (_, totals) in zip(ref.weights, evaluated)),
+    )
+
+
+def best_feasible_deterministic(model):
+    return max(
+        (
+            j
+            for actions in iter_deterministic_policies(model)
+            for j, totals in [evaluate_deterministic(model, actions)]
+            if np.all(totals <= model.thresholds + 1e-9)
+        ),
+        default=-np.inf,
+    )
+
+
+def assert_matches_the_occupation_lp(model, ref, penalty_floor=-100.0):
+    lp = occupation_lp(model)
+    if lp is None or np.any(lp[1] < penalty_floor):
+        assert not ref.feasible
+        return
+    j_star, prices = lp
+    assert ref.feasible
+    assert abs(ref.best_return - j_star) <= 1e-9 * max(1.0, abs(j_star))
+    assert np.all(np.abs(ref.best_multipliers - prices) <= 1e-9 * np.maximum(1.0, np.abs(prices)))
+
+
 def test_constrained_reference_finds_best_feasible_greedy_policy():
-    # On this instance the constraint cuts off the unconstrained optimum and
-    # the multiplier sweep still recovers the enumerated best feasible value.
+    # On this instance the constraint cuts off the unconstrained optimum; the
+    # exact optimum is the occupation LP's, and no feasible deterministic
+    # policy beats it.
     rng = np.random.default_rng(9)
     model = random_cmdp(rng, 2, 2, 2, 1)
-    feasible_best = -np.inf
-    any_infeasible = False
-    for actions in iter_deterministic_policies(model):
-        j, totals = evaluate_deterministic(model, actions)
-        if np.all(totals <= model.thresholds + 1e-9):
-            feasible_best = max(feasible_best, j)
-        else:
-            any_infeasible = True
+    any_infeasible = any(
+        np.any(evaluate_deterministic(model, actions)[1] > model.thresholds + 1e-9)
+        for actions in iter_deterministic_policies(model)
+    )
     assert any_infeasible, "constraint should exclude at least one policy"
-    ref = constrained_reference(model, penalty_floor=-50.0, num_points=201)
+    ref = constrained_reference(model, penalty_floor=-50.0)
     assert ref.feasible
-    assert ref.best_return == pytest.approx(feasible_best, abs=1e-9)
-    assert ref.unconstrained.expected_return >= ref.best_return - 1e-12
+    assert_matches_the_occupation_lp(model, ref, penalty_floor=-50.0)
+    assert ref.best_return >= best_feasible_deterministic(model) - 1e-9
+    assert ref.unconstrained_return >= ref.best_return - 1e-12
 
 
-def test_constrained_reference_result_is_feasible_and_below_enumeration():
-    # The sweep always returns a feasible deterministic policy, so its value
-    # can never exceed the enumerated best (it may fall short: the sweep only
-    # sees policies that are optimal for some penalty).
+def test_constrained_reference_mixture_is_feasible_and_above_enumeration():
+    # The mixture's own evaluation reproduces the reported return and costs,
+    # meets the threshold, and is at least the best feasible deterministic
+    # policy, which the optimum may beat by randomizing.
     for seed in (31, 35, 52):
         rng = np.random.default_rng(seed)
         model = random_cmdp(rng, 2, 2, 2, 1)
-        feasible_best = max(
-            (
-                j
-                for actions in iter_deterministic_policies(model)
-                for j, totals in [evaluate_deterministic(model, actions)]
-                if np.all(totals <= model.thresholds + 1e-9)
-            ),
-            default=-np.inf,
-        )
-        ref = constrained_reference(model, penalty_floor=-50.0, num_points=201)
+        ref = constrained_reference(model, penalty_floor=-50.0)
         assert ref.feasible
-        j, totals = evaluate_deterministic(model, ref.best_actions)
-        assert np.all(totals <= model.thresholds + 1e-9)
+        j, totals = mixture_totals(model, ref)
         assert j == pytest.approx(ref.best_return, abs=1e-12)
-        assert ref.best_return <= feasible_best + 1e-9
+        assert totals == pytest.approx(ref.best_costs, abs=1e-12)
+        assert np.all(totals <= model.thresholds + 1e-9)
+        assert ref.best_return >= best_feasible_deterministic(model) - 1e-9
 
 
 def test_constrained_reference_reports_infeasible_when_thresholds_impossible():
@@ -243,9 +283,57 @@ def test_constrained_reference_reports_infeasible_when_thresholds_impossible():
         terminal_constraint_costs=base.terminal_constraint_costs,
         thresholds=np.array([-1.0]),  # costs are nonnegative, so unattainable
     )
-    ref = constrained_reference(model, num_points=11)
+    assert occupation_lp(model) is None
+    ref = constrained_reference(model)
     assert not ref.feasible
     assert np.isnan(ref.best_return)
+    assert ref.weights.size == 0 and ref.policies.shape[0] == 0
+
+
+@pytest.mark.parametrize("num_constraints", [0, 1, 2, 3])
+def test_constrained_reference_matches_the_occupation_lp(num_constraints):
+    binding = 0
+    for seed in range(12):
+        model = calibrated_cmdp(seed, num_constraints)
+        ref = constrained_reference(model)
+        assert_matches_the_occupation_lp(model, ref)
+        binding += bool(ref.feasible and np.any(ref.best_multipliers < 0))
+    assert binding >= (6 if num_constraints else 0)  # at least half the draws bind
+
+
+@pytest.mark.parametrize(
+    "config",
+    ["gridworld_4x4.json", pytest.param("gridworld_5x5_h100.json", marks=pytest.mark.slow)],
+)
+def test_constrained_reference_matches_the_occupation_lp_on_the_shipped_worlds(config):
+    model = load_any_model(CONFIGS / config)
+    ref = constrained_reference(model)
+    assert ref.feasible and np.all(ref.best_multipliers < 0)
+    assert_matches_the_occupation_lp(model, ref)
+    assert ref.best_costs == pytest.approx(model.thresholds, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_constraints=st.integers(0, 3),
+    num_states=st.integers(2, 3),
+)
+def test_constrained_reference_mixture_properties(seed, num_constraints, num_states):
+    model = calibrated_cmdp(seed, num_constraints, num_states, 2, 2)
+    ref = constrained_reference(model)
+    if not ref.feasible:
+        lp = occupation_lp(model)
+        assert lp is None or np.any(lp[1] < -100.0)
+        return
+    deterministic = best_feasible_deterministic(model)
+    assert deterministic - 1e-9 <= ref.best_return <= ref.unconstrained_return + 1e-9
+    assert ref.weights.size == ref.policies.shape[0] <= num_constraints + 1
+    assert np.all(ref.weights >= 0) and math.fsum(ref.weights) == pytest.approx(1.0, abs=1e-12)
+    assert np.all((ref.best_multipliers <= 0) & (ref.best_multipliers >= -100.0))
+    j, totals = mixture_totals(model, ref)
+    assert j == pytest.approx(ref.best_return, abs=1e-9)
+    assert np.all(totals <= model.thresholds + 1e-9)
 
 
 def test_multiplier_shape_errors_are_rejected():

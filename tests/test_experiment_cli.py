@@ -3,6 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from fhc_ac import (
     build_gridworld,
     calibrate_threshold,
     constrained_reference,
+    evaluate_deterministic,
     make_cmdp,
     moving_average,
     random_gridworld,
@@ -40,10 +44,12 @@ GOLDEN_M2_SEED0_THETA_SHA256 = "ef1f4fc3b4c6a46c01054caf699543d56b440e234c93fb04
 # sha256 of the aggregate CSV and the charts of `train --config
 # configs/experiment_4x4.json --episodes 2000 --seeds 0,1`, taken while the
 # charts were still rendered from arrays the seeds returned, not read back
-# from their CSVs.
+# from their CSVs. returns.svg was re-taken when its J* line became the exact
+# optimum 37.722164 (the multiplier grid's 37.722159 before): J* tops the
+# chart's y-range, so two points of the return curves moved by 0.1 px.
 GOLDEN_4X4_TWO_SEED_SHA256 = {
     "aggregate.csv": "43db9db778904a64180829d35b6206af21e7ec97c319fb4c708e3519a20ef4f9",
-    "returns.svg": "1ac2924dadcd3674c3dc519c57b9308a37e3c32b8145a5ffd6de3cecfad8a437",
+    "returns.svg": "c92ef8fd2d22d1979f322ede858117778f8e4e93cacdd82cae7a390292ce0473",
     "costs_1.svg": "f58dc1beef4da4c7276927cc54f883160a9a78713a3dee40002b47ba427db733",
     "multipliers_1.svg": "db8421728a9d3cf6a1391c58054eae7f340fc0ae151c6109579ec1aa548aeb14",
 }
@@ -193,17 +199,18 @@ def test_train_rejects_malformed_configs(tmp_path):
     (tmp_path / "rows.json").write_text(json.dumps({"rows": 2}))
     config = write_experiment(tmp_path, model={"kind": "file", "path": "rows.json"})
     assert main(["train", "--config", str(config), "--out-dir", out]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_overrides_face_the_config_checks(tmp_path):
     config = write_experiment(tmp_path)
     out = str(tmp_path / "out")
     for override in (["--episodes", "0"], ["--episodes", "-5"], ["--seeds", "-1"],
-                     ["--seeds", "0,0"], ["--seeds", "0,x"]):
+                     ["--seeds", "0,0"], ["--seeds", "0,x"], ["--progress-every", "-1"]):
         assert main(["train", "--config", str(config), "--out-dir", out] + override) == 2
     config = write_experiment(tmp_path, seeds=[-1])
     assert main(["train", "--config", str(config), "--out-dir", out]) == 2
-    assert not list((tmp_path / "out").glob("*.csv"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_rejects_models_that_fail_validation(tmp_path):
@@ -220,11 +227,13 @@ def test_train_rejects_models_that_fail_validation(tmp_path):
     save_model(broken, tmp_path / "broken.json")
     config = write_experiment(tmp_path, model={"kind": "file", "path": "broken.json"})
     assert main(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_rejects_invalid_schedules_with_validation_exit(tmp_path):
     config = write_experiment(tmp_path, schedules={"critic_exponent": 0.4})
     assert main(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_exits_2_when_the_output_directory_cannot_be_made(tmp_path):
@@ -354,10 +363,11 @@ def test_oracle_commands_reject_invalid_models(tmp_path):
 
 def test_oracle_solve_reports_the_reference_point(tmp_path, capsys):
     model_path = tiny_gridworld_config(tmp_path)
-    assert main(["oracle", "solve", "--model", str(model_path), "--points", "21"]) == 0
+    assert main(["oracle", "solve", "--model", str(model_path)]) == 0
     out = capsys.readouterr().out
     assert "unconstrained" in out
     assert "best feasible" in out
+    assert "weights" in out
 
 
 def test_oracle_solve_prints_the_best_points_own_costs_and_rejects_bad_grids(
@@ -368,18 +378,46 @@ def test_oracle_solve_prints_the_best_points_own_costs_and_rejects_bad_grids(
     )
     path = tmp_path / "m2.json"
     save_model(model, path)
-    assert main(["oracle", "solve", "--model", str(path), "--points", "21"]) == 0
-    ref = constrained_reference(model, num_points=21)
+    assert main(["oracle", "solve", "--model", str(path)]) == 0
+    ref = constrained_reference(model)
     assert ref.feasible
-    best = [p for p in ref.sweep if np.array_equal(p.multipliers, ref.best_multipliers)]
-    assert len(best) == 1 and np.array_equal(best[0].constraint_totals, ref.best_costs)
-    line = next(ln for ln in capsys.readouterr().out.splitlines()
-                if ln.startswith("best feasible greedy policy:"))
+    # the printed costs are the mixture's own: its policies, weighted
+    totals = sum(w * evaluate_deterministic(model, actions)[1]
+                 for w, actions in zip(ref.weights, ref.policies))
+    assert totals == pytest.approx(ref.best_costs, abs=1e-12)
+    lines = capsys.readouterr().out.splitlines()
+    line = next(ln for ln in lines if ln.startswith("best feasible greedy policy:"))
     assert line.endswith(f"costs={np.array2string(ref.best_costs, precision=4)}")
+    weights = lines[lines.index(line) + 1]
+    assert weights.endswith(f"weights {np.array2string(ref.weights, precision=6)}")
 
-    for bad in (["--points", "0"], ["--points", "1"], ["--floor", "1"], ["--floor", "0"],
-                ["--floor", "nan"], ["--points", "500"]):
+    for bad in (["--floor", "1"], ["--floor", "0"], ["--floor", "nan"]):
         assert main(["oracle", "solve", "--model", str(path)] + bad) == 2, bad
+    # the multiplier grid is gone, and argparse rejects its option
+    for bad in (["--points", "21"], ["--points", "0"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["oracle", "solve", "--model", str(path)] + bad)
+        assert exit_info.value.code == 2, bad
+
+
+def test_oracle_solve_and_train_leave_scipy_unimported(tmp_path):
+    # Importing scipy.optimize costs a fresh process most of a second and about
+    # 40 MB, more than a whole solve; the package runs on numpy alone.
+    config = write_experiment(tmp_path, episodes=20, seeds=[0])
+    script = (
+        "import sys\n"
+        "from fhc_ac.experiment_cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")}
+    for argv in (["oracle", "solve", "--model", str(CONFIGS / "gridworld_4x4.json")],
+                 ["train", "--config", str(config), "--out-dir", str(tmp_path / "out")]):
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, (argv, done.stderr)
 
 
 def test_oracle_evaluate_and_fixedpoint_run_on_saved_policies(tmp_path, capsys):
