@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +49,7 @@ from .trainer import (
     StepSizeSchedules,
     TrainerConfig,
     check_schedules,
-    load_checkpoint,
+    load_checkpoint,  # unused here; bench/probe.py times calls at this name
     moving_average,
     save_checkpoint,
     stationarity_diagnostics,
@@ -341,9 +340,10 @@ def write_aggregate_csv(path: Path, series: dict) -> None:
 # seed execution
 
 
-def run_seed(settings: dict, seed: int, out_dir: Path, progress_every: int = 0):
-    """Train one seed, write its CSV and checkpoint, return its summary.json record."""
-    model = model_from_resolved(settings["model"])
+def run_seed(model, settings: dict, seed: int, out_dir: Path, progress_every: int = 0):
+    """Train one seed on the checked model, write its CSV and checkpoint, and
+    return its summary.json record with the exact stationarity diagnostics of
+    the trained state."""
     config = trainer_config(settings, seed)
     started = time.perf_counter()
 
@@ -368,7 +368,7 @@ def run_seed(settings: dict, seed: int, out_dir: Path, progress_every: int = 0):
     checkpoint_path = out_dir / f"{run_id}.checkpoint.json"
     save_checkpoint(state, checkpoint_path)
     tail = slice(max(metrics.returns.size - 10_000, 0), None)
-    return {
+    record = {
         "seed": seed,
         "run_id": run_id,
         "csv": str(csv_path),
@@ -380,11 +380,23 @@ def run_seed(settings: dict, seed: int, out_dir: Path, progress_every: int = 0):
         "floor_clipped_tail": int(np.count_nonzero(metrics.multiplier_floor_clipped[tail])),
         "seconds": time.perf_counter() - started,
     }
+    diag = stationarity_diagnostics(
+        model, state.policy, state.multipliers, penalty_floor=settings["penalty_floor"]
+    )
+    record["stationarity"] = {
+        "max_projected_gradient_norm": diag.max_projected_gradient_norm,
+        "max_multiplier_drift": diag.max_multiplier_drift,
+        "theta_bound_active": diag.theta_bound_active,
+        "expected_return": diag.expected_return,
+        "constraint_totals": diag.constraint_totals.tolist(),
+    }
+    return record
 
 
 def _seed_worker(payload):
     settings, seed, out_dir, progress_every = payload
-    return run_seed(settings, seed, Path(out_dir), progress_every)
+    model = model_from_resolved(settings["model"])
+    return run_seed(model, settings, seed, Path(out_dir), progress_every)
 
 
 def worker_count(num_seeds: int) -> int:
@@ -423,6 +435,8 @@ def run_experiment(settings: dict, out_dir: Path, progress_every: int = 0) -> di
     started = time.perf_counter()
     workers = worker_count(len(settings["seeds"]))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         payloads = [
             (settings, seed, str(out_dir), progress_every) for seed in settings["seeds"]
         ]
@@ -430,7 +444,8 @@ def run_experiment(settings: dict, out_dir: Path, progress_every: int = 0) -> di
             records = list(pool.map(_seed_worker, payloads))
     else:
         records = [
-            run_seed(settings, seed, out_dir, progress_every) for seed in settings["seeds"]
+            run_seed(model, settings, seed, out_dir, progress_every)
+            for seed in settings["seeds"]
         ]
 
     M = model.num_constraints
@@ -451,22 +466,6 @@ def run_experiment(settings: dict, out_dir: Path, progress_every: int = 0) -> di
             "unconstrained_return": ref.unconstrained_return,
             "unconstrained_costs": ref.unconstrained_costs.tolist(),
             "thresholds": model.thresholds.tolist(),
-        }
-
-    for record in records:
-        state = load_checkpoint(record["checkpoint"])
-        diag = stationarity_diagnostics(
-            model,
-            state.policy,
-            state.signed_multipliers(),
-            penalty_floor=settings["penalty_floor"],
-        )
-        record["stationarity"] = {
-            "max_projected_gradient_norm": diag.max_projected_gradient_norm,
-            "max_multiplier_drift": diag.max_multiplier_drift,
-            "theta_bound_active": diag.theta_bound_active,
-            "expected_return": diag.expected_return,
-            "constraint_totals": diag.constraint_totals.tolist(),
         }
 
     summary = {

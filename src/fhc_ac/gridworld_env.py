@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp_oracle
-from .mdp_model import FiniteHorizonCMDP, make_cmdp
+from .mdp_model import FiniteHorizonCMDP, make_cmdp, write_json
 
 DISPLACEMENTS = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
 NUM_ACTIONS = len(DISPLACEMENTS)
@@ -221,8 +221,7 @@ def calibrate_threshold(config: GridWorldConfig, fraction: float) -> GridWorldCo
 
 
 def save_gridworld_config(config: GridWorldConfig, path) -> None:
-    with open(path, "w") as f:
-        json.dump(gridworld_config_to_doc(config), f)
+    write_json(path, gridworld_config_to_doc(config))
 
 
 def load_gridworld_config(path) -> GridWorldConfig:

@@ -158,11 +158,13 @@ def validate(model: FiniteHorizonCMDP) -> ValidationReport:
         violations.append("initial distribution has negative entries")
 
     for name, table in [
+        ("kernels", model.kernels),
         ("rewards", model.rewards),
         ("terminal_reward", model.terminal_reward),
         ("constraint_costs", model.constraint_costs),
         ("terminal_constraint_costs", model.terminal_constraint_costs),
         ("thresholds", model.thresholds),
+        ("initial_distribution", model.initial_distribution),
     ]:
         if not np.isfinite(table).all():
             violations.append(f"{name} contains non-finite values")
@@ -288,8 +290,47 @@ def save_model(model: FiniteHorizonCMDP, path) -> None:
         "thresholds": model.thresholds.tolist(),
         "initial_distribution": model.initial_distribution.tolist(),
     }
+    write_json(path, doc)
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` to `path` as exactly the bytes `json.dump(doc, f)` writes.
+
+    `json.dump` streams through the pure-Python encoder. Here each innermost
+    row or matrix (a list of scalars, or a list of such lists) is one
+    `json.dumps` call, which runs the C encoder, and the text is written
+    piece by piece, never held whole. Dict keys must be str: any other key
+    raises TypeError.
+    """
     with open(path, "w") as f:
-        json.dump(doc, f)
+        f.writelines(_json_chunks(doc))
+
+
+def _nested(item) -> bool:
+    """A dict, or a list or tuple holding a container: not encoded in one call."""
+    return isinstance(item, dict) or (
+        isinstance(item, (list, tuple)) and any(isinstance(x, (dict, list, tuple)) for x in item)
+    )
+
+
+def _json_chunks(obj):
+    if isinstance(obj, dict):
+        yield "{"
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            yield (", " if i else "") + json.dumps(key) + ": "
+            yield from _json_chunks(value)
+        yield "}"
+    elif isinstance(obj, (list, tuple)) and any(map(_nested, obj)):
+        yield "["
+        for i, item in enumerate(obj):
+            if i:
+                yield ", "
+            yield from _json_chunks(item)
+        yield "]"
+    else:
+        yield json.dumps(obj)
 
 
 def load_model(path) -> FiniteHorizonCMDP:

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-from .mdp_model import FiniteHorizonCMDP, sample_index
+from .mdp_model import FiniteHorizonCMDP, sample_index, write_json
 
 
 def _gibbs(prefs: np.ndarray) -> np.ndarray:
@@ -123,8 +123,7 @@ def policy_from_doc(doc: dict) -> NonStationaryPolicy:
 
 def save_policy(policy: NonStationaryPolicy, path) -> None:
     """Write the policy as JSON; round-trips exactly."""
-    with open(path, "w") as f:
-        json.dump(policy_to_doc(policy), f)
+    write_json(path, policy_to_doc(policy))
 
 
 def load_policy(path) -> NonStationaryPolicy:

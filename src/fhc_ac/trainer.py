@@ -27,7 +27,7 @@ from .critic import (
     update_penalized_critic,
     zero_critic,
 )
-from .mdp_model import FiniteHorizonCMDP, ValidationReport, rollout
+from .mdp_model import FiniteHorizonCMDP, ValidationReport, rollout, write_json
 from .policy import NonStationaryPolicy, policy_from_doc, policy_to_doc, tabular_policy
 
 
@@ -351,8 +351,7 @@ def save_checkpoint(state: TrainerState, path) -> None:
         },
         "rng_state": state.rng.bit_generator.state,
     }
-    with open(path, "w") as f:
-        json.dump(doc, f)
+    write_json(path, doc)
 
 
 def load_checkpoint(path) -> TrainerState:

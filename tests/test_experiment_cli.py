@@ -16,12 +16,15 @@ from fhc_ac import (
     calibrate_threshold,
     constrained_reference,
     evaluate_deterministic,
+    load_checkpoint,
+    load_gridworld_config,
     make_cmdp,
     moving_average,
     random_gridworld,
     save_gridworld_config,
     save_model,
     save_policy,
+    stationarity_diagnostics,
     tabular_policy,
 )
 from fhc_ac.experiment_cli import csv_header, main, worker_count
@@ -230,6 +233,22 @@ def test_train_rejects_models_that_fail_validation(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_train_and_oracle_reject_non_finite_tables_with_validation_exit(tmp_path):
+    model = random_cmdp(np.random.default_rng(0), 3, 2, 2, 1)
+    kernels = model.kernels.copy()
+    kernels[1, 0, 1, 0] = np.nan
+    beta = model.initial_distribution.copy()
+    beta[2] = np.nan
+    for name, broken in [("kernels.json", dataclasses.replace(model, kernels=kernels)),
+                         ("beta.json", dataclasses.replace(model, initial_distribution=beta))]:
+        save_model(broken, tmp_path / name)
+        config = write_experiment(tmp_path, model={"kind": "file", "path": name})
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out-dir", str(out)]) == 3, name
+        assert not out.exists()
+        assert main(["oracle", "solve", "--model", str(tmp_path / name)]) == 3, name
+
+
 def test_train_rejects_invalid_schedules_with_validation_exit(tmp_path):
     config = write_experiment(tmp_path, schedules={"critic_exponent": 0.4})
     assert main(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
@@ -267,6 +286,60 @@ def test_parallel_seed_workers_match_sequential_output(tmp_path, monkeypatch):
     assert main(["train", "--config", str(config), "--out-dir", str(out_par)]) == 0
     for csv_seq in out_seq.glob("*-seed*.csv"):
         assert csv_seq.read_bytes() == (out_par / csv_seq.name).read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_summary_stationarity_equals_the_diagnostics_of_the_checkpoint(
+    tmp_path, monkeypatch, threads
+):
+    # The block is computed on the trained state in memory; reloading the
+    # checkpoint it was saved to must give the same numbers bit for bit.
+    monkeypatch.setenv("FHC_AC_THREADS", threads)
+    config = write_experiment(tmp_path, episodes=100)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    model = build_gridworld(load_gridworld_config(tmp_path / "model.json"))
+    for record in summary["seeds"]:
+        assert list(record)[-2:] == ["seconds", "stationarity"]
+        state = load_checkpoint(record["checkpoint"])
+        diag = stationarity_diagnostics(model, state.policy, state.multipliers)
+        assert record["stationarity"] == {
+            "max_projected_gradient_norm": diag.max_projected_gradient_norm,
+            "max_multiplier_drift": diag.max_multiplier_drift,
+            "theta_bound_active": diag.theta_bound_active,
+            "expected_return": diag.expected_return,
+            "constraint_totals": diag.constraint_totals.tolist(),
+        }
+
+
+def test_saved_files_are_the_bytes_of_json_dumps(tmp_path):
+    # Checkpoints, policies, models and grid-world configs go through one
+    # writer; its output must be what json.dump writes for the same document.
+    def assert_json_dumps_bytes(path):
+        assert path.read_bytes() == json.dumps(json.loads(path.read_text())).encode(), path
+
+    grid_path = tiny_gridworld_config(tmp_path)
+    assert_json_dumps_bytes(grid_path)
+    for m in (0, 2):
+        model = dataclasses.replace(
+            random_cmdp(np.random.default_rng(2), 4, 3, 4, m),
+            thresholds=np.array([3.5, 3.0][:m]),
+        )
+        model_path = tmp_path / f"m{m}.json"
+        save_model(model, model_path)
+        assert_json_dumps_bytes(model_path)
+        config = write_experiment(
+            tmp_path, model={"kind": "file", "path": model_path.name}, episodes=50, seeds=[0]
+        )
+        out = tmp_path / f"out{m}"
+        assert main(["train", "--config", str(config), "--out-dir", str(out)]) == 0
+        checkpoint = next(out.glob("*-seed0.checkpoint.json"))
+        assert_json_dumps_bytes(checkpoint)
+        assert len(json.loads(checkpoint.read_text())["multipliers"]) == m
+        policy_path = tmp_path / f"policy{m}.json"
+        save_policy(load_checkpoint(checkpoint).policy, policy_path)
+        assert_json_dumps_bytes(policy_path)
 
 
 def test_parallel_seed_workers_report_progress(tmp_path, monkeypatch, capfd):
@@ -418,6 +491,26 @@ def test_oracle_solve_and_train_leave_scipy_unimported(tmp_path):
             [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
         )
         assert done.returncode == 0, (argv, done.stderr)
+
+
+def test_one_worker_train_leaves_multiprocessing_unimported(tmp_path):
+    # The process pool's modules cost a fresh process about 20 ms; a run
+    # with one worker trains its seeds in turn and never needs them.
+    config = write_experiment(tmp_path, episodes=20)
+    script = (
+        "import sys\n"
+        "from fhc_ac.experiment_cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "for name in ('multiprocessing', 'concurrent.futures'):\n"
+        "    assert name not in sys.modules, name + ' was imported'\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src"), "FHC_AC_THREADS": "1"}
+    argv = ["train", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_oracle_evaluate_and_fixedpoint_run_on_saved_policies(tmp_path, capsys):

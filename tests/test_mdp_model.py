@@ -1,7 +1,10 @@
 """Model container, validation, sampling, and serialization."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fhc_ac import (
     load_model,
@@ -12,7 +15,7 @@ from fhc_ac import (
     tabular_policy,
     validate,
 )
-from fhc_ac.mdp_model import sample_index
+from fhc_ac.mdp_model import sample_index, write_json
 
 from helpers import random_cmdp, random_policy
 
@@ -84,6 +87,30 @@ def test_validate_flags_bad_initial_distribution():
     beta = model.initial_distribution.copy()
     object.__setattr__(model, "initial_distribution", beta * 2.0)
     assert not validate(model).ok
+
+
+def test_validate_flags_non_finite_kernels_and_initial_distribution():
+    # A NaN row sums to NaN, and every comparison with NaN is false, so the
+    # row-sum and sign checks alone let it through.
+    model = random_cmdp(np.random.default_rng(4), 3, 2, 2, 1)
+    for bad in (np.nan, np.inf):
+        kernels = model.kernels.copy()
+        kernels[1, 0, 1, 0] = bad
+        report = validate(make_cmdp(
+            kernels, model.rewards, model.terminal_reward, model.initial_distribution,
+            model.constraint_costs, model.terminal_constraint_costs, model.thresholds,
+        ))
+        assert not report.ok
+        assert "kernels contains non-finite values" in report.violations
+
+        beta = model.initial_distribution.copy()
+        beta[0] = bad
+        report = validate(make_cmdp(
+            model.kernels, model.rewards, model.terminal_reward, beta,
+            model.constraint_costs, model.terminal_constraint_costs, model.thresholds,
+        ))
+        assert not report.ok
+        assert "initial_distribution contains non-finite values" in report.violations
 
 
 def test_rollout_first_transition_matches_kernel_frequencies():
@@ -218,3 +245,35 @@ def test_save_load_round_trip_without_constraints(tmp_path):
     loaded = load_model(path)
     assert loaded.num_constraints == 0
     assert np.array_equal(loaded.kernels, model.kernels)
+
+
+JSON_SCALARS = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")])
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | st.text()
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=JSON_DOCS)
+def test_write_json_writes_the_bytes_of_json_dumps(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("json") / "doc.json"
+    write_json(path, doc)
+    assert path.read_bytes() == json.dumps(doc).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=JSON_DOCS, key=st.integers() | st.floats() | st.booleans() | st.none())
+def test_write_json_rejects_non_str_keys_at_any_depth(tmp_path_factory, doc, key):
+    path = tmp_path_factory.mktemp("json") / "doc.json"
+    with pytest.raises(TypeError):
+        write_json(path, [doc, {"outer": [{key: doc}]}])
+
