@@ -73,19 +73,40 @@ class CliError(Exception):
 # experiment configuration
 
 
-EXPERIMENT_KEYS = {
-    "name",
-    "model",
-    "episodes",
-    "seeds",
-    "window",
-    "temperature",
-    "param_bound",
-    "penalty_floor",
-    "schedules",
-    "sequential_critic",
-    "multiplier_sign",
-    "plots",
+def _integer(x) -> bool:
+    """A JSON integer; booleans are ints in Python but not here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _real(x) -> bool:
+    """A JSON number that is a finite double, booleans excluded."""
+    return (_integer(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
+
+
+# The one schema of an experiment config: key -> (default, accepts, what it
+# must be). A None default marks a required key; any key not listed is refused.
+SETTING_RULES = {
+    "name": ("experiment", lambda x: isinstance(x, str), "a string"),
+    "model": (None, lambda x: isinstance(x, dict), "an object"),
+    "episodes": (None, lambda x: _integer(x) and x > 0, "a positive integer"),
+    "seeds": (
+        None,
+        lambda x: isinstance(x, list) and len(x) > 0
+        and all(_integer(s) and s >= 0 for s in x) and len(set(x)) == len(x),
+        "a non-empty list of distinct non-negative integers",
+    ),
+    "window": (10_000, lambda x: _integer(x) and x > 0, "a positive integer"),
+    "temperature": (TrainerConfig.temperature, lambda x: _real(x) and x > 0, "a positive number"),
+    "param_bound": (TrainerConfig.param_bound, lambda x: _real(x) and x > 0, "a positive number"),
+    "penalty_floor": (
+        TrainerConfig.penalty_floor, lambda x: _real(x) and x < 0, "a negative number"
+    ),
+    "schedules": (
+        {},
+        lambda x: isinstance(x, dict) and all(map(_real, x.values())),
+        "an object of finite numbers",
+    ),
+    "plots": (True, lambda x: isinstance(x, bool), "a JSON boolean"),
 }
 
 
@@ -99,19 +120,19 @@ def load_experiment_doc(path: Path) -> dict:
         raise CliError(f"experiment config is not valid JSON: {e}", EXIT_BAD_CONFIG)
     if not isinstance(doc, dict):
         raise CliError("experiment config must be a JSON object", EXIT_BAD_CONFIG)
-    unknown = set(doc) - EXPERIMENT_KEYS
+    unknown = set(doc) - set(SETTING_RULES)
     if unknown:
         raise CliError(f"unknown experiment keys: {sorted(unknown)}", EXIT_BAD_CONFIG)
-    for key in ("model", "episodes", "seeds"):
-        if key not in doc:
+    for key, (default, _, _) in SETTING_RULES.items():
+        if default is None and key not in doc:
             raise CliError(f"experiment config missing required key {key!r}", EXIT_BAD_CONFIG)
     return doc
 
 
 def resolve_model_doc(model_section: dict, base_dir: Path) -> dict:
     """Inline the model content so the config hash covers what actually ran."""
-    if not isinstance(model_section, dict) or "kind" not in model_section:
-        raise CliError("model section must be an object with a 'kind'", EXIT_BAD_CONFIG)
+    if "kind" not in model_section:
+        raise CliError("model section needs a 'kind'", EXIT_BAD_CONFIG)
     kind = model_section["kind"]
     if kind == "gridworld":
         if "gridworld" not in model_section:
@@ -156,79 +177,33 @@ def checked_model(resolved: dict):
     return model
 
 
-def _integer(x) -> bool:
-    """A JSON integer; booleans are ints in Python but not here."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _real(x) -> bool:
-    """A JSON number that is a finite double, booleans excluded."""
-    return (_integer(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
-
-
-# The checked experiment settings: key -> (default, accepts, what it must be).
-SETTING_RULES = {
-    "episodes": (None, lambda x: _integer(x) and x > 0, "a positive integer"),
-    "seeds": (
-        None,
-        lambda x: isinstance(x, list) and len(x) > 0
-        and all(_integer(s) and s >= 0 for s in x) and len(set(x)) == len(x),
-        "a non-empty list of distinct non-negative integers",
-    ),
-    "window": (10_000, lambda x: _integer(x) and x > 0, "a positive integer"),
-    "temperature": (1.0, lambda x: _real(x) and x > 0, "a positive number"),
-    "param_bound": (10.0, lambda x: _real(x) and x > 0, "a positive number"),
-    "penalty_floor": (-100.0, lambda x: _real(x) and x < 0, "a negative number"),
-    "schedules": (
-        {},
-        lambda x: isinstance(x, dict) and all(map(_real, x.values())),
-        "an object of finite numbers",
-    ),
-    "multiplier_sign": (
-        "negative", lambda x: x in ("negative", "positive"), "'negative' or 'positive'"
-    ),
-}
-
-
 def experiment_settings(doc: dict, base_dir: Path) -> dict:
     """Apply defaults, check every value and resolve the model; returns the
-    canonical settings.
+    canonical settings, one entry per SETTING_RULES key.
 
     A value that breaks its SETTING_RULES entry exits 2; the step-size
     exponents and scales are judged later by `check_schedules`.
     """
-    values = {}
+    settings = {}
     for key, (default, accepts, what) in SETTING_RULES.items():
-        values[key] = doc.get(key, default)
-        if not accepts(values[key]):
+        settings[key] = doc.get(key, default)
+        if not accepts(settings[key]):
             raise CliError(f"{key!r} must be {what}", EXIT_BAD_CONFIG)
     try:
-        sched = StepSizeSchedules(**values["schedules"])
+        settings["schedules"] = dataclasses.asdict(StepSizeSchedules(**settings["schedules"]))
     except TypeError as e:
         raise CliError(f"bad schedules section: {e}", EXIT_BAD_CONFIG)
     try:
-        resolved_model = resolve_model_doc(doc["model"], base_dir)
+        settings["model"] = resolve_model_doc(settings["model"], base_dir)
     except (TypeError, ValueError) as e:
         raise CliError(f"bad model section: {e}", EXIT_BAD_CONFIG)
-    return {
-        "name": doc.get("name", "experiment"),
-        "model": resolved_model,
-        "episodes": values["episodes"],
-        "seeds": list(values["seeds"]),
-        "window": values["window"],
-        "temperature": float(values["temperature"]),
-        "param_bound": float(values["param_bound"]),
-        "penalty_floor": float(values["penalty_floor"]),
-        "schedules": dataclasses.asdict(sched),
-        # No effect on training; kept because config_hash digests it.
-        "sequential_critic": bool(doc.get("sequential_critic", False)),
-        "multiplier_sign": values["multiplier_sign"],
-        "plots": bool(doc.get("plots", True)),
-    }
+    for key in ("temperature", "param_bound", "penalty_floor"):
+        settings[key] = float(settings[key])
+    return settings
 
 
 def config_hash(settings: dict) -> str:
-    canonical = {k: v for k, v in settings.items() if k not in ("plots",)}
+    canonical = {k: v for k, v in settings.items() if k != "plots"}
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
@@ -242,15 +217,6 @@ def trainer_config(settings: dict, seed: int) -> TrainerConfig:
         penalty_floor=settings["penalty_floor"],
         schedules=StepSizeSchedules(**settings["schedules"]),
     )
-
-
-def reported_multipliers(settings: dict, multipliers: np.ndarray) -> np.ndarray:
-    """Multipliers as a run reports them in its CSV, summary and plots.
-
-    The trainer keeps the non-positive penalties; the "positive" convention
-    mirrors them through zero as 0.0 - lambda, which maps a zero to +0.0.
-    """
-    return 0.0 - multipliers if settings["multiplier_sign"] == "positive" else multipliers
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +325,6 @@ def run_seed(model, settings: dict, seed: int, out_dir: Path, progress_every: in
         and np.all(np.isfinite(state.multipliers))
     ):
         raise FloatingPointError(f"seed {seed}: training produced non-finite values")
-    metrics = dataclasses.replace(
-        metrics, multipliers=reported_multipliers(settings, metrics.multipliers)
-    )
     run_id = f"{config_hash(settings)}-seed{seed}"
     csv_path = out_dir / f"{run_id}.csv"
     ma = write_run_csv(csv_path, metrics, settings["window"])
@@ -375,7 +338,7 @@ def run_seed(model, settings: dict, seed: int, out_dir: Path, progress_every: in
         "checkpoint": str(checkpoint_path),
         "final_ma_return": float(ma["ma_return"][-1]),
         "final_ma_costs": [float(c[-1]) for c in ma["ma_costs"]],
-        "final_multipliers": reported_multipliers(settings, state.multipliers).tolist(),
+        "final_multipliers": state.multipliers.tolist(),
         "theta_clipped_tail": int(np.count_nonzero(metrics.theta_clipped[tail])),
         "floor_clipped_tail": int(np.count_nonzero(metrics.multiplier_floor_clipped[tail])),
         "seconds": time.perf_counter() - started,
@@ -517,6 +480,8 @@ def parse_multipliers(raw: str | None, model) -> np.ndarray:
         values = np.array([float(x) for x in raw.split(",") if x.strip() != ""])
     except ValueError:
         raise CliError(f"bad multipliers {raw!r}", EXIT_BAD_CONFIG)
+    if not np.all(np.isfinite(values)):
+        raise CliError(f"multipliers must be finite, got {raw!r}", EXIT_BAD_CONFIG)
     if values.shape != (model.num_constraints,):
         raise CliError(
             f"expected {model.num_constraints} multipliers, got {values.size}",
@@ -569,6 +534,8 @@ def cmd_oracle_gradcheck(args) -> int:
         raise CliError("--instances must be at least 1", EXIT_BAD_CONFIG)
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise CliError("--tolerance must be a positive finite number", EXIT_BAD_CONFIG)
+    if args.seed < 0:
+        raise CliError("--seed must be a non-negative integer", EXIT_BAD_CONFIG)
     model = load_any_model(Path(args.model))
     rng = np.random.default_rng(args.seed)
     sets = reachable_sets(model)
@@ -627,6 +594,7 @@ def cmd_oracle_solve(args) -> int:
 def cmd_oracle_evaluate(args) -> int:
     model = load_any_model(Path(args.model))
     policy = load_policy_for(model, args.policy)
+    lam = parse_multipliers(args.multipliers, model)
     j, totals = dp_oracle.evaluate_policy(model, policy)
     print(f"expected return: {j:.6f}")
     for k in range(model.num_constraints):
@@ -635,7 +603,6 @@ def cmd_oracle_evaluate(args) -> int:
             f"constraint {k + 1}: cost {totals[k]:.6f} {rel} threshold "
             f"{model.thresholds[k]:.6f}"
         )
-    lam = parse_multipliers(args.multipliers, model)
     if np.any(lam != 0.0):
         value = dp_oracle.lagrangian_value(model, policy, lam)
         print(f"penalized value at multipliers {lam.tolist()}: {value:.6f}")
@@ -730,23 +697,21 @@ def cmd_env_benchmark(args) -> int:
 def _check_plot_inputs(summary, summary_path: Path) -> None:
     """Exit 2 unless summary.json holds every entry `plot` reads, with its type."""
 
-    def numbers(xs):
-        return isinstance(xs, list) and all(isinstance(x, (int, float)) for x in xs)
-
     try:
         reference = summary.get("reference")
         ok = (
-            isinstance(summary["num_constraints"], int)
-            and numbers(summary["thresholds"])
+            _integer(summary["num_constraints"])
+            and isinstance(summary["thresholds"], list)
+            and all(map(_real, summary["thresholds"]))
             and len(summary["thresholds"]) == summary["num_constraints"]
-            and isinstance(summary["window"], int)
+            and _integer(summary["window"])
             and summary["window"] > 0
             and isinstance(summary["seeds"], list)
             and len(summary["seeds"]) > 0
-            and all(isinstance(e["seed"], int) and isinstance(e["csv"], str)
+            and all(_integer(e["seed"]) and isinstance(e["csv"], str)
                     for e in summary["seeds"])
             and (reference is None or not reference["feasible"]
-                 or numbers([reference["best_return"]]))
+                 or _real(reference["best_return"]))
         )
     except (AttributeError, KeyError, TypeError):
         ok = False

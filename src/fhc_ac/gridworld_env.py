@@ -114,6 +114,8 @@ def random_schedule(
     """Per-stage sparse cell values: `cells_per_stage` cells drawn per stage."""
     if not 0 <= cells_per_stage <= num_cells:
         raise ValueError("cells_per_stage outside [0, num_cells]")
+    if not np.isfinite([low, high]).all():
+        raise ValueError(f"cell value range ({low}, {high}) is not finite")
     out = np.zeros((horizon + 1, num_cells))
     for h in range(horizon + 1):
         chosen = rng.choice(num_cells, size=cells_per_stage, replace=False)

@@ -184,7 +184,9 @@ def test_train_rejects_malformed_configs(tmp_path):
         {"temperature": False}, {"temperature": 10**400}, {"param_bound": -1},
         {"param_bound": "12"},
         {"schedules": {"critic_scale": "x"}}, {"schedules": {"actor_scale": True}},
-        {"multiplier_sign": "both"},
+        # keys that are gone, and values that are not a JSON boolean or string
+        {"sequential_critic": False}, {"multiplier_sign": "negative"},
+        {"plots": "no"}, {"plots": 0}, {"name": 5},
     ):
         config = write_experiment(tmp_path, **bad_values)
         assert main(["train", "--config", str(config), "--out-dir", out]) == 2, bad_values
@@ -379,6 +381,11 @@ def test_env_generate_validates_before_it_writes(tmp_path):
     # a NaN threshold fails validation, and nothing is written
     assert main(small + ["--threshold-fraction", "nan", "--out", str(out)]) == 3
     assert not out.exists()
+    # a cell value range that is not finite cannot be drawn from
+    for bad in (["--reward-high", "nan"], ["--reward-low=-inf"], ["--cost-high", "inf"],
+                ["--cost-low", "nan"]):
+        assert main(small + bad + ["--out", str(out)]) == 2, bad
+    assert not out.exists()
 
 
 def test_env_benchmark_writes_the_fixed_world_deterministically(tmp_path, capsys):
@@ -409,7 +416,8 @@ def test_oracle_gradcheck_rejects_arguments_that_check_nothing(tmp_path, capsys)
     path = tmp_path / "model.json"
     save_model(random_cmdp(np.random.default_rng(1), 3, 2, 2, 1), path)
     for bad in (["--instances", "0"], ["--instances", "-3"], ["--tolerance", "nan"],
-                ["--tolerance", "inf"], ["--tolerance", "0"], ["--tolerance=-1e-5"]):
+                ["--tolerance", "inf"], ["--tolerance", "0"], ["--tolerance=-1e-5"],
+                ["--seed", "-1"]):
         assert main(["oracle", "gradcheck", "--model", str(path)] + bad) == 2, bad
     assert "PASS" not in capsys.readouterr().out
 
@@ -534,8 +542,11 @@ def test_oracle_evaluate_and_fixedpoint_run_on_saved_policies(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "max |projected - exact|" in out
 
-    assert main(["oracle", "evaluate", "--model", str(model_path),
-                 "--policy", str(policy_path), "--multipliers=-1,-2"]) == 2
+    for bad in ("-1,-2", "nan", "inf", "-inf"):
+        for command in ("evaluate", "fixedpoint"):
+            assert main(["oracle", command, "--model", str(model_path),
+                         "--policy", str(policy_path), f"--multipliers={bad}"]) == 2, bad
+    assert "penalized value" not in capsys.readouterr().out
 
     # a policy file in the old ragged per-stage layout is refused with exit 2
     old_layout = tmp_path / "old.json"
@@ -649,6 +660,9 @@ def test_plot_rejects_malformed_summaries(tmp_path):
         {**good, "thresholds": []},
         {**good, "thresholds": ["a"]},
         {**good, "window": None},
+        {**good, "window": True},
+        {**good, "thresholds": [True]},
+        {**good, "seeds": [{**good["seeds"][0], "seed": False}]},
         {**good, "seeds": [{"seed": 0}]},
         {**good, "reference": {"feasible": True}},
         {**good, "num_constraints": 2, "thresholds": [1.0, 2.0]},  # CSV has one cost column

@@ -1,8 +1,6 @@
 """Training loop: schedules, updates, determinism, checkpoints, diagnostics."""
 
 import dataclasses
-import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -20,22 +18,12 @@ from fhc_ac import (
     multiplier_update,
     rollout,
     save_checkpoint,
-    save_model,
     stationarity_diagnostics,
     tabular_policy,
     train,
 )
 
-from fhc_ac.experiment_cli import main, reported_multipliers
-
 from helpers import random_cmdp, random_policy
-
-# sha256 of the seed-0 CSV of the "positive"-convention run in
-# test_training_with_opposite_sign_conventions_matches_exactly, taken while
-# the trainer still stored positive multipliers itself.
-GOLDEN_M2_POSITIVE_SEED0_SHA256 = (
-    "4317f71b7a7a9640868ea8fb742880a54378d8a055950c19d25481c218cbe86d"
-)
 
 
 def test_check_schedules_accepts_the_default_trio():
@@ -158,32 +146,6 @@ def test_multiplier_update_moves_against_the_gap_and_clamps():
     assert new[0] == 0.0 and zero_hit and not floor_hit
 
 
-def test_multiplier_update_positive_convention_mirrors_negative():
-    # The "positive" convention is only a mirror of what a run reports; it
-    # must give the bits of the update rule that kept positive multipliers,
-    # which moved by +step * estimate inside [0, -penalty_floor].
-    cfg = TrainerConfig(episodes=1, penalty_floor=-2.0)
-    settings = {"multiplier_sign": "positive"}
-    rng = np.random.default_rng(4)
-    stored_n = np.array([-0.4, -1.7])
-    stored_p = np.array([0.4, 1.7])
-    zero_clamps = 0
-    for _ in range(50):
-        est = rng.normal(size=2)
-        step = rng.uniform(0.01, 1.0)
-        stored_n, fn, zn = multiplier_update(stored_n, est, step, cfg)
-        proposed = stored_p + step * est
-        fp, zp = bool((proposed > 2.0).any()), bool((proposed < 0.0).any())
-        stored_p = np.clip(proposed, 0.0, 2.0)
-        mirrored = reported_multipliers(settings, stored_n)
-        assert np.array_equal(mirrored, stored_p)
-        assert np.array_equal(np.signbit(mirrored), np.signbit(stored_p))  # no -0.0
-        assert (fn, zn) == (fp, zp)
-        zero_clamps += zn
-    assert zero_clamps > 0
-    assert reported_multipliers({"multiplier_sign": "negative"}, stored_n) is stored_n
-
-
 def test_training_is_deterministic_for_a_fixed_seed():
     rng = np.random.default_rng(5)
     model = random_cmdp(rng, 3, 2, 2, 1)
@@ -198,40 +160,6 @@ def test_training_is_deterministic_for_a_fixed_seed():
     # the critics start at zero, so the first recorded estimates are zero
     assert metrics_a.value_estimates[0] == 0.0
     assert np.array_equal(metrics_a.gap_estimates[0], [0.0])
-
-
-def test_training_with_opposite_sign_conventions_matches_exactly(tmp_path):
-    # Both conventions train the same run: the "positive" one mirrors the
-    # multiplier columns and the final multipliers, and both checkpoints
-    # hold the same non-positive multipliers and policy table bit for bit.
-    model = dataclasses.replace(
-        random_cmdp(np.random.default_rng(2), 4, 3, 4, 2), thresholds=np.array([3.5, 3.0])
-    )
-    save_model(model, tmp_path / "m2.json")
-    runs = {}
-    for sign in ("negative", "positive"):
-        doc = {"name": "tiny", "model": {"kind": "file", "path": "m2.json"}, "episodes": 2000,
-               "seeds": [0], "window": 200, "plots": False, "multiplier_sign": sign}
-        (tmp_path / f"{sign}.json").write_text(json.dumps(doc))
-        out = tmp_path / sign
-        assert main(["train", "--config", str(tmp_path / f"{sign}.json"),
-                     "--out-dir", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text())["seeds"][0]
-        runs[sign] = (next(out.glob("*-seed0.csv")), summary)
-
-    (csv_n, summary_n), (csv_p, summary_p) = runs["negative"], runs["positive"]
-    assert hashlib.sha256(csv_p.read_bytes()).hexdigest() == GOLDEN_M2_POSITIVE_SEED0_SHA256
-    data_n = np.loadtxt(csv_n, delimiter=",", skiprows=1)
-    data_p = np.loadtxt(csv_p, delimiter=",", skiprows=1)
-    lam = slice(4, 6)  # episode, return, cost_1, cost_2, lambda_1, lambda_2, ...
-    assert np.array_equal(data_p[:, lam], 0.0 - data_n[:, lam])
-    assert data_p[:, lam].max() > 0.0  # the multipliers moved
-    assert np.array_equal(np.delete(data_p, lam, axis=1), np.delete(data_n, lam, axis=1))
-    assert summary_p["final_multipliers"] == [0.0 - x for x in summary_n["final_multipliers"]]
-    state_n = load_checkpoint(summary_n["checkpoint"])
-    state_p = load_checkpoint(summary_p["checkpoint"])
-    assert np.array_equal(state_n.multipliers, state_p.multipliers)
-    assert np.array_equal(state_n.policy.stage_params, state_p.policy.stage_params)
 
 
 def test_training_runs_without_constraints():
