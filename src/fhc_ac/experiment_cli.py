@@ -7,8 +7,8 @@ oracle      exact-solver utilities: gradcheck, solve, evaluate, fixedpoint
 env         grid-world helpers: generate a calibrated random instance
 plot        re-render the SVG charts from a finished run directory
 
-Exit codes: 0 success; 2 unusable configuration or arguments; 3 a model,
-schedule, or basis failed validation; 4 numerical failure at run time.
+Exit codes: 0 success; 2 unusable configuration or arguments; 3 a model or
+schedule failed validation; 4 numerical failure at run time.
 
 Per-seed CSV columns are `episode,return,cost_1..cost_M,lambda_1..lambda_M,
 ma_return,ma_cost_1..ma_cost_M`, where the ma columns are trailing moving
@@ -44,7 +44,7 @@ from .gridworld_env import (
 from .mdp_model import model_from_doc, reachable_sets, validate
 from .plots import write_experiment_plots
 from .policy import load_policy, tabular_policy
-from .critic import fixed_points, tabular_basis, validate_basis
+from .critic import fixed_points, tabular_basis
 from .trainer import (
     StepSizeSchedules,
     TrainerConfig,
@@ -376,18 +376,12 @@ def worker_count(num_seeds: int) -> int:
 def run_experiment(settings: dict, out_dir: Path, progress_every: int = 0) -> dict:
     """Run every seed, then write the aggregate CSV, summary, and plots; the
     aggregate and the plots read the seeds' CSVs back, as `plot` does. The
-    output directory is made only once the model, schedules and basis pass."""
+    output directory is made only once the model and schedules pass."""
     model = checked_model(settings["model"])
     sched_report = check_schedules(StepSizeSchedules(**settings["schedules"]))
     if not sched_report:
         raise CliError(
             "step-size schedules rejected: " + "; ".join(sched_report.violations),
-            EXIT_INVALID_MODEL,
-        )
-    basis_report = validate_basis(tabular_basis(model), model)
-    if not basis_report:
-        raise CliError(
-            "feature basis rejected: " + "; ".join(basis_report.violations),
             EXIT_INVALID_MODEL,
         )
     try:

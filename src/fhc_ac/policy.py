@@ -26,15 +26,17 @@ class NonStationaryPolicy:
     """
 
     def __init__(self, stage_params, temperature: float = 1.0, param_bound: float = 10.0):
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if param_bound <= 0:
-            raise ValueError("param_bound must be positive")
+        if not (np.isfinite(temperature) and temperature > 0):
+            raise ValueError(f"temperature must be positive and finite, got {temperature}")
+        if not (np.isfinite(param_bound) and param_bound > 0):
+            raise ValueError(f"param_bound must be positive and finite, got {param_bound}")
         self.temperature = float(temperature)
         self.param_bound = float(param_bound)
         params = np.asarray(stage_params, dtype=float)
         if params.ndim != 3:
             raise ValueError(f"stage_params must have shape (H, S, A), got {params.shape}")
+        if not np.isfinite(params).all():
+            raise ValueError("stage_params must be finite")
         self.stage_params = self.project_params(params)
 
     @property

@@ -21,7 +21,6 @@ import numpy as np
 from . import dp_oracle
 from .critic import (
     CriticState,
-    StageFeatureBasis,
     tabular_basis,
     update_constraint_critic,
     update_penalized_critic,
@@ -104,12 +103,12 @@ class TrainerConfig:
 
 @dataclass
 class TrainerState:
-    """Everything the loop mutates, sufficient to stop and resume exactly."""
+    """Everything the loop mutates, sufficient to stop and resume exactly; the
+    critics' features are the model's tabular basis, which `train` rebuilds."""
 
     config: TrainerConfig
     policy: NonStationaryPolicy
     critic: CriticState
-    basis: StageFeatureBasis
     multipliers: np.ndarray      # non-positive penalties, (M,)
     episode: int
     rng: np.random.Generator
@@ -119,28 +118,34 @@ class TrainerState:
         return self.multipliers.copy()
 
 
-def make_trainer(
-    model: FiniteHorizonCMDP,
-    config: TrainerConfig,
-    basis: StageFeatureBasis | None = None,
-    policy: NonStationaryPolicy | None = None,
-) -> TrainerState:
+def make_trainer(model: FiniteHorizonCMDP, config: TrainerConfig) -> TrainerState:
     report = check_schedules(config.schedules)
     if not report:
         raise ValueError("; ".join(report.violations))
-    if basis is None:
-        basis = tabular_basis(model)
-    if policy is None:
-        policy = tabular_policy(model, config.temperature, config.param_bound)
     return TrainerState(
         config=config,
-        policy=policy,
-        critic=zero_critic(basis, model.num_constraints),
-        basis=basis,
+        policy=tabular_policy(model, config.temperature, config.param_bound),
+        critic=zero_critic(tabular_basis(model), model.num_constraints),
         multipliers=np.zeros(model.num_constraints),
         episode=0,
         rng=np.random.default_rng(config.seed),
     )
+
+
+def _check_resumable(state: TrainerState, model: FiniteHorizonCMDP, config: TrainerConfig):
+    """Raise ValueError unless `state` has the shapes and policy settings of
+    `make_trainer(model, config)`."""
+    fresh = make_trainer(model, config)
+    for name, got, want in [
+        ("policy table shape", state.policy.stage_params.shape, fresh.policy.stage_params.shape),
+        ("critic v shape", state.critic.v.shape, fresh.critic.v.shape),
+        ("critic w shape", state.critic.w.shape, fresh.critic.w.shape),
+        ("multipliers shape", state.multipliers.shape, fresh.multipliers.shape),
+        ("temperature", state.policy.temperature, fresh.policy.temperature),
+        ("param_bound", state.policy.param_bound, fresh.policy.param_bound),
+    ]:
+        if got != want:
+            raise ValueError(f"cannot resume: the state's {name} is {got}, need {want}")
 
 
 def actor_update(policy: NonStationaryPolicy, episode, deltas, step: float) -> bool:
@@ -202,11 +207,15 @@ def train(
 ):
     """Run episodes until `config.episodes`; returns (state, metrics).
 
-    Resumes from `state` when given; metrics cover only the episodes run by
-    this call. The loop is deterministic given the model, config, and seed.
+    Resumes from `state` when given (ValueError if it does not fit the model
+    and config) and records `config` in it; metrics cover only the episodes
+    run by this call. The loop is deterministic given the model, config, and seed.
     """
     if state is None:
         state = make_trainer(model, config)
+    else:
+        _check_resumable(state, model, config)
+        state.config = config
     H, M = model.horizon, model.num_constraints
     schedules = config.schedules
     count = max(config.episodes - state.episode, 0)
@@ -221,7 +230,7 @@ def train(
         multiplier_zero_clipped=np.zeros(count, dtype=bool),
     )
 
-    policy, critic, basis = state.policy, state.critic, state.basis
+    policy, critic, basis = state.policy, state.critic, tabular_basis(model)
     # The actor moves only the H rows (h, s_h) of each episode, so the
     # distribution table is built once and refreshed row by row.
     table = policy.distribution_table()
@@ -345,10 +354,6 @@ def save_checkpoint(state: TrainerState, path) -> None:
         "multipliers": state.multipliers.tolist(),
         "policy": policy_to_doc(state.policy),
         "critic": {"v": state.critic.v.tolist(), "w": state.critic.w.tolist()},
-        "basis": {
-            "matrices": [m.tolist() for m in state.basis.matrices],
-            "reachable": [r.tolist() for r in state.basis.reachable],
-        },
         "rng_state": state.rng.bit_generator.state,
     }
     write_json(path, doc)
@@ -363,17 +368,12 @@ def load_checkpoint(path) -> TrainerState:
     policy = policy_from_doc(doc["policy"])
     v = np.asarray(doc["critic"]["v"], dtype=float)
     critic = CriticState(v, np.asarray(doc["critic"]["w"], dtype=float).reshape((-1,) + v.shape))
-    basis = StageFeatureBasis(
-        [np.asarray(m, dtype=float) for m in doc["basis"]["matrices"]],
-        [np.asarray(r, dtype=np.int64) for r in doc["basis"]["reachable"]],
-    )
     rng = np.random.default_rng()
     rng.bit_generator.state = doc["rng_state"]
     return TrainerState(
         config=config,
         policy=policy,
         critic=critic,
-        basis=basis,
         multipliers=np.asarray(doc["multipliers"], dtype=float),
         episode=int(doc["episode"]),
         rng=rng,

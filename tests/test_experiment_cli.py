@@ -557,6 +557,19 @@ def test_oracle_evaluate_and_fixedpoint_run_on_saved_policies(tmp_path, capsys):
     assert main(["oracle", "evaluate", "--model", str(model_path),
                  "--policy", str(old_layout)]) == 2
 
+    # a non-finite temperature, bound or table entry is refused with exit 2
+    good = json.loads(policy_path.read_text())
+    nan_entry = json.loads(policy_path.read_text())
+    nan_entry["stage_params"][0][1][0] = float("nan")
+    for doc in (nan_entry, {**good, "temperature": float("nan")},
+                {**good, "param_bound": float("nan")}, {**good, "param_bound": float("inf")}):
+        bad_path = tmp_path / "non_finite.json"
+        bad_path.write_text(json.dumps(doc))
+        for command in ("evaluate", "fixedpoint"):
+            assert main(["oracle", command, "--model", str(model_path),
+                         "--policy", str(bad_path)]) == 2, (command, doc)
+    assert "expected return" not in capsys.readouterr().out
+
 
 def test_oracle_evaluate_and_fixedpoint_accept_train_checkpoints(tmp_path, capsys):
     config = write_experiment(tmp_path, seeds=[3], episodes=60)

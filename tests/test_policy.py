@@ -137,6 +137,15 @@ def test_constructor_rejects_bad_settings():
         NonStationaryPolicy(np.zeros((2, 6)))
     with pytest.raises(ValueError):
         NonStationaryPolicy([np.zeros((3, 2)), np.zeros((2, 2))])  # ragged stages
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            NonStationaryPolicy(small_table(), temperature=bad)
+        with pytest.raises(ValueError):
+            NonStationaryPolicy(small_table(), param_bound=bad)
+        params = small_table()
+        params[1, 2, 0] = bad
+        with pytest.raises(ValueError):
+            NonStationaryPolicy(params)
 
 
 def test_sample_action_matches_distribution_frequencies():

@@ -1,6 +1,8 @@
 """Training loop: schedules, updates, determinism, checkpoints, diagnostics."""
 
 import dataclasses
+import inspect
+import json
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from fhc_ac import (
     rollout,
     save_checkpoint,
     stationarity_diagnostics,
+    tabular_basis,
     tabular_policy,
     train,
 )
@@ -170,6 +173,10 @@ def test_training_runs_without_constraints():
     assert not metrics.multiplier_floor_clipped.any()
 
 
+def test_make_trainer_takes_only_the_model_and_the_config():
+    assert list(inspect.signature(make_trainer).parameters) == ["model", "config"]
+
+
 def test_checkpoint_resume_reproduces_the_straight_run(tmp_path):
     rng = np.random.default_rng(8)
     model = random_cmdp(rng, 3, 2, 2, 1)
@@ -179,26 +186,71 @@ def test_checkpoint_resume_reproduces_the_straight_run(tmp_path):
     state_half, metrics_head = train(model, TrainerConfig(episodes=120, seed=5))
     path = tmp_path / "ckpt.json"
     save_checkpoint(state_half, path)
-    loaded = load_checkpoint(path)
-    assert loaded.episode == 120
-    assert loaded.config == state_half.config
-    state_resumed, metrics_tail = train(model, full, state=loaded)
+    doc = json.loads(path.read_text())
+    assert "basis" not in doc
+    # checkpoints written with a stored feature basis still load
+    basis = tabular_basis(model)
+    doc["basis"] = {
+        "matrices": [m.tolist() for m in basis.matrices],
+        "reachable": [r.tolist() for r in basis.reachable],
+    }
+    legacy_path = tmp_path / "legacy.json"
+    legacy_path.write_text(json.dumps(doc))
 
-    assert state_resumed.episode == 200
-    assert np.array_equal(
-        metrics_full.returns, np.concatenate([metrics_head.returns, metrics_tail.returns])
-    )
-    assert np.array_equal(
-        metrics_full.multipliers,
-        np.concatenate([metrics_head.multipliers, metrics_tail.multipliers]),
-    )
-    assert np.array_equal(state_full.multipliers, state_resumed.multipliers)
-    for h in range(model.horizon):
+    for checkpoint in (path, legacy_path):
+        loaded = load_checkpoint(checkpoint)
+        assert loaded.episode == 120
+        assert loaded.config == state_half.config
+        state_resumed, metrics_tail = train(model, full, state=loaded)
+
+        assert state_resumed.episode == 200
+        assert state_resumed.config == full
         assert np.array_equal(
-            state_full.policy.stage_params[h], state_resumed.policy.stage_params[h]
+            metrics_full.returns, np.concatenate([metrics_head.returns, metrics_tail.returns])
         )
-    assert np.array_equal(state_full.critic.v, state_resumed.critic.v)
-    assert np.array_equal(state_full.critic.w, state_resumed.critic.w)
+        assert np.array_equal(
+            metrics_full.multipliers,
+            np.concatenate([metrics_head.multipliers, metrics_tail.multipliers]),
+        )
+        assert np.array_equal(state_full.multipliers, state_resumed.multipliers)
+        assert np.array_equal(state_full.policy.stage_params, state_resumed.policy.stage_params)
+        assert np.array_equal(state_full.critic.v, state_resumed.critic.v)
+        assert np.array_equal(state_full.critic.w, state_resumed.critic.w)
+
+
+def test_resume_rejects_a_state_that_does_not_fit_the_model_or_config():
+    rng = np.random.default_rng(8)
+    model = random_cmdp(rng, 3, 2, 2, 1)
+    config = TrainerConfig(episodes=20, seed=5)
+    state, _ = train(model, TrainerConfig(episodes=10, seed=5))
+
+    more_states = random_cmdp(np.random.default_rng(8), 4, 2, 2, 1)
+    more_actions = random_cmdp(np.random.default_rng(8), 3, 3, 2, 1)
+    longer = random_cmdp(np.random.default_rng(8), 3, 2, 3, 1)
+    two_constraints = random_cmdp(np.random.default_rng(8), 3, 2, 2, 2)
+    for other in (more_states, more_actions, longer, two_constraints):
+        with pytest.raises(ValueError, match="cannot resume"):
+            train(other, config, state=state)
+
+    def altered(**changes):
+        return dataclasses.replace(state, **changes)
+
+    v, w = state.critic.v, state.critic.w
+    narrow_v = dataclasses.replace(state.critic, v=v[:, :-1])
+    narrow_w = dataclasses.replace(state.critic, w=w[:, :, :-1])
+    for bad in (
+        altered(critic=narrow_v),
+        altered(critic=narrow_w),
+        altered(multipliers=np.zeros(2)),
+        altered(policy=tabular_policy(more_actions)),
+    ):
+        with pytest.raises(ValueError, match="cannot resume"):
+            train(model, config, state=bad)
+    for settings in ({"temperature": 0.5}, {"param_bound": 3.0}):
+        with pytest.raises(ValueError, match="cannot resume"):
+            train(model, dataclasses.replace(config, **settings), state=state)
+    assert state.episode == 10  # nothing was trained
+    assert train(model, config, state=state)[0].episode == 20
 
 
 def test_stationarity_reports_exact_drift_for_interior_multipliers():
