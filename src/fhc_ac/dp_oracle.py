@@ -90,7 +90,7 @@ def _gibbs_gradient(
 class ExactSolution:
     """Backward-induction evaluation of a fixed policy at fixed multipliers.
 
-    `values` are the penalized state values (the quantity the linear critics
+    `values` are the penalized state values (the quantity the critics
     estimate); `constraint_values` stack one value function per constraint,
     whose terminal layer already subtracts the threshold.
     """
@@ -193,33 +193,6 @@ def finite_difference_gradient(
                 theta[h, s, a] = base
                 grads[h, s, a] = (up - down) / (2.0 * epsilon)
     return grads
-
-
-def approximate_gradient(
-    model: FiniteHorizonCMDP,
-    policy: NonStationaryPolicy,
-    multipliers=(),
-    basis=None,
-):
-    """Gradient surrogate built from the linear critics' limiting weights.
-
-    Replaces the exact future values in the gradient by the projected values
-    Lambda_h' phi_h; with a full per-stage basis this reproduces the exact
-    baselined gradient.
-    """
-    from .critic import fixed_points
-
-    if basis is None:
-        raise ValueError("a stage feature basis is required")
-    lam = _coerce_multipliers(model, multipliers)
-    weights = fixed_points(model, policy, lam, basis).penalized
-    vhat = np.array([basis.feature_matrix(h) @ w for h, w in enumerate(weights)])
-    targets = (
-        _penalize(model.channel_costs, lam)
-        + np.einsum("hijk,hk->hij", model.kernels, vhat[1:])
-        - vhat[:-1, :, None]
-    )
-    return _gibbs_gradient(model, policy, targets)
 
 
 def greedy_response(model: FiniteHorizonCMDP, multipliers=()) -> np.ndarray:

@@ -44,7 +44,7 @@ from .gridworld_env import (
 from .mdp_model import model_from_doc, reachable_sets, validate
 from .plots import write_experiment_plots
 from .policy import load_policy, tabular_policy
-from .critic import fixed_points, tabular_basis
+from .critic import fixed_points
 from .trainer import (
     StepSizeSchedules,
     TrainerConfig,
@@ -607,13 +607,14 @@ def cmd_oracle_fixedpoint(args) -> int:
     model = load_any_model(Path(args.model))
     policy = load_policy_for(model, args.policy)
     lam = parse_multipliers(args.multipliers, model)
-    basis = tabular_basis(model)
-    weights = fixed_points(model, policy, lam, basis)
+    # One indicator feature per reachable state: the tabular critics' features.
+    sets = reachable_sets(model)
+    features = [np.eye(model.num_states)[:, r] for r in sets]
+    weights = fixed_points(model, policy, lam, features)
     solution = dp_oracle.backward_induction(model, policy, lam)
     worst = 0.0
-    for h in range(model.horizon + 1):
-        approx = basis.feature_matrix(h) @ weights.penalized[h]
-        r = basis.reachable[h]
+    for h, r in enumerate(sets):
+        approx = features[h] @ weights.penalized[h]
         worst = max(worst, float(np.abs(approx[r] - solution.values[h][r]).max()))
     print(
         f"fixed-point weights computed for {model.horizon + 1} stages; "

@@ -66,11 +66,6 @@ class NonStationaryPolicy:
         bit for bit at a fraction of its cost."""
         return _gibbs(self.stage_params[stages, states] / self.temperature)
 
-    def distribution_matrix(self, h: int) -> np.ndarray:
-        """Action distributions for all states at stage h, shape (S, A)."""
-        self._check_stage(h)
-        return _gibbs(self.stage_params[h] / self.temperature)
-
     def sample_action(self, rng: np.random.Generator, h: int, s: int) -> int:
         return sample_index(self.action_distribution(h, s).tolist(), rng.random())
 

@@ -1,12 +1,14 @@
-"""Three-timescale training loop: linear critics, Gibbs actor, multiplier ascent.
+"""Three-timescale training loop: tabular critics, Gibbs actor, multiplier ascent.
 
-Every episode applies, in order: TD updates to the penalized critic, one
-projected gradient step per stage of the actor driven by the same temporal
+The critics are tables with one entry per stage and state. Every episode
+applies, in order: TD updates to the penalized critic, one projected
+gradient step per stage of the actor driven by the same temporal
 differences, one TD step of all constraint critics together, and a clamped
 update of the Lagrange multipliers driven by the constraint critics'
-initial-stage estimates. The multipliers are the non-positive penalties
-lambda in [penalty_floor, 0] that enter the costs r + lambda . g. All
-updates within an episode read the weights held at episode start. The three
+estimates at the episode's initial state. The multipliers are the
+non-positive penalties lambda in [penalty_floor, 0] that enter the costs
+r + lambda . g. All updates within an episode read the tables and
+parameters held at episode start. The three
 step-size sequences decay at separated rates so the critics equilibrate
 fastest, the actor next, and the multipliers slowest.
 
@@ -28,13 +30,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import dp_oracle
-from .critic import (
-    CriticState,
-    tabular_basis,
-    update_constraint_critic,
-    update_penalized_critic,
-    zero_critic,
-)
+from .critic import CriticState, update_constraint_critic, update_penalized_critic, zero_critic
 from .mdp_model import FiniteHorizonCMDP, ValidationReport, rollout, write_json
 from .policy import NonStationaryPolicy, policy_from_doc, policy_to_doc, tabular_policy
 
@@ -114,14 +110,14 @@ class TrainerConfig:
 
 @dataclass
 class TrainerState:
-    """Everything the loop mutates, sufficient to stop and resume exactly; the
-    critics' features are the model's tabular basis, which `train` rebuilds.
-    `visits` is None in a state read from a checkpoint written without it,
-    which `train` refuses to resume."""
+    """Everything the loop mutates, sufficient to stop and resume exactly.
+    `critic` and `visits` are both None in a state read from a checkpoint
+    with another critic layout; its policy and multipliers are usable, but
+    `train` refuses to resume it."""
 
     config: TrainerConfig
     policy: NonStationaryPolicy
-    critic: CriticState
+    critic: CriticState | None   # tables indexed by stage and state id
     visits: np.ndarray | None    # the constraint critics' clock: visits to (h, s), (H+1, S);
                                  # counted only when M > 0
     multipliers: np.ndarray      # non-positive penalties, (M,)
@@ -140,7 +136,7 @@ def make_trainer(model: FiniteHorizonCMDP, config: TrainerConfig) -> TrainerStat
     return TrainerState(
         config=config,
         policy=tabular_policy(model, config.temperature, config.param_bound),
-        critic=zero_critic(tabular_basis(model), model.num_constraints),
+        critic=zero_critic(model),
         visits=np.zeros((model.horizon + 1, model.num_states), dtype=np.int64),
         multipliers=np.zeros(model.num_constraints),
         episode=0,
@@ -151,13 +147,17 @@ def make_trainer(model: FiniteHorizonCMDP, config: TrainerConfig) -> TrainerStat
 def _check_resumable(state: TrainerState, model: FiniteHorizonCMDP, config: TrainerConfig):
     """Raise ValueError unless `state` has the shapes and policy settings of
     `make_trainer(model, config)`."""
+    if state.critic is None:
+        raise ValueError(
+            "cannot resume: the state has no critic tables; its checkpoint was "
+            "written with another critic layout"
+        )
     fresh = make_trainer(model, config)
-    visits_shape = None if state.visits is None else state.visits.shape
     for name, got, want in [
         ("policy table shape", state.policy.stage_params.shape, fresh.policy.stage_params.shape),
         ("critic v shape", state.critic.v.shape, fresh.critic.v.shape),
         ("critic w shape", state.critic.w.shape, fresh.critic.w.shape),
-        ("visit counts shape", visits_shape, fresh.visits.shape),
+        ("visit counts shape", state.visits.shape, fresh.visits.shape),
         ("multipliers shape", state.multipliers.shape, fresh.multipliers.shape),
         ("temperature", state.policy.temperature, fresh.policy.temperature),
         ("param_bound", state.policy.param_bound, fresh.policy.param_bound),
@@ -209,8 +209,7 @@ class TrainingMetrics:
     returns: np.ndarray              # realized total reward, (N,)
     constraint_totals: np.ndarray    # realized total constraint costs, (N, M)
     multipliers: np.ndarray          # after each episode's update, (N, M)
-    value_estimates: np.ndarray      # v_0 . phi_0(s_0) at episode start, (N,)
-    gap_estimates: np.ndarray        # w_0^k . phi_0(s_0) at episode start, (N, M)
+    gap_estimates: np.ndarray        # w[k, 0, s_0] at episode start, (N, M)
     theta_clipped: np.ndarray        # any actor coordinate clamped, (N,) bool
     multiplier_floor_clipped: np.ndarray  # penalty floor hit, (N,) bool
     multiplier_zero_clipped: np.ndarray   # zero bound hit, (N,) bool
@@ -241,37 +240,35 @@ def train(
         returns=np.zeros(count),
         constraint_totals=np.zeros((count, M)),
         multipliers=np.zeros((count, M)),
-        value_estimates=np.zeros(count),
         gap_estimates=np.zeros((count, M)),
         theta_clipped=np.zeros(count, dtype=bool),
         multiplier_floor_clipped=np.zeros(count, dtype=bool),
         multiplier_zero_clipped=np.zeros(count, dtype=bool),
     )
 
-    policy, critic, basis = state.policy, state.critic, tabular_basis(model)
-    visits = state.visits
+    policy, critic, visits = state.policy, state.critic, state.visits
     # The actor moves only the H rows (h, s_h) of each episode, so the
     # distribution table is built once and refreshed row by row.
     table = policy.distribution_table()
-    stages = np.arange(H)
+    stages = np.arange(H + 1)
+    actor_stages = stages[:-1]
     for i in range(count):
         n = state.episode
         lam = state.multipliers
         episode = rollout(model, table, state.rng)
-        phi0 = basis.row(0, episode.states[0])
-        metrics.value_estimates[i] = critic.v[0] @ phi0
-        gaps = critic.w[:, 0] @ phi0
+        # a copy: the constraint step below moves these entries in place
+        gaps = critic.w[:, 0, episode.states[0]].copy()
 
         a_n = schedules.critic_step(n)
-        deltas = update_penalized_critic(model, basis, critic, episode, lam, a_n)
+        deltas = update_penalized_critic(model, critic, episode, lam, a_n)
         clipped = actor_update(policy, episode, deltas, schedules.actor_step(n))
-        moved = (stages, episode.states[:-1])
+        moved = (actor_stages, episode.states[:-1])
         table[moved] = policy.distribution_rows(*moved)
         if M:
-            visited = (basis.stages, episode.states)
+            visited = (stages, episode.states)
             seen = visits[visited]
             visits[visited] = seen + 1
-            update_constraint_critic(model, basis, critic, episode, schedules.critic_step(seen))
+            update_constraint_critic(model, critic, episode, schedules.critic_step(seen))
             c_n = schedules.multiplier_step(n)
             state.multipliers, floor_hit, zero_hit = multiplier_update(
                 state.multipliers, gaps, c_n, config
@@ -375,7 +372,7 @@ def save_checkpoint(state: TrainerState, path) -> None:
         "episode": state.episode,
         "multipliers": state.multipliers.tolist(),
         "policy": policy_to_doc(state.policy),
-        "critic": {
+        "critic_tables": {
             "v": state.critic.v.tolist(),
             "w": state.critic.w.tolist(),
             "visits": state.visits.tolist(),
@@ -386,25 +383,32 @@ def save_checkpoint(state: TrainerState, path) -> None:
 
 
 def load_checkpoint(path) -> TrainerState:
-    """Read a `save_checkpoint` file. One written before the visit counts
-    were stored loads with `visits` None: its policy and multipliers are
-    usable, but `train` cannot resume it."""
+    """Read a `save_checkpoint` file.
+
+    The critic tables are stored under "critic_tables". A checkpoint that
+    has only the older "critic" block, weights padded by position in each
+    stage's reachable set, loads with `critic` and `visits` None: its policy
+    and multipliers are usable, but `train` cannot resume it.
+    """
     with open(path) as f:
         doc = json.load(f)
     cfg = dict(doc["config"])
     cfg["schedules"] = StepSizeSchedules(**cfg["schedules"])
     config = TrainerConfig(**cfg)
     policy = policy_from_doc(doc["policy"])
-    v = np.asarray(doc["critic"]["v"], dtype=float)
-    critic = CriticState(v, np.asarray(doc["critic"]["w"], dtype=float).reshape((-1,) + v.shape))
-    visits = doc["critic"].get("visits")
+    critic = visits = None
+    if "critic_tables" in doc:
+        tables = doc["critic_tables"]
+        v = np.asarray(tables["v"], dtype=float)
+        critic = CriticState(v, np.asarray(tables["w"], dtype=float).reshape((-1,) + v.shape))
+        visits = np.asarray(tables["visits"], dtype=np.int64)
     rng = np.random.default_rng()
     rng.bit_generator.state = doc["rng_state"]
     return TrainerState(
         config=config,
         policy=policy,
         critic=critic,
-        visits=None if visits is None else np.asarray(visits, dtype=np.int64),
+        visits=visits,
         multipliers=np.asarray(doc["multipliers"], dtype=float),
         episode=int(doc["episode"]),
         rng=rng,

@@ -59,10 +59,44 @@ def random_policy(model, rng, scale=1.5, temperature=1.0, param_bound=10.0):
     return policy
 
 
+def indicator_features(model):
+    """The tabular critics' stage features: one indicator column per state of
+    the stage's reachable set, H+1 matrices (S, |S_h|)."""
+    return [np.eye(model.num_states)[:, r] for r in reachable_sets(model)]
+
+
+def random_basis(model, rng, dims=None):
+    """Dense Gaussian stage features on each reachable set, full column rank:
+    H+1 matrices (S, x_h), zero on the rows of unreachable states.
+
+    `dims` may be an int, a per-stage sequence, or None for full dimension
+    |S_h| at every stage.
+    """
+    sets = reachable_sets(model)
+    if dims is None:
+        stage_dims = [len(r) for r in sets]
+    elif np.isscalar(dims):
+        stage_dims = [min(int(dims), len(r)) for r in sets]
+    else:
+        stage_dims = [int(x) for x in dims]
+    matrices = []
+    for r, x in zip(sets, stage_dims):
+        if not 1 <= x <= len(r):
+            raise ValueError(f"stage dimension {x} outside [1, {len(r)}]")
+        while True:
+            block = rng.normal(size=(len(r), x))
+            if np.linalg.matrix_rank(block) == x:
+                break
+        mat = np.zeros((model.num_states, x))
+        mat[r] = block
+        matrices.append(mat)
+    return matrices
+
+
 def iter_trajectories(model, mus):
     """Yield (probability, states, actions) over every trajectory.
 
-    `mus` is a list of H stage distribution matrices (S, A). Only usable on
+    `mus` holds the H stage distribution matrices (S, A). Only usable on
     tiny instances: the loop is exponential in the horizon by construction.
     """
     S, A, H = model.num_states, model.num_actions, model.horizon
@@ -81,7 +115,7 @@ def brute_policy_value(model, policy, multipliers=None):
     """(J, constraint totals, penalized value) by trajectory enumeration."""
     M = model.num_constraints
     lam = np.zeros(M) if multipliers is None else np.asarray(multipliers, dtype=float)
-    mus = [policy.distribution_matrix(h) for h in range(model.horizon)]
+    mus = policy.distribution_table()
     J = 0.0
     L = 0.0
     totals = np.zeros(M)
@@ -99,7 +133,7 @@ def brute_policy_value(model, policy, multipliers=None):
 
 def brute_occupation(model, policy):
     """Stage state distributions by trajectory enumeration, shape (H+1, S)."""
-    mus = [policy.distribution_matrix(h) for h in range(model.horizon)]
+    mus = policy.distribution_table()
     d = np.zeros((model.horizon + 1, model.num_states))
     for p, states, _ in iter_trajectories(model, mus):
         for h, s in enumerate(states):
@@ -111,7 +145,7 @@ def brute_state_values(model, policy, multipliers):
     """Penalized state values by per-start trajectory enumeration, (H+1, S)."""
     lam = np.asarray(multipliers, dtype=float)
     S, A, H = model.num_states, model.num_actions, model.horizon
-    mus = [policy.distribution_matrix(h) for h in range(H)]
+    mus = policy.distribution_table()
     terminal = model.terminal_reward + lam @ (
         model.terminal_constraint_costs - model.thresholds[:, None]
     )

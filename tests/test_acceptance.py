@@ -28,9 +28,8 @@ from fhc_ac import (
     make_cmdp,
     moving_average,
     occupation_measures,
-    random_basis,
+    reachable_sets,
     rollout,
-    tabular_basis,
     train,
     update_penalized_critic,
     zero_critic,
@@ -43,7 +42,13 @@ from fhc_ac.experiment_cli import (
     run_experiment,
 )
 
-from helpers import brute_occupation, random_cmdp, random_policy
+from helpers import (
+    brute_occupation,
+    indicator_features,
+    random_basis,
+    random_cmdp,
+    random_policy,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -93,29 +98,28 @@ def test_criterion_3_critic_fixed_points_match_exact_values_and_projections():
         model = random_cmdp(rng, 4, 2, 3, 1)
         policy = random_policy(model, rng)
         lam = np.array([-0.8])
-        basis = tabular_basis(model)
-        weights = fixed_points(model, policy, lam, basis)
+        features = indicator_features(model)
+        weights = fixed_points(model, policy, lam, features)
         solution = backward_induction(model, policy, lam)
-        for h in range(model.horizon + 1):
-            r = basis.reachable[h]
-            approx = (basis.feature_matrix(h) @ weights.penalized[h])[r]
+        for h, r in enumerate(reachable_sets(model)):
+            approx = (features[h] @ weights.penalized[h])[r]
             assert np.abs(approx - solution.values[h][r]).max() < 1e-10
-            approx_g = (basis.feature_matrix(h) @ weights.constraints[0][h])[r]
+            approx_g = (features[h] @ weights.constraints[0][h])[r]
             assert np.abs(approx_g - solution.constraint_values[0, h][r]).max() < 1e-10
     # low-dimensional random features: weights solve the projected equations,
     # with the residual rebuilt here from first principles
     model = random_cmdp(rng, 4, 3, 3, 1)
     policy = random_policy(model, rng)
     lam = np.array([-0.8])
-    basis = random_basis(model, rng, dims=2)
-    weights = fixed_points(model, policy, lam, basis).penalized
+    features = random_basis(model, rng, dims=2)
+    weights = fixed_points(model, policy, lam, features).penalized
     d = occupation_measures(model, policy)
-    mus = [policy.distribution_matrix(h) for h in range(model.horizon)]
+    mus = policy.distribution_table()
     H = model.horizon
     terminal = model.terminal_reward + lam[0] * (
         model.terminal_constraint_costs[0] - model.thresholds[0]
     )
-    phi = basis.feature_matrix(H)
+    phi = features[H]
     assert np.abs(phi.T @ (d[H] * (terminal - phi @ weights[H]))).max() < 1e-10
     for h in range(H):
         cost = model.rewards[h] + lam[0] * model.constraint_costs[0, h]
@@ -123,8 +127,8 @@ def test_criterion_3_critic_fixed_points_match_exact_values_and_projections():
             mus[h] * np.einsum("ijk,ijk->ij", model.kernels[h], cost), axis=1
         )
         step = np.einsum("ij,ijk->ik", mus[h], model.kernels[h])
-        target = expected_cost + step @ (basis.feature_matrix(h + 1) @ weights[h + 1])
-        phi = basis.feature_matrix(h)
+        target = expected_cost + step @ (features[h + 1] @ weights[h + 1])
+        phi = features[h]
         assert np.abs(phi.T @ (d[h] * (target - phi @ weights[h]))).max() < 1e-10
 
 
@@ -134,27 +138,24 @@ def test_criterion_4_td_critic_converges_to_its_fixed_point_within_budget():
     model = random_cmdp(rng, 3, 2, 3, 1)
     policy = random_policy(model, rng)
     lam = np.array([-0.5])
-    basis = tabular_basis(model)
-    target = fixed_points(model, policy, lam, basis).penalized
+    target = fixed_points(model, policy, lam, indicator_features(model)).penalized
 
     episodes, burn = 200_000, 50_000
     schedules = StepSizeSchedules()
-    critic = zero_critic(basis, 0)
+    critic = zero_critic(model)
     sums = np.zeros_like(critic.v)
     table = policy.distribution_table()
     ep_rng = np.random.default_rng(7)
     started = time.perf_counter()
     for n in range(episodes):
         episode = rollout(model, table, ep_rng)
-        update_penalized_critic(
-            model, basis, critic, episode, lam, schedules.critic_step(n)
-        )
+        update_penalized_critic(model, critic, episode, lam, schedules.critic_step(n))
         if n >= burn:
             sums += critic.v
     elapsed = time.perf_counter() - started
     worst = max(
-        float(np.abs(sums[h, : basis.dim(h)] / (episodes - burn) - target[h]).max())
-        for h in range(model.horizon + 1)
+        float(np.abs(sums[h, r] / (episodes - burn) - target[h]).max())
+        for h, r in enumerate(reachable_sets(model))
     )
     assert worst < 1e-2, f"tail-averaged weight error {worst:.3e}"
     assert elapsed < 60.0, f"TD run took {elapsed:.1f}s (budget 60s)"

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fhc_ac import (
-    approximate_gradient,
     backward_induction,
     constrained_reference,
     evaluate_deterministic,
@@ -20,7 +19,6 @@ from fhc_ac import (
     lagrangian_value,
     make_cmdp,
     occupation_measures,
-    tabular_basis,
     tabular_policy,
 )
 from fhc_ac.experiment_cli import load_any_model
@@ -146,16 +144,6 @@ def test_gradient_baseline_does_not_change_anything():
     with_baseline = exact_gradient(model, policy, lam, use_baseline=True)
     without = exact_gradient(model, policy, lam, use_baseline=False)
     assert max(np.abs(a - b).max() for a, b in zip(with_baseline, without)) < 1e-12
-
-
-def test_approximate_gradient_with_full_basis_is_exact():
-    rng = np.random.default_rng(22)
-    model = random_cmdp(rng, 3, 2, 3, 1)
-    policy = random_policy(model, rng)
-    lam = np.array([-0.9])
-    exact = exact_gradient(model, policy, lam)
-    approx = approximate_gradient(model, policy, lam, basis=tabular_basis(model))
-    assert max(np.abs(a - b).max() for a, b in zip(exact, approx)) < 1e-10
 
 
 def test_evaluate_policy_returns_plain_objective_and_costs():

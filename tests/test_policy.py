@@ -65,15 +65,6 @@ def test_distribution_table_rows_equal_per_state_distributions_exactly():
                 assert np.array_equal(table[h, s], policy.action_distribution(h, s))
 
 
-def test_distribution_matrix_agrees_with_per_state_distributions():
-    model = random_cmdp(np.random.default_rng(2), 4, 3, 3, 0)
-    policy = random_policy(model, np.random.default_rng(3))
-    for h in range(model.horizon):
-        mat = policy.distribution_matrix(h)
-        for s in range(model.num_states):
-            assert np.allclose(mat[s], policy.action_distribution(h, s), atol=1e-14)
-
-
 def test_score_is_gradient_of_log_probability():
     model = random_cmdp(np.random.default_rng(4), 3, 2, 2, 0)
     policy = random_policy(model, np.random.default_rng(5), temperature=1.7)
@@ -175,8 +166,5 @@ def test_save_load_round_trip(tmp_path):
     loaded = load_policy(path)
     assert loaded.temperature == policy.temperature
     assert loaded.param_bound == policy.param_bound
-    for h in range(model.horizon):
-        assert np.array_equal(loaded.stage_params[h], policy.stage_params[h])
-        assert np.allclose(
-            loaded.distribution_matrix(h), policy.distribution_matrix(h), atol=0
-        )
+    assert np.array_equal(loaded.stage_params, policy.stage_params)
+    assert np.array_equal(loaded.distribution_table(), policy.distribution_table())

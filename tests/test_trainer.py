@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,17 +19,20 @@ from fhc_ac import (
     make_trainer,
     moving_average,
     multiplier_update,
+    reachable_sets,
     rollout,
     save_checkpoint,
     stationarity_diagnostics,
-    tabular_basis,
     tabular_policy,
-    td_errors_constraint,
-    td_errors_penalized,
     train,
+    update_constraint_critic,
+    update_penalized_critic,
 )
+from fhc_ac.experiment_cli import load_any_model
 
 from helpers import random_cmdp, random_policy
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_check_schedules_accepts_the_default_trio():
@@ -162,8 +166,7 @@ def test_training_is_deterministic_for_a_fixed_seed():
     assert np.array_equal(state_a.multipliers, state_b.multipliers)
     for h in range(model.horizon):
         assert np.array_equal(state_a.policy.stage_params[h], state_b.policy.stage_params[h])
-    # the critics start at zero, so the first recorded estimates are zero
-    assert metrics_a.value_estimates[0] == 0.0
+    # the critics start at zero, so the first recorded estimate is zero
     assert np.array_equal(metrics_a.gap_estimates[0], [0.0])
 
 
@@ -191,20 +194,39 @@ def test_constraint_critics_step_on_per_state_visit_clocks():
     replay = np.random.default_rng()
     replay.bit_generator.state = state.rng.bit_generator.state
     episode = rollout(model, state.policy.distribution_table(), replay)
-    basis = tabular_basis(model)
-    gaps = td_errors_constraint(model, basis, start, episode)
-    deltas = td_errors_penalized(model, basis, start, episode, state.multipliers)
-    phi = basis.features[basis.stages, episode.states]
+    visited = (np.arange(model.horizon + 1), episode.states)
+    # the TD errors at the tables held at episode start, from a zero-step update
+    gaps = update_constraint_critic(model, start.copy(), episode, 0.0)
+    deltas = update_penalized_critic(model, start.copy(), episode, state.multipliers, 0.0)
 
     state, _ = train(model, state.config, state=state)
     local = np.full(model.horizon + 1, 0.5)
     local[0] = schedules.critic_step(8)  # the ninth visit
-    assert np.array_equal(state.critic.w, start.w + (local * gaps)[..., None] * phi)
+    expected_w = start.w.copy()
+    expected_w[:, visited[0], visited[1]] += local * gaps
+    assert np.array_equal(state.critic.w, expected_w)
     # the penalized critic keeps the global clock a_n at n = 40
-    a_n = schedules.critic_step(40)
-    assert np.array_equal(state.critic.v, start.v + (a_n * deltas)[:, None] * phi)
-    visits[basis.stages, episode.states] += 1
+    expected_v = start.v.copy()
+    expected_v[visited] += schedules.critic_step(40) * deltas
+    assert np.array_equal(state.critic.v, expected_v)
+    visits[visited] += 1
     assert np.array_equal(state.visits, visits)
+
+
+def test_unreachable_entries_stay_untouched_by_training():
+    # Stage 0 of the 4x4 grid world reaches 1 of its 16 states; the tables
+    # and the visit clock must stay exactly zero off every reachable set.
+    model = load_any_model(CONFIGS / "gridworld_4x4.json")
+    sets = reachable_sets(model)
+    assert len(sets[0]) < model.num_states
+    state, _ = train(model, TrainerConfig(episodes=300, seed=2))
+    off = np.ones((model.horizon + 1, model.num_states), dtype=bool)
+    for h, r in enumerate(sets):
+        off[h, r] = False
+    assert state.visits[~off].sum() == 300 * (model.horizon + 1)
+    assert not state.critic.v[off].any()
+    assert not state.critic.w[:, off].any()
+    assert not state.visits[off].any()
 
 
 def test_make_trainer_takes_only_the_model_and_the_config():
@@ -220,48 +242,61 @@ def test_checkpoint_resume_reproduces_the_straight_run(tmp_path):
     state_half, metrics_head = train(model, TrainerConfig(episodes=120, seed=5))
     path = tmp_path / "ckpt.json"
     save_checkpoint(state_half, path)
+    loaded = load_checkpoint(path)
+    assert loaded.episode == 120
+    assert loaded.config == state_half.config
+    state_resumed, metrics_tail = train(model, full, state=loaded)
+
+    assert state_resumed.episode == 200
+    assert state_resumed.config == full
+    assert np.array_equal(
+        metrics_full.returns, np.concatenate([metrics_head.returns, metrics_tail.returns])
+    )
+    assert np.array_equal(
+        metrics_full.multipliers,
+        np.concatenate([metrics_head.multipliers, metrics_tail.multipliers]),
+    )
+    assert np.array_equal(state_full.multipliers, state_resumed.multipliers)
+    assert np.array_equal(state_full.policy.stage_params, state_resumed.policy.stage_params)
+    assert np.array_equal(state_full.critic.v, state_resumed.critic.v)
+    assert np.array_equal(state_full.critic.w, state_resumed.critic.w)
+    assert np.array_equal(state_full.visits, state_resumed.visits)
+
+
+def test_checkpoints_with_the_padded_critic_layout_load_but_do_not_resume(tmp_path):
+    # The older layout stored each stage's critic weights padded by position
+    # in the stage's reachable set. On the 4x4 grid world the widest stage
+    # covers every state, so its arrays have the shapes of the dense tables
+    # and only the layout tells them apart.
+    model = load_any_model(CONFIGS / "gridworld_4x4.json")
+    state, _ = train(model, TrainerConfig(episodes=50, seed=1))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(state, path)
     doc = json.loads(path.read_text())
-    assert "basis" not in doc
-    # checkpoints written with a stored feature basis still load
-    basis = tabular_basis(model)
-    doc["basis"] = {
-        "matrices": [m.tolist() for m in basis.matrices],
-        "reachable": [r.tolist() for r in basis.reachable],
-    }
-    legacy_path = tmp_path / "legacy.json"
-    legacy_path.write_text(json.dumps(doc))
+    tables = doc.pop("critic_tables")
+    sets = reachable_sets(model)
+    width = max(len(r) for r in sets)
+    assert width == model.num_states
+    v = np.zeros((model.horizon + 1, width))
+    w = np.zeros((model.num_constraints,) + v.shape)
+    for h, r in enumerate(sets):
+        v[h, : len(r)] = state.critic.v[h, r]
+        w[:, h, : len(r)] = state.critic.w[:, h, r]
+    doc["critic"] = {"v": v.tolist(), "w": w.tolist(), "visits": tables["visits"]}
+    padded = tmp_path / "padded.json"
+    padded.write_text(json.dumps(doc))
+    del doc["critic"]["visits"]  # the layout before the visit counts were stored
+    without_visits = tmp_path / "padded-without-visits.json"
+    without_visits.write_text(json.dumps(doc))
 
-    for checkpoint in (path, legacy_path):
+    more = TrainerConfig(episodes=60, seed=1)
+    for checkpoint in (padded, without_visits):
         loaded = load_checkpoint(checkpoint)
-        assert loaded.episode == 120
-        assert loaded.config == state_half.config
-        state_resumed, metrics_tail = train(model, full, state=loaded)
-
-        assert state_resumed.episode == 200
-        assert state_resumed.config == full
-        assert np.array_equal(
-            metrics_full.returns, np.concatenate([metrics_head.returns, metrics_tail.returns])
-        )
-        assert np.array_equal(
-            metrics_full.multipliers,
-            np.concatenate([metrics_head.multipliers, metrics_tail.multipliers]),
-        )
-        assert np.array_equal(state_full.multipliers, state_resumed.multipliers)
-        assert np.array_equal(state_full.policy.stage_params, state_resumed.policy.stage_params)
-        assert np.array_equal(state_full.critic.v, state_resumed.critic.v)
-        assert np.array_equal(state_full.critic.w, state_resumed.critic.w)
-        assert np.array_equal(state_full.visits, state_resumed.visits)
-
-    # a checkpoint written before the visit counts were stored still gives
-    # its policy and multipliers, but cannot be resumed
-    del doc["critic"]["visits"]
-    legacy_path.write_text(json.dumps(doc))
-    loaded = load_checkpoint(legacy_path)
-    assert loaded.visits is None
-    assert np.array_equal(loaded.policy.stage_params, state_half.policy.stage_params)
-    assert np.array_equal(loaded.signed_multipliers(), state_half.multipliers)
-    with pytest.raises(ValueError, match="cannot resume: the state's visit counts"):
-        train(model, full, state=loaded)
+        assert loaded.critic is None and loaded.visits is None
+        assert np.array_equal(loaded.policy.stage_params, state.policy.stage_params)
+        assert np.array_equal(loaded.signed_multipliers(), state.multipliers)
+        with pytest.raises(ValueError, match="cannot resume: the state has no critic tables"):
+            train(model, more, state=loaded)
 
 
 def test_resume_rejects_a_state_that_does_not_fit_the_model_or_config():
