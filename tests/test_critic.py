@@ -83,6 +83,47 @@ def test_update_moves_weights_along_features():
         assert np.array_equal(critic.w, expected_w)
 
 
+def test_random_basis_updates_follow_the_per_stage_formula():
+    # Critic tables with random entries: at every stage the TD error must be
+    # the hand-computed target minus the visited entry, for the penalized
+    # critic and each constraint critic, and only that entry may move.
+    rng = np.random.default_rng(11)
+    model = random_cmdp(rng, 4, 3, 4, 2)
+    policy = random_policy(model, rng)
+    critic = random_critic(model, rng)
+    lam = np.array([-0.3, -1.1])
+    table = policy.distribution_table()
+    ep_rng = np.random.default_rng(12)
+    H = model.horizon
+    for _ in range(20):
+        episode = rollout(model, table, ep_rng)
+        s = episode.states
+        before = critic.copy()
+        tables = [before.v] + [before.w[k] for k in range(2)]
+        stage_costs = [episode.rewards + lam @ episode.constraint_costs]
+        stage_costs += [episode.constraint_costs[k] for k in range(2)]
+        terminal = [
+            episode.terminal_reward
+            + lam @ (episode.terminal_constraint_costs - model.thresholds)
+        ]
+        terminal += [
+            episode.terminal_constraint_costs[k] - model.thresholds[k] for k in range(2)
+        ]
+        got = [update_penalized_critic(model, critic, episode, lam, 0.05)]
+        got += list(update_constraint_critic(model, critic, episode, 0.05))
+        after = [critic.v] + [critic.w[k] for k in range(2)]
+        for old, g, term, deltas, new in zip(tables, stage_costs, terminal, got, after):
+            expected = old.copy()
+            for h in range(H + 1):
+                target = g[h] + old[h + 1, s[h + 1]] if h < H else term
+                assert deltas[h] == pytest.approx(target - old[h, s[h]], abs=1e-12)
+                expected[h, s[h]] = old[h, s[h]] + 0.05 * deltas[h]
+            assert np.allclose(new, expected, rtol=0, atol=1e-12)
+            untouched = np.ones(new.shape, dtype=bool)
+            untouched[np.arange(H + 1), s] = False
+            assert np.array_equal(new[untouched], old[untouched])
+
+
 def test_batched_constraint_step_equals_the_per_critic_formula_exactly():
     # One TD step moves all M constraint critics; each must get the bits the
     # single-critic formula gives it, with a per-stage step.
