@@ -22,8 +22,6 @@ from .policy import NonStationaryPolicy
 
 def _coerce_multipliers(model: FiniteHorizonCMDP, multipliers) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(multipliers, dtype=float))
-    if lam.shape == (1,) and model.num_constraints != 1:
-        lam = np.full(model.num_constraints, lam[0])
     if lam.shape != (model.num_constraints,):
         raise ValueError(
             f"expected {model.num_constraints} multipliers, got shape {lam.shape}"
@@ -95,7 +93,6 @@ class ExactSolution:
     whose terminal layer already subtracts the threshold.
     """
 
-    multipliers: np.ndarray        # (M,)
     values: np.ndarray             # (H+1, S)
     action_values: np.ndarray      # (H, S, A)
     constraint_values: np.ndarray  # (M, H+1, S)
@@ -113,7 +110,6 @@ def backward_induction(
     penalized = _penalize(values, lam)
     expected_return, totals = _totals(model, values)
     return ExactSolution(
-        multipliers=lam,
         values=penalized,
         action_values=_penalize(action_values, lam),
         constraint_values=values[1:],
@@ -149,32 +145,28 @@ def occupation_measures(model: FiniteHorizonCMDP, policy: NonStationaryPolicy) -
     return d
 
 
-def exact_gradient(
-    model: FiniteHorizonCMDP,
-    policy: NonStationaryPolicy,
-    multipliers=(),
-    use_baseline: bool = True,
-):
+def exact_gradient(model: FiniteHorizonCMDP, policy: NonStationaryPolicy, multipliers=()):
     """Per-stage policy gradient of the penalized objective, shape (H, S, A).
 
-    Stage h gets sum_s d_h(s) sum_a mu(a|s) psi_h(s,a) [Q_h(s,a) - baseline],
-    with the state value as baseline when `use_baseline` is set. The baseline
-    never changes the sum because the scores average to zero under mu.
+    Stage h gets sum_s d_h(s) sum_a mu(a|s) psi_h(s,a) [Q_h(s,a) - V_h(s)].
+    Subtracting the state value V_h cannot change the sum, since the scores
+    average to zero under mu, so it is not optional. It is kept rather than
+    dropped because it sets the last bits of every entry, and the
+    stationarity reports of runs are computed from these bits.
     """
     solution = backward_induction(model, policy, multipliers)
-    targets = solution.action_values
-    if use_baseline:
-        targets = targets - solution.values[:-1, :, None]
+    targets = solution.action_values - solution.values[:-1, :, None]
     return _gibbs_gradient(model, policy, targets)
 
 
+FD_STEP = 1e-5
+
+
 def finite_difference_gradient(
-    model: FiniteHorizonCMDP,
-    policy: NonStationaryPolicy,
-    multipliers=(),
-    epsilon: float = 1e-5,
+    model: FiniteHorizonCMDP, policy: NonStationaryPolicy, multipliers=()
 ):
-    """Central-difference gradient of the penalized objective, shape (H, S, A).
+    """Central-difference gradient of the penalized objective with step
+    FD_STEP, shape (H, S, A).
 
     Only rows of reachable states are probed; the objective does not depend on
     the others, whose entries are exactly 0.
@@ -186,12 +178,12 @@ def finite_difference_gradient(
         for s in states:
             for a in range(model.num_actions):
                 base = theta[h, s, a]
-                theta[h, s, a] = base + epsilon
+                theta[h, s, a] = base + FD_STEP
                 up = lagrangian_value(model, probe, multipliers)
-                theta[h, s, a] = base - epsilon
+                theta[h, s, a] = base - FD_STEP
                 down = lagrangian_value(model, probe, multipliers)
                 theta[h, s, a] = base
-                grads[h, s, a] = (up - down) / (2.0 * epsilon)
+                grads[h, s, a] = (up - down) / (2.0 * FD_STEP)
     return grads
 
 

@@ -256,17 +256,16 @@ def write_run_csv(path: Path, metrics, window: int) -> dict:
 
 def read_run_series(run_dir: Path, seed_entries: list, num_constraints: int) -> dict:
     """Read the K seeds' curves back from the CSVs that summary.json's `{seed, csv}`
-    entries name (a relative `csv` by its name in `run_dir`): "ma_return" (K, n),
-    "ma_costs" and "multipliers" (M, K, n). A CSV that cannot be read, has another
-    header than `csv_header(M)`, or whose row count is 0 or not the first's exits 2.
+    entries name, each found by its file name in `run_dir` so that a moved run
+    directory still plots: "ma_return" (K, n), "ma_costs" and "multipliers"
+    (M, K, n). A CSV that cannot be read, has another header than
+    `csv_header(M)`, or whose row count is 0 or not the first's exits 2.
     """
     m = num_constraints
     header = csv_header(m)
     tables = []
     for entry in seed_entries:
-        csv_path = Path(entry["csv"])
-        if not csv_path.is_absolute():
-            csv_path = run_dir / csv_path.name
+        csv_path = run_dir / Path(entry["csv"]).name
         try:
             with open(csv_path) as f:
                 found = f.readline().rstrip("\n")

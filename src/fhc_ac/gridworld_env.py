@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,10 +213,11 @@ def calibrate_threshold(config: GridWorldConfig, fraction: float) -> GridWorldCo
 
     The reward-greedy policy ignores the constraints, so its expected total
     costs measure how expensive unconstrained behavior is; scaling them down
-    produces thresholds that actually bind.
+    produces thresholds that actually bind. Raises ValueError unless
+    `fraction` is positive and finite.
     """
-    if fraction <= 0:
-        raise ValueError("fraction must be positive")
+    if not (math.isfinite(fraction) and fraction > 0):
+        raise ValueError(f"threshold fraction must be positive and finite, got {fraction}")
     model = build_gridworld(config)
     actions = dp_oracle.greedy_response(model, np.zeros(model.num_constraints))
     _, unconstrained_costs = dp_oracle.evaluate_deterministic(model, actions)

@@ -184,10 +184,6 @@ class Episode:
     terminal_constraint_costs: np.ndarray
     action_probs: np.ndarray  # (H, A): the rows mu_h(s_h, .) the actions were drawn from
 
-    @property
-    def horizon(self) -> int:
-        return self.actions.shape[0]
-
     def total_reward(self) -> float:
         return float(self.rewards.sum() + self.terminal_reward)
 
@@ -211,18 +207,14 @@ def sample_index(probs: list, u: float) -> int:
     return len(probs) - 1
 
 
-def rollout(
-    model: FiniteHorizonCMDP,
-    table: np.ndarray,
-    rng: np.random.Generator,
-    s0: int | None = None,
-) -> Episode:
-    """Sample a full episode: a_h ~ table[h, s_h], s_{h+1} ~ p_h(s_h, a_h, .).
+def rollout(model: FiniteHorizonCMDP, table: np.ndarray, rng: np.random.Generator) -> Episode:
+    """Sample a full episode: s_0 ~ beta, a_h ~ table[h, s_h], s_{h+1} ~ p_h(s_h, a_h, .).
 
     `table` holds the action distributions of every stage and state, shape
-    (H, S, A), e.g. `NonStationaryPolicy.distribution_table()`. Draws s0 from
-    the initial distribution when not given. Raises ValueError when the table
-    does not cover the model's horizon.
+    (H, S, A), e.g. `NonStationaryPolicy.distribution_table()`. The episode
+    draws 2H+1 uniforms from `rng`: one for s_0 from the model's initial
+    distribution, then an action and a successor per stage. Raises ValueError
+    when the table does not cover the model's horizon.
     """
     horizon = model.horizon
     if table.shape[0] != horizon:
@@ -230,16 +222,13 @@ def rollout(
             f"distribution table has {table.shape[0]} stages, model horizon {horizon}"
         )
     # One block draw yields the same uniforms, in the same order, as drawing
-    # them one at a time: s0 (when not given), then an action and a successor
-    # per stage.
-    uniforms = iter(rng.random(2 * horizon + (s0 is None)).tolist())
-    if s0 is None:
-        s0 = sample_index(model.initial_distribution.tolist(), next(uniforms))
+    # them one at a time.
+    uniforms = iter(rng.random(2 * horizon + 1).tolist())
+    s = sample_index(model.initial_distribution.tolist(), next(uniforms))
 
     kernels = model.kernels
-    visited = [int(s0)]
+    visited = [s]
     chosen = []
-    s = visited[0]
     for h in range(horizon):
         a = sample_index(table[h, s].tolist(), next(uniforms))
         s = sample_index(kernels[h, s, a].tolist(), next(uniforms))

@@ -212,7 +212,6 @@ class TrainingMetrics:
     gap_estimates: np.ndarray        # w[k, 0, s_0] at episode start, (N, M)
     theta_clipped: np.ndarray        # any actor coordinate clamped, (N,) bool
     multiplier_floor_clipped: np.ndarray  # penalty floor hit, (N,) bool
-    multiplier_zero_clipped: np.ndarray   # zero bound hit, (N,) bool
 
 
 def train(
@@ -243,7 +242,6 @@ def train(
         gap_estimates=np.zeros((count, M)),
         theta_clipped=np.zeros(count, dtype=bool),
         multiplier_floor_clipped=np.zeros(count, dtype=bool),
-        multiplier_zero_clipped=np.zeros(count, dtype=bool),
     )
 
     policy, critic, visits = state.policy, state.critic, state.visits
@@ -270,11 +268,10 @@ def train(
             visits[visited] = seen + 1
             update_constraint_critic(model, critic, episode, schedules.critic_step(seen))
             c_n = schedules.multiplier_step(n)
-            state.multipliers, floor_hit, zero_hit = multiplier_update(
+            state.multipliers, floor_hit, _ = multiplier_update(
                 state.multipliers, gaps, c_n, config
             )
             metrics.multiplier_floor_clipped[i] = floor_hit
-            metrics.multiplier_zero_clipped[i] = zero_hit
             metrics.gap_estimates[i] = gaps
             metrics.multipliers[i] = state.multipliers
 
@@ -333,7 +330,7 @@ def stationarity_diagnostics(
 ) -> StationarityReport:
     """Exact-gradient stationarity and multiplier-drift check at (theta, lambda)."""
     lam = dp_oracle._coerce_multipliers(model, multipliers)
-    grads = dp_oracle.exact_gradient(model, policy, lam, use_baseline=True)
+    grads = dp_oracle.exact_gradient(model, policy, lam)
     theta, bound = policy.stage_params, policy.param_bound
     upper = theta >= bound
     lower = theta <= -bound

@@ -2,14 +2,22 @@
 
 The oracles here deliberately avoid the package's dynamic-programming code:
 they enumerate trajectories or deterministic policies directly, so the fast
-implementations can be checked against independent arithmetic.
+implementations can be checked against independent arithmetic. The one
+exception, `gradient_without_baseline`, reuses the exact values and
+occupations so that it differs from `exact_gradient` only in the baseline.
 """
 
 import itertools
 
 import numpy as np
 
-from fhc_ac import make_cmdp, reachable_sets, tabular_policy
+from fhc_ac import (
+    backward_induction,
+    make_cmdp,
+    occupation_measures,
+    reachable_sets,
+    tabular_policy,
+)
 
 
 def random_cmdp(
@@ -57,6 +65,19 @@ def random_policy(model, rng, scale=1.5, temperature=1.0, param_bound=10.0):
             -scale, scale, size=(len(states), model.num_actions)
         )
     return policy
+
+
+def gradient_without_baseline(model, policy, multipliers):
+    """The exact policy gradient with no baseline, shape (H, S, A): stage h
+    gets sum_s d_h(s) sum_a mu_h(a|s) Q_h(s,a) psi_h(s,a), summed term by term
+    over the scores `policy.score` returns for every (h, s, a)."""
+    H, S, A = policy.stage_params.shape
+    q = backward_induction(model, policy, multipliers).action_values
+    d = occupation_measures(model, policy)
+    weights = d[:-1, :, None] * policy.distribution_table() * q
+    h, s, a = (index.ravel() for index in np.indices((H, S, A)))
+    terms = weights.ravel()[:, None] * policy.score(h, s, a)
+    return terms.reshape(H, S, A, A).sum(axis=2)
 
 
 def indicator_features(model):

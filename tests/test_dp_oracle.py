@@ -28,6 +28,7 @@ from helpers import (
     brute_occupation,
     brute_policy_value,
     brute_state_values,
+    gradient_without_baseline,
     iter_deterministic_policies,
     occupation_lp,
     random_cmdp,
@@ -141,8 +142,8 @@ def test_gradient_baseline_does_not_change_anything():
     model = random_cmdp(rng, 4, 3, 3, 2)
     policy = random_policy(model, rng)
     lam = np.array([-1.0, -0.3])
-    with_baseline = exact_gradient(model, policy, lam, use_baseline=True)
-    without = exact_gradient(model, policy, lam, use_baseline=False)
+    with_baseline = exact_gradient(model, policy, lam)
+    without = gradient_without_baseline(model, policy, lam)
     assert max(np.abs(a - b).max() for a, b in zip(with_baseline, without)) < 1e-12
 
 
@@ -330,3 +331,13 @@ def test_multiplier_shape_errors_are_rejected():
     policy = random_policy(model, rng)
     with pytest.raises(ValueError):
         backward_induction(model, policy, np.zeros(3))
+
+
+def test_one_multiplier_is_not_copied_to_two_constraints():
+    rng = np.random.default_rng(43)
+    model = random_cmdp(rng, 3, 2, 2, 2)
+    policy = random_policy(model, rng)
+    with pytest.raises(ValueError, match="expected 2 multipliers"):
+        exact_gradient(model, policy, np.array([-1.0]))
+    with pytest.raises(ValueError, match="expected 2 multipliers"):
+        greedy_response(model, -1.0)

@@ -377,14 +377,21 @@ def test_env_generate_validates_before_it_writes(tmp_path):
     out = tmp_path / "grid.json"
     small = ["env", "generate", "--rows", "2", "--cols", "2", "--horizon", "2"]
     assert main(small + ["--out", str(tmp_path / "missing" / "grid.json")]) == 2
-    # a NaN threshold fails validation, and nothing is written
-    assert main(small + ["--threshold-fraction", "nan", "--out", str(out)]) == 3
-    assert not out.exists()
     # a cell value range that is not finite cannot be drawn from
     for bad in (["--reward-high", "nan"], ["--reward-low=-inf"], ["--cost-high", "inf"],
                 ["--cost-low", "nan"]):
         assert main(small + bad + ["--out", str(out)]) == 2, bad
     assert not out.exists()
+
+
+def test_env_commands_reject_non_finite_threshold_fractions(tmp_path):
+    out = tmp_path / "grid.json"
+    small = ["--rows", "2", "--cols", "2", "--horizon", "2"]
+    for command in (["env", "generate"] + small, ["env", "benchmark"]):
+        for fraction in ("nan", "inf"):
+            argv = command + ["--threshold-fraction", fraction, "--out", str(out)]
+            assert main(argv) == 2, argv
+            assert not out.exists()
 
 
 def test_env_benchmark_writes_the_fixed_world_deterministically(tmp_path, capsys):
@@ -642,6 +649,19 @@ def test_plot_rerenders_charts_from_the_run_directory(tmp_path):
     for name in charts:
         assert (out / name).read_bytes() == written[name], name
     assert main(["plot", "--run-dir", str(tmp_path / "nowhere")]) == 2
+
+
+def test_plot_finds_the_csvs_of_a_moved_run_directory(tmp_path):
+    save_model(random_cmdp(np.random.default_rng(0), 3, 2, 2, 0), tmp_path / "m0.json")
+    config = write_experiment(tmp_path, model={"kind": "file", "path": "m0.json"}, plots=True)
+    before, after = tmp_path.resolve() / "runA", tmp_path.resolve() / "runB"
+    assert main(["train", "--config", str(config), "--out-dir", str(before)]) == 0
+    assert str(before) in json.loads((before / "summary.json").read_text())["seeds"][0]["csv"]
+    written = (before / "returns.svg").read_bytes()
+    before.rename(after)
+    (after / "returns.svg").unlink()
+    assert main(["plot", "--run-dir", str(after)]) == 0
+    assert (after / "returns.svg").read_bytes() == written
 
 
 def test_train_and_plot_chart_an_unconstrained_run(tmp_path):

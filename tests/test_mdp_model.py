@@ -1,5 +1,6 @@
 """Model container, validation, sampling, and serialization."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -115,6 +116,7 @@ def test_validate_flags_non_finite_kernels_and_initial_distribution():
 
 def test_rollout_first_transition_matches_kernel_frequencies():
     model = random_cmdp(np.random.default_rng(5), 4, 2, 1, 0)
+    model = dataclasses.replace(model, initial_distribution=np.eye(4)[2])  # start at state 2
     # preferences (-20, 20) make action 1 certain up to exp(-40) at state 2
     policy = tabular_policy(model, param_bound=20.0)
     policy.stage_params[0, 2] = -20.0, 20.0
@@ -123,8 +125,8 @@ def test_rollout_first_transition_matches_kernel_frequencies():
     counts = np.zeros(4)
     trials = 40_000
     for _ in range(trials):
-        episode = rollout(model, table, rng, s0=2)
-        assert episode.actions[0] == 1
+        episode = rollout(model, table, rng)
+        assert episode.states[0] == 2 and episode.actions[0] == 1
         counts[episode.states[1]] += 1
     assert np.abs(counts / trials - model.kernels[0, 2, 1]).max() < 0.01
 
