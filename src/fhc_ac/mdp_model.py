@@ -7,6 +7,7 @@ state. Decisions happen at stages 0..H-1 and the process terminates at stage H.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,7 +36,11 @@ class FiniteHorizonCMDP:
     (M, H, S, A, S); terminal_reward (S,); terminal_constraint_costs (M, S);
     thresholds (M,); initial_distribution (S,). Immutable after construction
     and safe to share across concurrent runs: no array is changed in place,
-    so the derived channel tables below are computed once and cached.
+    so the derived tables below are computed once, on first use, and cached.
+    `channel_costs` is (1+M, H, S, A) and `channel_terminal` (1+M, S), both
+    read by the oracle. `successor_cdf` is read only by `rollout`: 12 bytes
+    per nonzero kernel entry plus 8 per kernel row, about 2.0 MB for the
+    152,100 nonzero entries of the 5x5 H=100 grid world.
     """
 
     kernels: np.ndarray
@@ -77,6 +82,34 @@ class FiniteHorizonCMDP:
         already subtract their thresholds."""
         gaps = self.terminal_constraint_costs - self.thresholds[:, None]
         return np.concatenate([self.terminal_reward[None], gaps])
+
+    @cached_property
+    def successor_cdf(self) -> tuple[memoryview, memoryview, memoryview]:
+        """Sparse running sums of the kernel rows, as flat (offsets, successors, sums).
+
+        Row r = (h*S + s)*A + a owns entries offsets[r] to offsets[r+1]: its
+        nonzero successors in increasing order, and the running sum of the
+        row up to and including each of them. The sums are `np.cumsum`'s,
+        which adds left to right, so they equal `sample_index`'s running
+        total bit for bit; the zero entries left out add nothing to it.
+        Raises ValueError on a negative or non-finite kernel entry, where the
+        sums would not be non-decreasing and bisection would not match
+        `sample_index`.
+        """
+        kernels = self.kernels
+        if not np.isfinite(kernels).all() or (kernels < 0).any():
+            raise ValueError("successor_cdf needs finite, non-negative kernel entries")
+        stage_rows = self.num_states * self.num_actions
+        nonzero = kernels != 0
+        offsets = np.zeros(self.horizon * stage_rows + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(nonzero, axis=-1), out=offsets[1:])
+        successor_ids = np.arange(self.num_states, dtype=np.int32)
+        successors = np.broadcast_to(successor_ids, kernels.shape)[nonzero]
+        sums = np.empty(offsets[-1])
+        for h, stage in enumerate(kernels):  # stage by stage keeps the temporaries small
+            lo, hi = offsets[h * stage_rows], offsets[(h + 1) * stage_rows]
+            sums[lo:hi] = np.cumsum(stage, axis=-1)[nonzero[h]]
+        return memoryview(offsets), memoryview(successors), memoryview(sums)
 
 
 def make_cmdp(
@@ -207,31 +240,61 @@ def sample_index(probs: list, u: float) -> int:
     return len(probs) - 1
 
 
-def rollout(model: FiniteHorizonCMDP, table: np.ndarray, rng: np.random.Generator) -> Episode:
+def rollout(
+    model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray, rng: np.random.Generator
+) -> Episode:
     """Sample a full episode: s_0 ~ beta, a_h ~ table[h, s_h], s_{h+1} ~ p_h(s_h, a_h, .).
 
     `table` holds the action distributions of every stage and state, shape
-    (H, S, A), e.g. `NonStationaryPolicy.distribution_table()`. The episode
-    draws 2H+1 uniforms from `rng`: one for s_0 from the model's initial
-    distribution, then an action and a successor per stage. Raises ValueError
-    when the table does not cover the model's horizon.
-    """
-    horizon = model.horizon
-    if table.shape[0] != horizon:
-        raise ValueError(
-            f"distribution table has {table.shape[0]} stages, model horizon {horizon}"
-        )
-    # One block draw yields the same uniforms, in the same order, as drawing
-    # them one at a time.
-    uniforms = iter(rng.random(2 * horizon + 1).tolist())
-    s = sample_index(model.initial_distribution.tolist(), next(uniforms))
+    (H, S, A), e.g. `NonStationaryPolicy.distribution_table()`, and `running`
+    is `np.cumsum(table, axis=-1)`. The episode draws 2H+1 uniforms from
+    `rng`: one for s_0 from the model's initial distribution, then an action
+    and a successor per stage.
 
-    kernels = model.kernels
+    Each step is two bisections on running sums computed before the episode:
+    the action is the first index of running[h, s_h] above the action's
+    uniform, and the successor the first nonzero successor in the model's
+    `successor_cdf` row whose running sum is above the successor's uniform.
+    When no sum is above it (the row sums to less than the uniform by
+    round-off) the draw is the last action, or the last state. Both are
+    `sample_index`'s rule on the same sums: bisect_right finds the first sum
+    above the uniform, and the kernel entries left out are zeros, whose
+    sums repeat the one before them (or are 0 at the front), so none of them
+    can be the first above a uniform in [0, 1). Every draw is thus the index
+    `sample_index` returns from the same uniform. Raises ValueError
+    unless `table` and `running` have shape (H, S, A) and `running` is a
+    C-contiguous float64 array, the layout the flat offsets address.
+    """
+    horizon, num_states, num_actions = model.horizon, model.num_states, model.num_actions
+    shape = (horizon, num_states, num_actions)
+    if table.shape != shape or running.shape != shape:
+        raise ValueError(
+            f"distribution table {table.shape} and running sums {running.shape} "
+            f"must both have the model's shape {shape}"
+        )
+    if running.dtype != np.float64 or not running.flags.c_contiguous:
+        raise ValueError("running sums must be a C-contiguous float64 array")
+    offsets, successors, sums = model.successor_cdf
+    action_sums = memoryview(running.reshape(-1))
+    last_action, last_state = num_actions - 1, num_states - 1
+    # One block draw yields the same uniforms, in the same order, as drawing
+    # them one at a time: s_0's, then an (action, successor) pair per stage.
+    uniforms = rng.random(2 * horizon + 1).tolist()
+    s = sample_index(model.initial_distribution.tolist(), uniforms[0])
+
     visited = [s]
     chosen = []
-    for h in range(horizon):
-        a = sample_index(table[h, s].tolist(), next(uniforms))
-        s = sample_index(kernels[h, s, a].tolist(), next(uniforms))
+    stage_size = num_states * num_actions
+    stage_starts = range(0, horizon * stage_size, stage_size)
+    for start, u_action, u_state in zip(stage_starts, uniforms[1::2], uniforms[2::2]):
+        lo = start + s * num_actions
+        a = bisect_right(action_sums, u_action, lo, lo + num_actions) - lo
+        if a == num_actions:
+            a = last_action
+        row = lo + a
+        end = offsets[row + 1]
+        j = bisect_right(sums, u_state, offsets[row], end)
+        s = successors[j] if j < end else last_state
         chosen.append(a)
         visited.append(s)
 

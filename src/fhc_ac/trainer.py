@@ -246,14 +246,16 @@ def train(
 
     policy, critic, visits = state.policy, state.critic, state.visits
     # The actor moves only the H rows (h, s_h) of each episode, so the
-    # distribution table is built once and refreshed row by row.
+    # distribution table and its running sums are built once and refreshed
+    # row by row.
     table = policy.distribution_table()
+    running = np.cumsum(table, axis=-1)
     stages = np.arange(H + 1)
     actor_stages = stages[:-1]
     for i in range(count):
         n = state.episode
         lam = state.multipliers
-        episode = rollout(model, table, state.rng)
+        episode = rollout(model, table, running, state.rng)
         # a copy: the constraint step below moves these entries in place
         gaps = critic.w[:, 0, episode.states[0]].copy()
 
@@ -261,7 +263,9 @@ def train(
         deltas = update_penalized_critic(model, critic, episode, lam, a_n)
         clipped = actor_update(policy, episode, deltas, schedules.actor_step(n))
         moved = (actor_stages, episode.states[:-1])
-        table[moved] = policy.distribution_rows(*moved)
+        rows = policy.distribution_rows(*moved)
+        table[moved] = rows
+        running[moved] = np.cumsum(rows, axis=-1)
         if M:
             visited = (stages, episode.states)
             seen = visits[visited]

@@ -7,17 +7,21 @@ exception, `gradient_without_baseline`, reuses the exact values and
 occupations so that it differs from `exact_gradient` only in the baseline.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
 
 from fhc_ac import (
+    Episode,
     backward_induction,
     make_cmdp,
     occupation_measures,
     reachable_sets,
+    rollout,
     tabular_policy,
 )
+from fhc_ac.mdp_model import sample_index
 
 
 def random_cmdp(
@@ -57,6 +61,17 @@ def random_cmdp(
     )
 
 
+def random_sparse_cmdp(rng, num_states, num_actions, horizon, num_constraints):
+    """`random_cmdp` with each kernel entry kept with probability 0.3 and
+    every row renormalized; each row keeps at least one entry."""
+    model = random_cmdp(rng, num_states, num_actions, horizon, num_constraints)
+    kernels = model.kernels * (rng.random(model.kernels.shape) < 0.3)
+    empty = kernels.sum(axis=-1) == 0
+    kernels[empty, rng.integers(num_states, size=int(empty.sum()))] = 1.0
+    kernels /= kernels.sum(axis=-1, keepdims=True)
+    return dataclasses.replace(model, kernels=kernels)
+
+
 def random_policy(model, rng, scale=1.5, temperature=1.0, param_bound=10.0):
     """Uniform random preferences on the rows of reachable states, stage by stage."""
     policy = tabular_policy(model, temperature=temperature, param_bound=param_bound)
@@ -65,6 +80,42 @@ def random_policy(model, rng, scale=1.5, temperature=1.0, param_bound=10.0):
             -scale, scale, size=(len(states), model.num_actions)
         )
     return policy
+
+
+def sample_episode(model, policy, rng):
+    """One `rollout` from the policy's distribution table and its running sums."""
+    table = policy.distribution_table()
+    return rollout(model, table, np.cumsum(table, axis=-1), rng)
+
+
+def reference_rollout(model, table, rng):
+    """The per-step scan `rollout` replaced: copy the row, then `sample_index` it.
+
+    Same uniforms in the same order as `rollout`, so the two must agree on
+    every Episode field.
+    """
+    horizon = model.horizon
+    uniforms = iter(rng.random(2 * horizon + 1).tolist())
+    s = sample_index(model.initial_distribution.tolist(), next(uniforms))
+    visited = [s]
+    chosen = []
+    for h in range(horizon):
+        a = sample_index(table[h, s].tolist(), next(uniforms))
+        s = sample_index(model.kernels[h, s, a].tolist(), next(uniforms))
+        chosen.append(a)
+        visited.append(s)
+    states = np.array(visited, dtype=np.int64)
+    actions = np.array(chosen, dtype=np.int64)
+    steps = (np.arange(horizon), states[:-1], actions, states[1:])
+    return Episode(
+        states=states,
+        actions=actions,
+        rewards=np.asarray(model.rewards[steps], dtype=float),
+        terminal_reward=float(model.terminal_reward[s]),
+        constraint_costs=np.asarray(model.constraint_costs[(slice(None),) + steps], dtype=float),
+        terminal_constraint_costs=model.terminal_constraint_costs[:, s].copy(),
+        action_probs=table[steps[:2]],
+    )
 
 
 def gradient_without_baseline(model, policy, multipliers):

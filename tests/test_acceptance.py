@@ -146,10 +146,11 @@ def test_criterion_4_td_critic_converges_to_its_fixed_point_within_budget():
     critic = zero_critic(model)
     sums = np.zeros_like(critic.v)
     table = policy.distribution_table()
+    running = np.cumsum(table, axis=-1)
     ep_rng = np.random.default_rng(7)
     started = time.perf_counter()
     for n in range(episodes):
-        episode = rollout(model, table, ep_rng)
+        episode = rollout(model, table, running, ep_rng)
         update_penalized_critic(model, critic, episode, lam, schedules.critic_step(n))
         if n >= burn:
             sums += critic.v

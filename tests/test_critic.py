@@ -14,7 +14,7 @@ from fhc_ac import (
     zero_critic,
 )
 
-from helpers import indicator_features, random_basis, random_cmdp, random_policy
+from helpers import indicator_features, random_basis, random_cmdp, random_policy, sample_episode
 
 
 def random_critic(model, rng):
@@ -32,7 +32,7 @@ def test_td_errors_match_hand_computed_values():
     policy = random_policy(model, rng)
     critic = random_critic(model, rng)
     start = critic.copy()
-    episode = rollout(model, policy.distribution_table(), np.random.default_rng(6))
+    episode = sample_episode(model, policy, np.random.default_rng(6))
     lam = np.array([-0.4])
 
     deltas = update_penalized_critic(model, critic, episode, lam, 0.1)
@@ -67,10 +67,11 @@ def test_update_moves_weights_along_features():
     critic = random_critic(model, rng)
     lam = np.array([-0.3, -1.1])
     table = policy.distribution_table()
+    running = np.cumsum(table, axis=-1)
     ep_rng = np.random.default_rng(12)
     stages = np.arange(model.horizon + 1)
     for _ in range(20):
-        episode = rollout(model, table, ep_rng)
+        episode = rollout(model, table, running, ep_rng)
         visited = (stages, episode.states)
         before = critic.copy()
         deltas = update_penalized_critic(model, critic, episode, lam, 0.05)
@@ -93,10 +94,11 @@ def test_random_basis_updates_follow_the_per_stage_formula():
     critic = random_critic(model, rng)
     lam = np.array([-0.3, -1.1])
     table = policy.distribution_table()
+    running = np.cumsum(table, axis=-1)
     ep_rng = np.random.default_rng(12)
     H = model.horizon
     for _ in range(20):
-        episode = rollout(model, table, ep_rng)
+        episode = rollout(model, table, running, ep_rng)
         s = episode.states
         before = critic.copy()
         tables = [before.v] + [before.w[k] for k in range(2)]
@@ -134,10 +136,11 @@ def test_batched_constraint_step_equals_the_per_critic_formula_exactly():
     critic = random_critic(model, rng)
     reference = critic.w.copy()
     table = policy.distribution_table()
+    running = np.cumsum(table, axis=-1)
     ep_rng = np.random.default_rng(14)
     stages = np.arange(model.horizon + 1)
     for n in range(30):
-        episode = rollout(model, table, ep_rng)
+        episode = rollout(model, table, running, ep_rng)
         step = 0.5 / (n + 1 + stages)
         got = update_constraint_critic(model, critic, episode, step)
         assert got.shape == (M, model.horizon + 1)
@@ -176,10 +179,11 @@ def test_synchronous_and_sequential_updates_coincide():
     critic_b = critic_a.copy()
     lam = np.array([-0.7, -0.1])
     table = policy.distribution_table()
+    running = np.cumsum(table, axis=-1)
     rng_a, rng_b = np.random.default_rng(10), np.random.default_rng(10)
     for _ in range(50):
-        ep_a = rollout(model, table, rng_a)
-        ep_b = rollout(model, table, rng_b)
+        ep_a = rollout(model, table, running, rng_a)
+        ep_b = rollout(model, table, running, rng_b)
         d_a = update_penalized_critic(model, critic_a, ep_a, lam, 0.05)
         costs = ep_b.rewards + lam @ ep_b.constraint_costs
         cterm = ep_b.terminal_reward + lam @ (ep_b.terminal_constraint_costs - model.thresholds)

@@ -1,6 +1,7 @@
 """Model container, validation, sampling, and serialization."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -8,6 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fhc_ac import (
+    constrained_reference,
+    evaluate_policy,
+    exact_gradient,
+    fixed_points,
     load_model,
     make_cmdp,
     reachable_sets,
@@ -18,7 +23,14 @@ from fhc_ac import (
 )
 from fhc_ac.mdp_model import sample_index, write_json
 
-from helpers import random_cmdp, random_policy
+from helpers import (
+    indicator_features,
+    random_cmdp,
+    random_policy,
+    random_sparse_cmdp,
+    reference_rollout,
+    sample_episode,
+)
 
 
 def test_make_cmdp_shapes_and_counts():
@@ -121,11 +133,12 @@ def test_rollout_first_transition_matches_kernel_frequencies():
     policy = tabular_policy(model, param_bound=20.0)
     policy.stage_params[0, 2] = -20.0, 20.0
     table = policy.distribution_table()
+    running = np.cumsum(table, axis=-1)
     rng = np.random.default_rng(9)
     counts = np.zeros(4)
     trials = 40_000
     for _ in range(trials):
-        episode = rollout(model, table, rng)
+        episode = rollout(model, table, running, rng)
         assert episode.states[0] == 2 and episode.actions[0] == 1
         counts[episode.states[1]] += 1
     assert np.abs(counts / trials - model.kernels[0, 2, 1]).max() < 0.01
@@ -155,7 +168,7 @@ def test_sample_index_matches_searchsorted_on_the_cumulative_sum():
 def test_rollout_records_the_distributions_it_sampled_from():
     model = random_cmdp(np.random.default_rng(13), 4, 9, 5, 1)
     policy = random_policy(model, np.random.default_rng(14), scale=3.0)
-    episode = rollout(model, policy.distribution_table(), np.random.default_rng(15))
+    episode = sample_episode(model, policy, np.random.default_rng(15))
     assert episode.action_probs.shape == (model.horizon, model.num_actions)
     for h in range(model.horizon):
         expected = policy.action_distribution(h, episode.states[h])
@@ -165,7 +178,7 @@ def test_rollout_records_the_distributions_it_sampled_from():
 def test_rollout_bookkeeping_matches_tables():
     model = random_cmdp(np.random.default_rng(6), 3, 2, 4, 2)
     policy = random_policy(model, np.random.default_rng(7))
-    episode = rollout(model, policy.distribution_table(), np.random.default_rng(8))
+    episode = sample_episode(model, policy, np.random.default_rng(8))
     H = model.horizon
     assert episode.states.shape == (H + 1,)
     assert episode.actions.shape == (H,)
@@ -192,17 +205,124 @@ def test_rollout_is_deterministic_given_seed():
     model = random_cmdp(np.random.default_rng(10), 3, 2, 3, 1)
     policy = random_policy(model, np.random.default_rng(11))
     table = policy.distribution_table()
-    first = rollout(model, table, np.random.default_rng(42))
-    second = rollout(model, table, np.random.default_rng(42))
+    running = np.cumsum(table, axis=-1)
+    first = rollout(model, table, running, np.random.default_rng(42))
+    second = rollout(model, table, running, np.random.default_rng(42))
     assert np.array_equal(first.states, second.states)
     assert np.array_equal(first.actions, second.actions)
 
 
 def test_rollout_rejects_a_table_of_another_horizon():
+    # ... or of another state or action count, or running sums in a layout
+    # the flat row offsets would misread
     model = random_cmdp(np.random.default_rng(10), 3, 2, 3, 1)
     table = random_policy(model, np.random.default_rng(11)).distribution_table()
-    with pytest.raises(ValueError):
-        rollout(model, table[:-1], np.random.default_rng(0))
+    running = np.cumsum(table, axis=-1)
+    for bad_table, bad_running in [
+        (table[:-1], running[:-1]),
+        (table, running[:-1]),
+        (table[:, :-1], running[:, :-1]),
+        (table[..., :1], running[..., :1]),
+        (table, np.asfortranarray(running)),
+        (table, running[..., ::-1]),
+        (table, running.astype(np.float32)),
+    ]:
+        with pytest.raises(ValueError):
+            rollout(model, bad_table, bad_running, np.random.default_rng(0))
+
+
+def assert_same_episode(got, want):
+    for f in dataclasses.fields(got):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
+def test_rollout_draws_what_the_row_scan_draws():
+    rng = np.random.default_rng(30)
+    for num_constraints in (0, 1, 2):
+        for num_states, num_actions, horizon in [(25, 9, 4), (6, 3, 7), (2, 1, 3)]:
+            model = random_sparse_cmdp(rng, num_states, num_actions, horizon, num_constraints)
+            table = random_policy(model, rng, scale=3.0).distribution_table()
+            running = np.cumsum(table, axis=-1)
+            fast = np.random.default_rng(num_constraints)
+            slow = np.random.default_rng(num_constraints)
+            for _ in range(200):
+                assert_same_episode(
+                    rollout(model, table, running, fast), reference_rollout(model, table, slow)
+                )
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose next block of uniforms is `values`."""
+
+    def __init__(self, values):
+        self.values = np.array(values)
+
+    def random(self, size):
+        assert size == len(self.values)
+        return self.values.copy()
+
+
+def test_rollout_falls_back_to_the_last_index_like_the_row_scan():
+    # Every kernel row and table row sums to 0.1 + 0.2 (about 0.3) and gives
+    # its last index probability 0: a uniform above the sum takes that index.
+    S = A = H = 3
+    row = [0.1, 0.2, 0.0]
+    model = make_cmdp(
+        kernels=np.tile(row, (H, S, A, 1)),
+        rewards=np.arange(H * S * A * S, dtype=float).reshape(H, S, A, S),
+        terminal_reward=[1.0, 2.0, 3.0],
+        initial_distribution=[1.0, 0.0, 0.0],
+    )
+    table = np.tile(row, (H, S, 1))
+    running = np.cumsum(table, axis=-1)
+    cases = {
+        (0.0, 0.9, 0.9, 0.9, 0.9, 0.9, 0.95): ([0, 2, 2, 2], [2, 2, 2]),
+        (0.0, 0.05, 0.35, 0.1, 0.2, 0.31, 0.29): ([0, 2, 1, 1], [0, 1, 2]),
+    }
+    for uniforms, (states, actions) in cases.items():
+        got = rollout(model, table, running, FixedUniforms(uniforms))
+        assert got.states.tolist() == states and got.actions.tolist() == actions
+        assert_same_episode(got, reference_rollout(model, table, FixedUniforms(uniforms)))
+
+
+def test_successor_cdf_holds_each_rows_running_sums_at_its_nonzero_entries():
+    rng = np.random.default_rng(31)
+    for shape in [(1, 1, 1, 0), (4, 3, 5, 1), (25, 9, 3, 2), (7, 2, 4, 0)]:
+        model = random_sparse_cmdp(rng, *shape)
+        offsets, successors, sums = model.successor_cdf
+        rows = model.kernels.reshape(-1, model.num_states)
+        assert len(offsets) == len(rows) + 1 and offsets[0] == 0
+        assert len(successors) == len(sums) == offsets[-1] == np.count_nonzero(rows)
+        for r, row in enumerate(rows):
+            at = np.flatnonzero(row)
+            lo, hi = offsets[r], offsets[r + 1]
+            assert successors[lo:hi].tolist() == at.tolist()
+            assert np.array_equal(np.asarray(sums[lo:hi]), np.cumsum(row)[at])
+            # the running total sample_index accumulates, one float add at a time
+            totals = list(itertools.accumulate(row.tolist()))
+            assert sums[lo:hi].tolist() == [totals[i] for i in at]
+
+
+def test_successor_cdf_refuses_negative_and_non_finite_kernels():
+    model = random_cmdp(np.random.default_rng(32), 3, 2, 2, 1)
+    for bad in (-0.1, np.nan, np.inf):
+        kernels = model.kernels.copy()
+        kernels[1, 0, 1, 2] = bad
+        with pytest.raises(ValueError):
+            dataclasses.replace(model, kernels=kernels).successor_cdf
+
+
+def test_the_oracle_leaves_successor_cdf_unbuilt():
+    model = random_cmdp(np.random.default_rng(33), 3, 2, 3, 1)
+    policy = random_policy(model, np.random.default_rng(34))
+    lam = np.array([-0.5])
+    constrained_reference(model)
+    evaluate_policy(model, policy)
+    exact_gradient(model, policy, lam)
+    fixed_points(model, policy, lam, indicator_features(model))
+    assert "successor_cdf" not in model.__dict__
+    sample_episode(model, policy, np.random.default_rng(0))
+    assert "successor_cdf" in model.__dict__
 
 
 def test_reachable_sets_follow_kernel_support():

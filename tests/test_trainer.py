@@ -20,7 +20,6 @@ from fhc_ac import (
     moving_average,
     multiplier_update,
     reachable_sets,
-    rollout,
     save_checkpoint,
     stationarity_diagnostics,
     tabular_policy,
@@ -30,7 +29,7 @@ from fhc_ac import (
 )
 from fhc_ac.experiment_cli import load_any_model
 
-from helpers import random_cmdp, random_policy
+from helpers import random_cmdp, random_policy, sample_episode
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -100,7 +99,7 @@ def test_actor_update_applies_the_scaled_score():
     model = random_cmdp(rng, 3, 2, 5, 1)
     policy = random_policy(model, rng)
     reference = policy.copy()
-    episode = rollout(model, policy.distribution_table(), np.random.default_rng(3))
+    episode = sample_episode(model, policy, np.random.default_rng(3))
     deltas = rng.normal(size=model.horizon + 1)
     clipped = actor_update(policy, episode, deltas, step=0.2)
     assert clipped is False
@@ -119,7 +118,7 @@ def test_actor_update_clamps_into_the_parameter_box():
     model = random_cmdp(rng, 3, 2, 4, 1)
     policy = tabular_policy(model, param_bound=0.5)
     policy.stage_params[:] = 0.49
-    episode = rollout(model, policy.distribution_table(), np.random.default_rng(4))
+    episode = sample_episode(model, policy, np.random.default_rng(4))
     deltas = np.full(model.horizon + 1, 50.0)
     deltas[1] = 0.0  # this stage's row stays put and inside the box
     clipped = actor_update(policy, episode, deltas, step=1.0)
@@ -193,7 +192,7 @@ def test_constraint_critics_step_on_per_state_visit_clocks():
 
     replay = np.random.default_rng()
     replay.bit_generator.state = state.rng.bit_generator.state
-    episode = rollout(model, state.policy.distribution_table(), replay)
+    episode = sample_episode(model, state.policy, replay)
     visited = (np.arange(model.horizon + 1), episode.states)
     # the TD errors at the tables held at episode start, from a zero-step update
     gaps = update_constraint_critic(model, start.copy(), episode, 0.0)
@@ -234,33 +233,36 @@ def test_make_trainer_takes_only_the_model_and_the_config():
 
 
 def test_checkpoint_resume_reproduces_the_straight_run(tmp_path):
-    rng = np.random.default_rng(8)
-    model = random_cmdp(rng, 3, 2, 2, 1)
-    full = TrainerConfig(episodes=200, seed=5)
-    state_full, metrics_full = train(model, full)
+    # The resumed call rebuilds its distribution table and running sums from
+    # the policy, so equal metrics show that refreshing them row by row gives
+    # the sums a fresh np.cumsum gives; the 5x5 H=100 grid world has sparse
+    # kernel rows and 100 draws per episode.
+    cases = [
+        (random_cmdp(np.random.default_rng(8), 3, 2, 2, 1), 200, 120),
+        (load_any_model(CONFIGS / "gridworld_5x5_h100.json"), 40, 25),
+    ]
+    for model, episodes, split in cases:
+        full = TrainerConfig(episodes=episodes, seed=5)
+        state_full, metrics_full = train(model, full)
 
-    state_half, metrics_head = train(model, TrainerConfig(episodes=120, seed=5))
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(state_half, path)
-    loaded = load_checkpoint(path)
-    assert loaded.episode == 120
-    assert loaded.config == state_half.config
-    state_resumed, metrics_tail = train(model, full, state=loaded)
+        state_half, metrics_head = train(model, TrainerConfig(episodes=split, seed=5))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state_half, path)
+        loaded = load_checkpoint(path)
+        assert loaded.episode == split
+        assert loaded.config == state_half.config
+        state_resumed, metrics_tail = train(model, full, state=loaded)
 
-    assert state_resumed.episode == 200
-    assert state_resumed.config == full
-    assert np.array_equal(
-        metrics_full.returns, np.concatenate([metrics_head.returns, metrics_tail.returns])
-    )
-    assert np.array_equal(
-        metrics_full.multipliers,
-        np.concatenate([metrics_head.multipliers, metrics_tail.multipliers]),
-    )
-    assert np.array_equal(state_full.multipliers, state_resumed.multipliers)
-    assert np.array_equal(state_full.policy.stage_params, state_resumed.policy.stage_params)
-    assert np.array_equal(state_full.critic.v, state_resumed.critic.v)
-    assert np.array_equal(state_full.critic.w, state_resumed.critic.w)
-    assert np.array_equal(state_full.visits, state_resumed.visits)
+        assert state_resumed.episode == episodes
+        assert state_resumed.config == full
+        for name in ("returns", "constraint_totals", "multipliers", "gap_estimates"):
+            joined = np.concatenate([getattr(metrics_head, name), getattr(metrics_tail, name)])
+            assert np.array_equal(getattr(metrics_full, name), joined), name
+        assert np.array_equal(state_full.multipliers, state_resumed.multipliers)
+        assert np.array_equal(state_full.policy.stage_params, state_resumed.policy.stage_params)
+        assert np.array_equal(state_full.critic.v, state_resumed.critic.v)
+        assert np.array_equal(state_full.critic.w, state_resumed.critic.w)
+        assert np.array_equal(state_full.visits, state_resumed.visits)
 
 
 def test_checkpoints_with_the_padded_critic_layout_load_but_do_not_resume(tmp_path):
