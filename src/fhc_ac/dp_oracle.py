@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp_model import FiniteHorizonCMDP, reachable_sets
-from .policy import NonStationaryPolicy
+from .policy import NonStationaryPolicy, _gibbs
 
 
 def _coerce_multipliers(model: FiniteHorizonCMDP, multipliers) -> np.ndarray:
@@ -168,22 +168,35 @@ def finite_difference_gradient(
     """Central-difference gradient of the penalized objective with step
     FD_STEP, shape (H, S, A).
 
-    Only rows of reachable states are probed; the objective does not depend on
-    the others, whose entries are exactly 0.
+    Each entry is (L(theta + FD_STEP e) - L(theta - FD_STEP e)) / (2 FD_STEP)
+    for the whole objective L. Moving theta[h, s, a] changes only the row
+    mu_h(s, .), so a probe's values at stages after h are the policy's own,
+    and its V_h differs from the policy's only at s, where it is
+    mu'(.|s) . Q_h(s, .). The 2 |S_h| A probes of stage h then step down to
+    stage 0 together as one (B, S) batch on the policy's chain,
+    v <- c^mu_t + v P^mu_t^T, and meet the initial distribution. Only rows
+    of reachable states are probed; the objective does not depend on the
+    others, whose entries are exactly 0.
     """
-    probe = policy.copy()
-    theta = probe.stage_params
-    grads = np.zeros_like(theta)
+    lam = _coerce_multipliers(model, multipliers)
+    mus = _distribution_matrices(model, policy)
+    values, action_values = (_penalize(x, lam) for x in _channel_values(model, mus))
+    chain_costs = np.sum(mus * _penalize(model.channel_costs, lam), axis=2)
+    chains = np.einsum("hsa,hsak->hsk", mus, model.kernels)
+    A = model.num_actions
+    steps = np.concatenate([np.eye(A), -np.eye(A)]) * FD_STEP
+    grads = np.zeros_like(mus)
     for h, states in enumerate(reachable_sets(model)[: model.horizon]):
-        for s in states:
-            for a in range(model.num_actions):
-                base = theta[h, s, a]
-                theta[h, s, a] = base + FD_STEP
-                up = lagrangian_value(model, probe, multipliers)
-                theta[h, s, a] = base - FD_STEP
-                down = lagrangian_value(model, probe, multipliers)
-                theta[h, s, a] = base
-                grads[h, s, a] = (up - down) / (2.0 * FD_STEP)
+        rows = policy.stage_params[h, states][:, None, :] + steps
+        probes = np.einsum(
+            "rpa,ra->rp", _gibbs(rows / policy.temperature), action_values[h, states]
+        ).ravel()
+        v = np.repeat(values[h][None], len(probes), axis=0)
+        v[np.arange(len(probes)), np.repeat(states, 2 * A)] = probes
+        for t in range(h - 1, -1, -1):
+            v = chain_costs[t] + v @ chains[t].T
+        objective = (v @ model.initial_distribution).reshape(len(states), 2, A)
+        grads[h, states] = (objective[:, 0] - objective[:, 1]) / (2.0 * FD_STEP)
     return grads
 
 

@@ -542,9 +542,8 @@ def cmd_oracle_gradcheck(args) -> int:
         lam = -rng.uniform(0.0, 5.0, size=model.num_constraints)
         exact = dp_oracle.exact_gradient(model, policy, lam)
         approx = dp_oracle.finite_difference_gradient(model, policy, lam)
-        num = math.sqrt(sum(float(np.sum((e - a) ** 2)) for e, a in zip(exact, approx)))
-        den = max(math.sqrt(sum(float(np.sum(e**2)) for e in exact)), 1e-12)
-        worst = max(worst, num / den)
+        rel = np.linalg.norm(exact - approx) / max(np.linalg.norm(exact), 1e-12)
+        worst = max(worst, float(rel))
     ok = worst < args.tolerance
     print(
         f"gradcheck: {args.instances} random policies, max relative error "

@@ -2,9 +2,11 @@
 
 The oracles here deliberately avoid the package's dynamic-programming code:
 they enumerate trajectories or deterministic policies directly, so the fast
-implementations can be checked against independent arithmetic. The one
-exception, `gradient_without_baseline`, reuses the exact values and
-occupations so that it differs from `exact_gradient` only in the baseline.
+implementations can be checked against independent arithmetic. Two
+exceptions reuse the package's evaluation: `gradient_without_baseline` takes
+the exact values and occupations so that it differs from `exact_gradient`
+only in the baseline, and `reference_finite_difference_gradient` re-evaluates
+the whole objective once per probe with `lagrangian_value`.
 """
 
 import dataclasses
@@ -15,12 +17,14 @@ import numpy as np
 from fhc_ac import (
     Episode,
     backward_induction,
+    lagrangian_value,
     make_cmdp,
     occupation_measures,
     reachable_sets,
     rollout,
     tabular_policy,
 )
+from fhc_ac.dp_oracle import FD_STEP
 from fhc_ac.mdp_model import sample_index
 
 
@@ -129,6 +133,26 @@ def gradient_without_baseline(model, policy, multipliers):
     h, s, a = (index.ravel() for index in np.indices((H, S, A)))
     terms = weights.ravel()[:, None] * policy.score(h, s, a)
     return terms.reshape(H, S, A, A).sum(axis=2)
+
+
+def reference_finite_difference_gradient(model, policy, multipliers=()):
+    """The per-probe loop `finite_difference_gradient` replaced: one full
+    `lagrangian_value` evaluation at theta +- FD_STEP e for every entry of a
+    reachable row, shape (H, S, A); unreachable rows stay exactly 0."""
+    probe = policy.copy()
+    theta = probe.stage_params
+    grads = np.zeros_like(theta)
+    for h, states in enumerate(reachable_sets(model)[: model.horizon]):
+        for s in states:
+            for a in range(model.num_actions):
+                base = theta[h, s, a]
+                theta[h, s, a] = base + FD_STEP
+                up = lagrangian_value(model, probe, multipliers)
+                theta[h, s, a] = base - FD_STEP
+                down = lagrangian_value(model, probe, multipliers)
+                theta[h, s, a] = base
+                grads[h, s, a] = (up - down) / (2.0 * FD_STEP)
+    return grads
 
 
 def indicator_features(model):

@@ -33,6 +33,7 @@ from helpers import (
     occupation_lp,
     random_cmdp,
     random_policy,
+    reference_finite_difference_gradient,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -135,6 +136,32 @@ def test_exact_gradient_matches_finite_differences():
     num = np.sqrt(sum(np.sum((a - b) ** 2) for a, b in zip(exact, numeric)))
     den = np.sqrt(sum(np.sum(a**2) for a in exact))
     assert num / den < 1e-6
+
+
+@pytest.mark.parametrize("temperature", [0.5, 2.0])
+@pytest.mark.parametrize("num_constraints", [0, 1, 2])
+def test_batched_finite_differences_match_the_per_probe_loop(num_constraints, temperature):
+    rng = np.random.default_rng(30 + 10 * num_constraints + int(2 * temperature))
+    model = random_cmdp(rng, 4, 3, 4, num_constraints)
+    # The same model with state 3 cut off: no initial mass, no transitions in.
+    kernels = model.kernels.copy()
+    kernels[..., 3] = 0.0
+    kernels /= kernels.sum(axis=-1, keepdims=True)
+    beta = model.initial_distribution.copy()
+    beta[3] = 0.0
+    cut = dataclasses.replace(model, kernels=kernels, initial_distribution=beta / beta.sum())
+    for instance in (model, cut):
+        policy = random_policy(instance, rng, temperature=temperature, param_bound=2.0)
+        policy.stage_params[:, 3] = rng.uniform(-1.0, 1.0, size=(4, 3))
+        # A row on the box: its probes step outside it and are not projected.
+        policy.stage_params[1, 0] = [2.0, -2.0, 2.0]
+        before = policy.stage_params.copy()
+        lam = -rng.uniform(0.0, 3.0, size=num_constraints)
+        batched = finite_difference_gradient(instance, policy, lam)
+        assert np.array_equal(policy.stage_params, before)
+        reference = reference_finite_difference_gradient(instance, policy, lam)
+        assert np.abs(batched - reference).max() <= 1e-7
+    assert np.all(batched[:, 3] == 0.0) and np.any(batched[:, :3] != 0.0)
 
 
 def test_gradient_baseline_does_not_change_anything():

@@ -418,6 +418,13 @@ def test_oracle_gradcheck_passes_on_a_valid_model(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_oracle_gradcheck_passes_on_the_h100_gridworld(capsys):
+    argv = ["oracle", "gradcheck", "--model", str(CONFIGS / "gridworld_5x5_h100.json"),
+            "--instances", "1"]
+    assert main(argv) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_oracle_gradcheck_rejects_arguments_that_check_nothing(tmp_path, capsys):
     path = tmp_path / "model.json"
     save_model(random_cmdp(np.random.default_rng(1), 3, 2, 2, 1), path)
