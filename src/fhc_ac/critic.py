@@ -39,39 +39,60 @@ def zero_critic(model: FiniteHorizonCMDP) -> CriticState:
     return CriticState(np.zeros(shape), np.zeros((model.num_constraints,) + shape))
 
 
-def _td_step(table, episode, stage_costs, terminal_cost, step) -> np.ndarray:
-    """Move every stage's visited entry of `table` (..., H+1, S) in place by
-    step_h * delta_h, with `step` a scalar or (H+1,) per stage; returns the
-    deltas (..., H+1).
+def flat_view(table: np.ndarray) -> np.ndarray:
+    """`table` as a 1-D view, so writes through it move `table`; raises
+    ValueError when `table` is not C-contiguous and reshaping would copy."""
+    if not table.flags.c_contiguous:
+        raise ValueError(f"a table of shape {table.shape} must be C-contiguous")
+    return table.reshape(-1)
 
-    Leading axes stack critics: `stage_costs` is (..., H) and `terminal_cost`
-    (...). Stage h < H compares the realized cost plus the next stage's
-    estimate against stage h's estimate; the terminal entry compares the
-    terminal cost against the terminal estimate.
+
+def td_step(table, ids, stage_costs, terminal_cost, step) -> np.ndarray:
+    """Move the visited entries table[ids] of a flat critic table in place by
+    step_h * delta_h, with `step` a scalar or (H+1,) per stage; returns the
+    deltas, shaped like `ids` (..., H+1).
+
+    `ids` holds each stage's entry in order, h = 0..H; leading axes stack
+    critics: `stage_costs` is (..., H) and `terminal_cost` (...). Stage h < H
+    compares the realized cost plus the next stage's estimate against stage
+    h's estimate; the terminal entry compares the terminal cost against the
+    terminal estimate. Every delta reads the table held before the step, and
+    all entries move in one add. That equals the in-order sweep over stages,
+    because each stage's entry is touched once and delta_h reads only stages
+    h and h+1 before their own updates.
     """
-    stages, states = np.arange(len(episode.states)), episode.states
-    vals = table[..., stages, states]
+    vals = table[ids]
     deltas = np.empty(vals.shape)
     deltas[..., :-1] = stage_costs + vals[..., 1:] - vals[..., :-1]
     deltas[..., -1] = terminal_cost - vals[..., -1]
-    table[..., stages, states] = vals + step * deltas
+    table[ids] = vals + step * deltas
     return deltas
 
 
-def update_penalized_critic(model, critic, episode, multipliers, step) -> np.ndarray:
-    """One episode of TD updates on the penalized critic; returns the deltas.
-
-    Every delta reads the table held at episode start, and then
-    v[h, s_h] += step * delta_h at every stage in one add. That equals the
-    in-order sweep over stages, because each stage's entry is touched once
-    and delta_h reads only stages h and h+1 before their own updates.
-    """
-    lam = np.asarray(multipliers, dtype=float)
-    costs = episode.rewards + lam @ episode.constraint_costs
-    cterm = episode.terminal_reward + lam @ (
-        episode.terminal_constraint_costs - model.thresholds
+def penalized_costs(episode, multipliers, terminal_gaps):
+    """The episode's realized stage costs r_h + lambda . g_h, (H,), and its
+    terminal cost r_H + lambda . (g_H - alpha); `terminal_gaps` is g_H - alpha."""
+    return (
+        episode.rewards + multipliers @ episode.constraint_costs,
+        episode.terminal_reward + multipliers @ terminal_gaps,
     )
-    return _td_step(critic.v, episode, costs, cterm, step)
+
+
+def update_penalized_critic(model, critic, episode, multipliers, step) -> np.ndarray:
+    """One episode of TD updates on the penalized critic v (H+1, S) with the
+    costs of `penalized_costs`; returns the H+1 deltas. `step` is a scalar or
+    an (H+1,) array of per-stage steps."""
+    lam = np.asarray(multipliers, dtype=float)
+    costs, terminal = penalized_costs(
+        episode, lam, episode.terminal_constraint_costs - model.thresholds
+    )
+    return td_step(flat_view(critic.v), episode.cells, costs, terminal, step)
+
+
+def constraint_offsets(critic: CriticState) -> np.ndarray:
+    """Where each constraint's table starts in the flat w (M, H+1, S), as an
+    (M, 1) column: adding an episode's cells gives its (M, H+1) entry ids."""
+    return np.arange(len(critic.w))[:, None] * critic.v.size
 
 
 def update_constraint_critic(model, critic, episode, step) -> np.ndarray:
@@ -81,7 +102,8 @@ def update_constraint_critic(model, critic, episode, step) -> np.ndarray:
     `step` is a scalar or an (H+1,) array of per-stage steps shared by the M
     critics."""
     terminal = episode.terminal_constraint_costs - model.thresholds
-    return _td_step(critic.w, episode, episode.constraint_costs, terminal, step)
+    ids = episode.cells + constraint_offsets(critic)
+    return td_step(flat_view(critic.w), ids, episode.constraint_costs, terminal, step)
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray, h: int) -> np.ndarray:

@@ -38,7 +38,7 @@ class FiniteHorizonCMDP:
     and safe to share across concurrent runs: no array is changed in place,
     so the derived tables below are computed once, on first use, and cached.
     `channel_costs` is (1+M, H, S, A) and `channel_terminal` (1+M, S), both
-    read by the oracle. `successor_cdf` is read only by `rollout`: 12 bytes
+    read by the oracle. `successor_cdf` is read only by `sampler`: 12 bytes
     per nonzero kernel entry plus 8 per kernel row, about 2.0 MB for the
     152,100 nonzero entries of the 5x5 H=100 grid world.
     """
@@ -211,6 +211,7 @@ class Episode:
 
     states: np.ndarray
     actions: np.ndarray
+    cells: np.ndarray  # (H+1,): h*S + s_h, the row of (h, s_h) in any stage-by-state table
     rewards: np.ndarray
     terminal_reward: float
     constraint_costs: np.ndarray
@@ -240,16 +241,15 @@ def sample_index(probs: list, u: float) -> int:
     return len(probs) - 1
 
 
-def rollout(
-    model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray, rng: np.random.Generator
-) -> Episode:
-    """Sample a full episode: s_0 ~ beta, a_h ~ table[h, s_h], s_{h+1} ~ p_h(s_h, a_h, .).
+def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
+    """Prepare the flat views an episode draw reads; returns draw(rng) -> Episode.
 
     `table` holds the action distributions of every stage and state, shape
     (H, S, A), e.g. `NonStationaryPolicy.distribution_table()`, and `running`
-    is `np.cumsum(table, axis=-1)`. The episode draws 2H+1 uniforms from
-    `rng`: one for s_0 from the model's initial distribution, then an action
-    and a successor per stage.
+    is `np.cumsum(table, axis=-1)`. Both are read through views, so rows the
+    caller rewrites in place between draws are seen by the next draw. Each
+    draw takes 2H+1 uniforms from `rng` in one block: one for s_0 from the
+    model's initial distribution, then an action and a successor per stage.
 
     Each step is two bisections on running sums computed before the episode:
     the action is the first index of running[h, s_h] above the action's
@@ -261,9 +261,13 @@ def rollout(
     above the uniform, and the kernel entries left out are zeros, whose
     sums repeat the one before them (or are 0 at the front), so none of them
     can be the first above a uniform in [0, 1). Every draw is thus the index
-    `sample_index` returns from the same uniform. Raises ValueError
-    unless `table` and `running` have shape (H, S, A) and `running` is a
-    C-contiguous float64 array, the layout the flat offsets address.
+    `sample_index` returns from the same uniform.
+
+    The realized rewards and costs are read at the flat ids
+    ((h*S + s_h)*A + a_h)*S + s_{h+1} of the (H, S, A, S) tables, and the
+    episode's `cells` h*S + s_h index the (H*S, A) rows of `table`. Raises
+    ValueError unless `table` and `running` have shape (H, S, A) and are
+    C-contiguous float64 arrays, the layout the flat ids address.
     """
     horizon, num_states, num_actions = model.horizon, model.num_states, model.num_actions
     shape = (horizon, num_states, num_actions)
@@ -272,44 +276,70 @@ def rollout(
             f"distribution table {table.shape} and running sums {running.shape} "
             f"must both have the model's shape {shape}"
         )
-    if running.dtype != np.float64 or not running.flags.c_contiguous:
-        raise ValueError("running sums must be a C-contiguous float64 array")
+    for name, array in [("distribution table", table), ("running sums", running)]:
+        if array.dtype != np.float64 or not array.flags.c_contiguous:
+            raise ValueError(f"{name} must be a C-contiguous float64 array")
     offsets, successors, sums = model.successor_cdf
     action_sums = memoryview(running.reshape(-1))
+    rows = table.reshape(-1, num_actions)
+    initial = model.initial_distribution.tolist()
+    rewards = model.rewards.reshape(-1)
+    costs = model.constraint_costs.reshape(model.num_constraints, rewards.size)
+    terminal_rewards, terminal_costs = model.terminal_reward, model.terminal_constraint_costs
+    cell_base = np.arange(horizon + 1) * num_states
     last_action, last_state = num_actions - 1, num_states - 1
-    # One block draw yields the same uniforms, in the same order, as drawing
-    # them one at a time: s_0's, then an (action, successor) pair per stage.
-    uniforms = rng.random(2 * horizon + 1).tolist()
-    s = sample_index(model.initial_distribution.tolist(), uniforms[0])
-
-    visited = [s]
-    chosen = []
     stage_size = num_states * num_actions
     stage_starts = range(0, horizon * stage_size, stage_size)
-    for start, u_action, u_state in zip(stage_starts, uniforms[1::2], uniforms[2::2]):
-        lo = start + s * num_actions
-        a = bisect_right(action_sums, u_action, lo, lo + num_actions) - lo
-        if a == num_actions:
-            a = last_action
-        row = lo + a
-        end = offsets[row + 1]
-        j = bisect_right(sums, u_state, offsets[row], end)
-        s = successors[j] if j < end else last_state
-        chosen.append(a)
-        visited.append(s)
+    count = 2 * horizon + 1
 
-    states = np.array(visited, dtype=np.int64)
-    actions = np.array(chosen, dtype=np.int64)
-    steps = (np.arange(horizon), states[:-1], actions, states[1:])
-    return Episode(
-        states=states,
-        actions=actions,
-        rewards=np.asarray(model.rewards[steps], dtype=float),
-        terminal_reward=float(model.terminal_reward[s]),
-        constraint_costs=np.asarray(model.constraint_costs[(slice(None),) + steps], dtype=float),
-        terminal_constraint_costs=model.terminal_constraint_costs[:, s].copy(),
-        action_probs=table[steps[:2]],
-    )
+    def draw(rng: np.random.Generator) -> Episode:
+        # One block draw yields the same uniforms, in the same order, as
+        # drawing them one at a time: s_0's, then an (action, successor) pair
+        # per stage.
+        uniforms = rng.random(count).tolist()
+        s = sample_index(initial, uniforms[0])
+        visited = [s]
+        chosen = []
+        transitions = []  # ((h*S + s_h)*A + a_h)*S + s_{h+1}
+        for start, u_action, u_state in zip(stage_starts, uniforms[1::2], uniforms[2::2]):
+            lo = start + s * num_actions
+            a = bisect_right(action_sums, u_action, lo, lo + num_actions) - lo
+            if a == num_actions:
+                a = last_action
+            row = lo + a
+            end = offsets[row + 1]
+            j = bisect_right(sums, u_state, offsets[row], end)
+            s = successors[j] if j < end else last_state
+            chosen.append(a)
+            visited.append(s)
+            transitions.append(row * num_states + s)
+
+        states = np.array(visited, dtype=np.int64)
+        cells = cell_base + states
+        transitions = np.array(transitions, dtype=np.int64)
+        return Episode(
+            states=states,
+            actions=np.array(chosen, dtype=np.int64),
+            cells=cells,
+            rewards=rewards[transitions],
+            terminal_reward=float(terminal_rewards[s]),
+            constraint_costs=costs[:, transitions],
+            terminal_constraint_costs=terminal_costs[:, s].copy(),
+            action_probs=rows[cells[:-1]],
+        )
+
+    return draw
+
+
+def rollout(
+    model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray, rng: np.random.Generator
+) -> Episode:
+    """Sample a full episode: s_0 ~ beta, a_h ~ table[h, s_h], s_{h+1} ~ p_h(s_h, a_h, .).
+
+    One draw of `sampler(model, table, running)`, which says how each step
+    is drawn and what the arguments must be.
+    """
+    return sampler(model, table, running)(rng)
 
 
 def reachable_sets(model: FiniteHorizonCMDP) -> list[np.ndarray]:

@@ -15,6 +15,14 @@ def _gibbs(prefs: np.ndarray) -> np.ndarray:
     return z / z.sum(axis=-1, keepdims=True)
 
 
+def score_rows(probs: np.ndarray, picked, temperature: float) -> np.ndarray:
+    """Scores (e_a - mu) / tau of the distribution rows `probs`, (A,) or (n, A);
+    `picked` is the flat position of each row's action in `probs`, i * A + a_i."""
+    out = np.negative(probs, order="C")  # C order: the flat positions address it
+    out.reshape(-1)[picked] += 1.0
+    return out / temperature
+
+
 class NonStationaryPolicy:
     """A tuple of H per-stage Gibbs distributions mu_h(s, .) over actions.
 
@@ -80,12 +88,8 @@ class NonStationaryPolicy:
         """
         if probs is None:
             probs = self.distribution_rows(h, s)
-        out = -probs
-        if out.ndim == 1:
-            out[a] += 1.0
-        else:
-            out[np.arange(len(out)), a] += 1.0
-        return out / self.temperature
+        picked = a if probs.ndim == 1 else np.arange(len(probs)) * probs.shape[-1] + a
+        return score_rows(probs, picked, self.temperature)
 
     def project_params(self, proposed: np.ndarray) -> np.ndarray:
         """Coordinate-wise clamp onto the parameter box; idempotent."""

@@ -12,6 +12,14 @@ parameters held at episode start. The three
 step-size sequences decay at separated rates so the critics equilibrate
 fastest, the actor next, and the multipliers slowest.
 
+`train` prepares once per call what every episode reads: the policy's
+distribution table and running sums, the sampler's views of the model, and
+flat views of theta, the critic tables and the visit counts. An episode then
+indexes each table with one 1-D id array, its `cells` h*S + s_h, through the
+kernels `td_step`, `score_rows` and `actor_step` that the one-episode
+functions `update_penalized_critic`, `update_constraint_critic` and
+`actor_update` wrap, so both run the same arithmetic bit for bit.
+
 The penalized critic, the actor and the multipliers step on the global clock,
 the episode count n. The constraint critics step on local clocks, the
 asynchronous stochastic-approximation rule: the stage-h entry of state s
@@ -30,9 +38,31 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import dp_oracle
-from .critic import CriticState, update_constraint_critic, update_penalized_critic, zero_critic
-from .mdp_model import FiniteHorizonCMDP, ValidationReport, rollout, write_json
-from .policy import NonStationaryPolicy, policy_from_doc, policy_to_doc, tabular_policy
+from .critic import (
+    CriticState,
+    constraint_offsets,
+    flat_view,
+    penalized_costs,
+    td_step,
+    update_constraint_critic,  # unused here; bench/probe.py times calls at this name
+    update_penalized_critic,  # unused here; bench/probe.py times calls at this name
+    zero_critic,
+)
+from .mdp_model import (
+    FiniteHorizonCMDP,
+    ValidationReport,
+    rollout,  # unused here; bench/probe.py times calls at this name
+    sampler,
+    write_json,
+)
+from .policy import (
+    NonStationaryPolicy,
+    _gibbs,
+    policy_from_doc,
+    policy_to_doc,
+    score_rows,
+    tabular_policy,
+)
 
 
 @dataclass(frozen=True)
@@ -110,15 +140,12 @@ class TrainerConfig:
 
 @dataclass
 class TrainerState:
-    """Everything the loop mutates, sufficient to stop and resume exactly.
-    `critic` and `visits` are both None in a state read from a checkpoint
-    with another critic layout; its policy and multipliers are usable, but
-    `train` refuses to resume it."""
+    """Everything the loop mutates, sufficient to stop and resume exactly."""
 
     config: TrainerConfig
     policy: NonStationaryPolicy
-    critic: CriticState | None   # tables indexed by stage and state id
-    visits: np.ndarray | None    # the constraint critics' clock: visits to (h, s), (H+1, S);
+    critic: CriticState          # tables indexed by stage and state id
+    visits: np.ndarray           # the constraint critics' clock: visits to (h, s), (H+1, S);
                                  # counted only when M > 0
     multipliers: np.ndarray      # non-positive penalties, (M,)
     episode: int
@@ -147,11 +174,6 @@ def make_trainer(model: FiniteHorizonCMDP, config: TrainerConfig) -> TrainerStat
 def _check_resumable(state: TrainerState, model: FiniteHorizonCMDP, config: TrainerConfig):
     """Raise ValueError unless `state` has the shapes and policy settings of
     `make_trainer(model, config)`."""
-    if state.critic is None:
-        raise ValueError(
-            "cannot resume: the state has no critic tables; its checkpoint was "
-            "written with another critic layout"
-        )
     fresh = make_trainer(model, config)
     for name, got, want in [
         ("policy table shape", state.policy.stage_params.shape, fresh.policy.stage_params.shape),
@@ -166,26 +188,38 @@ def _check_resumable(state: TrainerState, model: FiniteHorizonCMDP, config: Trai
             raise ValueError(f"cannot resume: the state's {name} is {got}, need {want}")
 
 
+def actor_step(theta_rows, moved, score, deltas, step: float, bound: float):
+    """theta_rows[moved] <- theta_rows[moved] + step * deltas[:, None] * score,
+    clamped into [-bound, bound]; returns (the clamped rows written, whether
+    any coordinate was clamped). `theta_rows` is the (H*S, A) view of theta
+    and `moved` holds distinct row ids, so one fancy-indexed step equals
+    separate row updates."""
+    proposed = theta_rows[moved] + (step * deltas)[:, None] * score
+    clipped = bool(np.abs(proposed).max(initial=0.0) > bound)
+    if clipped:
+        np.clip(proposed, -bound, bound, out=proposed)
+    theta_rows[moved] = proposed
+    return proposed, clipped
+
+
 def actor_update(policy: NonStationaryPolicy, episode, deltas, step: float) -> bool:
     """theta[h, s_h] <- theta[h, s_h] + step * delta_h * psi_h(s_h, a_h) for all h < H,
     clamped into the box; True if any coordinate was clamped.
 
     The score psi_h is zero outside row (h, s_h), and these H rows are
-    distinct, so one fancy-indexed step equals H separate stage updates. Every
-    other coordinate already lies in the box, so only these rows can move or
-    be clamped. The scores use `episode.action_probs`, the rows mu_h(s_h, .)
-    the actions were drawn from; `deltas` are the penalized critic's H+1
-    temporal differences, the terminal one drives no actor step.
+    distinct, so one `actor_step` on the rows `episode.cells[:-1]` equals H
+    separate stage updates. Every other coordinate already lies in the box,
+    so only these rows can move or be clamped. The scores use
+    `episode.action_probs`, the rows mu_h(s_h, .) the actions were drawn
+    from; `deltas` are the penalized critic's H+1 temporal differences, the
+    terminal one drives no actor step.
     """
-    moved = (np.arange(policy.horizon), episode.states[:-1])
-    score = policy.score(*moved, episode.actions, episode.action_probs)
-    proposed = policy.stage_params[moved] + (step * deltas[:-1])[:, None] * score
-    bound = policy.param_bound
-    clipped = bool(np.abs(proposed).max(initial=0.0) > bound)
-    if clipped:
-        np.clip(proposed, -bound, bound, out=proposed)
-    policy.stage_params[moved] = proposed
-    return clipped
+    theta = policy.stage_params
+    stages = np.arange(policy.horizon)
+    score = policy.score(stages, episode.states[:-1], episode.actions, episode.action_probs)
+    theta_rows = flat_view(theta).reshape(-1, theta.shape[-1])
+    moved = episode.cells[:-1]
+    return actor_step(theta_rows, moved, score, deltas[:-1], step, policy.param_bound)[1]
 
 
 def multiplier_update(stored: np.ndarray, estimates: np.ndarray, step: float, config: TrainerConfig):
@@ -244,33 +278,43 @@ def train(
         multiplier_floor_clipped=np.zeros(count, dtype=bool),
     )
 
-    policy, critic, visits = state.policy, state.critic, state.visits
-    # The actor moves only the H rows (h, s_h) of each episode, so the
+    # The actor moves only the H rows (h, s_h) of an episode, so the
     # distribution table and its running sums are built once and refreshed
-    # row by row.
+    # through the (H*S, A) row views that the episode's cells index.
+    policy, critic = state.policy, state.critic
+    tau, bound = policy.temperature, policy.param_bound
     table = policy.distribution_table()
     running = np.cumsum(table, axis=-1)
-    stages = np.arange(H + 1)
-    actor_stages = stages[:-1]
+    draw = sampler(model, table, running)
+    A = model.num_actions
+    theta_rows = flat_view(policy.stage_params).reshape(-1, A)
+    table_rows, running_rows = table.reshape(-1, A), running.reshape(-1, A)
+    v, w, visits = flat_view(critic.v), flat_view(critic.w), flat_view(state.visits)
+    w_offsets = constraint_offsets(critic)
+    action_base = np.arange(H) * A  # row h of an episode's (H, A) probabilities
+    thresholds = model.thresholds
     for i in range(count):
         n = state.episode
-        lam = state.multipliers
-        episode = rollout(model, table, running, state.rng)
-        # a copy: the constraint step below moves these entries in place
-        gaps = critic.w[:, 0, episode.states[0]].copy()
+        episode = draw(state.rng)
+        cells = episode.cells
+        moved = cells[:-1]
+        terminal_gaps = episode.terminal_constraint_costs - thresholds
 
-        a_n = schedules.critic_step(n)
-        deltas = update_penalized_critic(model, critic, episode, lam, a_n)
-        clipped = actor_update(policy, episode, deltas, schedules.actor_step(n))
-        moved = (actor_stages, episode.states[:-1])
-        rows = policy.distribution_rows(*moved)
-        table[moved] = rows
-        running[moved] = np.cumsum(rows, axis=-1)
+        costs, terminal = penalized_costs(episode, state.multipliers, terminal_gaps)
+        deltas = td_step(v, cells, costs, terminal, schedules.critic_step(n))
+        score = score_rows(episode.action_probs, action_base + episode.actions, tau)
+        proposed, clipped = actor_step(
+            theta_rows, moved, score, deltas[:-1], schedules.actor_step(n), bound
+        )
+        rows = _gibbs(proposed / tau)
+        table_rows[moved] = rows
+        running_rows[moved] = rows.cumsum(axis=-1)
         if M:
-            visited = (stages, episode.states)
-            seen = visits[visited]
-            visits[visited] = seen + 1
-            update_constraint_critic(model, critic, episode, schedules.critic_step(seen))
+            w_ids = cells + w_offsets
+            gaps = w[w_ids[:, 0]]  # a gather, so a copy: the step below moves w in place
+            seen = visits[cells]
+            visits[cells] = seen + 1
+            td_step(w, w_ids, episode.constraint_costs, terminal_gaps, schedules.critic_step(seen))
             c_n = schedules.multiplier_step(n)
             state.multipliers, floor_hit, _ = multiplier_update(
                 state.multipliers, gaps, c_n, config
@@ -278,9 +322,9 @@ def train(
             metrics.multiplier_floor_clipped[i] = floor_hit
             metrics.gap_estimates[i] = gaps
             metrics.multipliers[i] = state.multipliers
+            metrics.constraint_totals[i] = episode.total_constraint_costs()
 
         metrics.returns[i] = episode.total_reward()
-        metrics.constraint_totals[i] = episode.total_constraint_costs()
         metrics.theta_clipped[i] = clipped
         state.episode = n + 1
         if progress_every and progress is not None and (n + 1) % progress_every == 0:
@@ -386,30 +430,29 @@ def save_checkpoint(state: TrainerState, path) -> None:
 def load_checkpoint(path) -> TrainerState:
     """Read a `save_checkpoint` file.
 
-    The critic tables are stored under "critic_tables". A checkpoint that
-    has only the older "critic" block, weights padded by position in each
-    stage's reachable set, loads with `critic` and `visits` None: its policy
-    and multipliers are usable, but `train` cannot resume it.
+    The critic tables are stored under "critic_tables". Raises ValueError on
+    a checkpoint that has only the older "critic" block, weights padded by
+    position in each stage's reachable set, which cannot be resumed;
+    `load_policy` still reads the policy inside it.
     """
     with open(path) as f:
         doc = json.load(f)
+    if "critic_tables" not in doc:
+        raise ValueError(
+            f"{path}: no critic tables; a checkpoint with the older padded \"critic\" "
+            "layout cannot be resumed (load_policy still reads its policy)"
+        )
     cfg = dict(doc["config"])
     cfg["schedules"] = StepSizeSchedules(**cfg["schedules"])
-    config = TrainerConfig(**cfg)
-    policy = policy_from_doc(doc["policy"])
-    critic = visits = None
-    if "critic_tables" in doc:
-        tables = doc["critic_tables"]
-        v = np.asarray(tables["v"], dtype=float)
-        critic = CriticState(v, np.asarray(tables["w"], dtype=float).reshape((-1,) + v.shape))
-        visits = np.asarray(tables["visits"], dtype=np.int64)
+    tables = doc["critic_tables"]
+    v = np.asarray(tables["v"], dtype=float)
     rng = np.random.default_rng()
     rng.bit_generator.state = doc["rng_state"]
     return TrainerState(
-        config=config,
-        policy=policy,
-        critic=critic,
-        visits=visits,
+        config=TrainerConfig(**cfg),
+        policy=policy_from_doc(doc["policy"]),
+        critic=CriticState(v, np.asarray(tables["w"], dtype=float).reshape((-1,) + v.shape)),
+        visits=np.asarray(tables["visits"], dtype=np.int64),
         multipliers=np.asarray(doc["multipliers"], dtype=float),
         episode=int(doc["episode"]),
         rng=rng,

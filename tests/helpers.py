@@ -5,8 +5,10 @@ they enumerate trajectories or deterministic policies directly, so the fast
 implementations can be checked against independent arithmetic. Two
 exceptions reuse the package's evaluation: `gradient_without_baseline` takes
 the exact values and occupations so that it differs from `exact_gradient`
-only in the baseline, and `reference_finite_difference_gradient` re-evaluates
-the whole objective once per probe with `lagrangian_value`.
+only in the baseline, `reference_finite_difference_gradient` re-evaluates
+the whole objective once per probe with `lagrangian_value`, and
+`reference_train` composes the public one-episode functions that `train`'s
+flat step shares its kernels with.
 """
 
 import dataclasses
@@ -16,13 +18,19 @@ import numpy as np
 
 from fhc_ac import (
     Episode,
+    TrainingMetrics,
+    actor_update,
     backward_induction,
     lagrangian_value,
     make_cmdp,
+    make_trainer,
+    multiplier_update,
     occupation_measures,
     reachable_sets,
     rollout,
     tabular_policy,
+    update_constraint_critic,
+    update_penalized_critic,
 )
 from fhc_ac.dp_oracle import FD_STEP
 from fhc_ac.mdp_model import sample_index
@@ -114,12 +122,67 @@ def reference_rollout(model, table, rng):
     return Episode(
         states=states,
         actions=actions,
+        cells=np.arange(horizon + 1) * model.num_states + states,
         rewards=np.asarray(model.rewards[steps], dtype=float),
         terminal_reward=float(model.terminal_reward[s]),
         constraint_costs=np.asarray(model.constraint_costs[(slice(None),) + steps], dtype=float),
         terminal_constraint_costs=model.terminal_constraint_costs[:, s].copy(),
         action_probs=table[steps[:2]],
     )
+
+
+def reference_train(model, config):
+    """The episode loop `train` replaced, one public one-episode function per
+    layer: `rollout`, `update_penalized_critic`, `actor_update`, a refresh of
+    the moved rows from `distribution_rows`, `update_constraint_critic` on the
+    visit clocks and `multiplier_update`. Returns what `train(model, config)`
+    returns."""
+    state = make_trainer(model, config)
+    H, M = model.horizon, model.num_constraints
+    schedules = config.schedules
+    count = config.episodes
+    metrics = TrainingMetrics(
+        returns=np.zeros(count),
+        constraint_totals=np.zeros((count, M)),
+        multipliers=np.zeros((count, M)),
+        gap_estimates=np.zeros((count, M)),
+        theta_clipped=np.zeros(count, dtype=bool),
+        multiplier_floor_clipped=np.zeros(count, dtype=bool),
+    )
+    policy, critic, visits = state.policy, state.critic, state.visits
+    table = policy.distribution_table()
+    running = np.cumsum(table, axis=-1)
+    stages = np.arange(H + 1)
+    for i in range(count):
+        n = state.episode
+        lam = state.multipliers
+        episode = rollout(model, table, running, state.rng)
+        # a copy: the constraint step below moves these entries in place
+        gaps = critic.w[:, 0, episode.states[0]].copy()
+
+        deltas = update_penalized_critic(model, critic, episode, lam, schedules.critic_step(n))
+        clipped = actor_update(policy, episode, deltas, schedules.actor_step(n))
+        moved = (stages[:-1], episode.states[:-1])
+        rows = policy.distribution_rows(*moved)
+        table[moved] = rows
+        running[moved] = np.cumsum(rows, axis=-1)
+        if M:
+            visited = (stages, episode.states)
+            seen = visits[visited]
+            visits[visited] = seen + 1
+            update_constraint_critic(model, critic, episode, schedules.critic_step(seen))
+            state.multipliers, floor_hit, _ = multiplier_update(
+                state.multipliers, gaps, schedules.multiplier_step(n), config
+            )
+            metrics.multiplier_floor_clipped[i] = floor_hit
+            metrics.gap_estimates[i] = gaps
+            metrics.multipliers[i] = state.multipliers
+
+        metrics.returns[i] = episode.total_reward()
+        metrics.constraint_totals[i] = episode.total_constraint_costs()
+        metrics.theta_clipped[i] = clipped
+        state.episode = n + 1
+    return state, metrics
 
 
 def gradient_without_baseline(model, policy, multipliers):

@@ -182,6 +182,7 @@ def test_rollout_bookkeeping_matches_tables():
     H = model.horizon
     assert episode.states.shape == (H + 1,)
     assert episode.actions.shape == (H,)
+    assert np.array_equal(episode.cells, np.arange(H + 1) * model.num_states + episode.states)
     for h in range(H):
         s, a, nxt = episode.states[h], episode.actions[h], episode.states[h + 1]
         assert episode.rewards[h] == model.rewards[h, s, a, nxt]
@@ -213,8 +214,8 @@ def test_rollout_is_deterministic_given_seed():
 
 
 def test_rollout_rejects_a_table_of_another_horizon():
-    # ... or of another state or action count, or running sums in a layout
-    # the flat row offsets would misread
+    # ... or of another state or action count, or a table or running sums in
+    # a layout the flat row offsets would misread
     model = random_cmdp(np.random.default_rng(10), 3, 2, 3, 1)
     table = random_policy(model, np.random.default_rng(11)).distribution_table()
     running = np.cumsum(table, axis=-1)
@@ -224,6 +225,7 @@ def test_rollout_rejects_a_table_of_another_horizon():
         (table[:, :-1], running[:, :-1]),
         (table[..., :1], running[..., :1]),
         (table, np.asfortranarray(running)),
+        (np.asfortranarray(table), running),
         (table, running[..., ::-1]),
         (table, running.astype(np.float32)),
     ]:

@@ -16,6 +16,7 @@ from fhc_ac import (
     evaluate_policy,
     exact_gradient,
     load_checkpoint,
+    load_policy,
     make_trainer,
     moving_average,
     multiplier_update,
@@ -27,9 +28,15 @@ from fhc_ac import (
     update_constraint_critic,
     update_penalized_critic,
 )
-from fhc_ac.experiment_cli import load_any_model
+from fhc_ac.experiment_cli import load_any_model, main
 
-from helpers import random_cmdp, random_policy, sample_episode
+from helpers import (
+    random_cmdp,
+    random_policy,
+    random_sparse_cmdp,
+    reference_train,
+    sample_episode,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -228,6 +235,86 @@ def test_unreachable_entries_stay_untouched_by_training():
     assert not state.visits[off].any()
 
 
+def with_constraints(model, num_constraints):
+    """`model` with its first constraint dropped (0), kept (1) or joined by a
+    second one at twice its costs and threshold (2)."""
+    keep = slice(0, min(num_constraints, 1))
+    costs = model.constraint_costs[keep]
+    terminal = model.terminal_constraint_costs[keep]
+    thresholds = model.thresholds[keep]
+    if num_constraints == 2:
+        costs = np.concatenate([costs, 2.0 * costs])
+        terminal = np.concatenate([terminal, 2.0 * terminal])
+        thresholds = np.concatenate([thresholds, 2.0 * thresholds])
+    return dataclasses.replace(
+        model,
+        constraint_costs=costs,
+        terminal_constraint_costs=terminal,
+        thresholds=thresholds,
+    )
+
+
+def assert_same_training(got, want):
+    (state, metrics), (ref_state, ref_metrics) = got, want
+    for f in dataclasses.fields(metrics):
+        assert np.array_equal(getattr(metrics, f.name), getattr(ref_metrics, f.name)), f.name
+    assert np.array_equal(state.policy.stage_params, ref_state.policy.stage_params)
+    assert np.array_equal(state.critic.v, ref_state.critic.v)
+    assert np.array_equal(state.critic.w, ref_state.critic.w)
+    assert np.array_equal(state.visits, ref_state.visits)
+    assert np.array_equal(state.multipliers, ref_state.multipliers)
+    assert state.rng.bit_generator.state == ref_state.rng.bit_generator.state
+    assert state.episode == ref_state.episode
+
+
+def cut_off_last_state(model):
+    """`model` with its last state unreachable: no initial mass, no transitions in."""
+    kernels = model.kernels.copy()
+    kernels[..., -1] = 0.0
+    empty = kernels.sum(axis=-1) == 0
+    kernels[empty, 0] = 1.0
+    kernels /= kernels.sum(axis=-1, keepdims=True)
+    beta = model.initial_distribution.copy()
+    beta[-1] = 0.0
+    return dataclasses.replace(model, kernels=kernels, initial_distribution=beta / beta.sum())
+
+
+@pytest.mark.parametrize("num_constraints", [0, 1, 2])
+def test_train_equals_the_loop_of_public_one_episode_functions(num_constraints):
+    M = num_constraints
+    rng = np.random.default_rng(40 + M)
+    grid = load_any_model(CONFIGS / "gridworld_5x5_h100.json")
+    schedules = StepSizeSchedules(actor_scale=2.5, critic_scale=0.5, multiplier_scale=30.0)
+    cases = [
+        # (model, episodes, resume after, config settings)
+        (random_cmdp(rng, 4, 3, 6, M), 300, None, {}),
+        # a box so small that the actor clamps theta, and a floor it hits
+        (random_cmdp(rng, 3, 2, 9, M), 300, None,
+         {"param_bound": 0.3, "penalty_floor": -0.05, "schedules": schedules}),
+        (cut_off_last_state(random_sparse_cmdp(rng, 5, 3, 12, M)), 300, 170, {}),
+        (with_constraints(grid, M), 30, 12, {"schedules": schedules}),
+    ]
+    clamped = floored = False
+    for model, episodes, split, settings in cases:
+        config = TrainerConfig(episodes=episodes, seed=M, **settings)
+        want = reference_train(model, config)
+        if split is None:
+            got = train(model, config)
+        else:
+            state, head = train(model, dataclasses.replace(config, episodes=split))
+            state, tail = train(model, config, state=state)
+            joined = {
+                f.name: np.concatenate([getattr(head, f.name), getattr(tail, f.name)])
+                for f in dataclasses.fields(head)
+            }
+            got = state, type(head)(**joined)
+        assert_same_training(got, want)
+        clamped |= bool(want[1].theta_clipped.any())
+        floored |= bool(want[1].multiplier_floor_clipped.any())
+    assert clamped
+    assert floored == (M > 0)
+
+
 def test_make_trainer_takes_only_the_model_and_the_config():
     assert list(inspect.signature(make_trainer).parameters) == ["model", "config"]
 
@@ -265,12 +352,14 @@ def test_checkpoint_resume_reproduces_the_straight_run(tmp_path):
         assert np.array_equal(state_full.visits, state_resumed.visits)
 
 
-def test_checkpoints_with_the_padded_critic_layout_load_but_do_not_resume(tmp_path):
+def test_load_checkpoint_refuses_the_padded_critic_layout(tmp_path, capsys):
     # The older layout stored each stage's critic weights padded by position
     # in the stage's reachable set. On the 4x4 grid world the widest stage
     # covers every state, so its arrays have the shapes of the dense tables
-    # and only the layout tells them apart.
-    model = load_any_model(CONFIGS / "gridworld_4x4.json")
+    # and only the layout tells them apart. Such a checkpoint cannot be
+    # resumed, but its policy is still read.
+    model_path = CONFIGS / "gridworld_4x4.json"
+    model = load_any_model(model_path)
     state, _ = train(model, TrainerConfig(episodes=50, seed=1))
     path = tmp_path / "ckpt.json"
     save_checkpoint(state, path)
@@ -291,14 +380,15 @@ def test_checkpoints_with_the_padded_critic_layout_load_but_do_not_resume(tmp_pa
     without_visits = tmp_path / "padded-without-visits.json"
     without_visits.write_text(json.dumps(doc))
 
-    more = TrainerConfig(episodes=60, seed=1)
     for checkpoint in (padded, without_visits):
-        loaded = load_checkpoint(checkpoint)
-        assert loaded.critic is None and loaded.visits is None
-        assert np.array_equal(loaded.policy.stage_params, state.policy.stage_params)
-        assert np.array_equal(loaded.signed_multipliers(), state.multipliers)
-        with pytest.raises(ValueError, match="cannot resume: the state has no critic tables"):
-            train(model, more, state=loaded)
+        with pytest.raises(ValueError, match='"critic" layout cannot be resumed'):
+            load_checkpoint(checkpoint)
+        policy = load_policy(checkpoint)
+        assert np.array_equal(policy.stage_params, state.policy.stage_params)
+        capsys.readouterr()
+        assert main(["oracle", "evaluate", "--model", str(model_path),
+                     "--policy", str(checkpoint)]) == 0
+        assert "expected return" in capsys.readouterr().out
 
 
 def test_resume_rejects_a_state_that_does_not_fit_the_model_or_config():
