@@ -23,20 +23,31 @@ SINGULAR_TOL = 1e-10
 
 @dataclass
 class CriticState:
-    """Mutable critic tables indexed by stage and state id: `v` (H+1, S) for the
-    penalized critic, `w` (M, H+1, S) for the constraint critics. Entries of
-    states a stage cannot reach are never visited and stay zero."""
+    """Mutable critic tables indexed by channel, stage and state id, one
+    (1+M, H+1, S) `table`: channel 0 is the penalized critic and channels
+    1..M the constraint critics, in the order of `channel_costs`. `v` (H+1, S)
+    and `w` (M, H+1, S) are views of it, so writes through them move the
+    table. Entries of states a stage cannot reach are never visited and stay
+    zero."""
 
-    v: np.ndarray
-    w: np.ndarray
+    table: np.ndarray
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.table[0]
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.table[1:]
 
     def copy(self) -> "CriticState":
-        return CriticState(self.v.copy(), self.w.copy())
+        return CriticState(self.table.copy())
 
 
 def zero_critic(model: FiniteHorizonCMDP) -> CriticState:
-    shape = (model.horizon + 1, model.num_states)
-    return CriticState(np.zeros(shape), np.zeros((model.num_constraints,) + shape))
+    return CriticState(
+        np.zeros((1 + model.num_constraints, model.horizon + 1, model.num_states))
+    )
 
 
 def flat_view(table: np.ndarray) -> np.ndarray:
@@ -47,52 +58,47 @@ def flat_view(table: np.ndarray) -> np.ndarray:
     return table.reshape(-1)
 
 
-def td_step(table, ids, stage_costs, terminal_cost, step) -> np.ndarray:
+def td_step(table, ids, costs, step) -> np.ndarray:
     """Move the visited entries table[ids] of a flat critic table in place by
-    step_h * delta_h, with `step` a scalar or (H+1,) per stage; returns the
-    deltas, shaped like `ids` (..., H+1).
+    step * delta; returns the deltas, shaped like `ids` (..., H+1). `step`
+    broadcasts against them: a scalar, an (H+1,) row of per-stage steps, or
+    one step per entry.
 
-    `ids` holds each stage's entry in order, h = 0..H; leading axes stack
-    critics: `stage_costs` is (..., H) and `terminal_cost` (...). Stage h < H
-    compares the realized cost plus the next stage's estimate against stage
-    h's estimate; the terminal entry compares the terminal cost against the
-    terminal estimate. Every delta reads the table held before the step, and
-    all entries move in one add. That equals the in-order sweep over stages,
-    because each stage's entry is touched once and delta_h reads only stages
-    h and h+1 before their own updates.
+    `ids` holds each stage's entry in order, h = 0..H, and `costs` (..., H+1)
+    the realized stage costs followed by the terminal cost; leading axes
+    stack critics. Stage h < H compares its cost plus the next stage's
+    estimate against stage h's estimate; the terminal entry compares the
+    terminal cost against the terminal estimate. Every delta reads the table
+    held before the step, and all entries move in one add. That equals the
+    in-order sweep over stages, because each stage's entry is touched once
+    and delta_h reads only stages h and h+1 before their own updates.
     """
     vals = table[ids]
-    deltas = np.empty(vals.shape)
-    deltas[..., :-1] = stage_costs + vals[..., 1:] - vals[..., :-1]
-    deltas[..., -1] = terminal_cost - vals[..., -1]
+    deltas = costs.copy()
+    deltas[..., :-1] += vals[..., 1:]
+    deltas -= vals
     table[ids] = vals + step * deltas
     return deltas
 
 
-def penalized_costs(episode, multipliers, terminal_gaps):
-    """The episode's realized stage costs r_h + lambda . g_h, (H,), and its
-    terminal cost r_H + lambda . (g_H - alpha); `terminal_gaps` is g_H - alpha."""
-    return (
-        episode.rewards + multipliers @ episode.constraint_costs,
-        episode.terminal_reward + multipliers @ terminal_gaps,
-    )
-
-
 def update_penalized_critic(model, critic, episode, multipliers, step) -> np.ndarray:
     """One episode of TD updates on the penalized critic v (H+1, S) with the
-    costs of `penalized_costs`; returns the H+1 deltas. `step` is a scalar or
-    an (H+1,) array of per-stage steps."""
+    realized stage costs r_h + lambda . g_h and the terminal cost
+    r_H + lambda . (g_H - alpha); returns the H+1 deltas. `step` is a scalar
+    or an (H+1,) array of per-stage steps."""
     lam = np.asarray(multipliers, dtype=float)
-    costs, terminal = penalized_costs(
-        episode, lam, episode.terminal_constraint_costs - model.thresholds
+    gaps = episode.terminal_constraint_costs - model.thresholds
+    costs = np.append(
+        episode.rewards + lam @ episode.constraint_costs, episode.terminal_reward + lam @ gaps
     )
-    return td_step(flat_view(critic.v), episode.cells, costs, terminal, step)
+    return td_step(flat_view(critic.v), episode.cells, costs, step)
 
 
-def constraint_offsets(critic: CriticState) -> np.ndarray:
-    """Where each constraint's table starts in the flat w (M, H+1, S), as an
-    (M, 1) column: adding an episode's cells gives its (M, H+1) entry ids."""
-    return np.arange(len(critic.w))[:, None] * critic.v.size
+def channel_offsets(critic: CriticState) -> np.ndarray:
+    """Where each channel's (H+1, S) table starts in the flat critic table, as
+    a (1+M, 1) column: adding an episode's cells gives its (1+M, H+1) entry
+    ids."""
+    return np.arange(len(critic.table))[:, None] * critic.v.size
 
 
 def update_constraint_critic(model, critic, episode, step) -> np.ndarray:
@@ -102,8 +108,9 @@ def update_constraint_critic(model, critic, episode, step) -> np.ndarray:
     `step` is a scalar or an (H+1,) array of per-stage steps shared by the M
     critics."""
     terminal = episode.terminal_constraint_costs - model.thresholds
-    ids = episode.cells + constraint_offsets(critic)
-    return td_step(flat_view(critic.w), ids, episode.constraint_costs, terminal, step)
+    costs = np.concatenate([episode.constraint_costs, terminal[:, None]], axis=1)
+    ids = episode.cells + channel_offsets(critic)[1:]
+    return td_step(flat_view(critic.table), ids, costs, step)
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray, h: int) -> np.ndarray:

@@ -315,15 +315,12 @@ def run_seed(model, settings: dict, seed: int, out_dir: Path, progress_every: in
     def progress(done, total):
         print(f"  seed {seed}: episode {done}/{total}", file=sys.stderr, flush=True)
 
-    state, metrics = train(
-        model, config, progress_every=progress_every, progress=progress
-    )
-    if not (
-        np.all(np.isfinite(metrics.returns))
-        and np.all(np.isfinite(state.policy.stage_params))
-        and np.all(np.isfinite(state.multipliers))
-    ):
-        raise FloatingPointError(f"seed {seed}: training produced non-finite values")
+    try:
+        state, metrics = train(
+            model, config, progress_every=progress_every, progress=progress
+        )
+    except FloatingPointError as e:  # train checks once per chunk of episodes
+        raise FloatingPointError(f"seed {seed}: {e}") from None
     run_id = f"{config_hash(settings)}-seed{seed}"
     csv_path = out_dir / f"{run_id}.csv"
     ma = write_run_csv(csv_path, metrics, settings["window"])

@@ -38,7 +38,8 @@ class FiniteHorizonCMDP:
     and safe to share across concurrent runs: no array is changed in place,
     so the derived tables below are computed once, on first use, and cached.
     `channel_costs` is (1+M, H, S, A) and `channel_terminal` (1+M, S), both
-    read by the oracle. `successor_cdf` is read only by `sampler`: 12 bytes
+    read by the oracle; `train` reads its terminal gaps from the latter.
+    `successor_cdf` is read only by `sampler`: 12 bytes
     per nonzero kernel entry plus 8 per kernel row, about 2.0 MB for the
     152,100 nonzero entries of the 5x5 H=100 grid world.
     """
@@ -242,7 +243,8 @@ def sample_index(probs: list, u: float) -> int:
 
 
 def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
-    """Prepare the flat views an episode draw reads; returns draw(rng) -> Episode.
+    """Prepare the flat views an episode draw reads; returns
+    draw(rng) -> (cells, transitions, last).
 
     `table` holds the action distributions of every stage and state, shape
     (H, S, A), e.g. `NonStationaryPolicy.distribution_table()`, and `running`
@@ -251,23 +253,31 @@ def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
     draw takes 2H+1 uniforms from `rng` in one block: one for s_0 from the
     model's initial distribution, then an action and a successor per stage.
 
-    Each step is two bisections on running sums computed before the episode:
-    the action is the first index of running[h, s_h] above the action's
-    uniform, and the successor the first nonzero successor in the model's
-    `successor_cdf` row whose running sum is above the successor's uniform.
-    When no sum is above it (the row sums to less than the uniform by
-    round-off) the draw is the last action, or the last state. Both are
-    `sample_index`'s rule on the same sums: bisect_right finds the first sum
-    above the uniform, and the kernel entries left out are zeros, whose
-    sums repeat the one before them (or are 0 at the front), so none of them
-    can be the first above a uniform in [0, 1). Every draw is thus the index
-    `sample_index` returns from the same uniform.
+    A draw returns a lean record, no `Episode`: `cells` (H+1,), the ids
+    h*S + s_h of (h, s_h) in any stage-by-state table and so the (H*S, A)
+    rows of `table`; `transitions` (H,), the flat ids
+    ((h*S + s_h)*A + a_h)*S + s_{h+1} of the (H, S, A, S) reward and cost
+    tables, of which transitions // S are the flat ids of `table`; and `last`,
+    the terminal state s_H as an int. `rollout` builds the `Episode`.
 
-    The realized rewards and costs are read at the flat ids
-    ((h*S + s_h)*A + a_h)*S + s_{h+1} of the (H, S, A, S) tables, and the
-    episode's `cells` h*S + s_h index the (H*S, A) rows of `table`. Raises
-    ValueError unless `table` and `running` have shape (H, S, A) and are
-    C-contiguous float64 arrays, the layout the flat ids address.
+    Every draw is a bisection on running sums computed before the episode:
+    s_0 is the first index of the initial distribution's running sums above
+    s_0's uniform, the action the first index of running[h, s_h] above the
+    action's uniform, and the successor the first nonzero successor in the
+    model's `successor_cdf` row whose running sum is above the successor's
+    uniform. When no sum is above it (the row sums to less than the uniform
+    by round-off) the draw is the last state, or the last action. Each is
+    `sample_index`'s rule on the same sums: np.cumsum adds left to right as
+    `sample_index` does, bisect_right finds the first sum above the uniform,
+    and the kernel entries left out are zeros, whose sums repeat the one
+    before them (or are 0 at the front), so none of them can be the first
+    above a uniform in [0, 1). Every draw is thus the index `sample_index`
+    returns from the same uniform.
+
+    Raises ValueError unless `table` and `running` have shape (H, S, A) and
+    are C-contiguous float64 arrays, the layout the flat ids address, and
+    unless the initial distribution is finite and non-negative, so that its
+    running sums do not decrease.
     """
     horizon, num_states, num_actions = model.horizon, model.num_states, model.num_actions
     shape = (horizon, num_states, num_actions)
@@ -279,54 +289,36 @@ def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
     for name, array in [("distribution table", table), ("running sums", running)]:
         if array.dtype != np.float64 or not array.flags.c_contiguous:
             raise ValueError(f"{name} must be a C-contiguous float64 array")
+    initial = model.initial_distribution
+    if not np.isfinite(initial).all() or (initial < 0).any():
+        raise ValueError("sampling needs a finite, non-negative initial distribution")
+    initial_sums = np.cumsum(initial).tolist()
     offsets, successors, sums = model.successor_cdf
     action_sums = memoryview(running.reshape(-1))
-    rows = table.reshape(-1, num_actions)
-    initial = model.initial_distribution.tolist()
-    rewards = model.rewards.reshape(-1)
-    costs = model.constraint_costs.reshape(model.num_constraints, rewards.size)
-    terminal_rewards, terminal_costs = model.terminal_reward, model.terminal_constraint_costs
-    cell_base = np.arange(horizon + 1) * num_states
+    next_bases = range(num_states, (horizon + 1) * num_states, num_states)
     last_action, last_state = num_actions - 1, num_states - 1
-    stage_size = num_states * num_actions
-    stage_starts = range(0, horizon * stage_size, stage_size)
     count = 2 * horizon + 1
 
-    def draw(rng: np.random.Generator) -> Episode:
+    def draw(rng: np.random.Generator):
         # One block draw yields the same uniforms, in the same order, as
         # drawing them one at a time: s_0's, then an (action, successor) pair
         # per stage.
         uniforms = rng.random(count).tolist()
-        s = sample_index(initial, uniforms[0])
-        visited = [s]
-        chosen = []
-        transitions = []  # ((h*S + s_h)*A + a_h)*S + s_{h+1}
-        for start, u_action, u_state in zip(stage_starts, uniforms[1::2], uniforms[2::2]):
-            lo = start + s * num_actions
-            a = bisect_right(action_sums, u_action, lo, lo + num_actions) - lo
-            if a == num_actions:
-                a = last_action
-            row = lo + a
+        cell = s = min(bisect_right(initial_sums, uniforms[0]), last_state)
+        cells = [cell]
+        transitions = []
+        for next_base, u_action, u_state in zip(next_bases, uniforms[1::2], uniforms[2::2]):
+            # Bisecting the first A-1 sums gives the last action when none of
+            # them is above the uniform, whether or not the last sum is.
+            lo = cell * num_actions
+            row = bisect_right(action_sums, u_action, lo, lo + last_action)
             end = offsets[row + 1]
             j = bisect_right(sums, u_state, offsets[row], end)
             s = successors[j] if j < end else last_state
-            chosen.append(a)
-            visited.append(s)
             transitions.append(row * num_states + s)
-
-        states = np.array(visited, dtype=np.int64)
-        cells = cell_base + states
-        transitions = np.array(transitions, dtype=np.int64)
-        return Episode(
-            states=states,
-            actions=np.array(chosen, dtype=np.int64),
-            cells=cells,
-            rewards=rewards[transitions],
-            terminal_reward=float(terminal_rewards[s]),
-            constraint_costs=costs[:, transitions],
-            terminal_constraint_costs=terminal_costs[:, s].copy(),
-            action_probs=rows[cells[:-1]],
-        )
+            cell = next_base + s
+            cells.append(cell)
+        return np.array(cells, dtype=np.int64), np.array(transitions, dtype=np.int64), s
 
     return draw
 
@@ -336,10 +328,23 @@ def rollout(
 ) -> Episode:
     """Sample a full episode: s_0 ~ beta, a_h ~ table[h, s_h], s_{h+1} ~ p_h(s_h, a_h, .).
 
-    One draw of `sampler(model, table, running)`, which says how each step
-    is drawn and what the arguments must be.
+    The `Episode` of one draw of `sampler(model, table, running)`, which says
+    how each step is drawn and what the arguments must be.
     """
-    return sampler(model, table, running)(rng)
+    cells, transitions, last = sampler(model, table, running)(rng)
+    num_states, num_actions = model.num_states, model.num_actions
+    rewards = model.rewards.reshape(-1)
+    costs = model.constraint_costs.reshape(model.num_constraints, rewards.size)
+    return Episode(
+        states=cells - np.arange(model.horizon + 1) * num_states,
+        actions=transitions // num_states % num_actions,
+        cells=cells,
+        rewards=rewards[transitions],
+        terminal_reward=float(model.terminal_reward[last]),
+        constraint_costs=costs[:, transitions],
+        terminal_constraint_costs=model.terminal_constraint_costs[:, last].copy(),
+        action_probs=table.reshape(-1, num_actions)[cells[:-1]],
+    )
 
 
 def reachable_sets(model: FiniteHorizonCMDP) -> list[np.ndarray]:

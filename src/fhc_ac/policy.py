@@ -11,8 +11,10 @@ from .mdp_model import FiniteHorizonCMDP, sample_index, write_json
 
 def _gibbs(prefs: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, shifted by the row maximum for stability."""
-    z = np.exp(prefs - prefs.max(axis=-1, keepdims=True))
-    return z / z.sum(axis=-1, keepdims=True)
+    # The ufunc reductions are what ndarray.max and .sum call, without the
+    # Python wrapper around them.
+    z = np.exp(prefs - np.maximum.reduce(prefs, axis=-1, keepdims=True))
+    return z / np.add.reduce(z, axis=-1, keepdims=True)
 
 
 def score_rows(probs: np.ndarray, picked, temperature: float) -> np.ndarray:

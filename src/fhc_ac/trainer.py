@@ -1,11 +1,11 @@
 """Three-timescale training loop: tabular critics, Gibbs actor, multiplier ascent.
 
 The critics are tables with one entry per stage and state. Every episode
-applies, in order: TD updates to the penalized critic, one projected
-gradient step per stage of the actor driven by the same temporal
-differences, one TD step of all constraint critics together, and a clamped
-update of the Lagrange multipliers driven by the constraint critics'
-estimates at the episode's initial state. The multipliers are the
+applies one TD step to the penalized and the constraint critics together,
+one projected gradient step per stage of the actor driven by the penalized
+critic's temporal differences, and a clamped update of the Lagrange
+multipliers driven by the constraint critics' estimates at the episode's
+initial state. The multipliers are the
 non-positive penalties lambda in [penalty_floor, 0] that enter the costs
 r + lambda . g. All updates within an episode read the tables and
 parameters held at episode start. The three
@@ -13,12 +13,16 @@ step-size sequences decay at separated rates so the critics equilibrate
 fastest, the actor next, and the multipliers slowest.
 
 `train` prepares once per call what every episode reads: the policy's
-distribution table and running sums, the sampler's views of the model, and
-flat views of theta, the critic tables and the visit counts. An episode then
-indexes each table with one 1-D id array, its `cells` h*S + s_h, through the
-kernels `td_step`, `score_rows` and `actor_step` that the one-episode
-functions `update_penalized_critic`, `update_constraint_critic` and
-`actor_update` wrap, so both run the same arithmetic bit for bit.
+distribution table and running sums, the sampler's views of the model,
+per-state terminal tables, a table of the constraint critics' steps over
+every visit count the call can reach, and flat views of theta, the stacked
+critic table and the visit counts. An episode then indexes each table with
+the draw's 1-D id arrays, its `cells` h*S + s_h and its transition ids,
+through the kernels `td_step` (once, for all 1+M critics), `score_rows` and
+`actor_step` that the one-episode functions `update_penalized_critic`,
+`update_constraint_critic` and `actor_update` wrap, so both run the same
+arithmetic bit for bit. The realized return and cost totals are summed once
+per chunk of episodes.
 
 The penalized critic, the actor and the multipliers step on the global clock,
 the episode count n. The constraint critics step on local clocks, the
@@ -40,9 +44,8 @@ import numpy as np
 from . import dp_oracle
 from .critic import (
     CriticState,
-    constraint_offsets,
+    channel_offsets,
     flat_view,
-    penalized_costs,
     td_step,
     update_constraint_critic,  # unused here; bench/probe.py times calls at this name
     update_penalized_critic,  # unused here; bench/probe.py times calls at this name
@@ -177,8 +180,7 @@ def _check_resumable(state: TrainerState, model: FiniteHorizonCMDP, config: Trai
     fresh = make_trainer(model, config)
     for name, got, want in [
         ("policy table shape", state.policy.stage_params.shape, fresh.policy.stage_params.shape),
-        ("critic v shape", state.critic.v.shape, fresh.critic.v.shape),
-        ("critic w shape", state.critic.w.shape, fresh.critic.w.shape),
+        ("critic table shape", state.critic.table.shape, fresh.critic.table.shape),
         ("visit counts shape", state.visits.shape, fresh.visits.shape),
         ("multipliers shape", state.multipliers.shape, fresh.multipliers.shape),
         ("temperature", state.policy.temperature, fresh.policy.temperature),
@@ -194,8 +196,8 @@ def actor_step(theta_rows, moved, score, deltas, step: float, bound: float):
     any coordinate was clamped). `theta_rows` is the (H*S, A) view of theta
     and `moved` holds distinct row ids, so one fancy-indexed step equals
     separate row updates."""
-    proposed = theta_rows[moved] + (step * deltas)[:, None] * score
-    clipped = bool(np.abs(proposed).max(initial=0.0) > bound)
+    proposed = theta_rows.take(moved, axis=0) + (step * deltas)[:, None] * score
+    clipped = bool(np.maximum.reduce(np.abs(proposed), axis=None, initial=0.0) > bound)
     if clipped:
         np.clip(proposed, -bound, bound, out=proposed)
     theta_rows[moved] = proposed
@@ -229,10 +231,12 @@ def multiplier_update(stored: np.ndarray, estimates: np.ndarray, step: float, co
     [penalty_floor, 0].
     """
     proposed = stored - step * estimates
-    floor_hit = bool((proposed < config.penalty_floor).any())
-    zero_hit = bool((proposed > 0.0).any())
+    floor = config.penalty_floor
+    values = proposed.tolist()  # M plain floats compare faster than two array reductions
+    floor_hit = any(x < floor for x in values)
+    zero_hit = any(x > 0.0 for x in values)
     if floor_hit or zero_hit:  # the clamp is the identity otherwise
-        np.clip(proposed, config.penalty_floor, 0.0, out=proposed)
+        np.clip(proposed, floor, 0.0, out=proposed)
     return proposed, floor_hit, zero_hit
 
 
@@ -248,6 +252,21 @@ class TrainingMetrics:
     multiplier_floor_clipped: np.ndarray  # penalty floor hit, (N,) bool
 
 
+CHUNK = 1024  # episodes per chunk: totals are summed and divergence is checked once per chunk
+
+
+def _check_finite(state: TrainerState) -> None:
+    """Raise FloatingPointError, naming the episode count, when the critic
+    tables, theta or the multipliers hold a non-finite value."""
+    for name, array in [
+        ("critic tables", state.critic.table),
+        ("policy parameters", state.policy.stage_params),
+        ("multipliers", state.multipliers),
+    ]:
+        if not np.isfinite(array).all():
+            raise FloatingPointError(f"{name} became non-finite by episode {state.episode}")
+
+
 def train(
     model: FiniteHorizonCMDP,
     config: TrainerConfig,
@@ -259,14 +278,17 @@ def train(
 
     Resumes from `state` when given (ValueError if it does not fit the model
     and config) and records `config` in it; metrics cover only the episodes
-    run by this call. The loop is deterministic given the model, config, and seed.
+    run by this call. The loop is deterministic given the model, config, and
+    seed. After every `CHUNK` episodes, and after the last, raises
+    FloatingPointError naming the episode count if the critic tables, theta
+    or the multipliers have gone non-finite.
     """
     if state is None:
         state = make_trainer(model, config)
     else:
         _check_resumable(state, model, config)
         state.config = config
-    H, M = model.horizon, model.num_constraints
+    H, S, A, M = model.horizon, model.num_states, model.num_actions, model.num_constraints
     schedules = config.schedules
     count = max(config.episodes - state.episode, 0)
     metrics = TrainingMetrics(
@@ -281,54 +303,85 @@ def train(
     # The actor moves only the H rows (h, s_h) of an episode, so the
     # distribution table and its running sums are built once and refreshed
     # through the (H*S, A) row views that the episode's cells index.
-    policy, critic = state.policy, state.critic
+    policy, critic, rng = state.policy, state.critic, state.rng
     tau, bound = policy.temperature, policy.param_bound
     table = policy.distribution_table()
     running = np.cumsum(table, axis=-1)
     draw = sampler(model, table, running)
-    A = model.num_actions
     theta_rows = flat_view(policy.stage_params).reshape(-1, A)
     table_rows, running_rows = table.reshape(-1, A), running.reshape(-1, A)
-    v, w, visits = flat_view(critic.v), flat_view(critic.w), flat_view(state.visits)
-    w_offsets = constraint_offsets(critic)
+    critic_flat, visits = flat_view(critic.table), flat_view(state.visits)
+    offsets = channel_offsets(critic)
     action_base = np.arange(H) * A  # row h of an episode's (H, A) probabilities
-    thresholds = model.thresholds
-    for i in range(count):
-        n = state.episode
-        episode = draw(state.rng)
-        cells = episode.cells
-        moved = cells[:-1]
-        terminal_gaps = episode.terminal_constraint_costs - thresholds
-
-        costs, terminal = penalized_costs(episode, state.multipliers, terminal_gaps)
-        deltas = td_step(v, cells, costs, terminal, schedules.critic_step(n))
-        score = score_rows(episode.action_probs, action_base + episode.actions, tau)
-        proposed, clipped = actor_step(
-            theta_rows, moved, score, deltas[:-1], schedules.actor_step(n), bound
-        )
-        rows = _gibbs(proposed / tau)
-        table_rows[moved] = rows
-        running_rows[moved] = rows.cumsum(axis=-1)
-        if M:
-            w_ids = cells + w_offsets
-            gaps = w[w_ids[:, 0]]  # a gather, so a copy: the step below moves w in place
-            seen = visits[cells]
-            visits[cells] = seen + 1
-            td_step(w, w_ids, episode.constraint_costs, terminal_gaps, schedules.critic_step(seen))
-            c_n = schedules.multiplier_step(n)
-            state.multipliers, floor_hit, _ = multiplier_update(
-                state.multipliers, gaps, c_n, config
+    rewards = model.rewards.reshape(-1)
+    # (N, M): a row gather gives the (H, M) costs, whose transpose has the
+    # layout of costs[:, transitions] that the M >= 2 sums and products need.
+    costs_by_transition = model.constraint_costs.reshape(M, rewards.size).T
+    terminal_gaps = model.channel_terminal[1:].T.copy()  # row s: g_H(s) - alpha, (S, M)
+    terminal_rewards = model.terminal_reward.tolist()
+    # The one TD step's inputs, rewritten in place each episode: channel 0
+    # is the penalized critic, channels 1..M the constraint critics, and the
+    # last column of the costs holds the terminal costs.
+    td_costs, steps = np.empty((1 + M, H + 1)), np.empty((1 + M, H + 1))
+    penalized_costs, constraint_costs = td_costs[0, :-1], td_costs[1:, :-1]
+    constraint_terminal = td_costs[1:, -1]
+    penalized_steps, constraint_steps = steps[0], steps[1:]
+    if M:
+        # A visit count grows by at most one per episode.
+        step_table = schedules.critic_step(np.arange(state.visits.max() + count + 1))
+    chunk_transitions = np.empty((CHUNK, H), dtype=np.int64)
+    for start in range(0, count, CHUNK):
+        stop = min(start + CHUNK, count)
+        lasts = []
+        for i in range(start, stop):
+            n = state.episode
+            lam = state.multipliers
+            cells, transitions, last = draw(rng)
+            moved = cells[:-1]
+            ids = cells + offsets
+            g = costs_by_transition[transitions].T
+            gap_h = terminal_gaps[last]
+            # lam.dot gives the bits of lam @ with less call overhead
+            penalized_costs[:] = rewards[transitions] + lam.dot(g)
+            constraint_costs[:] = g
+            td_costs[0, -1] = terminal_rewards[last] + lam.dot(gap_h)
+            constraint_terminal[:] = gap_h
+            penalized_steps[:] = schedules.critic_step(n)
+            if M:
+                gaps = critic_flat[ids[1:, 0]]  # a gather, so a copy: td_step moves the table
+                seen = visits[cells]
+                visits[cells] = seen + 1
+                constraint_steps[:] = step_table[seen]
+            deltas = td_step(critic_flat, ids, td_costs, steps)
+            picked = action_base + transitions // S % A
+            score = score_rows(table_rows.take(moved, axis=0), picked, tau)
+            proposed, clipped = actor_step(
+                theta_rows, moved, score, deltas[0, :-1], schedules.actor_step(n), bound
             )
-            metrics.multiplier_floor_clipped[i] = floor_hit
-            metrics.gap_estimates[i] = gaps
-            metrics.multipliers[i] = state.multipliers
-            metrics.constraint_totals[i] = episode.total_constraint_costs()
+            rows = _gibbs(proposed / tau)
+            table_rows[moved] = rows
+            running_rows[moved] = np.add.accumulate(rows, axis=-1)  # what rows.cumsum runs
+            if M:
+                c_n = schedules.multiplier_step(n)
+                state.multipliers, floor_hit, _ = multiplier_update(lam, gaps, c_n, config)
+                metrics.multiplier_floor_clipped[i] = floor_hit
+                metrics.gap_estimates[i] = gaps
+                metrics.multipliers[i] = state.multipliers
 
-        metrics.returns[i] = episode.total_reward()
-        metrics.theta_clipped[i] = clipped
-        state.episode = n + 1
-        if progress_every and progress is not None and (n + 1) % progress_every == 0:
-            progress(n + 1, config.episodes)
+            chunk_transitions[i - start] = transitions
+            lasts.append(last)
+            metrics.theta_clipped[i] = clipped
+            state.episode = n + 1
+            if progress_every and progress is not None and (n + 1) % progress_every == 0:
+                progress(n + 1, config.episodes)
+        done = chunk_transitions[: stop - start]
+        metrics.returns[start:stop] = rewards[done].sum(axis=1) + model.terminal_reward[lasts]
+        # (size, H, M), the layout whose sum over H adds in the order of
+        # an episode's costs[:, transitions].sum(axis=1)
+        metrics.constraint_totals[start:stop] = (
+            costs_by_transition[done].sum(axis=1) + model.terminal_constraint_costs[:, lasts].T
+        )
+        _check_finite(state)
     return state, metrics
 
 
@@ -446,12 +499,13 @@ def load_checkpoint(path) -> TrainerState:
     cfg["schedules"] = StepSizeSchedules(**cfg["schedules"])
     tables = doc["critic_tables"]
     v = np.asarray(tables["v"], dtype=float)
+    w = np.asarray(tables["w"], dtype=float).reshape((-1,) + v.shape)
     rng = np.random.default_rng()
     rng.bit_generator.state = doc["rng_state"]
     return TrainerState(
         config=TrainerConfig(**cfg),
         policy=policy_from_doc(doc["policy"]),
-        critic=CriticState(v, np.asarray(tables["w"], dtype=float).reshape((-1,) + v.shape)),
+        critic=CriticState(np.concatenate([v[None], w])),
         visits=np.asarray(tables["visits"], dtype=np.int64),
         multipliers=np.asarray(doc["multipliers"], dtype=float),
         episode=int(doc["episode"]),

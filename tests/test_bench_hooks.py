@@ -44,3 +44,6 @@ def test_traced_probe_runs_train(tmp_path):
         "--episodes", "20", "--seeds", "0", "--no-plots", "--out-dir", str(tmp_path / "out"),
     )
     assert record["counts"]["trainer.train.episodes"] == 20
+    # train looks multiplier_update up at its module name once per episode,
+    # so the traced span keeps counting the 4x4 run's constrained episodes.
+    assert record["counts"]["trainer.multiplier_update"] == 20

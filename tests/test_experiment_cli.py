@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -254,6 +255,25 @@ def test_train_rejects_invalid_schedules_with_validation_exit(tmp_path):
     config = write_experiment(tmp_path, schedules={"critic_exponent": 0.4})
     assert main(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
     assert not (tmp_path / "out").exists()
+
+
+def test_train_stops_at_the_first_chunk_check_when_training_diverges(tmp_path, capsys):
+    # A critic scale of 1e300 overflows the critic tables within the first few
+    # episodes. `train` checks for non-finite values once per 1,024-episode
+    # chunk, so the seed stops at the first check, long before its 5,000
+    # episodes, exits 4 naming the seed and the episode, and writes no CSV
+    # and no checkpoint.
+    config = write_experiment(
+        tmp_path, episodes=5000, seeds=[0], schedules={"critic_scale": 1e300}
+    )
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["train", "--config", str(config), "--out-dir", str(out)])
+    assert code == 4
+    match = re.search(r"seed 0: .*non-finite by episode (\d+)", capsys.readouterr().err)
+    assert match and 1 <= int(match.group(1)) <= 1024
+    assert not list(out.glob("*.csv"))
+    assert not list(out.glob("*.checkpoint.json"))
 
 
 def test_train_exits_2_when_the_output_directory_cannot_be_made(tmp_path):

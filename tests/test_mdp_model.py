@@ -21,7 +21,7 @@ from fhc_ac import (
     tabular_policy,
     validate,
 )
-from fhc_ac.mdp_model import sample_index, write_json
+from fhc_ac.mdp_model import sample_index, sampler, write_json
 
 from helpers import (
     indicator_features,
@@ -285,6 +285,32 @@ def test_rollout_falls_back_to_the_last_index_like_the_row_scan():
         got = rollout(model, table, running, FixedUniforms(uniforms))
         assert got.states.tolist() == states and got.actions.tolist() == actions
         assert_same_episode(got, reference_rollout(model, table, FixedUniforms(uniforms)))
+
+
+def test_sampler_draws_s0_by_bisection_like_the_row_scan():
+    # The initial distribution sums to 0.1 + 0.2 (about 0.3) with a zero last
+    # entry: a uniform above the sum takes the last state, as the scan does.
+    # A negative or non-finite entry would break the bisection's ordered sums.
+    model = random_cmdp(np.random.default_rng(12), 3, 2, 2, 1)
+    model = dataclasses.replace(model, initial_distribution=np.array([0.1, 0.2, 0.0]))
+    table = tabular_policy(model).distribution_table()
+    running = np.cumsum(table, axis=-1)
+    draw = sampler(model, table, running)
+    for u0, s0 in [(0.0, 0), (0.1, 1), (0.29, 1), (0.35, 2), (0.99, 2)]:
+        uniforms = [u0] + [0.5] * (2 * model.horizon)
+        cells, transitions, last = draw(FixedUniforms(uniforms))
+        assert cells[0] == s0
+        want = reference_rollout(model, table, FixedUniforms(uniforms))
+        assert cells.tolist() == want.cells.tolist() and last == want.states[-1]
+        assert transitions.tolist() == np.ravel_multi_index(
+            (np.arange(model.horizon), want.states[:-1], want.actions, want.states[1:]),
+            model.kernels.shape,
+        ).tolist()
+    for bad in (-0.1, np.nan, np.inf):
+        beta = np.array([0.5, 0.5, 0.0])
+        beta[2] = bad
+        with pytest.raises(ValueError, match="initial distribution"):
+            sampler(dataclasses.replace(model, initial_distribution=beta), table, running)
 
 
 def test_successor_cdf_holds_each_rows_running_sums_at_its_nonzero_entries():

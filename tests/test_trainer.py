@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fhc_ac import (
+    CriticState,
     StepSizeSchedules,
     TrainerConfig,
     actor_update,
@@ -293,8 +294,11 @@ def test_train_equals_the_loop_of_public_one_episode_functions(num_constraints):
          {"param_bound": 0.3, "penalty_floor": -0.05, "schedules": schedules}),
         (cut_off_last_state(random_sparse_cmdp(rng, 5, 3, 12, M)), 300, 170, {}),
         (with_constraints(grid, M), 30, 12, {"schedules": schedules}),
+        # resumed with visit counts far above the episodes left: the resumed
+        # call's table of visit-clock steps must start from the largest count
+        (random_cmdp(rng, 3, 2, 3, M), 400, 395, {}),
     ]
-    clamped = floored = False
+    clamped = floored = resumed_past_count = False
     for model, episodes, split, settings in cases:
         config = TrainerConfig(episodes=episodes, seed=M, **settings)
         want = reference_train(model, config)
@@ -302,6 +306,7 @@ def test_train_equals_the_loop_of_public_one_episode_functions(num_constraints):
             got = train(model, config)
         else:
             state, head = train(model, dataclasses.replace(config, episodes=split))
+            resumed_past_count |= bool(state.visits.max() > 10 * (episodes - split))
             state, tail = train(model, config, state=state)
             joined = {
                 f.name: np.concatenate([getattr(head, f.name), getattr(tail, f.name)])
@@ -313,6 +318,7 @@ def test_train_equals_the_loop_of_public_one_episode_functions(num_constraints):
         floored |= bool(want[1].multiplier_floor_clipped.any())
     assert clamped
     assert floored == (M > 0)
+    assert resumed_past_count == (M > 0)  # visits are counted only with constraints
 
 
 def test_make_trainer_takes_only_the_model_and_the_config():
@@ -408,12 +414,11 @@ def test_resume_rejects_a_state_that_does_not_fit_the_model_or_config():
     def altered(**changes):
         return dataclasses.replace(state, **changes)
 
-    v, w = state.critic.v, state.critic.w
-    narrow_v = dataclasses.replace(state.critic, v=v[:, :-1])
-    narrow_w = dataclasses.replace(state.critic, w=w[:, :, :-1])
+    table = state.critic.table
     for bad in (
-        altered(critic=narrow_v),
-        altered(critic=narrow_w),
+        altered(critic=CriticState(table[:, :, :-1].copy())),  # a state short
+        altered(critic=CriticState(table[:, :-1].copy())),  # a stage short
+        altered(critic=CriticState(table[:-1].copy())),  # a channel short
         altered(visits=state.visits[:-1]),
         altered(multipliers=np.zeros(2)),
         altered(policy=tabular_policy(more_actions)),
