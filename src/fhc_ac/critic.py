@@ -150,7 +150,7 @@ def fixed_points(
     lam = dp_oracle._coerce_multipliers(model, multipliers)
     H = model.horizon
     mus = dp_oracle._distribution_matrices(model, policy)
-    d = dp_oracle.occupation_measures(model, policy)
+    d = dp_oracle._occupation(model, mus)
     steps = np.einsum("hij,hijk->hik", mus, model.kernels)
     # Expected one-step costs under the policy, (1+M, H, S): the penalized
     # channel first, then the M constraint channels.

@@ -4,9 +4,9 @@ Everything here works on the model's cached channel tables: channel 0 is the
 reward, channel k the k-th constraint cost. The penalized objective is linear
 in the channels, so one backward recursion evaluates a fixed policy for all of
 them at once and every penalized quantity is the combination r + lam . g of
-its channel values. On top of it sit stage occupation measures, exact and
-finite-difference policy gradients of the penalized objective, and the exact
-constrained optimum by cutting planes on the Lagrangian dual.
+its channel values. That pass, `backward_induction`, keeps the table it read,
+so occupation measures and exact and finite-difference gradients need no
+second one. The exact constrained optimum comes by cutting planes on the dual.
 """
 
 from __future__ import annotations
@@ -70,20 +70,6 @@ def _totals(model: FiniteHorizonCMDP, values: np.ndarray):
     return float(starts[0]), starts[1:] + model.thresholds
 
 
-def _gibbs_gradient(
-    model: FiniteHorizonCMDP, policy: NonStationaryPolicy, targets: np.ndarray
-) -> np.ndarray:
-    """sum_s d_h(s) sum_a mu_h(a|s) psi_h(s,a) t_h(s,a) in closed form, shape (H, S, A).
-
-    With psi_h(s,a) = (e_a - mu_h(s,.)) / tau on row (h, s) of the table, the
-    entry (h, s, a) is d_h(s) mu_h(a|s) (t_h(s,a) - sum_b mu_h(b|s) t_h(s,b)) / tau.
-    """
-    mus = _distribution_matrices(model, policy)
-    d = occupation_measures(model, policy)[:-1, :, None]
-    centered = targets - np.sum(mus * targets, axis=2, keepdims=True)
-    return d * mus * centered / policy.temperature
-
-
 @dataclass(frozen=True)
 class ExactSolution:
     """Backward-induction evaluation of a fixed policy at fixed multipliers.
@@ -93,6 +79,7 @@ class ExactSolution:
     whose terminal layer already subtracts the threshold.
     """
 
+    distributions: np.ndarray      # (H, S, A) the policy's mu the values are computed from
     values: np.ndarray             # (H+1, S)
     action_values: np.ndarray      # (H, S, A)
     constraint_values: np.ndarray  # (M, H+1, S)
@@ -106,10 +93,12 @@ def backward_induction(
 ) -> ExactSolution:
     """Evaluate `policy` exactly: penalized values plus per-constraint values."""
     lam = _coerce_multipliers(model, multipliers)
-    values, action_values = _channel_values(model, _distribution_matrices(model, policy))
+    mus = _distribution_matrices(model, policy)
+    values, action_values = _channel_values(model, mus)
     penalized = _penalize(values, lam)
     expected_return, totals = _totals(model, values)
     return ExactSolution(
+        distributions=mus,
         values=penalized,
         action_values=_penalize(action_values, lam),
         constraint_values=values[1:],
@@ -130,19 +119,33 @@ def evaluate_policy(model: FiniteHorizonCMDP, policy: NonStationaryPolicy):
     return solution.expected_return, solution.constraint_totals
 
 
-def occupation_measures(model: FiniteHorizonCMDP, policy: NonStationaryPolicy) -> np.ndarray:
-    """Stage state distributions d_h under the policy, shape (H+1, S).
+def _occupation(model: FiniteHorizonCMDP, mus: np.ndarray) -> np.ndarray:
+    """Stage state distributions d_h under the stage tables `mus`, (H+1, S).
 
     d_0 is the initial distribution and d_{h+1} = d_h P_h^mu; every row sums
     to one because the kernels are stochastic.
     """
-    mus = _distribution_matrices(model, policy)
     d = np.zeros((model.horizon + 1, model.num_states))
     d[0] = model.initial_distribution
     for h in range(model.horizon):
         step = np.einsum("ij,ijk->ik", mus[h], model.kernels[h])
         d[h + 1] = d[h] @ step
     return d
+
+
+def occupation_measures(model: FiniteHorizonCMDP, policy: NonStationaryPolicy) -> np.ndarray:
+    """Stage state distributions d_h under the policy, shape (H+1, S)."""
+    return _occupation(model, _distribution_matrices(model, policy))
+
+
+def _gradient(model: FiniteHorizonCMDP, solution: ExactSolution, temperature: float):
+    """`exact_gradient` from one evaluation: with t = Q_h - V_h, entry (h, s, a) is
+    d_h(s) mu_h(a|s) (t_h(s,a) - sum_b mu_h(b|s) t_h(s,b)) / tau in closed form."""
+    mus = solution.distributions
+    d = _occupation(model, mus)[:-1, :, None]
+    targets = solution.action_values - solution.values[:-1, :, None]
+    centered = targets - np.sum(mus * targets, axis=2, keepdims=True)
+    return d * mus * centered / temperature
 
 
 def exact_gradient(model: FiniteHorizonCMDP, policy: NonStationaryPolicy, multipliers=()):
@@ -154,9 +157,7 @@ def exact_gradient(model: FiniteHorizonCMDP, policy: NonStationaryPolicy, multip
     dropped because it sets the last bits of every entry, and the
     stationarity reports of runs are computed from these bits.
     """
-    solution = backward_induction(model, policy, multipliers)
-    targets = solution.action_values - solution.values[:-1, :, None]
-    return _gibbs_gradient(model, policy, targets)
+    return _gradient(model, backward_induction(model, policy, multipliers), policy.temperature)
 
 
 FD_STEP = 1e-5
@@ -179,8 +180,8 @@ def finite_difference_gradient(
     others, whose entries are exactly 0.
     """
     lam = _coerce_multipliers(model, multipliers)
-    mus = _distribution_matrices(model, policy)
-    values, action_values = (_penalize(x, lam) for x in _channel_values(model, mus))
+    solution = backward_induction(model, policy, lam)
+    mus, values, action_values = solution.distributions, solution.values, solution.action_values
     chain_costs = np.sum(mus * _penalize(model.channel_costs, lam), axis=2)
     chains = np.einsum("hsa,hsak->hsk", mus, model.kernels)
     A = model.num_actions

@@ -388,12 +388,12 @@ def run_experiment(settings: dict, out_dir: Path, progress_every: int = 0) -> di
     started = time.perf_counter()
     workers = worker_count(len(settings["seeds"]))
     if workers > 1:
+        # Spawned, not forked: numpy's BLAS threads are already running here.
         from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
-        payloads = [
-            (settings, seed, str(out_dir), progress_every) for seed in settings["seeds"]
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        payloads = [(settings, seed, str(out_dir), progress_every) for seed in settings["seeds"]]
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
             records = list(pool.map(_seed_worker, payloads))
     else:
         records = [

@@ -112,9 +112,8 @@ def render_line_chart(path: Path, series: list, title: str, xlabel: str, ylabel:
             f'stroke="{color}" stroke-width="1.3" stroke-dasharray="7,5"/>'
         )
     for s in series:
-        pts = " ".join(
-            f"{sx(x):.1f},{sy(y):.1f}" for x, y in zip(s["x"], s["y"])
-        )
+        xy = zip(sx(np.asarray(s["x"])).tolist(), sy(np.asarray(s["y"])).tolist())
+        pts = " ".join(f"{x:.1f},{y:.1f}" for x, y in xy)
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{s["color"]}" stroke-width="1.4"/>'
         )

@@ -429,9 +429,10 @@ def stationarity_diagnostics(
     multipliers,
     penalty_floor: float = -100.0,
 ) -> StationarityReport:
-    """Exact-gradient stationarity and multiplier-drift check at (theta, lambda)."""
+    """Stationarity and multiplier-drift check at (theta, lambda) from one exact evaluation."""
     lam = dp_oracle._coerce_multipliers(model, multipliers)
-    grads = dp_oracle.exact_gradient(model, policy, lam)
+    solution = dp_oracle.backward_induction(model, policy, lam)
+    grads = dp_oracle._gradient(model, solution, policy.temperature)
     theta, bound = policy.stage_params, policy.param_bound
     upper = theta >= bound
     lower = theta <= -bound
@@ -442,8 +443,7 @@ def stationarity_diagnostics(
     proj_norms = np.array([np.linalg.norm(g) for g in proj])
     at_bound = int(np.count_nonzero(upper | lower))
 
-    expected_return, totals = dp_oracle.evaluate_policy(model, policy)
-    gaps = totals - model.thresholds
+    gaps = solution.constraint_totals - model.thresholds
     drift = -gaps
     at_zero = lam >= 0.0
     at_floor = lam <= penalty_floor
@@ -457,8 +457,8 @@ def stationarity_diagnostics(
         max_multiplier_drift=float(np.abs(drift).max(initial=0.0)),
         theta_bound_active=at_bound,
         multiplier_bound_active=int(np.count_nonzero(at_zero | at_floor)),
-        expected_return=expected_return,
-        constraint_totals=totals,
+        expected_return=solution.expected_return,
+        constraint_totals=solution.constraint_totals,
         multipliers=lam,
     )
 

@@ -2,13 +2,14 @@
 
 The oracles here deliberately avoid the package's dynamic-programming code:
 they enumerate trajectories or deterministic policies directly, so the fast
-implementations can be checked against independent arithmetic. Two
+implementations can be checked against independent arithmetic. Some
 exceptions reuse the package's evaluation: `gradient_without_baseline` takes
 the exact values and occupations so that it differs from `exact_gradient`
 only in the baseline, `reference_finite_difference_gradient` re-evaluates
-the whole objective once per probe with `lagrangian_value`, and
+the whole objective once per probe with `lagrangian_value`,
 `reference_train` composes the public one-episode functions that `train`'s
-flat step shares its kernels with.
+flat step shares its kernels with, and the `unshared_*` oracle readers each
+evaluate the policy on their own, as they did before they shared one pass.
 """
 
 import dataclasses
@@ -21,6 +22,7 @@ from fhc_ac import (
     TrainingMetrics,
     actor_update,
     backward_induction,
+    evaluate_policy,
     lagrangian_value,
     make_cmdp,
     make_trainer,
@@ -32,8 +34,12 @@ from fhc_ac import (
     update_constraint_critic,
     update_penalized_critic,
 )
+from fhc_ac import dp_oracle
+from fhc_ac.critic import FixedPointWeights, _solve_gram
 from fhc_ac.dp_oracle import FD_STEP
 from fhc_ac.mdp_model import sample_index
+from fhc_ac.policy import _gibbs
+from fhc_ac.trainer import StationarityReport
 
 
 def random_cmdp(
@@ -82,6 +88,18 @@ def random_sparse_cmdp(rng, num_states, num_actions, horizon, num_constraints):
     kernels[empty, rng.integers(num_states, size=int(empty.sum()))] = 1.0
     kernels /= kernels.sum(axis=-1, keepdims=True)
     return dataclasses.replace(model, kernels=kernels)
+
+
+def cut_off_last_state(model):
+    """`model` with its last state unreachable: no initial mass, no transitions in."""
+    kernels = model.kernels.copy()
+    kernels[..., -1] = 0.0
+    empty = kernels.sum(axis=-1) == 0
+    kernels[empty, 0] = 1.0
+    kernels /= kernels.sum(axis=-1, keepdims=True)
+    beta = model.initial_distribution.copy()
+    beta[-1] = 0.0
+    return dataclasses.replace(model, kernels=kernels, initial_distribution=beta / beta.sum())
 
 
 def random_policy(model, rng, scale=1.5, temperature=1.0, param_bound=10.0):
@@ -216,6 +234,113 @@ def reference_finite_difference_gradient(model, policy, multipliers=()):
                 theta[h, s, a] = base
                 grads[h, s, a] = (up - down) / (2.0 * FD_STEP)
     return grads
+
+
+def unshared_occupation_measures(model, policy):
+    """Stage state distributions d_h, (H+1, S), from a table of their own."""
+    mus = policy.distribution_table()
+    d = np.zeros((model.horizon + 1, model.num_states))
+    d[0] = model.initial_distribution
+    for h in range(model.horizon):
+        step = np.einsum("ij,ijk->ik", mus[h], model.kernels[h])
+        d[h + 1] = d[h] @ step
+    return d
+
+
+def unshared_exact_gradient(model, policy, multipliers=()):
+    """`exact_gradient` building three tables: one in `backward_induction`,
+    one for the closed form and one for the occupation measures."""
+    solution = backward_induction(model, policy, multipliers)
+    targets = solution.action_values - solution.values[:-1, :, None]
+    mus = policy.distribution_table()
+    d = unshared_occupation_measures(model, policy)[:-1, :, None]
+    centered = targets - np.sum(mus * targets, axis=2, keepdims=True)
+    return d * mus * centered / policy.temperature
+
+
+def unshared_stationarity_diagnostics(model, policy, multipliers, penalty_floor=-100.0):
+    """`stationarity_diagnostics` with the gradient of `unshared_exact_gradient`
+    and a second backward pass at lambda = 0 for the return and totals."""
+    lam = np.atleast_1d(np.asarray(multipliers, dtype=float))
+    grads = unshared_exact_gradient(model, policy, lam)
+    theta, bound = policy.stage_params, policy.param_bound
+    upper = theta >= bound
+    lower = theta <= -bound
+    proj = grads.copy()
+    proj[upper] = np.minimum(proj[upper], 0.0)
+    proj[lower] = np.maximum(proj[lower], 0.0)
+    raw_norms = np.array([np.linalg.norm(g) for g in grads])
+    proj_norms = np.array([np.linalg.norm(g) for g in proj])
+    expected_return, totals = evaluate_policy(model, policy)
+    drift = -(totals - model.thresholds)
+    at_zero = lam >= 0.0
+    at_floor = lam <= penalty_floor
+    drift = np.where(at_zero, np.minimum(drift, 0.0), drift)
+    drift = np.where(at_floor, np.maximum(drift, 0.0), drift)
+    return StationarityReport(
+        stage_gradient_norms=raw_norms,
+        projected_gradient_norms=proj_norms,
+        max_projected_gradient_norm=float(proj_norms.max(initial=0.0)),
+        multiplier_drifts=drift,
+        max_multiplier_drift=float(np.abs(drift).max(initial=0.0)),
+        theta_bound_active=int(np.count_nonzero(upper | lower)),
+        multiplier_bound_active=int(np.count_nonzero(at_zero | at_floor)),
+        expected_return=expected_return,
+        constraint_totals=totals,
+        multipliers=lam,
+    )
+
+
+def unshared_finite_difference_gradient(model, policy, multipliers=()):
+    """`finite_difference_gradient` with its own table and channel recursion
+    in place of a `backward_induction` record."""
+    lam = np.atleast_1d(np.asarray(multipliers, dtype=float))
+    mus = policy.distribution_table()
+    values, action_values = (
+        dp_oracle._penalize(x, lam) for x in dp_oracle._channel_values(model, mus)
+    )
+    chain_costs = np.sum(mus * dp_oracle._penalize(model.channel_costs, lam), axis=2)
+    chains = np.einsum("hsa,hsak->hsk", mus, model.kernels)
+    A = model.num_actions
+    steps = np.concatenate([np.eye(A), -np.eye(A)]) * FD_STEP
+    grads = np.zeros_like(mus)
+    for h, states in enumerate(reachable_sets(model)[: model.horizon]):
+        rows = policy.stage_params[h, states][:, None, :] + steps
+        probes = np.einsum(
+            "rpa,ra->rp", _gibbs(rows / policy.temperature), action_values[h, states]
+        ).ravel()
+        v = np.repeat(values[h][None], len(probes), axis=0)
+        v[np.arange(len(probes)), np.repeat(states, 2 * A)] = probes
+        for t in range(h - 1, -1, -1):
+            v = chain_costs[t] + v @ chains[t].T
+        objective = (v @ model.initial_distribution).reshape(len(states), 2, A)
+        grads[h, states] = (objective[:, 0] - objective[:, 1]) / (2.0 * FD_STEP)
+    return grads
+
+
+def unshared_fixed_points(model, policy, multipliers, features):
+    """`fixed_points` with a second table for the occupation measures."""
+    lam = np.atleast_1d(np.asarray(multipliers, dtype=float))
+    H = model.horizon
+    mus = policy.distribution_table()
+    d = unshared_occupation_measures(model, policy)
+    steps = np.einsum("hij,hijk->hik", mus, model.kernels)
+    expected = np.sum(mus * model.channel_costs, axis=-1)
+    terminal = model.channel_terminal
+    stage_costs = np.concatenate([dp_oracle._penalize(expected, lam)[None], expected[1:]])
+    terminal = np.concatenate([dp_oracle._penalize(terminal, lam)[None], terminal[1:]])
+    weights = [None] * (H + 1)
+    target = terminal.T
+    for h in range(H, -1, -1):
+        if h < H:
+            target = stage_costs[:, h].T + steps[h] @ (features[h + 1] @ weights[h + 1])
+        phi = features[h]
+        gram = phi.T @ (d[h][:, None] * phi)
+        weights[h] = _solve_gram(gram, phi.T @ (d[h][:, None] * target), h)
+    return FixedPointWeights(
+        penalized=[w[:, 0] for w in weights],
+        constraints=[list(stages) for stages in zip(*(w.T[1:] for w in weights))],
+    )
 
 
 def indicator_features(model):

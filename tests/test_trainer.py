@@ -32,6 +32,7 @@ from fhc_ac import (
 from fhc_ac.experiment_cli import load_any_model, main
 
 from helpers import (
+    cut_off_last_state,
     random_cmdp,
     random_policy,
     random_sparse_cmdp,
@@ -266,18 +267,6 @@ def assert_same_training(got, want):
     assert np.array_equal(state.multipliers, ref_state.multipliers)
     assert state.rng.bit_generator.state == ref_state.rng.bit_generator.state
     assert state.episode == ref_state.episode
-
-
-def cut_off_last_state(model):
-    """`model` with its last state unreachable: no initial mass, no transitions in."""
-    kernels = model.kernels.copy()
-    kernels[..., -1] = 0.0
-    empty = kernels.sum(axis=-1) == 0
-    kernels[empty, 0] = 1.0
-    kernels /= kernels.sum(axis=-1, keepdims=True)
-    beta = model.initial_distribution.copy()
-    beta[-1] = 0.0
-    return dataclasses.replace(model, kernels=kernels, initial_distribution=beta / beta.sum())
 
 
 @pytest.mark.parametrize("num_constraints", [0, 1, 2])
