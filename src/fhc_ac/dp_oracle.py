@@ -30,8 +30,17 @@ def _coerce_multipliers(model: FiniteHorizonCMDP, multipliers) -> np.ndarray:
 
 
 def _penalize(channels: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The penalized combination r + sum_k lam_k g_k of a channel stack (1+M, ...)."""
-    return channels[0] + np.tensordot(lam, channels[1:], axes=1)
+    """The penalized combination r + sum_k lam_k g_k of a channel stack (1+M, ...),
+    as a fresh array for every M (callers add into it).
+
+    Summed channel by channel, not by `np.tensordot`: that is a BLAS gemv,
+    which on a multi-threaded BLAS waits for a sleeping helper thread
+    between this module's single-threaded stretches.
+    """
+    out = channels[0].copy()
+    for k, x in enumerate(lam.tolist()):
+        out += x * channels[1 + k]
+    return out
 
 
 def _distribution_matrices(model: FiniteHorizonCMDP, policy: NonStationaryPolicy) -> np.ndarray:

@@ -369,34 +369,39 @@ def save_model(model: FiniteHorizonCMDP, path) -> None:
         "num_actions": model.num_actions,
         "horizon": model.horizon,
         "num_constraints": model.num_constraints,
-        "kernels": model.kernels.tolist(),
-        "rewards": model.rewards.tolist(),
-        "terminal_reward": model.terminal_reward.tolist(),
-        "constraint_costs": model.constraint_costs.tolist(),
-        "terminal_constraint_costs": model.terminal_constraint_costs.tolist(),
-        "thresholds": model.thresholds.tolist(),
-        "initial_distribution": model.initial_distribution.tolist(),
+        "kernels": model.kernels,
+        "rewards": model.rewards,
+        "terminal_reward": model.terminal_reward,
+        "constraint_costs": model.constraint_costs,
+        "terminal_constraint_costs": model.terminal_constraint_costs,
+        "thresholds": model.thresholds,
+        "initial_distribution": model.initial_distribution,
     }
     write_json(path, doc)
 
 
 def write_json(path, doc) -> None:
-    """Write `doc` to `path` as exactly the bytes `json.dump(doc, f)` writes.
+    """Write `doc` to `path` as exactly the bytes `json.dump(doc, f)` writes,
+    where every numpy array in `doc` stands for its `tolist()`.
 
     `json.dump` streams through the pure-Python encoder. Here each innermost
     row or matrix (a list of scalars, or a list of such lists) is one
     `json.dumps` call, which runs the C encoder, and the text is written
-    piece by piece, never held whole. Dict keys must be str: any other key
-    raises TypeError.
+    piece by piece, never held whole. An array is written block by block over
+    its leading axes, one `json.dumps(block.tolist())` per trailing 2-D block
+    (an array of ndim <= 2 is one block), so no list of the whole array is
+    built. Dict keys must be str: any other key raises TypeError.
     """
     with open(path, "w") as f:
         f.writelines(_json_chunks(doc))
 
 
 def _nested(item) -> bool:
-    """A dict, or a list or tuple holding a container: not encoded in one call."""
-    return isinstance(item, dict) or (
-        isinstance(item, (list, tuple)) and any(isinstance(x, (dict, list, tuple)) for x in item)
+    """A dict, an array, or a list or tuple holding a container or an array:
+    not encoded in one call."""
+    return isinstance(item, (dict, np.ndarray)) or (
+        isinstance(item, (list, tuple))
+        and any(isinstance(x, (dict, list, tuple, np.ndarray)) for x in item)
     )
 
 
@@ -409,7 +414,9 @@ def _json_chunks(obj):
             yield (", " if i else "") + json.dumps(key) + ": "
             yield from _json_chunks(value)
         yield "}"
-    elif isinstance(obj, (list, tuple)) and any(map(_nested, obj)):
+    elif (isinstance(obj, np.ndarray) and obj.ndim > 2) or (
+        isinstance(obj, (list, tuple)) and any(map(_nested, obj))
+    ):
         yield "["
         for i, item in enumerate(obj):
             if i:
@@ -417,7 +424,7 @@ def _json_chunks(obj):
             yield from _json_chunks(item)
         yield "]"
     else:
-        yield json.dumps(obj)
+        yield json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj)
 
 
 def load_model(path) -> FiniteHorizonCMDP:

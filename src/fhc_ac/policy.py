@@ -110,11 +110,15 @@ def tabular_policy(
 
 
 def policy_to_doc(policy: NonStationaryPolicy) -> dict:
-    """The JSON layout of a policy, shared by policy files and checkpoints."""
+    """The JSON layout of a policy, shared by policy files and checkpoints.
+
+    "stage_params" is the policy's own (H, S, A) array, not a copy, so the
+    document is for `write_json`, which writes an array as its `tolist()`.
+    """
     return {
         "temperature": policy.temperature,
         "param_bound": policy.param_bound,
-        "stage_params": policy.stage_params.tolist(),
+        "stage_params": policy.stage_params,
     }
 
 

@@ -228,16 +228,17 @@ def multiplier_update(stored: np.ndarray, estimates: np.ndarray, step: float, co
     """Clamped multiplier step; returns (new multipliers, floor hit, zero hit).
 
     Each multiplier moves by -step * estimate and is clamped into
-    [penalty_floor, 0].
+    [penalty_floor, 0]. The M values are plain floats, which step and compare
+    faster than small arrays; the clamp has the bits of `np.clip`: NaN and
+    -0.0 stay as they are.
     """
-    proposed = stored - step * estimates
     floor = config.penalty_floor
-    values = proposed.tolist()  # M plain floats compare faster than two array reductions
+    values = [s - step * e for s, e in zip(stored.tolist(), estimates.tolist())]
     floor_hit = any(x < floor for x in values)
     zero_hit = any(x > 0.0 for x in values)
     if floor_hit or zero_hit:  # the clamp is the identity otherwise
-        np.clip(proposed, floor, 0.0, out=proposed)
-    return proposed, floor_hit, zero_hit
+        values = [min(max(x, floor), 0.0) for x in values]
+    return np.array(values), floor_hit, zero_hit
 
 
 @dataclass
@@ -468,12 +469,12 @@ def save_checkpoint(state: TrainerState, path) -> None:
     doc = {
         "config": asdict(state.config),
         "episode": state.episode,
-        "multipliers": state.multipliers.tolist(),
+        "multipliers": state.multipliers,
         "policy": policy_to_doc(state.policy),
         "critic_tables": {
-            "v": state.critic.v.tolist(),
-            "w": state.critic.w.tolist(),
-            "visits": state.visits.tolist(),
+            "v": state.critic.v,
+            "w": state.critic.w,
+            "visits": state.visits,
         },
         "rng_state": state.rng.bit_generator.state,
     }

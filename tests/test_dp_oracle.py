@@ -21,6 +21,7 @@ from fhc_ac import (
     occupation_measures,
     tabular_policy,
 )
+from fhc_ac import dp_oracle
 from fhc_ac.experiment_cli import load_any_model
 
 from helpers import (
@@ -207,6 +208,24 @@ def test_greedy_response_attains_best_deterministic_penalized_value():
         best = max(penalized(a) for a in iter_deterministic_policies(model))
         greedy = greedy_response(model, lam)
         assert penalized(greedy) == pytest.approx(best, abs=1e-12)
+
+
+@pytest.mark.parametrize("num_constraints", [0, 1, 2, 3])
+def test_penalize_returns_a_fresh_array_that_greedy_response_may_add_into(num_constraints):
+    rng = np.random.default_rng(50 + num_constraints)
+    model = random_cmdp(rng, 3, 2, 4, num_constraints)
+    lam = -rng.uniform(0.0, 2.0, size=num_constraints)
+    costs, terminal = model.channel_costs.copy(), model.channel_terminal.copy()
+    for channels in (model.channel_costs, model.channel_terminal):
+        out = dp_oracle._penalize(channels, lam)
+        assert out.shape == channels.shape[1:]
+        assert not np.shares_memory(out, channels)
+        if num_constraints == 1:
+            # one channel: the bits of the tensordot (BLAS) form
+            assert out.tobytes() == (channels[0] + np.tensordot(lam, channels[1:], axes=1)).tobytes()
+    greedy_response(model, lam)
+    assert np.array_equal(model.channel_costs, costs)
+    assert np.array_equal(model.channel_terminal, terminal)
 
 
 def calibrated_cmdp(seed, num_constraints, num_states=3, num_actions=2, horizon=3):

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fhc_ac import (
     constrained_reference,
@@ -420,10 +421,51 @@ def test_write_json_writes_the_bytes_of_json_dumps(tmp_path_factory, doc):
     assert path.read_bytes() == json.dumps(doc).encode()
 
 
+# 0-d arrays, zero-length axes and an M = 0 constraint_costs table (M, H, S, A, S)
+ARRAY_SHAPES = st.sampled_from([(), (0,), (2, 0, 3), (3, 0), (0, 2, 3, 2, 3)]) | hnp.array_shapes(
+    min_dims=0, max_dims=4, min_side=0, max_side=3
+)
+ARRAYS = (
+    hnp.arrays(
+        np.float64,
+        ARRAY_SHAPES,
+        elements=st.floats(allow_nan=True, allow_infinity=True)
+        | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+    )
+    | hnp.arrays(np.int64, ARRAY_SHAPES)
+    | hnp.arrays(np.bool_, ARRAY_SHAPES)
+)
+ARRAY_DOCS = st.recursive(
+    JSON_SCALARS | ARRAYS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def as_lists(doc):
+    """`doc` with every numpy array replaced by its `tolist()`."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {key: as_lists(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [as_lists(item) for item in doc]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=ARRAY_DOCS)
+def test_write_json_writes_arrays_as_the_bytes_of_their_tolist(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("json") / "doc.json"
+    write_json(path, doc)
+    assert path.read_bytes() == json.dumps(as_lists(doc)).encode()
+
+
 @settings(max_examples=100, deadline=None)
-@given(doc=JSON_DOCS, key=st.integers() | st.floats() | st.booleans() | st.none())
+@given(doc=ARRAY_DOCS, key=st.integers() | st.floats() | st.booleans() | st.none())
 def test_write_json_rejects_non_str_keys_at_any_depth(tmp_path_factory, doc, key):
     path = tmp_path_factory.mktemp("json") / "doc.json"
+    beside = np.zeros((2, 1, 3))
     with pytest.raises(TypeError):
-        write_json(path, [doc, {"outer": [{key: doc}]}])
+        write_json(path, [doc, beside, {"outer": [beside, {"array": beside, key: doc}]}])
 

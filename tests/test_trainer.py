@@ -2,7 +2,10 @@
 
 import dataclasses
 import inspect
+import itertools
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,8 @@ from fhc_ac import (
     multiplier_update,
     reachable_sets,
     save_checkpoint,
+    save_model,
+    save_policy,
     stationarity_diagnostics,
     tabular_policy,
     train,
@@ -161,6 +166,37 @@ def test_multiplier_update_moves_against_the_gap_and_clamps():
         np.array([-0.1]), np.array([-0.5]), 1.0, cfg
     )
     assert new[0] == 0.0 and zero_hit and not floor_hit
+
+
+def numpy_multiplier_update(stored, estimates, step, floor):
+    """The array form of the multiplier step: the reference `multiplier_update` keeps."""
+    proposed = stored - step * estimates
+    floor_hit, zero_hit = bool((proposed < floor).any()), bool((proposed > 0.0).any())
+    if floor_hit or zero_hit:
+        np.clip(proposed, floor, 0.0, out=proposed)
+    return proposed, floor_hit, zero_hit
+
+
+def test_multiplier_update_has_the_bits_of_the_numpy_clamp():
+    # every (multiplier, estimate) pair of these values, one and two at a
+    # time, and random triples: signed zeros, NaN, infinities, and values at,
+    # inside and beyond both bounds
+    floor = -2.0
+    values = [0.0, -0.0, math.nan, math.inf, -math.inf, -1.0, 1.0, floor,
+              math.nextafter(floor, -math.inf)]
+    pairs = list(itertools.product(values, values))
+    rng = np.random.default_rng(0)
+    cases = [*itertools.product(pairs, repeat=1), *itertools.product(pairs, repeat=2)]
+    cases += [[pairs[i] for i in rng.integers(len(pairs), size=3)] for _ in range(2000)]
+    cfg = TrainerConfig(episodes=1, penalty_floor=floor)
+    for case in cases:
+        stored, estimates = np.array(case).T
+        for step in (0.0, 0.37, 1.0):
+            with np.errstate(invalid="ignore"):
+                want = numpy_multiplier_update(stored, estimates, step, floor)
+            got = multiplier_update(stored, estimates, step, cfg)
+            assert got[0].dtype == np.float64 and got[0].tobytes() == want[0].tobytes(), case
+            assert got[1:] == want[1:], case
 
 
 def test_training_is_deterministic_for_a_fixed_seed():
@@ -345,6 +381,27 @@ def test_checkpoint_resume_reproduces_the_straight_run(tmp_path):
         assert np.array_equal(state_full.critic.v, state_resumed.critic.v)
         assert np.array_equal(state_full.critic.w, state_resumed.critic.w)
         assert np.array_equal(state_full.visits, state_resumed.visits)
+
+
+def test_saving_the_5x5_h100_world_copies_no_whole_table(tmp_path):
+    # The writer encodes one 2-D block at a time, so the peak allocation of
+    # a save stays far below the size of its tables (the model's dense
+    # tables alone are several MB).
+    model = load_any_model(CONFIGS / "gridworld_5x5_h100.json")
+    state, _ = train(model, TrainerConfig(episodes=300, seed=0))
+    saves = [
+        (save_model, model, 0.5e6),
+        (save_policy, state.policy, 0.5e6),
+        (save_checkpoint, state, 1e6),
+    ]
+    for save, obj, bound in saves:
+        tracemalloc.start()
+        try:
+            save(obj, tmp_path / "doc.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (save.__name__, peak)
 
 
 def test_load_checkpoint_refuses_the_padded_critic_layout(tmp_path, capsys):
