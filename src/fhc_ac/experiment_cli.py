@@ -23,7 +23,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -37,7 +36,6 @@ from .gridworld_env import (
     build_gridworld,
     calibrate_threshold,
     gridworld_config_from_doc,
-    gridworld_config_to_doc,
     random_gridworld,
     save_gridworld_config,
 )
@@ -59,6 +57,8 @@ from .trainer import (
 EXIT_BAD_CONFIG = 2
 EXIT_INVALID_MODEL = 3
 EXIT_NUMERICAL_FAILURE = 4
+
+GRADCHECK_TOLERANCE = 1e-5
 
 
 class CliError(Exception):
@@ -522,8 +522,6 @@ def cmd_train(args) -> int:
 def cmd_oracle_gradcheck(args) -> int:
     if args.instances < 1:
         raise CliError("--instances must be at least 1", EXIT_BAD_CONFIG)
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        raise CliError("--tolerance must be a positive finite number", EXIT_BAD_CONFIG)
     if args.seed < 0:
         raise CliError("--seed must be a non-negative integer", EXIT_BAD_CONFIG)
     model = load_any_model(Path(args.model))
@@ -541,10 +539,10 @@ def cmd_oracle_gradcheck(args) -> int:
         approx = dp_oracle.finite_difference_gradient(model, policy, lam)
         rel = np.linalg.norm(exact - approx) / max(np.linalg.norm(exact), 1e-12)
         worst = max(worst, float(rel))
-    ok = worst < args.tolerance
+    ok = worst < GRADCHECK_TOLERANCE
     print(
         f"gradcheck: {args.instances} random policies, max relative error "
-        f"{worst:.3e} ({'PASS' if ok else 'FAIL'} at {args.tolerance:g})"
+        f"{worst:.3e} ({'PASS' if ok else 'FAIL'} at {GRADCHECK_TOLERANCE:g})"
     )
     return 0 if ok else EXIT_NUMERICAL_FAILURE
 
@@ -646,42 +644,15 @@ def _save_and_summarize_gridworld(config, out) -> int:
 
 def cmd_env_generate(args) -> int:
     try:
-        start = tuple(int(x) for x in args.start.split(","))
-    except ValueError:
-        raise CliError(f"bad --start value {args.start!r}", EXIT_BAD_CONFIG)
-    if len(start) != 2:
-        raise CliError("--start needs 'row,col'", EXIT_BAD_CONFIG)
-    try:
-        config = random_gridworld(
-            rows=args.rows,
-            cols=args.cols,
-            horizon=args.horizon,
-            seed=args.seed,
-            slip=args.slip,
-            start=start,
-            reward_cells=args.reward_cells,
-            reward_range=(args.reward_low, args.reward_high),
-            cost_cells=args.cost_cells,
-            cost_range=(args.cost_low, args.cost_high),
-        )
-        config = calibrate_threshold(config, args.threshold_fraction)
+        config = random_gridworld(args.rows, args.cols, args.horizon, args.seed)
+        config = calibrate_threshold(config, 0.6)
     except ValueError as e:
         raise CliError(f"cannot generate grid world: {e}", EXIT_BAD_CONFIG)
     return _save_and_summarize_gridworld(config, args.out)
 
 
 def cmd_env_benchmark(args) -> int:
-    try:
-        config = benchmark_gridworld(
-            rows=args.rows,
-            cols=args.cols,
-            horizon=args.horizon,
-            slip=args.slip,
-            threshold_fraction=args.threshold_fraction,
-        )
-    except ValueError as e:
-        raise CliError(f"cannot build benchmark grid world: {e}", EXIT_BAD_CONFIG)
-    return _save_and_summarize_gridworld(config, args.out)
+    return _save_and_summarize_gridworld(benchmark_gridworld(), args.out)
 
 
 def _check_plot_inputs(summary, summary_path: Path) -> None:
@@ -766,7 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--model", required=True, help="model tables or grid-world JSON")
     p_grad.add_argument("--instances", type=int, default=20)
     p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--tolerance", type=float, default=1e-5)
     p_grad.set_defaults(func=cmd_oracle_gradcheck)
 
     p_solve = oracle_sub.add_parser(
@@ -803,35 +773,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--cols", type=int, default=4)
     p_gen.add_argument("--horizon", type=int, default=10)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--slip", type=float, default=0.1)
-    p_gen.add_argument("--start", default="0,0", help="start cell as 'row,col'")
-    p_gen.add_argument("--reward-cells", type=int, default=2)
-    p_gen.add_argument("--reward-low", type=float, default=2.0)
-    p_gen.add_argument("--reward-high", type=float, default=4.0)
-    p_gen.add_argument("--cost-cells", type=int, default=3)
-    p_gen.add_argument("--cost-low", type=float, default=2.0)
-    p_gen.add_argument("--cost-high", type=float, default=5.0)
-    p_gen.add_argument(
-        "--threshold-fraction",
-        type=float,
-        default=0.6,
-        help="threshold as a fraction of the unconstrained policy's cost",
-    )
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_env_generate)
 
     p_bench = env_sub.add_parser(
         "benchmark", help="write the fixed lit-block benchmark grid world"
-    )
-    p_bench.add_argument("--rows", type=int, default=4)
-    p_bench.add_argument("--cols", type=int, default=4)
-    p_bench.add_argument("--horizon", type=int, default=10)
-    p_bench.add_argument("--slip", type=float, default=0.1)
-    p_bench.add_argument(
-        "--threshold-fraction",
-        type=float,
-        default=0.6,
-        help="threshold as a fraction of the unconstrained policy's cost",
     )
     p_bench.add_argument("--out", required=True)
     p_bench.set_defaults(func=cmd_env_benchmark)

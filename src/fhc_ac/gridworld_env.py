@@ -124,43 +124,31 @@ def random_schedule(
     return out
 
 
-def random_gridworld(
-    rows: int,
-    cols: int,
-    horizon: int,
-    seed: int,
-    slip: float = 0.1,
-    start: tuple = (0, 0),
-    reward_cells: int = 2,
-    reward_range: tuple = (2.0, 4.0),
-    cost_cells: int = 3,
-    cost_range: tuple = (2.0, 5.0),
-) -> GridWorldConfig:
-    """Draw stagewise reward and cost placements; threshold starts at zero."""
+def random_gridworld(rows: int, cols: int, horizon: int, seed: int) -> GridWorldConfig:
+    """Draw stagewise reward and cost placements; threshold starts at zero.
+
+    Slip 0.1 from the top-left cell; per stage, 2 reward cells with values
+    in [2, 4) and 3 cost cells with values in [2, 5).
+    """
     rng = np.random.default_rng(seed)
     n = rows * cols
-    stage_rewards = random_schedule(rng, n, horizon, reward_cells, *reward_range)
-    stage_costs = random_schedule(rng, n, horizon, cost_cells, *cost_range)[None]
+    stage_rewards = random_schedule(rng, n, horizon, 2, 2.0, 4.0)
+    stage_costs = random_schedule(rng, n, horizon, 3, 2.0, 5.0)[None]
     return GridWorldConfig(
         rows=rows,
         cols=cols,
         horizon=horizon,
-        slip=slip,
-        start=tuple(start),
+        slip=0.1,
+        start=(0, 0),
         stage_rewards=stage_rewards,
         stage_costs=stage_costs,
         thresholds=np.zeros(1),
     )
 
 
-def benchmark_gridworld(
-    rows: int = 4,
-    cols: int = 4,
-    horizon: int = 10,
-    slip: float = 0.1,
-    threshold_fraction: float = 0.6,
-) -> GridWorldConfig:
-    """Fixed benchmark layout: a lit central block with one costly cell.
+def benchmark_gridworld() -> GridWorldConfig:
+    """Fixed benchmark layout on a 4x4 grid with H=10 and slip 0.1: a lit
+    central block with one costly cell.
 
     Every stage after the first landing pays the same reward (4.0 plus a
     small stage-dependent wiggle) on each of the four central cells and -1
@@ -169,8 +157,8 @@ def benchmark_gridworld(
     cost per landing plus a 1e-6 reward nudge. The nudge only pins the exact
     solver's tie-break — without it, backward induction picks between the
     otherwise identical block cells on float-rounding noise — so the
-    reward-greedy policy parks on the costly cell and the calibrated
-    threshold reflects a policy that ignores the constraint. At stochastic-
+    reward-greedy policy parks on the costly cell and the threshold, 0.6 of
+    its cost, reflects a policy that ignores the constraint. At stochastic-
     gradient scale the nudge is invisible, so a learner feels no pull toward
     the costly cell and can satisfy the constraint at no cost in return.
     Episodes start on the block's cost-free far corner, so every stage offers
@@ -178,8 +166,7 @@ def benchmark_gridworld(
     freshly initialized critic grade exits as bad, so early actor steps push
     toward the block on every seed; both keep run-to-run variance low.
     """
-    if rows < 4 or cols < 4:
-        raise ValueError("benchmark layout needs at least a 4x4 grid")
+    rows, cols, horizon = 4, 4, 10
     n = rows * cols
     mid_r, mid_c = rows // 2, cols // 2
     block = [
@@ -199,13 +186,13 @@ def benchmark_gridworld(
         rows=rows,
         cols=cols,
         horizon=horizon,
-        slip=slip,
+        slip=0.1,
         start=(mid_r, mid_c),
         stage_rewards=rewards,
         stage_costs=costs,
         thresholds=np.ones(1),
     )
-    return calibrate_threshold(config, threshold_fraction)
+    return calibrate_threshold(config, 0.6)
 
 
 def calibrate_threshold(config: GridWorldConfig, fraction: float) -> GridWorldConfig:

@@ -22,7 +22,6 @@ class ValidationReport:
 
     ok: bool
     violations: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -91,11 +90,11 @@ class FiniteHorizonCMDP:
         Row r = (h*S + s)*A + a owns entries offsets[r] to offsets[r+1]: its
         nonzero successors in increasing order, and the running sum of the
         row up to and including each of them. The sums are `np.cumsum`'s,
-        which adds left to right, so they equal `sample_index`'s running
-        total bit for bit; the zero entries left out add nothing to it.
-        Raises ValueError on a negative or non-finite kernel entry, where the
-        sums would not be non-decreasing and bisection would not match
-        `sample_index`.
+        which adds left to right, so they equal a running total taken one
+        entry at a time bit for bit; the zero entries left out add nothing to
+        it. Raises ValueError on a negative or non-finite kernel entry, where
+        the sums would not be non-decreasing and bisection would not find the
+        first of them above a uniform.
         """
         kernels = self.kernels
         if not np.isfinite(kernels).all() or (kernels < 0).any():
@@ -226,22 +225,6 @@ class Episode:
         return self.constraint_costs.sum(axis=1) + self.terminal_constraint_costs
 
 
-def sample_index(probs: list, u: float) -> int:
-    """Inverse-CDF draw: the first index whose running sum of `probs` exceeds u.
-
-    Returns the last index when no running sum does (round-off below 1). This
-    is min(searchsorted(cumsum(probs), u, side="right"), len - 1) on plain
-    floats, which on short rows is several times cheaper than the array calls.
-    A NaN running sum counts as exceeding u, as it does in searchsorted.
-    """
-    total = 0.0
-    for i, p in enumerate(probs):
-        total += p
-        if not total <= u:
-            return i
-    return len(probs) - 1
-
-
 def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
     """Prepare the flat views an episode draw reads; returns
     draw(rng) -> (cells, transitions, last).
@@ -267,12 +250,13 @@ def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
     model's `successor_cdf` row whose running sum is above the successor's
     uniform. When no sum is above it (the row sums to less than the uniform
     by round-off) the draw is the last state, or the last action. Each is
-    `sample_index`'s rule on the same sums: np.cumsum adds left to right as
-    `sample_index` does, bisect_right finds the first sum above the uniform,
-    and the kernel entries left out are zeros, whose sums repeat the one
-    before them (or are 0 at the front), so none of them can be the first
-    above a uniform in [0, 1). Every draw is thus the index `sample_index`
-    returns from the same uniform.
+    the rule of an inverse-CDF scan of the row (the tests keep one,
+    `sample_index`) on the same sums: np.cumsum adds left to right as the
+    scan does, bisect_right finds the first sum above the uniform, and the
+    kernel entries left out are zeros, whose sums repeat the one before them
+    (or are 0 at the front), so none of them can be the first above a
+    uniform in [0, 1). Every draw is thus the index the scan returns from
+    the same uniform.
 
     Raises ValueError unless `table` and `running` have shape (H, S, A) and
     are C-contiguous float64 arrays, the layout the flat ids address, and

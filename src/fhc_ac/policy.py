@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 
 import numpy as np
 
-from .mdp_model import FiniteHorizonCMDP, sample_index, write_json
+from .mdp_model import FiniteHorizonCMDP, write_json
 
 
 def _gibbs(prefs: np.ndarray) -> np.ndarray:
@@ -77,7 +78,11 @@ class NonStationaryPolicy:
         return _gibbs(self.stage_params[stages, states] / self.temperature)
 
     def sample_action(self, rng: np.random.Generator, h: int, s: int) -> int:
-        return sample_index(self.action_distribution(h, s).tolist(), rng.random())
+        """Inverse-CDF draw from mu_h(s, .): the first action whose running sum
+        is above one uniform, or the last action when none is (round-off
+        below 1); the rule of `sampler`'s action draw."""
+        sums = np.cumsum(self.action_distribution(h, s)).tolist()
+        return min(bisect_right(sums, rng.random()), len(sums) - 1)
 
     def score(self, h, s, a, probs=None) -> np.ndarray:
         """Gradient of log mu_h(s, a) in the row theta[h, s]: (e_a - mu_h(s, .)) / tau.

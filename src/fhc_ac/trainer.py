@@ -100,7 +100,6 @@ def check_schedules(schedules: StepSizeSchedules) -> ValidationReport:
     critic step, so the ratios checked here bound theirs too.
     """
     violations = []
-    notes = []
     trio = [
         ("critic", schedules.critic_exponent, schedules.critic_scale),
         ("actor", schedules.actor_exponent, schedules.actor_scale),
@@ -119,12 +118,7 @@ def check_schedules(schedules: StepSizeSchedules) -> ValidationReport:
             "exponents must strictly increase (critic < actor < multiplier) "
             "to separate the three timescales"
         )
-    if not violations:
-        for n in (10**2, 10**4, 10**6):
-            ratio_ba = schedules.actor_step(n) / schedules.critic_step(n)
-            ratio_cb = schedules.multiplier_step(n) / schedules.actor_step(n)
-            notes.append(f"n={n}: actor/critic={ratio_ba:.3e} multiplier/actor={ratio_cb:.3e}")
-    return ValidationReport(not violations, violations, notes)
+    return ValidationReport(not violations, violations)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ from fhc_ac import (
 from fhc_ac import dp_oracle
 from fhc_ac.critic import FixedPointWeights, _solve_gram
 from fhc_ac.dp_oracle import FD_STEP
-from fhc_ac.mdp_model import sample_index
 from fhc_ac.policy import _gibbs
 from fhc_ac.trainer import StationarityReport
 
@@ -116,6 +115,20 @@ def sample_episode(model, policy, rng):
     """One `rollout` from the policy's distribution table and its running sums."""
     table = policy.distribution_table()
     return rollout(model, table, np.cumsum(table, axis=-1), rng)
+
+
+def sample_index(probs: list, u: float) -> int:
+    """Inverse-CDF draw by a row scan: the first index whose running sum of
+    `probs` exceeds u, or the last index when no running sum does (round-off
+    below 1). A NaN running sum counts as exceeding u, as it does in
+    searchsorted. The reference for the package's bisection draws.
+    """
+    total = 0.0
+    for i, p in enumerate(probs):
+        total += p
+        if not total <= u:
+            return i
+    return len(probs) - 1
 
 
 def reference_rollout(model, table, rng):

@@ -1,5 +1,7 @@
 """Grid-world construction: kernels, schedules, calibration, serialization."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -70,7 +72,7 @@ def test_step_kernel_merges_slip_mass_at_the_walls():
 
 
 def test_build_gridworld_attaches_cell_values_to_the_landing_state():
-    config = random_gridworld(rows=2, cols=3, horizon=3, seed=0, slip=0.2)
+    config = dataclasses.replace(random_gridworld(rows=2, cols=3, horizon=3, seed=0), slip=0.2)
     model = build_gridworld(config)
     n = config.num_cells
     assert model.num_states == n
@@ -97,8 +99,6 @@ def test_build_gridworld_attaches_cell_values_to_the_landing_state():
 
 def test_build_gridworld_rejects_bad_start_and_shapes():
     config = random_gridworld(rows=2, cols=2, horizon=2, seed=1)
-    import dataclasses
-
     with pytest.raises(ValueError):
         build_gridworld(dataclasses.replace(config, start=(2, 0)))
     with pytest.raises(ValueError):
@@ -121,6 +121,10 @@ def test_random_schedule_places_the_requested_number_of_cells():
         assert np.all((nonzero >= 2.0) & (nonzero <= 5.0))
     with pytest.raises(ValueError):
         random_schedule(rng, 4, 2, cells_per_stage=5, low=0.0, high=1.0)
+    # a cell value range that is not finite cannot be drawn from
+    for low, high in ((2.0, math.nan), (-math.inf, 4.0), (2.0, math.inf), (math.nan, 5.0)):
+        with pytest.raises(ValueError):
+            random_schedule(rng, 12, 4, cells_per_stage=3, low=low, high=high)
 
 
 def test_random_gridworld_is_reproducible_by_seed():
@@ -134,7 +138,7 @@ def test_random_gridworld_is_reproducible_by_seed():
 
 
 def test_calibrate_threshold_scales_the_unconstrained_policy_cost():
-    config = random_gridworld(3, 3, 4, seed=3, slip=0.1)
+    config = random_gridworld(3, 3, 4, seed=3)
     calibrated = calibrate_threshold(config, fraction=0.6)
     model = build_gridworld(config)
     actions = greedy_response(model, np.zeros(1))
@@ -143,8 +147,9 @@ def test_calibrate_threshold_scales_the_unconstrained_policy_cost():
     assert calibrated.thresholds[0] > 0.0
     # everything but the thresholds is untouched
     assert np.array_equal(calibrated.stage_rewards, config.stage_rewards)
-    with pytest.raises(ValueError):
-        calibrate_threshold(config, fraction=0.0)
+    for fraction in (0.0, -0.6, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            calibrate_threshold(config, fraction=fraction)
 
 
 def test_greedy_response_takes_the_lowest_index_among_tied_actions():
@@ -207,8 +212,32 @@ def test_benchmark_gridworld_lights_the_central_block_with_one_costly_cell():
     assert config.thresholds[0] > 0.0
     # the greedy policy parks on the costly cell, so most landings pay cost
     assert unconstrained_costs[0] > 0.8 * config.horizon * (1.0 - config.slip)
-    with pytest.raises(ValueError):
-        benchmark_gridworld(rows=3)
+
+
+def test_generators_draw_the_pinned_schedules():
+    # sha256 of the schedule bytes; the thresholds are left out because
+    # calibration goes through BLAS, whose summation order may vary
+    pinned = [
+        (
+            random_gridworld(4, 4, 10, seed=3),
+            (0, 0),
+            "a64a74d3ec0aa638a0b25676de16f5f1a545d454777f7daa3785aa865bd9e5ba",
+            "f014b0a5b49bdc7cb676ca7186f59760accbd6e11aa60b1bba08713652d5ae78",
+        ),
+        (
+            benchmark_gridworld(),
+            (2, 2),
+            "00427a4e6be477d36eb185df33d167cc78c6bad87ad335379190b6ae8399ee58",
+            "a719e40355e294dfd4f7b59f7ea96b23a8e36c2fe8c549097680ca028bd9f1d8",
+        ),
+    ]
+    for config, start, rewards_digest, costs_digest in pinned:
+        assert (config.rows, config.cols, config.horizon) == (4, 4, 10)
+        assert config.slip == 0.1 and config.start == start
+        assert config.stage_rewards.shape == (11, 16)
+        assert config.stage_costs.shape == (1, 11, 16)
+        assert hashlib.sha256(config.stage_rewards.tobytes()).hexdigest() == rewards_digest
+        assert hashlib.sha256(config.stage_costs.tobytes()).hexdigest() == costs_digest
 
 
 def test_gridworld_config_round_trips_through_json(tmp_path):

@@ -22,7 +22,7 @@ from fhc_ac import (
     tabular_policy,
     validate,
 )
-from fhc_ac.mdp_model import sample_index, sampler, write_json
+from fhc_ac.mdp_model import sampler, write_json
 
 from helpers import (
     indicator_features,
@@ -31,6 +31,7 @@ from helpers import (
     random_sparse_cmdp,
     reference_rollout,
     sample_episode,
+    sample_index,
 )
 
 

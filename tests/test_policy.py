@@ -5,7 +5,7 @@ import pytest
 
 from fhc_ac import NonStationaryPolicy, load_policy, save_policy, tabular_policy
 
-from helpers import random_cmdp, random_policy
+from helpers import random_cmdp, random_policy, sample_index
 
 
 def small_table():
@@ -148,6 +148,38 @@ def test_sample_action_matches_distribution_frequencies():
     for _ in range(trials):
         counts[policy.sample_action(rng, 0, 1)] += 1
     assert np.abs(counts / trials - policy.action_distribution(0, 1)).max() < 0.01
+
+
+class FixedUniform:
+    """Stands in for a Generator whose next uniform is `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_sample_action_bisects_to_the_row_scan_draw():
+    model = random_cmdp(np.random.default_rng(16), 5, 9, 4, 0)
+    policy = random_policy(model, np.random.default_rng(17), scale=6.0)
+    rng = np.random.default_rng(18)
+    pairs = 0
+    for h in range(model.horizon):
+        for s in range(model.num_states):
+            row = policy.action_distribution(h, s)
+            # every running sum itself, where a scan must step past ties
+            uniforms = np.concatenate([np.cumsum(row), [0.0], rng.random(90)])
+            for u in uniforms.tolist():
+                assert policy.sample_action(FixedUniform(u), h, s) == sample_index(row.tolist(), u)
+                pairs += 1
+    assert pairs == 2_000
+    # rows the tests set by hand: one summing below 1, whose uniforms above
+    # the sum take the last action, and one with zero entries
+    for row in (np.full(4, 0.2), np.array([0.5, 0.0, 0.0, 0.5])):
+        policy.action_distribution = lambda h, s, row=row: row
+        for u in np.concatenate([np.cumsum(row), [0.0, 0.9, 0.999999]]).tolist():
+            assert policy.sample_action(FixedUniform(u), 0, 0) == sample_index(row.tolist(), u)
 
 
 def test_tabular_policy_is_a_zero_table_of_the_model_shape():

@@ -51,7 +51,6 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def test_check_schedules_accepts_the_default_trio():
     report = check_schedules(StepSizeSchedules())
     assert report.ok
-    assert report.notes  # separation ratios reported
 
 
 def test_check_schedules_rejects_out_of_range_exponents():
