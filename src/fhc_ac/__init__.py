@@ -41,12 +41,10 @@ from .dp_oracle import (
     occupation_measures,
 )
 from .critic import (
-    CriticState,
     FixedPointWeights,
     fixed_points,
     update_constraint_critic,
     update_penalized_critic,
-    zero_critic,
 )
 from .trainer import (
     StationarityReport,
@@ -108,12 +106,10 @@ __all__ = [
     "greedy_response",
     "lagrangian_value",
     "occupation_measures",
-    "CriticState",
     "FixedPointWeights",
     "fixed_points",
     "update_constraint_critic",
     "update_penalized_critic",
-    "zero_critic",
     "StationarityReport",
     "StepSizeSchedules",
     "TrainerConfig",

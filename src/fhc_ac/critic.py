@@ -1,11 +1,13 @@
 """Tabular TD critics for the penalized and constraint value functions.
 
-Each stage h = 0..H owns a table of state values; an episode moves the entry
-of every stage's visited state once. `fixed_points` keeps the general
-per-stage linear-feature ground truth: the limit the TD iterates converge to
-for any stage features phi_h, computed exactly for diagnostics and tests.
-The tabular critics are its case of one indicator feature per reachable
-state.
+The critics are one C-contiguous float64 array `critic` (1+M, H+1, S):
+channel 0 is the penalized critic v, channels 1..M the constraint critics w
+in the order of `channel_costs`. An episode moves the entry of every stage's
+visited state once; entries of states a stage cannot reach stay zero.
+`fixed_points` keeps the general per-stage linear-feature ground truth: the
+limit the TD iterates converge to for any stage features phi_h, computed
+exactly for diagnostics and tests. The tabular critics are its case of one
+indicator feature per reachable state.
 """
 
 from __future__ import annotations
@@ -19,35 +21,6 @@ from .mdp_model import FiniteHorizonCMDP
 from .policy import NonStationaryPolicy
 
 SINGULAR_TOL = 1e-10
-
-
-@dataclass
-class CriticState:
-    """Mutable critic tables indexed by channel, stage and state id, one
-    (1+M, H+1, S) `table`: channel 0 is the penalized critic and channels
-    1..M the constraint critics, in the order of `channel_costs`. `v` (H+1, S)
-    and `w` (M, H+1, S) are views of it, so writes through them move the
-    table. Entries of states a stage cannot reach are never visited and stay
-    zero."""
-
-    table: np.ndarray
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.table[0]
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.table[1:]
-
-    def copy(self) -> "CriticState":
-        return CriticState(self.table.copy())
-
-
-def zero_critic(model: FiniteHorizonCMDP) -> CriticState:
-    return CriticState(
-        np.zeros((1 + model.num_constraints, model.horizon + 1, model.num_states))
-    )
 
 
 def flat_view(table: np.ndarray) -> np.ndarray:
@@ -82,7 +55,7 @@ def td_step(table, ids, costs, step) -> np.ndarray:
 
 
 def update_penalized_critic(model, critic, episode, multipliers, step) -> np.ndarray:
-    """One episode of TD updates on the penalized critic v (H+1, S) with the
+    """One episode of TD updates on the penalized critic v = critic[0] with the
     realized stage costs r_h + lambda . g_h and the terminal cost
     r_H + lambda . (g_H - alpha); returns the H+1 deltas. `step` is a scalar
     or an (H+1,) array of per-stage steps."""
@@ -91,14 +64,14 @@ def update_penalized_critic(model, critic, episode, multipliers, step) -> np.nda
     costs = np.append(
         episode.rewards + lam @ episode.constraint_costs, episode.terminal_reward + lam @ gaps
     )
-    return td_step(flat_view(critic.v), episode.cells, costs, step)
+    return td_step(flat_view(critic[0]), episode.cells, costs, step)
 
 
-def channel_offsets(critic: CriticState) -> np.ndarray:
+def channel_offsets(critic: np.ndarray) -> np.ndarray:
     """Where each channel's (H+1, S) table starts in the flat critic table, as
     a (1+M, 1) column: adding an episode's cells gives its (1+M, H+1) entry
     ids."""
-    return np.arange(len(critic.table))[:, None] * critic.v.size
+    return np.arange(len(critic))[:, None] * critic[0].size
 
 
 def update_constraint_critic(model, critic, episode, step) -> np.ndarray:
@@ -110,7 +83,7 @@ def update_constraint_critic(model, critic, episode, step) -> np.ndarray:
     terminal = episode.terminal_constraint_costs - model.thresholds
     costs = np.concatenate([episode.constraint_costs, terminal[:, None]], axis=1)
     ids = episode.cells + channel_offsets(critic)[1:]
-    return td_step(flat_view(critic.table), ids, costs, step)
+    return td_step(flat_view(critic), ids, costs, step)
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray, h: int) -> np.ndarray:

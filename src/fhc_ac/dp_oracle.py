@@ -19,6 +19,8 @@ import numpy as np
 from .mdp_model import FiniteHorizonCMDP, reachable_sets
 from .policy import NonStationaryPolicy, _gibbs
 
+PENALTY_FLOOR = -100.0  # default lower end of every multiplier's range [floor, 0]
+
 
 def _coerce_multipliers(model: FiniteHorizonCMDP, multipliers) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(multipliers, dtype=float))
@@ -288,7 +290,7 @@ def _simplex(A: np.ndarray, c: np.ndarray, basis: list, tol: float):
 
 
 def constrained_reference(
-    model: FiniteHorizonCMDP, penalty_floor: float = -100.0
+    model: FiniteHorizonCMDP, penalty_floor: float = PENALTY_FLOOR
 ) -> ReferenceSolution:
     """The exact constrained optimum, by Kelley's cutting planes on the dual.
 

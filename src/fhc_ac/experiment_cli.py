@@ -744,7 +744,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--model", required=True)
     p_solve.add_argument(
-        "--floor", type=float, default=-100.0, help="lower end of every multiplier's range"
+        "--floor",
+        type=float,
+        default=dp_oracle.PENALTY_FLOOR,
+        help="lower end of every multiplier's range",
     )
     p_solve.set_defaults(func=cmd_oracle_solve)
 

@@ -47,24 +47,24 @@ def cell_index(row: int, col: int, cols: int) -> int:
 
 
 def step_kernel(rows: int, cols: int, slip: float) -> np.ndarray:
-    """Single-stage transition kernel (S, 9, S) with clamped slips."""
+    """Single-stage transition kernel (S, 9, S) with clamped slips.
+
+    `np.add.at` visits the (state, action, displacement) triples in row-major
+    order, so each landing cell sums its displacements' probabilities in
+    displacement order."""
     if not 0.0 <= slip < 1.0:
         raise ValueError("slip must lie in [0, 1)")
     n = rows * cols
-    targets = np.empty((n, NUM_ACTIONS), dtype=np.int64)
-    for r in range(rows):
-        for c in range(cols):
-            s = cell_index(r, c, cols)
-            for d, (dr, dc) in enumerate(DISPLACEMENTS):
-                rr = min(max(r + dr, 0), rows - 1)
-                cc = min(max(c + dc, 0), cols - 1)
-                targets[s, d] = cell_index(rr, cc, cols)
+    r, c = np.divmod(np.arange(n), cols)
+    dr, dc = np.array(DISPLACEMENTS).T
+    rr = np.clip(r[:, None] + dr, 0, rows - 1)
+    cc = np.clip(c[:, None] + dc, 0, cols - 1)
+    targets = rr * cols + cc  # (S, 9): the landing cell of each displacement
+    probs = np.full((NUM_ACTIONS, NUM_ACTIONS), slip / (NUM_ACTIONS - 1))  # [action, displacement]
+    np.fill_diagonal(probs, 1.0 - slip)
     kernel = np.zeros((n, NUM_ACTIONS, n))
-    for s in range(n):
-        for a in range(NUM_ACTIONS):
-            for d in range(NUM_ACTIONS):
-                p = 1.0 - slip if d == a else slip / (NUM_ACTIONS - 1)
-                kernel[s, a, targets[s, d]] += p
+    index = (np.arange(n)[:, None, None], np.arange(NUM_ACTIONS)[:, None], targets[:, None, :])
+    np.add.at(kernel, index, probs)
     return kernel
 
 
@@ -128,10 +128,18 @@ def random_gridworld(rows: int, cols: int, horizon: int, seed: int) -> GridWorld
     """Draw stagewise reward and cost placements; threshold starts at zero.
 
     Slip 0.1 from the top-left cell; per stage, 2 reward cells with values
-    in [2, 4) and 3 cost cells with values in [2, 5).
+    in [2, 4) and 3 cost cells with values in [2, 5). Raises ValueError
+    unless rows, cols and horizon are at least 1 and the grid has the 3
+    distinct cells a stage's costs are drawn on.
     """
-    rng = np.random.default_rng(seed)
+    if rows < 1 or cols < 1:
+        raise ValueError(f"rows and cols must be at least 1, got rows={rows} cols={cols}")
     n = rows * cols
+    if n < 3:
+        raise ValueError(f"a {rows}x{cols} grid has {n} cells; each stage places 3 cost cells")
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    rng = np.random.default_rng(seed)
     stage_rewards = random_schedule(rng, n, horizon, 2, 2.0, 4.0)
     stage_costs = random_schedule(rng, n, horizon, 3, 2.0, 5.0)[None]
     return GridWorldConfig(

@@ -43,13 +43,11 @@ import numpy as np
 
 from . import dp_oracle
 from .critic import (
-    CriticState,
     channel_offsets,
     flat_view,
     td_step,
     update_constraint_critic,  # unused here; bench/probe.py times calls at this name
     update_penalized_critic,  # unused here; bench/probe.py times calls at this name
-    zero_critic,
 )
 from .mdp_model import (
     FiniteHorizonCMDP,
@@ -127,7 +125,7 @@ class TrainerConfig:
     seed: int = 0
     temperature: float = 1.0
     param_bound: float = 10.0
-    penalty_floor: float = -100.0
+    penalty_floor: float = dp_oracle.PENALTY_FLOOR
     schedules: StepSizeSchedules = field(default_factory=StepSizeSchedules)
 
     def __post_init__(self):
@@ -141,7 +139,7 @@ class TrainerState:
 
     config: TrainerConfig
     policy: NonStationaryPolicy
-    critic: CriticState          # tables indexed by stage and state id
+    critic: np.ndarray           # (1+M, H+1, S): v = critic[0], w = critic[1:]
     visits: np.ndarray           # the constraint critics' clock: visits to (h, s), (H+1, S);
                                  # counted only when M > 0
     multipliers: np.ndarray      # non-positive penalties, (M,)
@@ -160,7 +158,7 @@ def make_trainer(model: FiniteHorizonCMDP, config: TrainerConfig) -> TrainerStat
     return TrainerState(
         config=config,
         policy=tabular_policy(model, config.temperature, config.param_bound),
-        critic=zero_critic(model),
+        critic=np.zeros((1 + model.num_constraints, model.horizon + 1, model.num_states)),
         visits=np.zeros((model.horizon + 1, model.num_states), dtype=np.int64),
         multipliers=np.zeros(model.num_constraints),
         episode=0,
@@ -174,7 +172,7 @@ def _check_resumable(state: TrainerState, model: FiniteHorizonCMDP, config: Trai
     fresh = make_trainer(model, config)
     for name, got, want in [
         ("policy table shape", state.policy.stage_params.shape, fresh.policy.stage_params.shape),
-        ("critic table shape", state.critic.table.shape, fresh.critic.table.shape),
+        ("critic table shape", state.critic.shape, fresh.critic.shape),
         ("visit counts shape", state.visits.shape, fresh.visits.shape),
         ("multipliers shape", state.multipliers.shape, fresh.multipliers.shape),
         ("temperature", state.policy.temperature, fresh.policy.temperature),
@@ -254,7 +252,7 @@ def _check_finite(state: TrainerState) -> None:
     """Raise FloatingPointError, naming the episode count, when the critic
     tables, theta or the multipliers hold a non-finite value."""
     for name, array in [
-        ("critic tables", state.critic.table),
+        ("critic tables", state.critic),
         ("policy parameters", state.policy.stage_params),
         ("multipliers", state.multipliers),
     ]:
@@ -305,7 +303,7 @@ def train(
     draw = sampler(model, table, running)
     theta_rows = flat_view(policy.stage_params).reshape(-1, A)
     table_rows, running_rows = table.reshape(-1, A), running.reshape(-1, A)
-    critic_flat, visits = flat_view(critic.table), flat_view(state.visits)
+    critic_flat, visits = flat_view(critic), flat_view(state.visits)
     offsets = channel_offsets(critic)
     action_base = np.arange(H) * A  # row h of an episode's (H, A) probabilities
     rewards = model.rewards.reshape(-1)
@@ -422,7 +420,7 @@ def stationarity_diagnostics(
     model: FiniteHorizonCMDP,
     policy: NonStationaryPolicy,
     multipliers,
-    penalty_floor: float = -100.0,
+    penalty_floor: float = dp_oracle.PENALTY_FLOOR,
 ) -> StationarityReport:
     """Stationarity and multiplier-drift check at (theta, lambda) from one exact evaluation."""
     lam = dp_oracle._coerce_multipliers(model, multipliers)
@@ -466,8 +464,8 @@ def save_checkpoint(state: TrainerState, path) -> None:
         "multipliers": state.multipliers,
         "policy": policy_to_doc(state.policy),
         "critic_tables": {
-            "v": state.critic.v,
-            "w": state.critic.w,
+            "v": state.critic[0],
+            "w": state.critic[1:],
             "visits": state.visits,
         },
         "rng_state": state.rng.bit_generator.state,
@@ -500,7 +498,7 @@ def load_checkpoint(path) -> TrainerState:
     return TrainerState(
         config=TrainerConfig(**cfg),
         policy=policy_from_doc(doc["policy"]),
-        critic=CriticState(np.concatenate([v[None], w])),
+        critic=np.concatenate([v[None], w]),
         visits=np.asarray(tables["visits"], dtype=np.int64),
         multipliers=np.asarray(doc["multipliers"], dtype=float),
         episode=int(doc["episode"]),

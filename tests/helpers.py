@@ -8,8 +8,9 @@ the exact values and occupations so that it differs from `exact_gradient`
 only in the baseline, `reference_finite_difference_gradient` re-evaluates
 the whole objective once per probe with `lagrangian_value`,
 `reference_train` composes the public one-episode functions that `train`'s
-flat step shares its kernels with, and the `unshared_*` oracle readers each
-evaluate the policy on their own, as they did before they shared one pass.
+flat step shares its kernels with, the `unshared_*` oracle readers each
+evaluate the policy on their own, as they did before they shared one pass,
+and `reference_step_kernel` builds the grid world's kernel cell by cell.
 """
 
 import dataclasses
@@ -37,6 +38,7 @@ from fhc_ac import (
 from fhc_ac import dp_oracle
 from fhc_ac.critic import FixedPointWeights, _solve_gram
 from fhc_ac.dp_oracle import FD_STEP
+from fhc_ac.gridworld_env import DISPLACEMENTS, cell_index
 from fhc_ac.policy import _gibbs
 from fhc_ac.trainer import StationarityReport
 
@@ -189,7 +191,7 @@ def reference_train(model, config):
         lam = state.multipliers
         episode = rollout(model, table, running, state.rng)
         # a copy: the constraint step below moves these entries in place
-        gaps = critic.w[:, 0, episode.states[0]].copy()
+        gaps = critic[1:, 0, episode.states[0]].copy()
 
         deltas = update_penalized_critic(model, critic, episode, lam, schedules.critic_step(n))
         clipped = actor_update(policy, episode, deltas, schedules.actor_step(n))
@@ -548,3 +550,25 @@ def occupation_lp(model):
     assert result.status == 0, result.message
     prices = result.ineqlin.marginals if M else np.zeros(0)
     return -result.fun, np.asarray(prices)
+
+
+def reference_step_kernel(rows, cols, slip):
+    """The grid world's (S, 9, S) kernel by four nested loops: each landing
+    cell is clamped to the grid and adds its displacements' probabilities in
+    displacement order."""
+    n, num_actions = rows * cols, len(DISPLACEMENTS)
+    targets = np.empty((n, num_actions), dtype=np.int64)
+    for r in range(rows):
+        for c in range(cols):
+            s = cell_index(r, c, cols)
+            for d, (dr, dc) in enumerate(DISPLACEMENTS):
+                rr = min(max(r + dr, 0), rows - 1)
+                cc = min(max(c + dc, 0), cols - 1)
+                targets[s, d] = cell_index(rr, cc, cols)
+    kernel = np.zeros((n, num_actions, n))
+    for s in range(n):
+        for a in range(num_actions):
+            for d in range(num_actions):
+                p = 1.0 - slip if d == a else slip / (num_actions - 1)
+                kernel[s, a, targets[s, d]] += p
+    return kernel

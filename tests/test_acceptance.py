@@ -32,7 +32,6 @@ from fhc_ac import (
     rollout,
     train,
     update_penalized_critic,
-    zero_critic,
     check_schedules,
 )
 from fhc_ac.experiment_cli import (
@@ -143,8 +142,8 @@ def test_criterion_4_td_critic_converges_to_its_fixed_point_within_budget():
 
     episodes, burn = 200_000, 50_000
     schedules = StepSizeSchedules()
-    critic = zero_critic(model)
-    sums = np.zeros_like(critic.v)
+    critic = np.zeros((1 + model.num_constraints, model.horizon + 1, model.num_states))
+    sums = np.zeros_like(critic[0])
     table = policy.distribution_table()
     running = np.cumsum(table, axis=-1)
     ep_rng = np.random.default_rng(7)
@@ -153,7 +152,7 @@ def test_criterion_4_td_critic_converges_to_its_fixed_point_within_budget():
         episode = rollout(model, table, running, ep_rng)
         update_penalized_critic(model, critic, episode, lam, schedules.critic_step(n))
         if n >= burn:
-            sums += critic.v
+            sums += critic[0]
     elapsed = time.perf_counter() - started
     worst = max(
         float(np.abs(sums[h, r] / (episodes - burn) - target[h]).max())

@@ -11,7 +11,6 @@ from fhc_ac import (
     rollout,
     update_constraint_critic,
     update_penalized_critic,
-    zero_critic,
 )
 
 from helpers import indicator_features, random_basis, random_cmdp, random_policy, sample_episode
@@ -19,10 +18,10 @@ from helpers import indicator_features, random_basis, random_cmdp, random_policy
 
 def random_critic(model, rng):
     """Critic tables with normal entries on every stage's reachable states."""
-    critic = zero_critic(model)
+    critic = np.zeros((1 + model.num_constraints, model.horizon + 1, model.num_states))
     for h, r in enumerate(reachable_sets(model)):
-        critic.v[h, r] = rng.normal(size=len(r))
-        critic.w[:, h, r] = rng.normal(size=(model.num_constraints, len(r)))
+        critic[0, h, r] = rng.normal(size=len(r))
+        critic[1:, h, r] = rng.normal(size=(model.num_constraints, len(r)))
     return critic
 
 
@@ -40,7 +39,7 @@ def test_td_errors_match_hand_computed_values():
     H = model.horizon
     assert xis.shape == (1, H + 1)
     xis = xis[0]
-    v, w = start.v, start.w[0]
+    v, w = start[0], start[1]
     for h in range(H):
         s, nxt = episode.states[h], episode.states[h + 1]
         cost = episode.rewards[h] + lam[0] * episode.constraint_costs[0, h]
@@ -76,12 +75,12 @@ def test_update_moves_weights_along_features():
         before = critic.copy()
         deltas = update_penalized_critic(model, critic, episode, lam, 0.05)
         xis = update_constraint_critic(model, critic, episode, 0.05)
-        expected_v = before.v.copy()
+        expected_v = before[0].copy()
         expected_v[visited] += 0.05 * deltas
-        assert np.array_equal(critic.v, expected_v)
-        expected_w = before.w.copy()
+        assert np.array_equal(critic[0], expected_v)
+        expected_w = before[1:].copy()
         expected_w[:, stages, episode.states] += 0.05 * xis
-        assert np.array_equal(critic.w, expected_w)
+        assert np.array_equal(critic[1:], expected_w)
 
 
 def test_random_basis_updates_follow_the_per_stage_formula():
@@ -101,7 +100,7 @@ def test_random_basis_updates_follow_the_per_stage_formula():
         episode = rollout(model, table, running, ep_rng)
         s = episode.states
         before = critic.copy()
-        tables = [before.v] + [before.w[k] for k in range(2)]
+        tables = [before[0]] + [before[1:][k] for k in range(2)]
         stage_costs = [episode.rewards + lam @ episode.constraint_costs]
         stage_costs += [episode.constraint_costs[k] for k in range(2)]
         terminal = [
@@ -113,7 +112,7 @@ def test_random_basis_updates_follow_the_per_stage_formula():
         ]
         got = [update_penalized_critic(model, critic, episode, lam, 0.05)]
         got += list(update_constraint_critic(model, critic, episode, 0.05))
-        after = [critic.v] + [critic.w[k] for k in range(2)]
+        after = [critic[0]] + [critic[1:][k] for k in range(2)]
         for old, g, term, deltas, new in zip(tables, stage_costs, terminal, got, after):
             expected = old.copy()
             for h in range(H + 1):
@@ -134,7 +133,7 @@ def test_batched_constraint_step_equals_the_per_critic_formula_exactly():
     model = random_cmdp(rng, 4, 3, 4, M)
     policy = random_policy(model, rng)
     critic = random_critic(model, rng)
-    reference = critic.w.copy()
+    reference = critic[1:].copy()
     table = policy.distribution_table()
     running = np.cumsum(table, axis=-1)
     ep_rng = np.random.default_rng(14)
@@ -151,7 +150,7 @@ def test_batched_constraint_step_equals_the_per_critic_formula_exactly():
             deltas[-1] = episode.terminal_constraint_costs[k] - model.thresholds[k] - vals[-1]
             reference[k][stages, episode.states] += step * deltas
             assert np.array_equal(got[k], deltas)
-        assert np.array_equal(critic.w, reference)
+        assert np.array_equal(critic[1:], reference)
 
 
 def sequential_sweep(table, states, stage_costs, terminal_cost, step):
@@ -187,20 +186,20 @@ def test_synchronous_and_sequential_updates_coincide():
         d_a = update_penalized_critic(model, critic_a, ep_a, lam, 0.05)
         costs = ep_b.rewards + lam @ ep_b.constraint_costs
         cterm = ep_b.terminal_reward + lam @ (ep_b.terminal_constraint_costs - model.thresholds)
-        d_b = sequential_sweep(critic_b.v, ep_b.states, costs, cterm, 0.05)
+        d_b = sequential_sweep(critic_b[0], ep_b.states, costs, cterm, 0.05)
         assert np.array_equal(d_a, d_b)
         x_a = update_constraint_critic(model, critic_a, ep_a, 0.05)
         for k in range(2):
             x_b = sequential_sweep(
-                critic_b.w[k],
+                critic_b[1:][k],
                 ep_b.states,
                 ep_b.constraint_costs[k],
                 ep_b.terminal_constraint_costs[k] - model.thresholds[k],
                 0.05,
             )
             assert np.array_equal(x_a[k], x_b)
-    assert np.array_equal(critic_a.v, critic_b.v)
-    assert np.array_equal(critic_a.w, critic_b.w)
+    assert np.array_equal(critic_a[0], critic_b[0])
+    assert np.array_equal(critic_a[1:], critic_b[1:])
 
 
 def test_fixed_points_with_tabular_basis_equal_exact_values():

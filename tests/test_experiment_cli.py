@@ -397,6 +397,22 @@ def test_env_generate_validates_before_it_writes(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--rows", "1", "--cols", "2"], "a 1x2 grid has 2 cells; each stage places 3 cost cells"),
+        (["--horizon", "-1"], "horizon must be at least 1, got -1"),
+        (["--rows", "-2", "--cols", "-2"], "rows and cols must be at least 1, got rows=-2 cols=-2"),
+        (["--horizon", "0"], "horizon must be at least 1, got 0"),
+    ],
+)
+def test_env_generate_refuses_a_world_it_cannot_build(tmp_path, capsys, flags, message):
+    out = tmp_path / "grid.json"
+    assert main(["env", "generate", *flags, "--out", str(out)]) == 2
+    assert f"cannot generate grid world: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_env_benchmark_writes_the_fixed_world_deterministically(tmp_path, capsys):
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["env", "benchmark", "--out", str(out_a)]) == 0

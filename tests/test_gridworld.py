@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,8 @@ from fhc_ac import (
     validate,
 )
 
+from helpers import reference_step_kernel
+
 
 def test_displacements_are_row_major_with_stay_in_the_middle():
     assert len(DISPLACEMENTS) == 9
@@ -46,6 +49,15 @@ def test_step_kernel_rows_are_distributions():
         step_kernel(2, 2, 1.0)
     with pytest.raises(ValueError):
         step_kernel(2, 2, -0.1)
+
+
+def test_step_kernel_has_the_bytes_of_the_loop_reference():
+    shapes = ((1, 3), (3, 1), (2, 2), (4, 4), (5, 5), (3, 7), (10, 10))
+    for (rows, cols), slip in itertools.product(shapes, (0.0, 0.1, 0.2, 1 / 3, 0.999)):
+        kernel = step_kernel(rows, cols, slip)
+        reference = reference_step_kernel(rows, cols, slip)
+        assert kernel.dtype == reference.dtype and kernel.shape == reference.shape
+        assert kernel.tobytes() == reference.tobytes(), (rows, cols, slip)
 
 
 def test_step_kernel_is_deterministic_without_slip():

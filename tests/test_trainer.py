@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from fhc_ac import (
-    CriticState,
     StepSizeSchedules,
     TrainerConfig,
     actor_update,
@@ -228,8 +227,8 @@ def test_constraint_critics_step_on_per_state_visit_clocks():
     state = make_trainer(model, TrainerConfig(episodes=41, seed=3, schedules=schedules))
     state.episode = 40
     state.multipliers = np.array([-0.7, -0.2])
-    state.critic.v[:] = rng.normal(size=state.critic.v.shape)
-    state.critic.w[:] = rng.normal(size=state.critic.w.shape)
+    state.critic[0][:] = rng.normal(size=state.critic[0].shape)
+    state.critic[1:][:] = rng.normal(size=state.critic[1:].shape)
     state.visits[0] = 8  # stage 0 is revisited, every later stage is new
     start = state.critic.copy()
     visits = state.visits.copy()
@@ -245,13 +244,13 @@ def test_constraint_critics_step_on_per_state_visit_clocks():
     state, _ = train(model, state.config, state=state)
     local = np.full(model.horizon + 1, 0.5)
     local[0] = schedules.critic_step(8)  # the ninth visit
-    expected_w = start.w.copy()
+    expected_w = start[1:].copy()
     expected_w[:, visited[0], visited[1]] += local * gaps
-    assert np.array_equal(state.critic.w, expected_w)
+    assert np.array_equal(state.critic[1:], expected_w)
     # the penalized critic keeps the global clock a_n at n = 40
-    expected_v = start.v.copy()
+    expected_v = start[0].copy()
     expected_v[visited] += schedules.critic_step(40) * deltas
-    assert np.array_equal(state.critic.v, expected_v)
+    assert np.array_equal(state.critic[0], expected_v)
     visits[visited] += 1
     assert np.array_equal(state.visits, visits)
 
@@ -267,8 +266,8 @@ def test_unreachable_entries_stay_untouched_by_training():
     for h, r in enumerate(sets):
         off[h, r] = False
     assert state.visits[~off].sum() == 300 * (model.horizon + 1)
-    assert not state.critic.v[off].any()
-    assert not state.critic.w[:, off].any()
+    assert not state.critic[0][off].any()
+    assert not state.critic[1:, off].any()
     assert not state.visits[off].any()
 
 
@@ -296,8 +295,8 @@ def assert_same_training(got, want):
     for f in dataclasses.fields(metrics):
         assert np.array_equal(getattr(metrics, f.name), getattr(ref_metrics, f.name)), f.name
     assert np.array_equal(state.policy.stage_params, ref_state.policy.stage_params)
-    assert np.array_equal(state.critic.v, ref_state.critic.v)
-    assert np.array_equal(state.critic.w, ref_state.critic.w)
+    assert np.array_equal(state.critic[0], ref_state.critic[0])
+    assert np.array_equal(state.critic[1:], ref_state.critic[1:])
     assert np.array_equal(state.visits, ref_state.visits)
     assert np.array_equal(state.multipliers, ref_state.multipliers)
     assert state.rng.bit_generator.state == ref_state.rng.bit_generator.state
@@ -353,9 +352,13 @@ def test_checkpoint_resume_reproduces_the_straight_run(tmp_path):
     # The resumed call rebuilds its distribution table and running sums from
     # the policy, so equal metrics show that refreshing them row by row gives
     # the sums a fresh np.cumsum gives; the 5x5 H=100 grid world has sparse
-    # kernel rows and 100 draws per episode.
+    # kernel rows and 100 draws per episode. M = 0 and M = 2 check that the
+    # checkpoint's "v" and "w" rebuild the stacked (1+M, H+1, S) critic that
+    # `train` takes a flat view of.
     cases = [
         (random_cmdp(np.random.default_rng(8), 3, 2, 2, 1), 200, 120),
+        (random_cmdp(np.random.default_rng(9), 3, 2, 3, 0), 200, 120),
+        (random_cmdp(np.random.default_rng(10), 4, 2, 3, 2), 200, 120),
         (load_any_model(CONFIGS / "gridworld_5x5_h100.json"), 40, 25),
     ]
     for model, episodes, split in cases:
@@ -366,6 +369,10 @@ def test_checkpoint_resume_reproduces_the_straight_run(tmp_path):
         path = tmp_path / "ckpt.json"
         save_checkpoint(state_half, path)
         loaded = load_checkpoint(path)
+        shape = (1 + model.num_constraints, model.horizon + 1, model.num_states)
+        assert loaded.critic.shape == shape
+        assert loaded.critic.dtype == np.float64 and loaded.critic.flags.c_contiguous
+        assert loaded.critic.tobytes() == state_half.critic.tobytes()
         assert loaded.episode == split
         assert loaded.config == state_half.config
         state_resumed, metrics_tail = train(model, full, state=loaded)
@@ -377,8 +384,8 @@ def test_checkpoint_resume_reproduces_the_straight_run(tmp_path):
             assert np.array_equal(getattr(metrics_full, name), joined), name
         assert np.array_equal(state_full.multipliers, state_resumed.multipliers)
         assert np.array_equal(state_full.policy.stage_params, state_resumed.policy.stage_params)
-        assert np.array_equal(state_full.critic.v, state_resumed.critic.v)
-        assert np.array_equal(state_full.critic.w, state_resumed.critic.w)
+        assert np.array_equal(state_full.critic[0], state_resumed.critic[0])
+        assert np.array_equal(state_full.critic[1:], state_resumed.critic[1:])
         assert np.array_equal(state_full.visits, state_resumed.visits)
 
 
@@ -422,8 +429,8 @@ def test_load_checkpoint_refuses_the_padded_critic_layout(tmp_path, capsys):
     v = np.zeros((model.horizon + 1, width))
     w = np.zeros((model.num_constraints,) + v.shape)
     for h, r in enumerate(sets):
-        v[h, : len(r)] = state.critic.v[h, r]
-        w[:, h, : len(r)] = state.critic.w[:, h, r]
+        v[h, : len(r)] = state.critic[0, h, r]
+        w[:, h, : len(r)] = state.critic[1:, h, r]
     doc["critic"] = {"v": v.tolist(), "w": w.tolist(), "visits": tables["visits"]}
     padded = tmp_path / "padded.json"
     padded.write_text(json.dumps(doc))
@@ -459,11 +466,11 @@ def test_resume_rejects_a_state_that_does_not_fit_the_model_or_config():
     def altered(**changes):
         return dataclasses.replace(state, **changes)
 
-    table = state.critic.table
+    table = state.critic
     for bad in (
-        altered(critic=CriticState(table[:, :, :-1].copy())),  # a state short
-        altered(critic=CriticState(table[:, :-1].copy())),  # a stage short
-        altered(critic=CriticState(table[:-1].copy())),  # a channel short
+        altered(critic=table[:, :, :-1].copy()),  # a state short
+        altered(critic=table[:, :-1].copy()),  # a stage short
+        altered(critic=table[:-1].copy()),  # a channel short
         altered(visits=state.visits[:-1]),
         altered(multipliers=np.zeros(2)),
         altered(policy=tabular_policy(more_actions)),
