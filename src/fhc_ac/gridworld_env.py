@@ -1,4 +1,4 @@
-"""Time-varying grid world built as a dense finite-horizon constrained MDP.
+"""Time-varying grid world built as a finite-horizon constrained MDP.
 
 Cells are indexed row-major. The nine actions are the displacement pairs
 (drow, dcol) in {-1, 0, 1} x {-1, 0, 1}, also row-major, so action 4 is
@@ -69,8 +69,18 @@ def step_kernel(rows: int, cols: int, slip: float) -> np.ndarray:
 
 
 def build_gridworld(config: GridWorldConfig) -> FiniteHorizonCMDP:
-    """Expand a grid-world description into dense stage-indexed model tables."""
+    """Expand a grid-world description into stage-indexed model tables.
+
+    The (H, S, A, S) kernels, rewards and constraint costs are read-only
+    `np.broadcast_to` views of the one step kernel and of the config's
+    schedules, so no table is copied H-fold: every stage shares the kernel,
+    and a transition's reward and costs are the stage values of the cell it
+    lands on. Raises ValueError for a horizon below 1, a start cell outside
+    the grid or schedules of the wrong shape.
+    """
     rows, cols, H = config.rows, config.cols, config.horizon
+    if H < 1:
+        raise ValueError(f"horizon must be at least 1, got {H}")
     n = rows * cols
     rewards_sched = np.asarray(config.stage_rewards, dtype=float)
     costs_sched = np.asarray(config.stage_costs, dtype=float)
@@ -83,22 +93,16 @@ def build_gridworld(config: GridWorldConfig) -> FiniteHorizonCMDP:
     if not (0 <= r0 < rows and 0 <= c0 < cols):
         raise ValueError(f"start cell {config.start} outside the grid")
 
+    shape = (H, n, NUM_ACTIONS, n)
     kernel = step_kernel(rows, cols, config.slip)
-    kernels = np.broadcast_to(kernel, (H, n, NUM_ACTIONS, n)).copy()
-    rewards = np.broadcast_to(
-        rewards_sched[:H, None, None, :], (H, n, NUM_ACTIONS, n)
-    ).copy()
-    costs = np.broadcast_to(
-        costs_sched[:, :H, None, None, :], (M, H, n, NUM_ACTIONS, n)
-    ).copy()
     beta = np.zeros(n)
     beta[cell_index(r0, c0, cols)] = 1.0
     return make_cmdp(
-        kernels=kernels,
-        rewards=rewards,
+        kernels=np.broadcast_to(kernel, shape),
+        rewards=np.broadcast_to(rewards_sched[:H, None, None, :], shape),
         terminal_reward=rewards_sched[H],
         initial_distribution=beta,
-        constraint_costs=costs,
+        constraint_costs=np.broadcast_to(costs_sched[:, :H, None, None, :], (M,) + shape),
         terminal_constraint_costs=costs_sched[:, H],
         thresholds=np.asarray(config.thresholds, dtype=float),
     )

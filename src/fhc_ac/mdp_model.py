@@ -1,4 +1,4 @@
-"""Finite-horizon constrained MDP: dense stage-indexed tables plus episode sampling.
+"""Finite-horizon constrained MDP: stage-indexed tables plus episode sampling.
 
 States and actions are global integer ids; every action is feasible in every
 state. Decisions happen at stages 0..H-1 and the process terminates at stage H.
@@ -10,6 +10,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,20 +28,34 @@ class ValidationReport:
         return self.ok
 
 
+class SuccessorTable(NamedTuple):
+    """Flat columns of the kernel rows' entries; see `FiniteHorizonCMDP.successor_table`."""
+
+    offsets: memoryview     # (H*S*A + 1,) int64: row r owns entries offsets[r] to offsets[r+1]
+    successors: memoryview  # (E,) int32
+    sums: memoryview        # (E,) float64 running sums of the row
+    rewards: np.ndarray     # (E,)
+    costs: np.ndarray       # (M, E)
+
+
 @dataclass(frozen=True)
 class FiniteHorizonCMDP:
     """Stage-indexed CMDP tables.
 
     Shapes: kernels and rewards are (H, S, A, S); constraint_costs is
     (M, H, S, A, S); terminal_reward (S,); terminal_constraint_costs (M, S);
-    thresholds (M,); initial_distribution (S,). Immutable after construction
-    and safe to share across concurrent runs: no array is changed in place,
-    so the derived tables below are computed once, on first use, and cached.
-    `channel_costs` is (1+M, H, S, A) and `channel_terminal` (1+M, S), both
-    read by the oracle; `train` reads its terminal gaps from the latter.
-    `successor_cdf` is read only by `sampler`: 12 bytes
-    per nonzero kernel entry plus 8 per kernel row, about 2.0 MB for the
-    152,100 nonzero entries of the 5x5 H=100 grid world.
+    thresholds (M,); initial_distribution (S,). The four-axis tables may be
+    read-only broadcast views, as `build_gridworld`'s are; their readers take
+    stages, or reshapes that stay views, and never a dense copy.
+    Immutable after construction and safe to share across concurrent runs:
+    no array is changed in place, so the derived tables below are computed
+    once, on first use, and cached. `channel_costs` is (1+M, H, S, A) and
+    `channel_terminal` (1+M, S), both read by the oracle; `train` reads its
+    terminal gaps from the latter. `successor_table` is read by `sampler`,
+    `rollout` and `train`: 20 + 8M bytes per entry (one per nonzero kernel
+    entry and one sentinel per kernel row) plus 8 per row, about 5.1 MB for
+    the 174,600 entries of the 5x5 H=100 grid world (M = 1). It is the one
+    table built H-fold even when the model's tables are views.
     """
 
     kernels: np.ndarray
@@ -84,32 +99,59 @@ class FiniteHorizonCMDP:
         return np.concatenate([self.terminal_reward[None], gaps])
 
     @cached_property
-    def successor_cdf(self) -> tuple[memoryview, memoryview, memoryview]:
-        """Sparse running sums of the kernel rows, as flat (offsets, successors, sums).
+    def successor_table(self) -> SuccessorTable:
+        """The kernel rows in sparse form, each closed by a sentinel entry.
 
         Row r = (h*S + s)*A + a owns entries offsets[r] to offsets[r+1]: its
-        nonzero successors in increasing order, and the running sum of the
-        row up to and including each of them. The sums are `np.cumsum`'s,
-        which adds left to right, so they equal a running total taken one
-        entry at a time bit for bit; the zero entries left out add nothing to
-        it. Raises ValueError on a negative or non-finite kernel entry, where
-        the sums would not be non-decreasing and bisection would not find the
+        nonzero successors s' in increasing order, then a sentinel with
+        successor S-1. Beside each entry sit the running sum of the row up to
+        and including it (+inf at the sentinel) and the reward and M
+        constraint costs of the transition (h, s, a, s'). The sums are
+        `np.cumsum`'s, which adds left to right, so they equal a running total
+        taken one entry at a time bit for bit; the zero entries left out add
+        nothing to it. No uniform is above the sentinel's sum, so bisecting a
+        row always ends on an entry: on the sentinel when round-off leaves the
+        row's sum at or below the uniform, which is the last state the row
+        scan falls back to, with that transition's reward and costs.
+
+        Built stage by stage, so no float table of the (H, S, A, S) shape is
+        copied; when every stage reads one kernel array (a zero stage stride,
+        as `build_gridworld`'s view has), its entries and sums are found once.
+        Raises ValueError on a negative or non-finite kernel entry, where the
+        sums would not be non-decreasing and bisection would not find the
         first of them above a uniform.
         """
         kernels = self.kernels
         if not np.isfinite(kernels).all() or (kernels < 0).any():
-            raise ValueError("successor_cdf needs finite, non-negative kernel entries")
-        stage_rows = self.num_states * self.num_actions
-        nonzero = kernels != 0
-        offsets = np.zeros(self.horizon * stage_rows + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(nonzero, axis=-1), out=offsets[1:])
-        successor_ids = np.arange(self.num_states, dtype=np.int32)
-        successors = np.broadcast_to(successor_ids, kernels.shape)[nonzero]
-        sums = np.empty(offsets[-1])
-        for h, stage in enumerate(kernels):  # stage by stage keeps the temporaries small
+            raise ValueError("successor_table needs finite, non-negative kernel entries")
+        H, S, M = self.horizon, self.num_states, self.num_constraints
+        stage_rows = S * self.num_actions
+        offsets = np.zeros(H * stage_rows + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(kernels, axis=-1) + 1, out=offsets[1:])
+        successors, sums = np.empty(offsets[-1], dtype=np.int32), np.empty(offsets[-1])
+        rewards, costs = np.empty(offsets[-1]), np.empty((M, offsets[-1]))
+        # A stage's rows with one more column for the sentinel: its flat id
+        # in the stage's (S*A, S) tables is that of successor S-1.
+        kept = np.ones((stage_rows, S + 1), dtype=bool)
+        running = np.full((stage_rows, S + 1), np.inf)
+        flat_ids = np.arange(stage_rows)[:, None] * S + np.minimum(np.arange(S + 1), S - 1)
+        shared = kernels.strides[0] == 0
+        for h in range(H):
             lo, hi = offsets[h * stage_rows], offsets[(h + 1) * stage_rows]
-            sums[lo:hi] = np.cumsum(stage, axis=-1)[nonzero[h]]
-        return memoryview(offsets), memoryview(successors), memoryview(sums)
+            if h == 0 or not shared:
+                stage = kernels[h].reshape(stage_rows, S)
+                np.not_equal(stage, 0, out=kept[:, :S])
+                np.cumsum(stage, axis=1, out=running[:, :S])
+                entries = np.flatnonzero(kept)
+                at = flat_ids.take(entries)
+                stage_successors, stage_sums = at % S, running.take(entries)
+            successors[lo:hi], sums[lo:hi] = stage_successors, stage_sums
+            rewards[lo:hi] = np.take(self.rewards[h], at)
+            stage_costs = self.constraint_costs[:, h].reshape(M, stage_rows * S)
+            costs[:, lo:hi] = stage_costs.take(at, axis=1)
+        return SuccessorTable(
+            memoryview(offsets), memoryview(successors), memoryview(sums), rewards, costs
+        )
 
 
 def make_cmdp(
@@ -227,7 +269,7 @@ class Episode:
 
 def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
     """Prepare the flat views an episode draw reads; returns
-    draw(rng) -> (cells, transitions, last).
+    draw(rng) -> (cells, actions, entries, last).
 
     `table` holds the action distributions of every stage and state, shape
     (H, S, A), e.g. `NonStationaryPolicy.distribution_table()`, and `running`
@@ -238,19 +280,20 @@ def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
 
     A draw returns a lean record, no `Episode`: `cells` (H+1,), the ids
     h*S + s_h of (h, s_h) in any stage-by-state table and so the (H*S, A)
-    rows of `table`; `transitions` (H,), the flat ids
-    ((h*S + s_h)*A + a_h)*S + s_{h+1} of the (H, S, A, S) reward and cost
-    tables, of which transitions // S are the flat ids of `table`; and `last`,
-    the terminal state s_H as an int. `rollout` builds the `Episode`.
+    rows of `table`; `actions` (H,), the a_h; `entries` (H,), the ids in the
+    model's `successor_table` of the drawn transitions, whose `rewards` and
+    `costs` columns hold what each step pays; and `last`, the terminal state
+    s_H as an int. `rollout` builds the `Episode`.
 
     Every draw is a bisection on running sums computed before the episode:
     s_0 is the first index of the initial distribution's running sums above
     s_0's uniform, the action the first index of running[h, s_h] above the
-    action's uniform, and the successor the first nonzero successor in the
-    model's `successor_cdf` row whose running sum is above the successor's
-    uniform. When no sum is above it (the row sums to less than the uniform
-    by round-off) the draw is the last state, or the last action. Each is
-    the rule of an inverse-CDF scan of the row (the tests keep one,
+    action's uniform, and the successor entry the first in the row of
+    (h, s_h, a_h) of the `successor_table` whose running sum is above the
+    successor's uniform. When no sum is above it (the row sums to less than
+    the uniform by round-off) the draw is the last state, or the last
+    action; for the successor that is the row's sentinel entry. Each is the
+    rule of an inverse-CDF scan of the row (the tests keep one,
     `sample_index`) on the same sums: np.cumsum adds left to right as the
     scan does, bisect_right finds the first sum above the uniform, and the
     kernel entries left out are zeros, whose sums repeat the one before them
@@ -277,7 +320,7 @@ def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
     if not np.isfinite(initial).all() or (initial < 0).any():
         raise ValueError("sampling needs a finite, non-negative initial distribution")
     initial_sums = np.cumsum(initial).tolist()
-    offsets, successors, sums = model.successor_cdf
+    offsets, successors, sums = model.successor_table[:3]
     action_sums = memoryview(running.reshape(-1))
     next_bases = range(num_states, (horizon + 1) * num_states, num_states)
     last_action, last_state = num_actions - 1, num_states - 1
@@ -290,19 +333,26 @@ def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
         uniforms = rng.random(count).tolist()
         cell = s = min(bisect_right(initial_sums, uniforms[0]), last_state)
         cells = [cell]
-        transitions = []
+        actions = []
+        entries = []
         for next_base, u_action, u_state in zip(next_bases, uniforms[1::2], uniforms[2::2]):
             # Bisecting the first A-1 sums gives the last action when none of
             # them is above the uniform, whether or not the last sum is.
             lo = cell * num_actions
             row = bisect_right(action_sums, u_action, lo, lo + last_action)
-            end = offsets[row + 1]
-            j = bisect_right(sums, u_state, offsets[row], end)
-            s = successors[j] if j < end else last_state
-            transitions.append(row * num_states + s)
+            # The row's sentinel sum is +inf, so j is always one of its entries.
+            j = bisect_right(sums, u_state, offsets[row], offsets[row + 1])
+            s = successors[j]
+            actions.append(row - lo)
+            entries.append(j)
             cell = next_base + s
             cells.append(cell)
-        return np.array(cells, dtype=np.int64), np.array(transitions, dtype=np.int64), s
+        return (
+            np.array(cells, dtype=np.int64),
+            np.array(actions, dtype=np.int64),
+            np.array(entries, dtype=np.int64),
+            s,
+        )
 
     return draw
 
@@ -315,19 +365,17 @@ def rollout(
     The `Episode` of one draw of `sampler(model, table, running)`, which says
     how each step is drawn and what the arguments must be.
     """
-    cells, transitions, last = sampler(model, table, running)(rng)
-    num_states, num_actions = model.num_states, model.num_actions
-    rewards = model.rewards.reshape(-1)
-    costs = model.constraint_costs.reshape(model.num_constraints, rewards.size)
+    cells, actions, entries, last = sampler(model, table, running)(rng)
+    successor_table = model.successor_table
     return Episode(
-        states=cells - np.arange(model.horizon + 1) * num_states,
-        actions=transitions // num_states % num_actions,
+        states=cells - np.arange(model.horizon + 1) * model.num_states,
+        actions=actions,
         cells=cells,
-        rewards=rewards[transitions],
+        rewards=successor_table.rewards[entries],
         terminal_reward=float(model.terminal_reward[last]),
-        constraint_costs=costs[:, transitions],
+        constraint_costs=successor_table.costs[:, entries],
         terminal_constraint_costs=model.terminal_constraint_costs[:, last].copy(),
-        action_probs=table.reshape(-1, num_actions)[cells[:-1]],
+        action_probs=table.reshape(-1, model.num_actions)[cells[:-1]],
     )
 
 

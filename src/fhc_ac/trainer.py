@@ -13,13 +13,15 @@ step-size sequences decay at separated rates so the critics equilibrate
 fastest, the actor next, and the multipliers slowest.
 
 `train` prepares once per call what every episode reads: the policy's
-distribution table and running sums, the sampler's views of the model,
-per-state terminal tables, a table of the constraint critics' steps over
-every visit count the call can reach, and flat views of theta, the stacked
-critic table and the visit counts. An episode then indexes each table with
-the draw's 1-D id arrays, its `cells` h*S + s_h and its transition ids,
-through the kernels `td_step` (once, for all 1+M critics), `score_rows` and
-`actor_step` that the one-episode functions `update_penalized_critic`,
+distribution table and running sums, the sampler's views of the model, the
+reward and cost columns of the model's successor table, per-state terminal
+tables, a table of the constraint critics' steps over every visit count the
+call can reach, and flat views of theta, the stacked critic table and the
+visit counts. No table of the model's (H, S, A, S) shape is read. An episode
+then indexes each table with the draw's 1-D id arrays, its `cells`
+h*S + s_h, its actions and its successor-table entry ids, through the
+kernels `td_step` (once, for all 1+M critics), `score_rows` and `actor_step`
+that the one-episode functions `update_penalized_critic`,
 `update_constraint_critic` and `actor_update` wrap, so both run the same
 arithmetic bit for bit. The realized return and cost totals are summed once
 per chunk of episodes.
@@ -281,7 +283,7 @@ def train(
     else:
         _check_resumable(state, model, config)
         state.config = config
-    H, S, A, M = model.horizon, model.num_states, model.num_actions, model.num_constraints
+    H, A, M = model.horizon, model.num_actions, model.num_constraints
     schedules = config.schedules
     count = max(config.episodes - state.episode, 0)
     metrics = TrainingMetrics(
@@ -306,10 +308,11 @@ def train(
     critic_flat, visits = flat_view(critic), flat_view(state.visits)
     offsets = channel_offsets(critic)
     action_base = np.arange(H) * A  # row h of an episode's (H, A) probabilities
-    rewards = model.rewards.reshape(-1)
-    # (N, M): a row gather gives the (H, M) costs, whose transpose has the
-    # layout of costs[:, transitions] that the M >= 2 sums and products need.
-    costs_by_transition = model.constraint_costs.reshape(M, rewards.size).T
+    # The realized reward and costs of a step sit in the successor table
+    # beside the entry drawn. `entry_costs` is (E, M): a row gather gives the
+    # (H, M) costs, whose transpose has the layout of costs[:, entries] that
+    # the M >= 2 sums and products need.
+    rewards, entry_costs = model.successor_table.rewards, model.successor_table.costs.T
     terminal_gaps = model.channel_terminal[1:].T.copy()  # row s: g_H(s) - alpha, (S, M)
     terminal_rewards = model.terminal_reward.tolist()
     # The one TD step's inputs, rewritten in place each episode: channel 0
@@ -322,20 +325,20 @@ def train(
     if M:
         # A visit count grows by at most one per episode.
         step_table = schedules.critic_step(np.arange(state.visits.max() + count + 1))
-    chunk_transitions = np.empty((CHUNK, H), dtype=np.int64)
+    chunk_entries = np.empty((CHUNK, H), dtype=np.int64)
     for start in range(0, count, CHUNK):
         stop = min(start + CHUNK, count)
         lasts = []
         for i in range(start, stop):
             n = state.episode
             lam = state.multipliers
-            cells, transitions, last = draw(rng)
+            cells, actions, entries, last = draw(rng)
             moved = cells[:-1]
             ids = cells + offsets
-            g = costs_by_transition[transitions].T
+            g = entry_costs[entries].T
             gap_h = terminal_gaps[last]
             # lam.dot gives the bits of lam @ with less call overhead
-            penalized_costs[:] = rewards[transitions] + lam.dot(g)
+            penalized_costs[:] = rewards[entries] + lam.dot(g)
             constraint_costs[:] = g
             td_costs[0, -1] = terminal_rewards[last] + lam.dot(gap_h)
             constraint_terminal[:] = gap_h
@@ -346,7 +349,7 @@ def train(
                 visits[cells] = seen + 1
                 constraint_steps[:] = step_table[seen]
             deltas = td_step(critic_flat, ids, td_costs, steps)
-            picked = action_base + transitions // S % A
+            picked = action_base + actions
             score = score_rows(table_rows.take(moved, axis=0), picked, tau)
             proposed, clipped = actor_step(
                 theta_rows, moved, score, deltas[0, :-1], schedules.actor_step(n), bound
@@ -361,18 +364,18 @@ def train(
                 metrics.gap_estimates[i] = gaps
                 metrics.multipliers[i] = state.multipliers
 
-            chunk_transitions[i - start] = transitions
+            chunk_entries[i - start] = entries
             lasts.append(last)
             metrics.theta_clipped[i] = clipped
             state.episode = n + 1
             if progress_every and progress is not None and (n + 1) % progress_every == 0:
                 progress(n + 1, config.episodes)
-        done = chunk_transitions[: stop - start]
+        done = chunk_entries[: stop - start]
         metrics.returns[start:stop] = rewards[done].sum(axis=1) + model.terminal_reward[lasts]
         # (size, H, M), the layout whose sum over H adds in the order of
-        # an episode's costs[:, transitions].sum(axis=1)
+        # an episode's constraint_costs.sum(axis=1)
         metrics.constraint_totals[start:stop] = (
-            costs_by_transition[done].sum(axis=1) + model.terminal_constraint_costs[:, lasts].T
+            entry_costs[done].sum(axis=1) + model.terminal_constraint_costs[:, lasts].T
         )
         _check_finite(state)
     return state, metrics

@@ -490,6 +490,20 @@ def test_oracle_commands_reject_invalid_models(tmp_path):
     assert main(["oracle", "solve", "--model", str(rows_only)]) == 2
 
 
+def test_train_and_oracle_refuse_a_gridworld_with_no_decision_stage(tmp_path, capsys):
+    doc = json.loads((CONFIGS / "gridworld_4x4.json").read_text())
+    doc["horizon"] = 0
+    doc["stage_rewards"] = doc["stage_rewards"][:1]
+    doc["stage_costs"] = [rows[:1] for rows in doc["stage_costs"]]
+    (tmp_path / "flat.json").write_text(json.dumps(doc))
+    assert main(["oracle", "solve", "--model", str(tmp_path / "flat.json")]) == 2
+    assert "horizon must be at least 1, got 0" in capsys.readouterr().err
+    config = write_experiment(tmp_path, model={"kind": "file", "path": "flat.json"})
+    assert main(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "horizon must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_oracle_solve_reports_the_reference_point(tmp_path, capsys):
     model_path = tiny_gridworld_config(tmp_path)
     assert main(["oracle", "solve", "--model", str(model_path)]) == 0

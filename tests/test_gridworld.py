@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +13,16 @@ import pytest
 from fhc_ac import (
     DISPLACEMENTS,
     GridWorldConfig,
+    TrainerConfig,
     benchmark_gridworld,
     build_gridworld,
     calibrate_threshold,
     cell_index,
+    constrained_reference,
     evaluate_deterministic,
+    exact_gradient,
+    finite_difference_gradient,
+    fixed_points,
     gridworld_config_from_doc,
     gridworld_config_to_doc,
     greedy_response,
@@ -23,11 +30,15 @@ from fhc_ac import (
     random_gridworld,
     random_schedule,
     save_gridworld_config,
+    stationarity_diagnostics,
     step_kernel,
+    train,
     validate,
 )
 
-from helpers import reference_step_kernel
+from helpers import indicator_features, random_policy, reference_step_kernel
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_displacements_are_row_major_with_stay_in_the_middle():
@@ -271,3 +282,69 @@ def test_gridworld_config_round_trips_through_json(tmp_path):
     assert np.array_equal(model_a.kernels, model_b.kernels)
     assert np.array_equal(model_a.rewards, model_b.rewards)
     assert np.array_equal(model_a.thresholds, model_b.thresholds)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "world",
+    ["gridworld_4x4.json", "gridworld_5x5_h100.json"] + [f"random-{seed}" for seed in range(6)],
+)
+def test_build_gridworld_shares_its_tables_and_reads_like_dense_ones(world):
+    if world.startswith("random-"):
+        config = random_gridworld(3, 4, 5, seed=int(world.split("-")[1]))
+    else:
+        config = load_gridworld_config(CONFIGS / world)
+    model = build_gridworld(config)
+    # One kernel for every stage, and the schedules' own cell values.
+    assert model.kernels.strides[0] == 0
+    assert np.shares_memory(model.rewards, config.stage_rewards)
+    assert np.shares_memory(model.constraint_costs, config.stage_costs)
+    for table in (model.kernels, model.rewards, model.constraint_costs):
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1.0
+
+    dense = dataclasses.replace(
+        model,
+        kernels=model.kernels.copy(),
+        rewards=model.rewards.copy(),
+        constraint_costs=model.constraint_costs.copy(),
+    )
+    assert dense.kernels.strides[0] != 0
+    assert same_bits(model.channel_costs, dense.channel_costs)
+    for got, want in zip(model.successor_table, dense.successor_table):
+        assert same_bits(got, want)
+    rng = np.random.default_rng(7)
+    policy = random_policy(model, rng, scale=2.0)
+    lam = -rng.uniform(0.0, 3.0, size=model.num_constraints)
+    features = indicator_features(model)
+    got = fixed_points(model, policy, lam, features)
+    want = fixed_points(dense, policy, lam, features)
+    for got_chain, want_chain in zip(
+        [got.penalized, *got.constraints], [want.penalized, *want.constraints], strict=True
+    ):
+        assert all(map(same_bits, got_chain, want_chain))
+    for gradient in (exact_gradient, finite_difference_gradient):
+        assert same_bits(gradient(model, policy, lam), gradient(dense, policy, lam))
+    got, want = constrained_reference(model), constrained_reference(dense)
+    for field in dataclasses.fields(got):
+        assert same_bits(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+def test_training_the_h100_world_allocates_no_dense_table():
+    # One dense float copy of an (H, S, A, S) table of this world is 4.29 MiB;
+    # the successor table train builds is about 4.8 MiB.
+    config = load_gridworld_config(CONFIGS / "gridworld_5x5_h100.json")
+    tracemalloc.start()
+    try:
+        model = build_gridworld(config)
+        state, _ = train(model, TrainerConfig(episodes=50))
+        stationarity_diagnostics(model, state.policy, state.multipliers)
+        constrained_reference(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20, peak

@@ -298,16 +298,20 @@ def test_sampler_draws_s0_by_bisection_like_the_row_scan():
     table = tabular_policy(model).distribution_table()
     running = np.cumsum(table, axis=-1)
     draw = sampler(model, table, running)
+    offsets, successors = model.successor_table[:2]
     for u0, s0 in [(0.0, 0), (0.1, 1), (0.29, 1), (0.35, 2), (0.99, 2)]:
         uniforms = [u0] + [0.5] * (2 * model.horizon)
-        cells, transitions, last = draw(FixedUniforms(uniforms))
+        cells, actions, entries, last = draw(FixedUniforms(uniforms))
         assert cells[0] == s0
         want = reference_rollout(model, table, FixedUniforms(uniforms))
         assert cells.tolist() == want.cells.tolist() and last == want.states[-1]
-        assert transitions.tolist() == np.ravel_multi_index(
-            (np.arange(model.horizon), want.states[:-1], want.actions, want.states[1:]),
-            model.kernels.shape,
-        ).tolist()
+        assert actions.tolist() == want.actions.tolist()
+        # each entry lies in the successor table row of (h, s_h, a_h) and
+        # names the successor drawn
+        rows = cells[:-1] * model.num_actions + actions
+        for row, entry, nxt in zip(rows, entries, want.states[1:]):
+            assert offsets[row] <= entry < offsets[row + 1]
+            assert successors[entry] == nxt
     for bad in (-0.1, np.nan, np.inf):
         beta = np.array([0.5, 0.5, 0.0])
         beta[2] = bad
@@ -315,34 +319,45 @@ def test_sampler_draws_s0_by_bisection_like_the_row_scan():
             sampler(dataclasses.replace(model, initial_distribution=beta), table, running)
 
 
-def test_successor_cdf_holds_each_rows_running_sums_at_its_nonzero_entries():
+def test_successor_table_holds_each_rows_running_sums_rewards_and_costs():
     rng = np.random.default_rng(31)
     for shape in [(1, 1, 1, 0), (4, 3, 5, 1), (25, 9, 3, 2), (7, 2, 4, 0)]:
         model = random_sparse_cmdp(rng, *shape)
-        offsets, successors, sums = model.successor_cdf
-        rows = model.kernels.reshape(-1, model.num_states)
+        offsets, successors, sums, rewards, costs = model.successor_table
+        S, M = model.num_states, model.num_constraints
+        rows = model.kernels.reshape(-1, S)
+        reward_rows = model.rewards.reshape(-1, S)
+        cost_rows = model.constraint_costs.reshape(M, len(rows), S)
+        entries = np.count_nonzero(rows) + len(rows)  # one sentinel per row
         assert len(offsets) == len(rows) + 1 and offsets[0] == 0
-        assert len(successors) == len(sums) == offsets[-1] == np.count_nonzero(rows)
+        assert len(successors) == len(sums) == len(rewards) == offsets[-1] == entries
+        assert costs.shape == (M, entries)
         for r, row in enumerate(rows):
             at = np.flatnonzero(row)
             lo, hi = offsets[r], offsets[r + 1]
-            assert successors[lo:hi].tolist() == at.tolist()
-            assert np.array_equal(np.asarray(sums[lo:hi]), np.cumsum(row)[at])
+            # the nonzero successors in order, then the sentinel: the last
+            # state, with a running sum above every uniform
+            assert successors[lo:hi].tolist() == at.tolist() + [S - 1]
+            assert sums[hi - 1] == np.inf
+            assert np.array_equal(np.asarray(sums[lo : hi - 1]), np.cumsum(row)[at])
             # the running total sample_index accumulates, one float add at a time
             totals = list(itertools.accumulate(row.tolist()))
-            assert sums[lo:hi].tolist() == [totals[i] for i in at]
+            assert sums[lo : hi - 1].tolist() == [totals[i] for i in at]
+            landing = list(successors[lo:hi])
+            assert np.array_equal(rewards[lo:hi], reward_rows[r, landing])
+            assert np.array_equal(costs[:, lo:hi], cost_rows[:, r, landing])
 
 
-def test_successor_cdf_refuses_negative_and_non_finite_kernels():
+def test_successor_table_refuses_negative_and_non_finite_kernels():
     model = random_cmdp(np.random.default_rng(32), 3, 2, 2, 1)
     for bad in (-0.1, np.nan, np.inf):
         kernels = model.kernels.copy()
         kernels[1, 0, 1, 2] = bad
         with pytest.raises(ValueError):
-            dataclasses.replace(model, kernels=kernels).successor_cdf
+            dataclasses.replace(model, kernels=kernels).successor_table
 
 
-def test_the_oracle_leaves_successor_cdf_unbuilt():
+def test_the_oracle_leaves_the_successor_table_unbuilt():
     model = random_cmdp(np.random.default_rng(33), 3, 2, 3, 1)
     policy = random_policy(model, np.random.default_rng(34))
     lam = np.array([-0.5])
@@ -350,9 +365,9 @@ def test_the_oracle_leaves_successor_cdf_unbuilt():
     evaluate_policy(model, policy)
     exact_gradient(model, policy, lam)
     fixed_points(model, policy, lam, indicator_features(model))
-    assert "successor_cdf" not in model.__dict__
+    assert "successor_table" not in model.__dict__
     sample_episode(model, policy, np.random.default_rng(0))
-    assert "successor_cdf" in model.__dict__
+    assert "successor_table" in model.__dict__
 
 
 def test_reachable_sets_follow_kernel_support():
