@@ -1,9 +1,11 @@
 """Tabular TD critics for the penalized and constraint value functions.
 
-The critics are one C-contiguous float64 array `critic` (1+M, H+1, S):
-channel 0 is the penalized critic v, channels 1..M the constraint critics w
-in the order of `channel_costs`. An episode moves the entry of every stage's
-visited state once; entries of states a stage cannot reach stay zero.
+The critics are one C-contiguous float64 array `critic` (1+M, H+1, S),
+stacked like the model's and the episode's (1+M, ...) channel costs:
+channel 0 is the penalized critic v, which reads the reward channel and
+the multipliers, and channels 1..M the constraint critics w, one per
+constraint channel. An episode moves the entry of every stage's visited
+state once; entries of states a stage cannot reach stay zero.
 `fixed_points` keeps the general per-stage linear-feature ground truth: the
 limit the TD iterates converge to for any stage features phi_h, computed
 exactly for diagnostics and tests. The tabular critics are its case of one
@@ -57,12 +59,13 @@ def td_step(table, ids, costs, step) -> np.ndarray:
 def update_penalized_critic(model, critic, episode, multipliers, step) -> np.ndarray:
     """One episode of TD updates on the penalized critic v = critic[0] with the
     realized stage costs r_h + lambda . g_h and the terminal cost
-    r_H + lambda . (g_H - alpha); returns the H+1 deltas. `step` is a scalar
-    or an (H+1,) array of per-stage steps."""
+    r_H + lambda . (g_H - alpha), read from the episode's channel costs;
+    returns the H+1 deltas. `step` is a scalar or an (H+1,) array of
+    per-stage steps."""
     lam = np.asarray(multipliers, dtype=float)
-    gaps = episode.terminal_constraint_costs - model.thresholds
+    gaps = episode.terminal_costs[1:] - model.thresholds
     costs = np.append(
-        episode.rewards + lam @ episode.constraint_costs, episode.terminal_reward + lam @ gaps
+        episode.costs[0] + lam @ episode.costs[1:], episode.terminal_costs[0] + lam @ gaps
     )
     return td_step(flat_view(critic[0]), episode.cells, costs, step)
 
@@ -80,8 +83,8 @@ def update_constraint_critic(model, critic, episode, step) -> np.ndarray:
     its terminal cost minus the threshold; returns the (M, H+1) deltas.
     `step` is a scalar or an (H+1,) array of per-stage steps shared by the M
     critics."""
-    terminal = episode.terminal_constraint_costs - model.thresholds
-    costs = np.concatenate([episode.constraint_costs, terminal[:, None]], axis=1)
+    terminal = episode.terminal_costs[1:] - model.thresholds
+    costs = np.concatenate([episode.costs[1:], terminal[:, None]], axis=1)
     ids = episode.cells + channel_offsets(critic)[1:]
     return td_step(flat_view(critic), ids, costs, step)
 

@@ -71,12 +71,13 @@ def step_kernel(rows: int, cols: int, slip: float) -> np.ndarray:
 def build_gridworld(config: GridWorldConfig) -> FiniteHorizonCMDP:
     """Expand a grid-world description into stage-indexed model tables.
 
-    The (H, S, A, S) kernels, rewards and constraint costs are read-only
+    The (H, S, A, S) kernels and the (1+M, H, S, A, S) costs are read-only
     `np.broadcast_to` views of the one step kernel and of the config's
-    schedules, so no table is copied H-fold: every stage shares the kernel,
-    and a transition's reward and costs are the stage values of the cell it
-    lands on. Raises ValueError for a horizon below 1, a start cell outside
-    the grid or schedules of the wrong shape.
+    schedules, stacked once into (1+M, H+1, S), so no table is copied
+    H-fold: every stage shares the kernel, and a transition's reward and
+    costs are the stage values of the cell it lands on. Raises ValueError
+    for a horizon below 1, a start cell outside the grid or schedules of the
+    wrong shape.
     """
     rows, cols, H = config.rows, config.cols, config.horizon
     if H < 1:
@@ -94,17 +95,16 @@ def build_gridworld(config: GridWorldConfig) -> FiniteHorizonCMDP:
         raise ValueError(f"start cell {config.start} outside the grid")
 
     shape = (H, n, NUM_ACTIONS, n)
+    schedules = np.concatenate([rewards_sched[None], costs_sched])  # (1+M, H+1, n)
     kernel = step_kernel(rows, cols, config.slip)
     beta = np.zeros(n)
     beta[cell_index(r0, c0, cols)] = 1.0
     return make_cmdp(
         kernels=np.broadcast_to(kernel, shape),
-        rewards=np.broadcast_to(rewards_sched[:H, None, None, :], shape),
-        terminal_reward=rewards_sched[H],
-        initial_distribution=beta,
-        constraint_costs=np.broadcast_to(costs_sched[:, :H, None, None, :], (M,) + shape),
-        terminal_constraint_costs=costs_sched[:, H],
+        costs=np.broadcast_to(schedules[:, :H, None, None, :], (1 + M,) + shape),
+        terminal_costs=schedules[:, H],
         thresholds=np.asarray(config.thresholds, dtype=float),
+        initial_distribution=beta,
     )
 
 

@@ -34,17 +34,17 @@ class SuccessorTable(NamedTuple):
     offsets: memoryview     # (H*S*A + 1,) int64: row r owns entries offsets[r] to offsets[r+1]
     successors: memoryview  # (E,) int32
     sums: memoryview        # (E,) float64 running sums of the row
-    rewards: np.ndarray     # (E,)
-    costs: np.ndarray       # (M, E)
+    costs: np.ndarray       # (1+M, E): the reward, then the M constraint costs
 
 
 @dataclass(frozen=True)
 class FiniteHorizonCMDP:
     """Stage-indexed CMDP tables.
 
-    Shapes: kernels and rewards are (H, S, A, S); constraint_costs is
-    (M, H, S, A, S); terminal_reward (S,); terminal_constraint_costs (M, S);
-    thresholds (M,); initial_distribution (S,). The four-axis tables may be
+    Shapes: kernels (H, S, A, S); costs (1+M, H, S, A, S), the 1+M channels
+    of the Lagrangian r + lambda . g: channel 0 is the reward and channel k
+    the k-th constraint cost; terminal_costs (1+M, S) in the same order;
+    thresholds (M,); initial_distribution (S,). The kernels and costs may be
     read-only broadcast views, as `build_gridworld`'s are; their readers take
     stages, or reshapes that stay views, and never a dense copy.
     Immutable after construction and safe to share across concurrent runs:
@@ -59,10 +59,8 @@ class FiniteHorizonCMDP:
     """
 
     kernels: np.ndarray
-    rewards: np.ndarray
-    terminal_reward: np.ndarray
-    constraint_costs: np.ndarray
-    terminal_constraint_costs: np.ndarray
+    costs: np.ndarray
+    terminal_costs: np.ndarray
     thresholds: np.ndarray
     initial_distribution: np.ndarray
 
@@ -84,19 +82,16 @@ class FiniteHorizonCMDP:
 
     @cached_property
     def channel_costs(self) -> np.ndarray:
-        """sum_s' p_h(s, a, s') c_h(s, a, s') of every channel, (1+M, H, S, A):
-        channel 0 is the reward and channel k the k-th constraint cost."""
-        costs = np.empty((1 + self.num_constraints,) + self.kernels.shape[:-1])
-        costs[0] = np.einsum("hijk,hijk->hij", self.kernels, self.rewards)
-        costs[1:] = np.einsum("hijk,chijk->chij", self.kernels, self.constraint_costs)
-        return costs
+        """sum_s' p_h(s, a, s') c_h(s, a, s') of every channel, (1+M, H, S, A)."""
+        return np.einsum("hijk,chijk->chij", self.kernels, self.costs)
 
     @cached_property
     def channel_terminal(self) -> np.ndarray:
         """Terminal cost of every channel, shape (1+M, S); the constraint rows
         already subtract their thresholds."""
-        gaps = self.terminal_constraint_costs - self.thresholds[:, None]
-        return np.concatenate([self.terminal_reward[None], gaps])
+        terminal = self.terminal_costs.copy()
+        terminal[1:] -= self.thresholds[:, None]
+        return terminal
 
     @cached_property
     def successor_table(self) -> SuccessorTable:
@@ -105,14 +100,14 @@ class FiniteHorizonCMDP:
         Row r = (h*S + s)*A + a owns entries offsets[r] to offsets[r+1]: its
         nonzero successors s' in increasing order, then a sentinel with
         successor S-1. Beside each entry sit the running sum of the row up to
-        and including it (+inf at the sentinel) and the reward and M
-        constraint costs of the transition (h, s, a, s'). The sums are
-        `np.cumsum`'s, which adds left to right, so they equal a running total
-        taken one entry at a time bit for bit; the zero entries left out add
-        nothing to it. No uniform is above the sentinel's sum, so bisecting a
-        row always ends on an entry: on the sentinel when round-off leaves the
-        row's sum at or below the uniform, which is the last state the row
-        scan falls back to, with that transition's reward and costs.
+        and including it (+inf at the sentinel) and the 1+M channel costs of
+        the transition (h, s, a, s'). The sums are `np.cumsum`'s, which adds
+        left to right, so they equal a running total taken one entry at a time
+        bit for bit; the zero entries left out add nothing to it. No uniform
+        is above the sentinel's sum, so bisecting a row always ends on an
+        entry: on the sentinel when round-off leaves the row's sum at or below
+        the uniform, which is the last state the row scan falls back to, with
+        that transition's costs.
 
         Built stage by stage, so no float table of the (H, S, A, S) shape is
         copied; when every stage reads one kernel array (a zero stage stride,
@@ -124,12 +119,12 @@ class FiniteHorizonCMDP:
         kernels = self.kernels
         if not np.isfinite(kernels).all() or (kernels < 0).any():
             raise ValueError("successor_table needs finite, non-negative kernel entries")
-        H, S, M = self.horizon, self.num_states, self.num_constraints
+        H, S, C = self.horizon, self.num_states, len(self.costs)
         stage_rows = S * self.num_actions
         offsets = np.zeros(H * stage_rows + 1, dtype=np.int64)
         np.cumsum(np.count_nonzero(kernels, axis=-1) + 1, out=offsets[1:])
         successors, sums = np.empty(offsets[-1], dtype=np.int32), np.empty(offsets[-1])
-        rewards, costs = np.empty(offsets[-1]), np.empty((M, offsets[-1]))
+        costs = np.empty((C, offsets[-1]))
         # A stage's rows with one more column for the sentinel: its flat id
         # in the stage's (S*A, S) tables is that of successor S-1.
         kept = np.ones((stage_rows, S + 1), dtype=bool)
@@ -146,68 +141,44 @@ class FiniteHorizonCMDP:
                 at = flat_ids.take(entries)
                 stage_successors, stage_sums = at % S, running.take(entries)
             successors[lo:hi], sums[lo:hi] = stage_successors, stage_sums
-            rewards[lo:hi] = np.take(self.rewards[h], at)
-            stage_costs = self.constraint_costs[:, h].reshape(M, stage_rows * S)
-            costs[:, lo:hi] = stage_costs.take(at, axis=1)
-        return SuccessorTable(
-            memoryview(offsets), memoryview(successors), memoryview(sums), rewards, costs
-        )
+            costs[:, lo:hi] = self.costs[:, h].reshape(C, stage_rows * S).take(at, axis=1)
+        return SuccessorTable(memoryview(offsets), memoryview(successors), memoryview(sums), costs)
 
 
 def make_cmdp(
-    kernels,
-    rewards,
-    terminal_reward,
-    initial_distribution,
-    constraint_costs=None,
-    terminal_constraint_costs=None,
-    thresholds=None,
+    kernels, costs, terminal_costs, thresholds, initial_distribution
 ) -> FiniteHorizonCMDP:
     """Build a FiniteHorizonCMDP from array-likes, checking shape consistency.
 
-    Constraint arguments may be omitted together for an unconstrained model
-    (M = 0). Raises ValueError on inconsistent shapes; numeric invariants
-    (row sums, finiteness) are checked by `validate`, not here.
+    The M thresholds fix the number of channels, 1+M: a model with no
+    constraint has one channel, its reward, and no thresholds. Raises
+    ValueError on inconsistent shapes; numeric invariants (row sums,
+    finiteness) are checked by `validate`, not here.
     """
     kernels = np.asarray(kernels, dtype=float)
-    rewards = np.asarray(rewards, dtype=float)
-    terminal_reward = np.asarray(terminal_reward, dtype=float)
+    costs = np.asarray(costs, dtype=float)
+    terminal_costs = np.asarray(terminal_costs, dtype=float)
+    thresholds = np.asarray(thresholds, dtype=float)
     initial_distribution = np.asarray(initial_distribution, dtype=float)
     if kernels.ndim != 4 or kernels.shape[1] != kernels.shape[3]:
         raise ValueError(f"kernels must have shape (H, S, A, S), got {kernels.shape}")
-    horizon, num_states, num_actions, _ = kernels.shape
-    if rewards.shape != kernels.shape:
-        raise ValueError(f"rewards shape {rewards.shape} != kernels shape {kernels.shape}")
-    if terminal_reward.shape != (num_states,):
-        raise ValueError(f"terminal_reward must have shape ({num_states},)")
+    if thresholds.ndim != 1:
+        raise ValueError(f"thresholds must have shape (M,), got {thresholds.shape}")
+    channels, num_states = len(thresholds) + 1, kernels.shape[1]
+    if costs.shape != (channels,) + kernels.shape:
+        raise ValueError(
+            f"costs must have shape {(channels,) + kernels.shape}, got {costs.shape}"
+        )
+    if terminal_costs.shape != (channels, num_states):
+        raise ValueError(
+            f"terminal_costs must have shape {(channels, num_states)}, got {terminal_costs.shape}"
+        )
     if initial_distribution.shape != (num_states,):
         raise ValueError(f"initial_distribution must have shape ({num_states},)")
-
-    if constraint_costs is None:
-        constraint_costs = np.zeros((0,) + kernels.shape)
-        terminal_constraint_costs = np.zeros((0, num_states))
-        thresholds = np.zeros(0)
-    else:
-        constraint_costs = np.asarray(constraint_costs, dtype=float)
-        terminal_constraint_costs = np.asarray(terminal_constraint_costs, dtype=float)
-        thresholds = np.asarray(thresholds, dtype=float)
-        if constraint_costs.ndim != 5 or constraint_costs.shape[1:] != kernels.shape:
-            raise ValueError(
-                f"constraint_costs must have shape (M, {horizon}, {num_states}, "
-                f"{num_actions}, {num_states}), got {constraint_costs.shape}"
-            )
-        num_constraints = constraint_costs.shape[0]
-        if terminal_constraint_costs.shape != (num_constraints, num_states):
-            raise ValueError("terminal_constraint_costs shape mismatch")
-        if thresholds.shape != (num_constraints,):
-            raise ValueError("thresholds length must equal the number of constraints")
-
     return FiniteHorizonCMDP(
         kernels=kernels,
-        rewards=rewards,
-        terminal_reward=terminal_reward,
-        constraint_costs=constraint_costs,
-        terminal_constraint_costs=terminal_constraint_costs,
+        costs=costs,
+        terminal_costs=terminal_costs,
         thresholds=thresholds,
         initial_distribution=initial_distribution,
     )
@@ -234,14 +205,14 @@ def validate(model: FiniteHorizonCMDP) -> ValidationReport:
 
     for name, table in [
         ("kernels", model.kernels),
-        ("rewards", model.rewards),
-        ("terminal_reward", model.terminal_reward),
-        ("constraint_costs", model.constraint_costs),
-        ("terminal_constraint_costs", model.terminal_constraint_costs),
+        ("costs", model.costs),
+        ("terminal_costs", model.terminal_costs),
         ("thresholds", model.thresholds),
         ("initial_distribution", model.initial_distribution),
     ]:
-        if not np.isfinite(table).all():
+        # One leading slice at a time, so that the check of a broadcast view
+        # allocates one stage or channel, never the whole table.
+        if not all(np.isfinite(part).all() for part in table):
             violations.append(f"{name} contains non-finite values")
 
     return ValidationReport(ok=not violations, violations=violations)
@@ -249,22 +220,20 @@ def validate(model: FiniteHorizonCMDP) -> ValidationReport:
 
 @dataclass(frozen=True)
 class Episode:
-    """One sampled trajectory with realized rewards and constraint costs."""
+    """One sampled trajectory with its realized reward and constraint costs."""
 
     states: np.ndarray
     actions: np.ndarray
     cells: np.ndarray  # (H+1,): h*S + s_h, the row of (h, s_h) in any stage-by-state table
-    rewards: np.ndarray
-    terminal_reward: float
-    constraint_costs: np.ndarray
-    terminal_constraint_costs: np.ndarray
+    costs: np.ndarray  # (1+M, H): every channel's cost of each step, the reward first
+    terminal_costs: np.ndarray  # (1+M,): every channel's cost of the final state s_H
     action_probs: np.ndarray  # (H, A): the rows mu_h(s_h, .) the actions were drawn from
 
     def total_reward(self) -> float:
-        return float(self.rewards.sum() + self.terminal_reward)
+        return float(self.costs[0].sum() + self.terminal_costs[0])
 
     def total_constraint_costs(self) -> np.ndarray:
-        return self.constraint_costs.sum(axis=1) + self.terminal_constraint_costs
+        return self.costs[1:].sum(axis=1) + self.terminal_costs[1:]
 
 
 def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
@@ -281,9 +250,9 @@ def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
     A draw returns a lean record, no `Episode`: `cells` (H+1,), the ids
     h*S + s_h of (h, s_h) in any stage-by-state table and so the (H*S, A)
     rows of `table`; `actions` (H,), the a_h; `entries` (H,), the ids in the
-    model's `successor_table` of the drawn transitions, whose `rewards` and
-    `costs` columns hold what each step pays; and `last`, the terminal state
-    s_H as an int. `rollout` builds the `Episode`.
+    model's `successor_table` of the drawn transitions, whose `costs` column
+    holds what each step pays; and `last`, the terminal state s_H as an int.
+    `rollout` builds the `Episode`.
 
     Every draw is a bisection on running sums computed before the episode:
     s_0 is the first index of the initial distribution's running sums above
@@ -366,15 +335,12 @@ def rollout(
     how each step is drawn and what the arguments must be.
     """
     cells, actions, entries, last = sampler(model, table, running)(rng)
-    successor_table = model.successor_table
     return Episode(
         states=cells - np.arange(model.horizon + 1) * model.num_states,
         actions=actions,
         cells=cells,
-        rewards=successor_table.rewards[entries],
-        terminal_reward=float(model.terminal_reward[last]),
-        constraint_costs=successor_table.costs[:, entries],
-        terminal_constraint_costs=model.terminal_constraint_costs[:, last].copy(),
+        costs=model.successor_table.costs[:, entries],
+        terminal_costs=model.terminal_costs[:, last].copy(),
         action_probs=table.reshape(-1, model.num_actions)[cells[:-1]],
     )
 
@@ -395,17 +361,18 @@ def reachable_sets(model: FiniteHorizonCMDP) -> list[np.ndarray]:
 
 
 def save_model(model: FiniteHorizonCMDP, path) -> None:
-    """Write the model as JSON; finite doubles round-trip bit-exactly."""
+    """Write the model as JSON; finite doubles round-trip bit-exactly. The
+    file keeps the reward and the constraint costs under their own keys."""
     doc = {
         "num_states": model.num_states,
         "num_actions": model.num_actions,
         "horizon": model.horizon,
         "num_constraints": model.num_constraints,
         "kernels": model.kernels,
-        "rewards": model.rewards,
-        "terminal_reward": model.terminal_reward,
-        "constraint_costs": model.constraint_costs,
-        "terminal_constraint_costs": model.terminal_constraint_costs,
+        "rewards": model.costs[0],
+        "terminal_reward": model.terminal_costs[0],
+        "constraint_costs": model.costs[1:],
+        "terminal_constraint_costs": model.terminal_costs[1:],
         "thresholds": model.thresholds,
         "initial_distribution": model.initial_distribution,
     }
@@ -465,22 +432,23 @@ def load_model(path) -> FiniteHorizonCMDP:
 
 
 def model_from_doc(doc: dict) -> FiniteHorizonCMDP:
+    """The model a `save_model` document describes: the reward and constraint
+    cost keys are stacked into its channel tables."""
     num_states = int(doc["num_states"])
     horizon = int(doc["horizon"])
     num_actions = int(doc["num_actions"])
     num_constraints = int(doc["num_constraints"])
-    constraint_costs = np.asarray(doc["constraint_costs"], dtype=float).reshape(
-        num_constraints, horizon, num_states, num_actions, num_states
-    )
-    terminal_constraint_costs = np.asarray(
-        doc["terminal_constraint_costs"], dtype=float
-    ).reshape(num_constraints, num_states)
+
+    def channels(reward_key, cost_key, shape):
+        constraint = np.asarray(doc[cost_key], dtype=float).reshape((num_constraints,) + shape)
+        return np.concatenate([np.asarray(doc[reward_key], dtype=float)[None], constraint])
+
     return make_cmdp(
         kernels=doc["kernels"],
-        rewards=doc["rewards"],
-        terminal_reward=doc["terminal_reward"],
-        initial_distribution=doc["initial_distribution"],
-        constraint_costs=constraint_costs,
-        terminal_constraint_costs=terminal_constraint_costs,
+        costs=channels(
+            "rewards", "constraint_costs", (horizon, num_states, num_actions, num_states)
+        ),
+        terminal_costs=channels("terminal_reward", "terminal_constraint_costs", (num_states,)),
         thresholds=np.asarray(doc["thresholds"], dtype=float).reshape(num_constraints),
+        initial_distribution=doc["initial_distribution"],
     )

@@ -14,12 +14,13 @@ fastest, the actor next, and the multipliers slowest.
 
 `train` prepares once per call what every episode reads: the policy's
 distribution table and running sums, the sampler's views of the model, the
-reward and cost columns of the model's successor table, per-state terminal
-tables, a table of the constraint critics' steps over every visit count the
-call can reach, and flat views of theta, the stacked critic table and the
-visit counts. No table of the model's (H, S, A, S) shape is read. An episode
-then indexes each table with the draw's 1-D id arrays, its `cells`
-h*S + s_h, its actions and its successor-table entry ids, through the
+reward row and an (E, M) view of the constraint rows of the successor
+table's (1+M, E) channel costs, per-state terminal tables, a table of the
+constraint critics' steps over every visit count the call can reach, and
+flat views of theta, the stacked critic table and the visit counts. No
+table of the model's (H, S, A, S) shape is read. An episode then indexes
+each table with the draw's 1-D id arrays, its `cells` h*S + s_h, its
+actions and its successor-table entry ids, through the
 kernels `td_step` (once, for all 1+M critics), `score_rows` and `actor_step`
 that the one-episode functions `update_penalized_critic`,
 `update_constraint_critic` and `actor_update` wrap, so both run the same
@@ -310,11 +311,11 @@ def train(
     action_base = np.arange(H) * A  # row h of an episode's (H, A) probabilities
     # The realized reward and costs of a step sit in the successor table
     # beside the entry drawn. `entry_costs` is (E, M): a row gather gives the
-    # (H, M) costs, whose transpose has the layout of costs[:, entries] that
+    # (H, M) costs, whose transpose has the layout of costs[1:, entries] that
     # the M >= 2 sums and products need.
-    rewards, entry_costs = model.successor_table.rewards, model.successor_table.costs.T
+    rewards, entry_costs = model.successor_table.costs[0], model.successor_table.costs[1:].T
     terminal_gaps = model.channel_terminal[1:].T.copy()  # row s: g_H(s) - alpha, (S, M)
-    terminal_rewards = model.terminal_reward.tolist()
+    terminal_rewards = model.terminal_costs[0].tolist()
     # The one TD step's inputs, rewritten in place each episode: channel 0
     # is the penalized critic, channels 1..M the constraint critics, and the
     # last column of the costs holds the terminal costs.
@@ -371,11 +372,11 @@ def train(
             if progress_every and progress is not None and (n + 1) % progress_every == 0:
                 progress(n + 1, config.episodes)
         done = chunk_entries[: stop - start]
-        metrics.returns[start:stop] = rewards[done].sum(axis=1) + model.terminal_reward[lasts]
+        metrics.returns[start:stop] = rewards[done].sum(axis=1) + model.terminal_costs[0, lasts]
         # (size, H, M), the layout whose sum over H adds in the order of
-        # an episode's constraint_costs.sum(axis=1)
+        # an episode's costs[1:].sum(axis=1)
         metrics.constraint_totals[start:stop] = (
-            entry_costs[done].sum(axis=1) + model.terminal_constraint_costs[:, lasts].T
+            entry_costs[done].sum(axis=1) + model.terminal_costs[1:, lasts].T
         )
         _check_finite(state)
     return state, metrics

@@ -59,24 +59,15 @@ def random_cmdp(
     terminal_reward = rng.normal(size=S)
     beta = rng.exponential(size=S) + min_prob
     beta /= beta.sum()
-    if M == 0:
-        return make_cmdp(
-            kernels=kernels,
-            rewards=rewards,
-            terminal_reward=terminal_reward,
-            initial_distribution=beta,
-        )
     costs = rng.uniform(0.2, 1.5, size=(M, H, S, A, S))
     terminal_costs = rng.uniform(0.0, 1.0, size=(M, S))
     thresholds = rng.uniform(1.0, 3.0, size=M)
     return make_cmdp(
         kernels=kernels,
-        rewards=rewards,
-        terminal_reward=terminal_reward,
-        initial_distribution=beta,
-        constraint_costs=costs,
-        terminal_constraint_costs=terminal_costs,
+        costs=np.concatenate([rewards[None], costs]),
+        terminal_costs=np.concatenate([terminal_reward[None], terminal_costs]),
         thresholds=thresholds,
+        initial_distribution=beta,
     )
 
 
@@ -156,10 +147,8 @@ def reference_rollout(model, table, rng):
         states=states,
         actions=actions,
         cells=np.arange(horizon + 1) * model.num_states + states,
-        rewards=np.asarray(model.rewards[steps], dtype=float),
-        terminal_reward=float(model.terminal_reward[s]),
-        constraint_costs=np.asarray(model.constraint_costs[(slice(None),) + steps], dtype=float),
-        terminal_constraint_costs=model.terminal_constraint_costs[:, s].copy(),
+        costs=np.asarray(model.costs[(slice(None),) + steps], dtype=float),
+        terminal_costs=model.terminal_costs[:, s].copy(),
         action_probs=table[steps[:2]],
     )
 
@@ -419,11 +408,11 @@ def brute_policy_value(model, policy, multipliers=None):
     L = 0.0
     totals = np.zeros(M)
     for p, states, actions in iter_trajectories(model, mus):
-        r = model.terminal_reward[states[-1]]
-        c = model.terminal_constraint_costs[:, states[-1]].copy()
+        r = model.terminal_costs[0, states[-1]]
+        c = model.terminal_costs[1:, states[-1]].copy()
         for h in range(model.horizon):
-            r += model.rewards[h, states[h], actions[h], states[h + 1]]
-            c += model.constraint_costs[:, h, states[h], actions[h], states[h + 1]]
+            r += model.costs[0, h, states[h], actions[h], states[h + 1]]
+            c += model.costs[1:, h, states[h], actions[h], states[h + 1]]
         J += p * r
         totals += p * c
         L += p * (r + lam @ (c - model.thresholds))
@@ -445,8 +434,8 @@ def brute_state_values(model, policy, multipliers):
     lam = np.asarray(multipliers, dtype=float)
     S, A, H = model.num_states, model.num_actions, model.horizon
     mus = policy.distribution_table()
-    terminal = model.terminal_reward + lam @ (
-        model.terminal_constraint_costs - model.thresholds[:, None]
+    terminal = model.terminal_costs[0] + lam @ (
+        model.terminal_costs[1:] - model.thresholds[:, None]
     )
     values = np.zeros((H + 1, S))
     values[H] = terminal
@@ -463,8 +452,8 @@ def brute_state_values(model, policy, multipliers):
                             mus[h][path[i], actions[i]]
                             * model.kernels[h, path[i], actions[i], path[i + 1]]
                         )
-                        val += model.rewards[h, path[i], actions[i], path[i + 1]] + lam @ (
-                            model.constraint_costs[:, h, path[i], actions[i], path[i + 1]]
+                        val += model.costs[0, h, path[i], actions[i], path[i + 1]] + lam @ (
+                            model.costs[1:, h, path[i], actions[i], path[i + 1]]
                         )
                     total += p * val
             values[start, s0] = total
@@ -489,11 +478,11 @@ def brute_deterministic_value(model, actions):
     for p, states, acts in iter_trajectories(model, one_hot):
         if p == 0.0:
             continue
-        r = model.terminal_reward[states[-1]]
-        c = model.terminal_constraint_costs[:, states[-1]].copy()
+        r = model.terminal_costs[0, states[-1]]
+        c = model.terminal_costs[1:, states[-1]].copy()
         for h in range(H):
-            r += model.rewards[h, states[h], acts[h], states[h + 1]]
-            c += model.constraint_costs[:, h, states[h], acts[h], states[h + 1]]
+            r += model.costs[0, h, states[h], acts[h], states[h + 1]]
+            c += model.costs[1:, h, states[h], acts[h], states[h + 1]]
         J += p * r
         totals += p * c
     return J, totals
@@ -516,10 +505,10 @@ def occupation_lp(model):
     M = model.num_constraints
     n = H * S * A
     # Expected stage payoffs, the last stage carrying the terminal ones.
-    reward = np.einsum("hijk,hijk->hij", model.kernels, model.rewards)
-    reward[-1] += model.kernels[-1] @ model.terminal_reward
-    costs = np.einsum("hijk,chijk->chij", model.kernels, model.constraint_costs)
-    costs[:, -1] += np.einsum("ijk,ck->cij", model.kernels[-1], model.terminal_constraint_costs)
+    reward = np.einsum("hijk,hijk->hij", model.kernels, model.costs[0])
+    reward[-1] += model.kernels[-1] @ model.terminal_costs[0]
+    costs = np.einsum("hijk,chijk->chij", model.kernels, model.costs[1:])
+    costs[:, -1] += np.einsum("ijk,ck->cij", model.kernels[-1], model.terminal_costs[1:])
 
     cols = np.arange(n)
     rows = cols // A  # row h*S + s holds every action of state s at stage h

@@ -116,13 +116,13 @@ def test_criterion_3_critic_fixed_points_match_exact_values_and_projections():
     d = occupation_measures(model, policy)
     mus = policy.distribution_table()
     H = model.horizon
-    terminal = model.terminal_reward + lam[0] * (
-        model.terminal_constraint_costs[0] - model.thresholds[0]
+    terminal = model.terminal_costs[0] + lam[0] * (
+        model.terminal_costs[1] - model.thresholds[0]
     )
     phi = features[H]
     assert np.abs(phi.T @ (d[H] * (terminal - phi @ weights[H]))).max() < 1e-10
     for h in range(H):
-        cost = model.rewards[h] + lam[0] * model.constraint_costs[0, h]
+        cost = model.costs[0, h] + lam[0] * model.costs[1, h]
         expected_cost = np.sum(
             mus[h] * np.einsum("ijk,ijk->ij", model.kernels[h], cost), axis=1
         )
@@ -185,8 +185,9 @@ def chase_model():
     rewards[:, :, :, 1] = 2.0
     return make_cmdp(
         kernels=np.broadcast_to(kernel, (H, S, A, S)).copy(),
-        rewards=rewards,
-        terminal_reward=np.array([0.0, 1.0]),
+        costs=rewards[None],
+        terminal_costs=np.array([[0.0, 1.0]]),
+        thresholds=np.zeros(0),
         initial_distribution=np.array([1.0, 0.0]),
     )
 

@@ -42,17 +42,17 @@ def test_td_errors_match_hand_computed_values():
     v, w = start[0], start[1]
     for h in range(H):
         s, nxt = episode.states[h], episode.states[h + 1]
-        cost = episode.rewards[h] + lam[0] * episode.constraint_costs[0, h]
+        cost = episode.costs[0, h] + lam[0] * episode.costs[1, h]
         assert deltas[h] == pytest.approx(cost + v[h + 1, nxt] - v[h, s], abs=1e-12)
-        expected_xi = episode.constraint_costs[0, h] + w[h + 1, nxt] - w[h, s]
+        expected_xi = episode.costs[1, h] + w[h + 1, nxt] - w[h, s]
         assert xis[h] == pytest.approx(expected_xi, abs=1e-12)
     s_last = episode.states[-1]
-    terminal_cost = episode.terminal_reward + lam[0] * (
-        episode.terminal_constraint_costs[0] - model.thresholds[0]
+    terminal_cost = episode.terminal_costs[0] + lam[0] * (
+        episode.terminal_costs[1] - model.thresholds[0]
     )
     assert deltas[H] == pytest.approx(terminal_cost - v[H, s_last], abs=1e-12)
     assert xis[H] == pytest.approx(
-        episode.terminal_constraint_costs[0] - model.thresholds[0] - w[H, s_last],
+        episode.terminal_costs[1] - model.thresholds[0] - w[H, s_last],
         abs=1e-12,
     )
 
@@ -101,14 +101,14 @@ def test_random_basis_updates_follow_the_per_stage_formula():
         s = episode.states
         before = critic.copy()
         tables = [before[0]] + [before[1:][k] for k in range(2)]
-        stage_costs = [episode.rewards + lam @ episode.constraint_costs]
-        stage_costs += [episode.constraint_costs[k] for k in range(2)]
+        stage_costs = [episode.costs[0] + lam @ episode.costs[1:]]
+        stage_costs += [episode.costs[1 + k] for k in range(2)]
         terminal = [
-            episode.terminal_reward
-            + lam @ (episode.terminal_constraint_costs - model.thresholds)
+            episode.terminal_costs[0]
+            + lam @ (episode.terminal_costs[1:] - model.thresholds)
         ]
         terminal += [
-            episode.terminal_constraint_costs[k] - model.thresholds[k] for k in range(2)
+            episode.terminal_costs[1 + k] - model.thresholds[k] for k in range(2)
         ]
         got = [update_penalized_critic(model, critic, episode, lam, 0.05)]
         got += list(update_constraint_critic(model, critic, episode, 0.05))
@@ -146,8 +146,8 @@ def test_batched_constraint_step_equals_the_per_critic_formula_exactly():
         for k in range(M):
             vals = reference[k][stages, episode.states]
             deltas = np.empty(model.horizon + 1)
-            deltas[:-1] = episode.constraint_costs[k] + vals[1:] - vals[:-1]
-            deltas[-1] = episode.terminal_constraint_costs[k] - model.thresholds[k] - vals[-1]
+            deltas[:-1] = episode.costs[1 + k] + vals[1:] - vals[:-1]
+            deltas[-1] = episode.terminal_costs[1 + k] - model.thresholds[k] - vals[-1]
             reference[k][stages, episode.states] += step * deltas
             assert np.array_equal(got[k], deltas)
         assert np.array_equal(critic[1:], reference)
@@ -184,8 +184,8 @@ def test_synchronous_and_sequential_updates_coincide():
         ep_a = rollout(model, table, running, rng_a)
         ep_b = rollout(model, table, running, rng_b)
         d_a = update_penalized_critic(model, critic_a, ep_a, lam, 0.05)
-        costs = ep_b.rewards + lam @ ep_b.constraint_costs
-        cterm = ep_b.terminal_reward + lam @ (ep_b.terminal_constraint_costs - model.thresholds)
+        costs = ep_b.costs[0] + lam @ ep_b.costs[1:]
+        cterm = ep_b.terminal_costs[0] + lam @ (ep_b.terminal_costs[1:] - model.thresholds)
         d_b = sequential_sweep(critic_b[0], ep_b.states, costs, cterm, 0.05)
         assert np.array_equal(d_a, d_b)
         x_a = update_constraint_critic(model, critic_a, ep_a, 0.05)
@@ -193,8 +193,8 @@ def test_synchronous_and_sequential_updates_coincide():
             x_b = sequential_sweep(
                 critic_b[1:][k],
                 ep_b.states,
-                ep_b.constraint_costs[k],
-                ep_b.terminal_constraint_costs[k] - model.thresholds[k],
+                ep_b.costs[1 + k],
+                ep_b.terminal_costs[1 + k] - model.thresholds[k],
                 0.05,
             )
             assert np.array_equal(x_a[k], x_b)
@@ -234,14 +234,14 @@ def test_fixed_points_solve_the_projected_equations_for_random_features():
     H = model.horizon
     mus = policy.distribution_table()
 
-    terminal_cost = model.terminal_reward + lam[0] * (
-        model.terminal_constraint_costs[0] - model.thresholds[0]
+    terminal_cost = model.terminal_costs[0] + lam[0] * (
+        model.terminal_costs[1] - model.thresholds[0]
     )
     phi = features[H]
     residual = phi.T @ (d[H] * (terminal_cost - phi @ weights[H]))
     assert np.abs(residual).max() < 1e-10
     for h in range(H):
-        cost = model.rewards[h] + lam[0] * model.constraint_costs[0, h]
+        cost = model.costs[0, h] + lam[0] * model.costs[1, h]
         inner = np.einsum("ijk,ijk->ij", model.kernels[h], cost)
         expected_cost = np.sum(mus[h] * inner, axis=1)
         step = np.einsum("ij,ijk->ik", mus[h], model.kernels[h])

@@ -50,15 +50,14 @@ def test_channel_tables_equal_per_state_action_expectations():
         for s in range(S):
             for a in range(A):
                 p = model.kernels[h, s, a]
-                expected = [math.fsum(p * model.rewards[h, s, a])]
-                expected += [math.fsum(p * model.constraint_costs[k, h, s, a]) for k in range(M)]
+                expected = [math.fsum(p * model.costs[c, h, s, a]) for c in range(1 + M)]
                 assert costs[:, h, s, a] == pytest.approx(expected, rel=1e-14, abs=1e-15)
     terminal = model.channel_terminal
     assert terminal.shape == (1 + M, S)
-    assert np.array_equal(terminal[0], model.terminal_reward)
+    assert np.array_equal(terminal[0], model.terminal_costs[0])
     for k in range(M):
         assert np.array_equal(
-            terminal[1 + k], model.terminal_constraint_costs[k] - model.thresholds[k]
+            terminal[1 + k], model.terminal_costs[1 + k] - model.thresholds[k]
         )
     # cached once per model; a replaced model computes its own tables
     assert model.channel_costs is costs and model.channel_terminal is terminal
@@ -311,12 +310,10 @@ def test_constrained_reference_reports_infeasible_when_thresholds_impossible():
     base = random_cmdp(rng, 2, 2, 2, 1)
     model = make_cmdp(
         kernels=base.kernels,
-        rewards=base.rewards,
-        terminal_reward=base.terminal_reward,
-        initial_distribution=base.initial_distribution,
-        constraint_costs=base.constraint_costs,
-        terminal_constraint_costs=base.terminal_constraint_costs,
+        costs=base.costs,
+        terminal_costs=base.terminal_costs,
         thresholds=np.array([-1.0]),  # costs are nonnegative, so unattainable
+        initial_distribution=base.initial_distribution,
     )
     assert occupation_lp(model) is None
     ref = constrained_reference(model)

@@ -19,6 +19,7 @@ from fhc_ac import (
     evaluate_deterministic,
     load_checkpoint,
     load_gridworld_config,
+    load_model,
     make_cmdp,
     moving_average,
     random_gridworld,
@@ -222,12 +223,10 @@ def test_train_rejects_models_that_fail_validation(tmp_path):
     model = random_cmdp(np.random.default_rng(0), 3, 2, 2, 1)
     broken = make_cmdp(
         kernels=np.full_like(model.kernels, 0.3),
-        rewards=model.rewards,
-        terminal_reward=model.terminal_reward,
-        initial_distribution=model.initial_distribution,
-        constraint_costs=model.constraint_costs,
-        terminal_constraint_costs=model.terminal_constraint_costs,
+        costs=model.costs,
+        terminal_costs=model.terminal_costs,
         thresholds=model.thresholds,
+        initial_distribution=model.initial_distribution,
     )
     save_model(broken, tmp_path / "broken.json")
     config = write_experiment(tmp_path, model={"kind": "file", "path": "broken.json"})
@@ -462,6 +461,16 @@ def test_oracle_gradcheck_passes_on_the_h100_gridworld(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_the_shipped_dense_table_model_round_trips_and_passes_gradcheck(tmp_path, capsys):
+    # configs/demo_model.json is the one shipped model stored as dense tables,
+    # the file the README's gradcheck, evaluate and fixedpoint examples read.
+    path = CONFIGS / "demo_model.json"
+    save_model(load_model(path), tmp_path / "demo_model.json")
+    assert (tmp_path / "demo_model.json").read_bytes() == path.read_bytes()
+    assert main(["oracle", "gradcheck", "--model", str(path), "--instances", "2"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_oracle_gradcheck_rejects_arguments_that_check_nothing(tmp_path, capsys):
     path = tmp_path / "model.json"
     save_model(random_cmdp(np.random.default_rng(1), 3, 2, 2, 1), path)
@@ -474,12 +483,10 @@ def test_oracle_commands_reject_invalid_models(tmp_path):
     model = random_cmdp(np.random.default_rng(2), 3, 2, 2, 1)
     broken = make_cmdp(
         kernels=np.full_like(model.kernels, 0.2),
-        rewards=model.rewards,
-        terminal_reward=model.terminal_reward,
-        initial_distribution=model.initial_distribution,
-        constraint_costs=model.constraint_costs,
-        terminal_constraint_costs=model.terminal_constraint_costs,
+        costs=model.costs,
+        terminal_costs=model.terminal_costs,
         thresholds=model.thresholds,
+        initial_distribution=model.initial_distribution,
     )
     path = tmp_path / "broken.json"
     save_model(broken, path)

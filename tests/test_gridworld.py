@@ -105,12 +105,10 @@ def test_build_gridworld_attaches_cell_values_to_the_landing_state():
         # the reward of a transition depends only on the stage and the cell
         # it lands on, never on the origin or the action
         for sp in range(n):
-            assert np.all(model.rewards[h, :, :, sp] == config.stage_rewards[h, sp])
-            assert np.all(
-                model.constraint_costs[0, h, :, :, sp] == config.stage_costs[0, h, sp]
-            )
-    assert np.array_equal(model.terminal_reward, config.stage_rewards[3])
-    assert np.array_equal(model.terminal_constraint_costs, config.stage_costs[:, 3])
+            assert np.all(model.costs[0, h, :, :, sp] == config.stage_rewards[h, sp])
+            assert np.all(model.costs[1, h, :, :, sp] == config.stage_costs[0, h, sp])
+    assert np.array_equal(model.terminal_costs[0], config.stage_rewards[3])
+    assert np.array_equal(model.terminal_costs[1:], config.stage_costs[:, 3])
     # same physics at every stage
     for h in range(1, 3):
         assert np.array_equal(model.kernels[h], model.kernels[0])
@@ -182,8 +180,8 @@ def test_greedy_response_takes_the_lowest_index_among_tied_actions():
     # max, whatever order numpy summed them in.
     model = build_gridworld(random_gridworld(4, 4, 10, seed=3))
     actions = greedy_response(model, np.zeros(1))
-    kernels, rewards = model.kernels.tolist(), model.rewards.tolist()
-    v = model.terminal_reward.tolist()
+    kernels, rewards = model.kernels.tolist(), model.costs[0].tolist()
+    v = model.terminal_costs[0].tolist()
     ties = 0
     for h in range(model.horizon - 1, -1, -1):
         next_v = []
@@ -280,7 +278,7 @@ def test_gridworld_config_round_trips_through_json(tmp_path):
     model_a = build_gridworld(config)
     model_b = build_gridworld(again)
     assert np.array_equal(model_a.kernels, model_b.kernels)
-    assert np.array_equal(model_a.rewards, model_b.rewards)
+    assert np.array_equal(model_a.costs, model_b.costs)
     assert np.array_equal(model_a.thresholds, model_b.thresholds)
 
 
@@ -299,20 +297,21 @@ def test_build_gridworld_shares_its_tables_and_reads_like_dense_ones(world):
     else:
         config = load_gridworld_config(CONFIGS / world)
     model = build_gridworld(config)
-    # One kernel for every stage, and the schedules' own cell values.
+    # One kernel for every stage, and costs that repeat one stacked copy of
+    # the schedules over origins and actions: a buffer of at most
+    # (1+M)(H+1)S values, whose stage rows are the schedules' cell values.
+    H, S = model.horizon, model.num_states
     assert model.kernels.strides[0] == 0
-    assert np.shares_memory(model.rewards, config.stage_rewards)
-    assert np.shares_memory(model.constraint_costs, config.stage_costs)
-    for table in (model.kernels, model.rewards, model.constraint_costs):
+    assert model.costs.strides[2:4] == (0, 0)
+    low, high = np.lib.array_utils.byte_bounds(model.costs)
+    assert high - low <= len(model.costs) * (H + 1) * S * model.costs.itemsize
+    schedules = np.concatenate([config.stage_rewards[None], config.stage_costs])
+    assert same_bits(model.costs[:, :, 0, 0], schedules[:, :H])
+    for table in (model.kernels, model.costs):
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 1.0
 
-    dense = dataclasses.replace(
-        model,
-        kernels=model.kernels.copy(),
-        rewards=model.rewards.copy(),
-        constraint_costs=model.constraint_costs.copy(),
-    )
+    dense = dataclasses.replace(model, kernels=model.kernels.copy(), costs=model.costs.copy())
     assert dense.kernels.strides[0] != 0
     assert same_bits(model.channel_costs, dense.channel_costs)
     for got, want in zip(model.successor_table, dense.successor_table):

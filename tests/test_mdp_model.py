@@ -42,26 +42,38 @@ def test_make_cmdp_shapes_and_counts():
     assert model.horizon == 5
     assert model.num_constraints == 2
     assert model.kernels.shape == (5, 4, 3, 4)
-    assert model.constraint_costs.shape == (2, 5, 4, 3, 4)
-    assert model.terminal_constraint_costs.shape == (2, 4)
+    assert model.costs.shape == (3, 5, 4, 3, 4)
+    assert model.terminal_costs.shape == (3, 4)
 
 
 def test_make_cmdp_rejects_shape_mismatch():
     model = random_cmdp(np.random.default_rng(0), 3, 2, 2, 0)
-    with pytest.raises(ValueError):
-        make_cmdp(
-            kernels=model.kernels,
-            rewards=model.rewards[:1],
-            terminal_reward=model.terminal_reward,
-            initial_distribution=model.initial_distribution,
-        )
-    with pytest.raises(ValueError):
-        make_cmdp(
-            kernels=model.kernels,
-            rewards=model.rewards,
-            terminal_reward=np.zeros(4),
-            initial_distribution=model.initial_distribution,
-        )
+    shapes = {
+        "kernels": model.kernels,
+        "costs": model.costs,
+        "terminal_costs": model.terminal_costs,
+        "thresholds": model.thresholds,
+        "initial_distribution": model.initial_distribution,
+    }
+    make_cmdp(**shapes)
+    for name, bad in [
+        ("costs", model.costs[:, :1]),
+        ("terminal_costs", np.zeros((1, 4))),
+        # a channel count that is not len(thresholds) + 1
+        ("costs", np.concatenate([model.costs, model.costs])),
+        ("thresholds", np.zeros(1)),
+        ("thresholds", np.zeros(())),
+        # a terminal table of the wrong shape
+        ("terminal_costs", model.terminal_costs[0]),
+        ("terminal_costs", np.concatenate([model.terminal_costs, model.terminal_costs])),
+        # trailing axes that differ from the kernels'
+        ("costs", model.costs[:, :, :, :1]),
+        ("costs", model.costs[..., :2]),
+        # a reward table with no channel axis
+        ("costs", model.costs[0]),
+    ]:
+        with pytest.raises(ValueError):
+            make_cmdp(**{**shapes, name: bad})
 
 
 def test_validate_accepts_random_instance():
@@ -77,8 +89,9 @@ def test_validate_flags_bad_rows_and_negative_mass():
     kernels[1, 2, 0] *= 0.5
     broken = make_cmdp(
         kernels=kernels,
-        rewards=model.rewards,
-        terminal_reward=model.terminal_reward,
+        costs=model.costs,
+        terminal_costs=model.terminal_costs,
+        thresholds=model.thresholds,
         initial_distribution=model.initial_distribution,
     )
     report = validate(broken)
@@ -89,8 +102,9 @@ def test_validate_flags_bad_rows_and_negative_mass():
     bad_kernels[0, 0, 0] = [-0.2, 0.6, 0.6]  # sums to one but has negative mass
     negative = make_cmdp(
         kernels=bad_kernels,
-        rewards=model.rewards,
-        terminal_reward=model.terminal_reward,
+        costs=model.costs,
+        terminal_costs=model.terminal_costs,
+        thresholds=model.thresholds,
         initial_distribution=model.initial_distribution,
     )
     report = validate(negative)
@@ -112,8 +126,8 @@ def test_validate_flags_non_finite_kernels_and_initial_distribution():
         kernels = model.kernels.copy()
         kernels[1, 0, 1, 0] = bad
         report = validate(make_cmdp(
-            kernels, model.rewards, model.terminal_reward, model.initial_distribution,
-            model.constraint_costs, model.terminal_constraint_costs, model.thresholds,
+            kernels, model.costs, model.terminal_costs, model.thresholds,
+            model.initial_distribution,
         ))
         assert not report.ok
         assert "kernels contains non-finite values" in report.violations
@@ -121,8 +135,7 @@ def test_validate_flags_non_finite_kernels_and_initial_distribution():
         beta = model.initial_distribution.copy()
         beta[0] = bad
         report = validate(make_cmdp(
-            model.kernels, model.rewards, model.terminal_reward, beta,
-            model.constraint_costs, model.terminal_constraint_costs, model.thresholds,
+            model.kernels, model.costs, model.terminal_costs, model.thresholds, beta,
         ))
         assert not report.ok
         assert "initial_distribution contains non-finite values" in report.violations
@@ -187,20 +200,13 @@ def test_rollout_bookkeeping_matches_tables():
     assert np.array_equal(episode.cells, np.arange(H + 1) * model.num_states + episode.states)
     for h in range(H):
         s, a, nxt = episode.states[h], episode.actions[h], episode.states[h + 1]
-        assert episode.rewards[h] == model.rewards[h, s, a, nxt]
-        assert np.all(
-            episode.constraint_costs[:, h] == model.constraint_costs[:, h, s, a, nxt]
-        )
-    assert episode.terminal_reward == model.terminal_reward[episode.states[-1]]
-    assert np.all(
-        episode.terminal_constraint_costs
-        == model.terminal_constraint_costs[:, episode.states[-1]]
-    )
+        assert np.all(episode.costs[:, h] == model.costs[:, h, s, a, nxt])
+    assert np.all(episode.terminal_costs == model.terminal_costs[:, episode.states[-1]])
     assert episode.total_reward() == pytest.approx(
-        episode.rewards.sum() + episode.terminal_reward
+        episode.costs[0].sum() + episode.terminal_costs[0]
     )
     assert episode.total_constraint_costs() == pytest.approx(
-        episode.constraint_costs.sum(axis=1) + episode.terminal_constraint_costs
+        episode.costs[1:].sum(axis=1) + episode.terminal_costs[1:]
     )
 
 
@@ -273,8 +279,9 @@ def test_rollout_falls_back_to_the_last_index_like_the_row_scan():
     row = [0.1, 0.2, 0.0]
     model = make_cmdp(
         kernels=np.tile(row, (H, S, A, 1)),
-        rewards=np.arange(H * S * A * S, dtype=float).reshape(H, S, A, S),
-        terminal_reward=[1.0, 2.0, 3.0],
+        costs=np.arange(H * S * A * S, dtype=float).reshape(1, H, S, A, S),
+        terminal_costs=[[1.0, 2.0, 3.0]],
+        thresholds=[],
         initial_distribution=[1.0, 0.0, 0.0],
     )
     table = np.tile(row, (H, S, 1))
@@ -323,15 +330,14 @@ def test_successor_table_holds_each_rows_running_sums_rewards_and_costs():
     rng = np.random.default_rng(31)
     for shape in [(1, 1, 1, 0), (4, 3, 5, 1), (25, 9, 3, 2), (7, 2, 4, 0)]:
         model = random_sparse_cmdp(rng, *shape)
-        offsets, successors, sums, rewards, costs = model.successor_table
+        offsets, successors, sums, costs = model.successor_table
         S, M = model.num_states, model.num_constraints
         rows = model.kernels.reshape(-1, S)
-        reward_rows = model.rewards.reshape(-1, S)
-        cost_rows = model.constraint_costs.reshape(M, len(rows), S)
+        cost_rows = model.costs.reshape(1 + M, len(rows), S)
         entries = np.count_nonzero(rows) + len(rows)  # one sentinel per row
         assert len(offsets) == len(rows) + 1 and offsets[0] == 0
-        assert len(successors) == len(sums) == len(rewards) == offsets[-1] == entries
-        assert costs.shape == (M, entries)
+        assert len(successors) == len(sums) == offsets[-1] == entries
+        assert costs.shape == (1 + M, entries)
         for r, row in enumerate(rows):
             at = np.flatnonzero(row)
             lo, hi = offsets[r], offsets[r + 1]
@@ -344,7 +350,6 @@ def test_successor_table_holds_each_rows_running_sums_rewards_and_costs():
             totals = list(itertools.accumulate(row.tolist()))
             assert sums[lo : hi - 1].tolist() == [totals[i] for i in at]
             landing = list(successors[lo:hi])
-            assert np.array_equal(rewards[lo:hi], reward_rows[r, landing])
             assert np.array_equal(costs[:, lo:hi], cost_rows[:, r, landing])
 
 
@@ -381,8 +386,9 @@ def test_reachable_sets_follow_kernel_support():
     beta[0] = 1.0
     model = make_cmdp(
         kernels=kernels,
-        rewards=np.zeros((H, S, 1, S)),
-        terminal_reward=np.zeros(S),
+        costs=np.zeros((1, H, S, 1, S)),
+        terminal_costs=np.zeros((1, S)),
+        thresholds=np.zeros(0),
         initial_distribution=beta,
     )
     sets = reachable_sets(model)
@@ -395,12 +401,8 @@ def test_save_load_round_trip_is_exact(tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     assert np.array_equal(loaded.kernels, model.kernels)
-    assert np.array_equal(loaded.rewards, model.rewards)
-    assert np.array_equal(loaded.terminal_reward, model.terminal_reward)
-    assert np.array_equal(loaded.constraint_costs, model.constraint_costs)
-    assert np.array_equal(
-        loaded.terminal_constraint_costs, model.terminal_constraint_costs
-    )
+    assert np.array_equal(loaded.costs, model.costs)
+    assert np.array_equal(loaded.terminal_costs, model.terminal_costs)
     assert np.array_equal(loaded.thresholds, model.thresholds)
     assert np.array_equal(loaded.initial_distribution, model.initial_distribution)
 

@@ -274,20 +274,14 @@ def test_unreachable_entries_stay_untouched_by_training():
 def with_constraints(model, num_constraints):
     """`model` with its first constraint dropped (0), kept (1) or joined by a
     second one at twice its costs and threshold (2)."""
-    keep = slice(0, min(num_constraints, 1))
-    costs = model.constraint_costs[keep]
-    terminal = model.terminal_constraint_costs[keep]
-    thresholds = model.thresholds[keep]
+    keep = min(num_constraints, 1)
+    costs, terminal = model.costs[: 1 + keep], model.terminal_costs[: 1 + keep]
+    thresholds = model.thresholds[:keep]
     if num_constraints == 2:
-        costs = np.concatenate([costs, 2.0 * costs])
-        terminal = np.concatenate([terminal, 2.0 * terminal])
+        costs = np.concatenate([costs, 2.0 * costs[1:]])
+        terminal = np.concatenate([terminal, 2.0 * terminal[1:]])
         thresholds = np.concatenate([thresholds, 2.0 * thresholds])
-    return dataclasses.replace(
-        model,
-        constraint_costs=costs,
-        terminal_constraint_costs=terminal,
-        thresholds=thresholds,
-    )
+    return dataclasses.replace(model, costs=costs, terminal_costs=terminal, thresholds=thresholds)
 
 
 def assert_same_training(got, want):
