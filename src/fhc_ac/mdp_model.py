@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 PROB_TOL = 1e-12
+_BLOCK_VALUES = 2**18  # cap on the (rows, S+1) work tables of a successor_table block
 
 
 @dataclass
@@ -31,10 +32,9 @@ class ValidationReport:
 class SuccessorTable(NamedTuple):
     """Flat columns of the kernel rows' entries; see `FiniteHorizonCMDP.successor_table`."""
 
-    offsets: memoryview     # (H*S*A + 1,) int64: row r owns entries offsets[r] to offsets[r+1]
+    offsets: memoryview     # (rows + 1,) int64: row r owns entries offsets[r] to offsets[r+1]
     successors: memoryview  # (E,) int32
     sums: memoryview        # (E,) float64 running sums of the row
-    costs: np.ndarray       # (1+M, E): the reward, then the M constraint costs
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,13 @@ class FiniteHorizonCMDP:
     no array is changed in place, so the derived tables below are computed
     once, on first use, and cached. `channel_costs` is (1+M, H, S, A) and
     `channel_terminal` (1+M, S), both read by the oracle; `train` reads its
-    terminal gaps from the latter. `successor_table` is read by `sampler`,
-    `rollout` and `train`: 20 + 8M bytes per entry (one per nonzero kernel
-    entry and one sentinel per kernel row) plus 8 per row, about 5.1 MB for
-    the 174,600 entries of the 5x5 H=100 grid world (M = 1). It is the one
-    table built H-fold even when the model's tables are views.
+    terminal gaps from the latter. `successor_table` is read by `sampler`:
+    12 bytes per entry (one per nonzero kernel entry and one sentinel per
+    kernel row) plus 8 per row, for the rows of one stage when the kernels
+    have a zero stage stride and of all H stages otherwise. That is about
+    23 KB for the 5x5 H=100 grid world (1,746 entries) and 2.3 MB for a
+    dense copy of it. `rollout` and `train` read the realized reward and
+    costs of each step from `costs` itself.
     """
 
     kernels: np.ndarray
@@ -99,50 +101,48 @@ class FiniteHorizonCMDP:
 
         Row r = (h*S + s)*A + a owns entries offsets[r] to offsets[r+1]: its
         nonzero successors s' in increasing order, then a sentinel with
-        successor S-1. Beside each entry sit the running sum of the row up to
-        and including it (+inf at the sentinel) and the 1+M channel costs of
-        the transition (h, s, a, s'). The sums are `np.cumsum`'s, which adds
-        left to right, so they equal a running total taken one entry at a time
-        bit for bit; the zero entries left out add nothing to it. No uniform
-        is above the sentinel's sum, so bisecting a row always ends on an
-        entry: on the sentinel when round-off leaves the row's sum at or below
-        the uniform, which is the last state the row scan falls back to, with
-        that transition's costs.
+        successor S-1. Beside each entry sits the running sum of the row up to
+        and including it, +inf at the sentinel. The sums are `np.cumsum`'s,
+        which adds left to right, so they equal a running total taken one
+        entry at a time bit for bit; the zero entries left out add nothing to
+        it. No uniform is above the sentinel's sum, so bisecting a row always
+        ends on an entry: on the sentinel when round-off leaves the row's sum
+        at or below the uniform, which is the last state the row scan falls
+        back to.
 
-        Built stage by stage, so no float table of the (H, S, A, S) shape is
-        copied; when every stage reads one kernel array (a zero stage stride,
-        as `build_gridworld`'s view has), its entries and sums are found once.
-        Raises ValueError on a negative or non-finite kernel entry, where the
-        sums would not be non-decreasing and bisection would not find the
-        first of them above a uniform.
+        When every stage reads one kernel array (a zero stage stride, as
+        `build_gridworld`'s view has), the table holds the S*A rows of that
+        one array, and row s*A + a stands for (h, s, a) at every stage h.
+        Otherwise it holds all H*S*A rows, built over blocks of stages whose
+        work tables hold about `_BLOCK_VALUES` values, so no float table of
+        the (H, S, A, S) shape is copied. Raises ValueError on a negative or
+        non-finite kernel entry, where the sums would not be non-decreasing
+        and bisection would not find the first of them above a uniform.
         """
         kernels = self.kernels
+        if kernels.strides[0] == 0:
+            kernels = kernels[:1]
         if not np.isfinite(kernels).all() or (kernels < 0).any():
             raise ValueError("successor_table needs finite, non-negative kernel entries")
-        H, S, C = self.horizon, self.num_states, len(self.costs)
+        stages, S = len(kernels), self.num_states
         stage_rows = S * self.num_actions
-        offsets = np.zeros(H * stage_rows + 1, dtype=np.int64)
+        offsets = np.zeros(stages * stage_rows + 1, dtype=np.int64)
         np.cumsum(np.count_nonzero(kernels, axis=-1) + 1, out=offsets[1:])
         successors, sums = np.empty(offsets[-1], dtype=np.int32), np.empty(offsets[-1])
-        costs = np.empty((C, offsets[-1]))
-        # A stage's rows with one more column for the sentinel: its flat id
-        # in the stage's (S*A, S) tables is that of successor S-1.
-        kept = np.ones((stage_rows, S + 1), dtype=bool)
-        running = np.full((stage_rows, S + 1), np.inf)
-        flat_ids = np.arange(stage_rows)[:, None] * S + np.minimum(np.arange(S + 1), S - 1)
-        shared = kernels.strides[0] == 0
-        for h in range(H):
-            lo, hi = offsets[h * stage_rows], offsets[(h + 1) * stage_rows]
-            if h == 0 or not shared:
-                stage = kernels[h].reshape(stage_rows, S)
-                np.not_equal(stage, 0, out=kept[:, :S])
-                np.cumsum(stage, axis=1, out=running[:, :S])
-                entries = np.flatnonzero(kept)
-                at = flat_ids.take(entries)
-                stage_successors, stage_sums = at % S, running.take(entries)
-            successors[lo:hi], sums[lo:hi] = stage_successors, stage_sums
-            costs[:, lo:hi] = self.costs[:, h].reshape(C, stage_rows * S).take(at, axis=1)
-        return SuccessorTable(memoryview(offsets), memoryview(successors), memoryview(sums), costs)
+        per_block = max(1, _BLOCK_VALUES // (stage_rows * (S + 1)))
+        for h in range(0, stages, per_block):
+            rows = kernels[h : h + per_block].reshape(-1, S)
+            lo, hi = offsets[h * stage_rows], offsets[h * stage_rows + len(rows)]
+            # The rows with one more column for the sentinel, whose successor
+            # is S-1 and whose sum is +inf.
+            kept = np.ones((len(rows), S + 1), dtype=bool)
+            running = np.full((len(rows), S + 1), np.inf)
+            np.not_equal(rows, 0, out=kept[:, :S])
+            np.cumsum(rows, axis=1, out=running[:, :S])
+            entries = np.flatnonzero(kept)
+            np.minimum(entries % (S + 1), S - 1, out=successors[lo:hi])
+            running.take(entries, out=sums[lo:hi])
+        return SuccessorTable(memoryview(offsets), memoryview(successors), memoryview(sums))
 
 
 def make_cmdp(
@@ -185,16 +185,30 @@ def make_cmdp(
 
 
 def validate(model: FiniteHorizonCMDP) -> ValidationReport:
-    """Check the model invariants, reporting every violation instead of raising."""
+    """Check the model invariants, reporting every violation instead of raising.
+
+    Kernels with a zero stage stride (`build_gridworld`'s view) repeat one
+    step kernel: it is checked once, and each of its violations is reported
+    at every stage h, as for a dense copy. Finiteness is checked on the
+    distinct values of each table, so no check copies a broadcast view.
+    """
     violations = []
-    row_sums = model.kernels.sum(axis=3)
-    bad = np.argwhere(np.abs(row_sums - 1.0) > PROB_TOL)
+    kernels, horizon = model.kernels, model.horizon
+    shared = kernels.strides[0] == 0
+    if shared:
+        kernels = kernels[:1]
+
+    def each_stage(hits):
+        return [(h, *at) for h in range(horizon) for _, *at in hits] if shared else hits
+
+    row_sums = kernels.sum(axis=3)
+    bad = each_stage(np.argwhere(np.abs(row_sums - 1.0) > PROB_TOL))
+    row_sums = np.broadcast_to(row_sums, model.kernels.shape[:3])
     for h, s, a in bad:
         violations.append(
             f"kernel row (h={h}, s={s}, a={a}) sums to {row_sums[h, s, a]:.12g}, expected 1"
         )
-    neg = np.argwhere(model.kernels < 0)
-    for h, s, a, s2 in neg:
+    for h, s, a, s2 in each_stage(np.argwhere(kernels < 0)):
         violations.append(f"kernel entry (h={h}, s={s}, a={a}, s'={s2}) is negative")
 
     beta_sum = model.initial_distribution.sum()
@@ -210,9 +224,9 @@ def validate(model: FiniteHorizonCMDP) -> ValidationReport:
         ("thresholds", model.thresholds),
         ("initial_distribution", model.initial_distribution),
     ]:
-        # One leading slice at a time, so that the check of a broadcast view
-        # allocates one stage or channel, never the whole table.
-        if not all(np.isfinite(part).all() for part in table):
+        # A zero-stride axis repeats its first slice, which holds its values.
+        distinct = table[tuple(slice(None) if step else slice(1) for step in table.strides)]
+        if not np.isfinite(distinct).all():
             violations.append(f"{name} contains non-finite values")
 
     return ValidationReport(ok=not violations, violations=violations)
@@ -238,7 +252,7 @@ class Episode:
 
 def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
     """Prepare the flat views an episode draw reads; returns
-    draw(rng) -> (cells, actions, entries, last).
+    draw(rng) -> (cells, actions, last).
 
     `table` holds the action distributions of every stage and state, shape
     (H, S, A), e.g. `NonStationaryPolicy.distribution_table()`, and `running`
@@ -249,26 +263,27 @@ def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
 
     A draw returns a lean record, no `Episode`: `cells` (H+1,), the ids
     h*S + s_h of (h, s_h) in any stage-by-state table and so the (H*S, A)
-    rows of `table`; `actions` (H,), the a_h; `entries` (H,), the ids in the
-    model's `successor_table` of the drawn transitions, whose `costs` column
-    holds what each step pays; and `last`, the terminal state s_H as an int.
-    `rollout` builds the `Episode`.
+    rows of `table`; `actions` (H,), the a_h; and `last`, the terminal state
+    s_H as an int. `rollout` builds the `Episode`; it and `train` read what
+    each step pays from the model's `costs` at (h, s_h, a_h, s_{h+1}).
 
     Every draw is a bisection on running sums computed before the episode:
     s_0 is the first index of the initial distribution's running sums above
     s_0's uniform, the action the first index of running[h, s_h] above the
-    action's uniform, and the successor entry the first in the row of
-    (h, s_h, a_h) of the `successor_table` whose running sum is above the
-    successor's uniform. When no sum is above it (the row sums to less than
-    the uniform by round-off) the draw is the last state, or the last
-    action; for the successor that is the row's sentinel entry. Each is the
-    rule of an inverse-CDF scan of the row (the tests keep one,
-    `sample_index`) on the same sums: np.cumsum adds left to right as the
-    scan does, bisect_right finds the first sum above the uniform, and the
-    kernel entries left out are zeros, whose sums repeat the one before them
-    (or are 0 at the front), so none of them can be the first above a
-    uniform in [0, 1). Every draw is thus the index the scan returns from
-    the same uniform.
+    action's uniform, and the successor that of the first entry in the
+    model's `successor_table` row of (h, s_h, a_h) whose running sum is
+    above the successor's uniform. That row is (h*S + s_h)*A + a_h less a
+    per-stage shift: h*S*A when the table holds one stage's rows for every
+    stage, 0 when it holds each stage's own. When no sum is above the
+    uniform (the row sums to less than it by round-off) the draw is the
+    last state, or the last action; for the successor that is the row's
+    sentinel entry. Each is the rule of an inverse-CDF scan of the row (the
+    tests keep one, `sample_index`) on the same sums: np.cumsum adds left to
+    right as the scan does, bisect_right finds the first sum above the
+    uniform, and the kernel entries left out are zeros, whose sums repeat
+    the one before them (or are 0 at the front), so none of them can be the
+    first above a uniform in [0, 1). Every draw is thus the index the scan
+    returns from the same uniform.
 
     Raises ValueError unless `table` and `running` have shape (H, S, A) and
     are C-contiguous float64 arrays, the layout the flat ids address, and
@@ -289,9 +304,14 @@ def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
     if not np.isfinite(initial).all() or (initial < 0).any():
         raise ValueError("sampling needs a finite, non-negative initial distribution")
     initial_sums = np.cumsum(initial).tolist()
-    offsets, successors, sums = model.successor_table[:3]
+    offsets, successors, sums = model.successor_table
     action_sums = memoryview(running.reshape(-1))
     next_bases = range(num_states, (horizon + 1) * num_states, num_states)
+    stage_rows = num_states * num_actions
+    if len(offsets) - 1 == stage_rows:
+        shifts = range(0, horizon * stage_rows, stage_rows)
+    else:
+        shifts = [0] * horizon
     last_action, last_state = num_actions - 1, num_states - 1
     count = 2 * horizon + 1
 
@@ -303,25 +323,21 @@ def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
         cell = s = min(bisect_right(initial_sums, uniforms[0]), last_state)
         cells = [cell]
         actions = []
-        entries = []
-        for next_base, u_action, u_state in zip(next_bases, uniforms[1::2], uniforms[2::2]):
+        for next_base, shift, u_action, u_state in zip(
+            next_bases, shifts, uniforms[1::2], uniforms[2::2]
+        ):
             # Bisecting the first A-1 sums gives the last action when none of
             # them is above the uniform, whether or not the last sum is.
             lo = cell * num_actions
             row = bisect_right(action_sums, u_action, lo, lo + last_action)
-            # The row's sentinel sum is +inf, so j is always one of its entries.
-            j = bisect_right(sums, u_state, offsets[row], offsets[row + 1])
-            s = successors[j]
             actions.append(row - lo)
-            entries.append(j)
+            row -= shift
+            # The row's sentinel sum is +inf, so the bisection always ends on
+            # one of its entries.
+            s = successors[bisect_right(sums, u_state, offsets[row], offsets[row + 1])]
             cell = next_base + s
             cells.append(cell)
-        return (
-            np.array(cells, dtype=np.int64),
-            np.array(actions, dtype=np.int64),
-            np.array(entries, dtype=np.int64),
-            s,
-        )
+        return np.array(cells, dtype=np.int64), np.array(actions, dtype=np.int64), s
 
     return draw
 
@@ -334,12 +350,14 @@ def rollout(
     The `Episode` of one draw of `sampler(model, table, running)`, which says
     how each step is drawn and what the arguments must be.
     """
-    cells, actions, entries, last = sampler(model, table, running)(rng)
+    H = model.horizon
+    cells, actions, last = sampler(model, table, running)(rng)
+    states = cells - np.arange(H + 1) * model.num_states
     return Episode(
-        states=cells - np.arange(model.horizon + 1) * model.num_states,
+        states=states,
         actions=actions,
         cells=cells,
-        costs=model.successor_table.costs[:, entries],
+        costs=model.costs[:, np.arange(H), states[:-1], actions, states[1:]],
         terminal_costs=model.terminal_costs[:, last].copy(),
         action_probs=table.reshape(-1, model.num_actions)[cells[:-1]],
     )

@@ -13,16 +13,16 @@ step-size sequences decay at separated rates so the critics equilibrate
 fastest, the actor next, and the multipliers slowest.
 
 `train` prepares once per call what every episode reads: the policy's
-distribution table and running sums, the sampler's views of the model, the
-reward row and an (E, M) view of the constraint rows of the successor
-table's (1+M, E) channel costs, per-state terminal tables, a table of the
-constraint critics' steps over every visit count the call can reach, and
-flat views of theta, the stacked critic table and the visit counts. No
-table of the model's (H, S, A, S) shape is read. An episode then indexes
-each table with the draw's 1-D id arrays, its `cells` h*S + s_h, its
-actions and its successor-table entry ids, through the
-kernels `td_step` (once, for all 1+M critics), `score_rows` and `actor_step`
-that the one-episode functions `update_penalized_critic`,
+distribution table and running sums, the sampler's views of the model,
+per-state terminal tables, a table of the constraint critics' steps over
+every visit count the call can reach, and flat views of theta, the stacked
+critic table and the visit counts. An episode then indexes each table with
+the draw's 1-D id arrays, its `cells` h*S + s_h and its actions, and reads
+the realized reward and costs with one gather from the model's channel
+stack, costs[:, h, s_h, a_h, s_{h+1}]; for a grid world that stack is a
+broadcast view, so nothing of the (H, S, A, S) shape is copied. It runs
+the kernels `td_step` (once, for all 1+M critics), `score_rows` and
+`actor_step` that the one-episode functions `update_penalized_critic`,
 `update_constraint_critic` and `actor_update` wrap, so both run the same
 arithmetic bit for bit. The realized return and cost totals are summed once
 per chunk of episodes.
@@ -309,11 +309,13 @@ def train(
     critic_flat, visits = flat_view(critic), flat_view(state.visits)
     offsets = channel_offsets(critic)
     action_base = np.arange(H) * A  # row h of an episode's (H, A) probabilities
-    # The realized reward and costs of a step sit in the successor table
-    # beside the entry drawn. `entry_costs` is (E, M): a row gather gives the
-    # (H, M) costs, whose transpose has the layout of costs[1:, entries] that
-    # the M >= 2 sums and products need.
-    rewards, entry_costs = model.successor_table.costs[0], model.successor_table.costs[1:].T
+    # The realized reward and costs of the steps are one gather from the
+    # model's costs at (h, s_h, a_h, s_{h+1}) through a channel-last view:
+    # an (H, 1+M) C-contiguous block, whose transpose is `rollout`'s
+    # `Episode.costs`. The M >= 2 products and sums take their bits from
+    # that layout.
+    step_costs, stages = np.moveaxis(model.costs, 0, -1), np.arange(H)
+    cell_base = np.arange(H + 1) * model.num_states
     terminal_gaps = model.channel_terminal[1:].T.copy()  # row s: g_H(s) - alpha, (S, M)
     terminal_rewards = model.terminal_costs[0].tolist()
     # The one TD step's inputs, rewritten in place each episode: channel 0
@@ -326,21 +328,23 @@ def train(
     if M:
         # A visit count grows by at most one per episode.
         step_table = schedules.critic_step(np.arange(state.visits.max() + count + 1))
-    chunk_entries = np.empty((CHUNK, H), dtype=np.int64)
+    chunk_costs = np.empty((CHUNK, H, 1 + M))
     for start in range(0, count, CHUNK):
         stop = min(start + CHUNK, count)
         lasts = []
         for i in range(start, stop):
             n = state.episode
             lam = state.multipliers
-            cells, actions, entries, last = draw(rng)
+            cells, actions, last = draw(rng)
             moved = cells[:-1]
             ids = cells + offsets
-            g = entry_costs[entries].T
+            states = cells - cell_base
+            realized = step_costs[stages, states[:-1], actions, states[1:]]
+            g = realized[:, 1:]
             gap_h = terminal_gaps[last]
-            # lam.dot gives the bits of lam @ with less call overhead
-            penalized_costs[:] = rewards[entries] + lam.dot(g)
-            constraint_costs[:] = g
+            # .dot gives the bits of lam @ with less call overhead
+            penalized_costs[:] = realized[:, 0] + g.dot(lam)
+            constraint_costs[:] = g.T
             td_costs[0, -1] = terminal_rewards[last] + lam.dot(gap_h)
             constraint_terminal[:] = gap_h
             penalized_steps[:] = schedules.critic_step(n)
@@ -365,18 +369,18 @@ def train(
                 metrics.gap_estimates[i] = gaps
                 metrics.multipliers[i] = state.multipliers
 
-            chunk_entries[i - start] = entries
+            chunk_costs[i - start] = realized
             lasts.append(last)
             metrics.theta_clipped[i] = clipped
             state.episode = n + 1
             if progress_every and progress is not None and (n + 1) % progress_every == 0:
                 progress(n + 1, config.episodes)
-        done = chunk_entries[: stop - start]
-        metrics.returns[start:stop] = rewards[done].sum(axis=1) + model.terminal_costs[0, lasts]
-        # (size, H, M), the layout whose sum over H adds in the order of
-        # an episode's costs[1:].sum(axis=1)
+        # Summed over H in the order of an episode's costs[0].sum() and
+        # costs[1:].sum(axis=1), whose rows have the same strides.
+        done = chunk_costs[: stop - start]
+        metrics.returns[start:stop] = done[:, :, 0].sum(axis=1) + model.terminal_costs[0, lasts]
         metrics.constraint_totals[start:stop] = (
-            entry_costs[done].sum(axis=1) + model.terminal_costs[1:, lasts].T
+            done[:, :, 1:].sum(axis=1) + model.terminal_costs[1:, lasts].T
         )
         _check_finite(state)
     return state, metrics

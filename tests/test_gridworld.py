@@ -35,6 +35,7 @@ from fhc_ac import (
     train,
     validate,
 )
+from fhc_ac.mdp_model import sampler
 
 from helpers import indicator_features, random_policy, reference_step_kernel
 
@@ -314,10 +315,26 @@ def test_build_gridworld_shares_its_tables_and_reads_like_dense_ones(world):
     dense = dataclasses.replace(model, kernels=model.kernels.copy(), costs=model.costs.copy())
     assert dense.kernels.strides[0] != 0
     assert same_bits(model.channel_costs, dense.channel_costs)
-    for got, want in zip(model.successor_table, dense.successor_table):
-        assert same_bits(got, want)
+    # The view's successor table is one stage block, equal to every stage
+    # block of the dense copy's.
+    rows = S * model.num_actions
+    offsets, successors, sums = map(np.asarray, model.successor_table)
+    dense_offsets, dense_successors, dense_sums = map(np.asarray, dense.successor_table)
+    assert len(offsets) == rows + 1 and len(dense_offsets) == H * rows + 1
+    for h in range(H):
+        block = dense_offsets[h * rows : (h + 1) * rows + 1]
+        lo, hi = block[0], block[-1]
+        assert same_bits(block - lo, offsets)
+        assert same_bits(dense_successors[lo:hi], successors)
+        assert same_bits(dense_sums[lo:hi], sums)
     rng = np.random.default_rng(7)
     policy = random_policy(model, rng, scale=2.0)
+    table = policy.distribution_table()
+    running = np.cumsum(table, axis=-1)
+    draws = sampler(model, table, running), sampler(dense, table, running)
+    for seed in range(200):
+        got, want = (draw(np.random.default_rng(seed)) for draw in draws)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]) and got[2] == want[2]
     lam = -rng.uniform(0.0, 3.0, size=model.num_constraints)
     features = indicator_features(model)
     got = fixed_points(model, policy, lam, features)
@@ -335,7 +352,7 @@ def test_build_gridworld_shares_its_tables_and_reads_like_dense_ones(world):
 
 def test_training_the_h100_world_allocates_no_dense_table():
     # One dense float copy of an (H, S, A, S) table of this world is 4.29 MiB;
-    # the successor table train builds is about 4.8 MiB.
+    # the successor table train builds holds one stage, about 23 KB.
     config = load_gridworld_config(CONFIGS / "gridworld_5x5_h100.json")
     tracemalloc.start()
     try:
@@ -346,4 +363,38 @@ def test_training_the_h100_world_allocates_no_dense_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9 * 2**20, peak
+    assert peak < 4 * 2**20, peak
+
+
+def test_validate_checks_a_shared_step_kernel_once():
+    # One dense float copy of an (H, S, A, S) table of this world is 6.87 MiB.
+    model = build_gridworld(random_gridworld(10, 10, 100, 0))
+    tracemalloc.start()
+    try:
+        report = validate(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 2**20, peak
+
+    # A bad step kernel entry breaks its row and its sign at every stage, and
+    # a NaN in a schedule makes the costs non-finite: the view and its dense
+    # copy report the same violations, stage by stage.
+    small = build_gridworld(random_gridworld(3, 3, 4, 1))
+    kernel = small.kernels[0].copy()
+    kernel[4, 2, 1] = -0.25
+    kernel[7, 0, 3] += 0.5
+    costs = small.costs[:, :, :1, :1].copy()
+    costs[1, 2, 0, 0, 5] = np.nan
+    view = dataclasses.replace(
+        small,
+        kernels=np.broadcast_to(kernel, small.kernels.shape),
+        costs=np.broadcast_to(costs, small.costs.shape),
+    )
+    dense = dataclasses.replace(view, kernels=view.kernels.copy(), costs=view.costs.copy())
+    report = validate(view)
+    assert report.violations == validate(dense).violations
+    assert len(report.violations) == 3 * small.horizon + 1
+    assert "kernel entry (h=3, s=4, a=2, s'=1) is negative" in report.violations
+    assert "costs contains non-finite values" in report.violations

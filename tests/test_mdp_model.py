@@ -22,6 +22,7 @@ from fhc_ac import (
     tabular_policy,
     validate,
 )
+from fhc_ac import mdp_model
 from fhc_ac.mdp_model import sampler, write_json
 
 from helpers import (
@@ -305,20 +306,14 @@ def test_sampler_draws_s0_by_bisection_like_the_row_scan():
     table = tabular_policy(model).distribution_table()
     running = np.cumsum(table, axis=-1)
     draw = sampler(model, table, running)
-    offsets, successors = model.successor_table[:2]
     for u0, s0 in [(0.0, 0), (0.1, 1), (0.29, 1), (0.35, 2), (0.99, 2)]:
         uniforms = [u0] + [0.5] * (2 * model.horizon)
-        cells, actions, entries, last = draw(FixedUniforms(uniforms))
+        cells, actions, last = draw(FixedUniforms(uniforms))
         assert cells[0] == s0
         want = reference_rollout(model, table, FixedUniforms(uniforms))
         assert cells.tolist() == want.cells.tolist() and last == want.states[-1]
         assert actions.tolist() == want.actions.tolist()
-        # each entry lies in the successor table row of (h, s_h, a_h) and
-        # names the successor drawn
-        rows = cells[:-1] * model.num_actions + actions
-        for row, entry, nxt in zip(rows, entries, want.states[1:]):
-            assert offsets[row] <= entry < offsets[row + 1]
-            assert successors[entry] == nxt
+        assert type(last) is int
     for bad in (-0.1, np.nan, np.inf):
         beta = np.array([0.5, 0.5, 0.0])
         beta[2] = bad
@@ -326,31 +321,42 @@ def test_sampler_draws_s0_by_bisection_like_the_row_scan():
             sampler(dataclasses.replace(model, initial_distribution=beta), table, running)
 
 
-def test_successor_table_holds_each_rows_running_sums_rewards_and_costs():
+def test_successor_table_holds_each_rows_running_sums(monkeypatch):
     rng = np.random.default_rng(31)
     for shape in [(1, 1, 1, 0), (4, 3, 5, 1), (25, 9, 3, 2), (7, 2, 4, 0)]:
-        model = random_sparse_cmdp(rng, *shape)
-        offsets, successors, sums, costs = model.successor_table
-        S, M = model.num_states, model.num_constraints
-        rows = model.kernels.reshape(-1, S)
-        cost_rows = model.costs.reshape(1 + M, len(rows), S)
-        entries = np.count_nonzero(rows) + len(rows)  # one sentinel per row
-        assert len(offsets) == len(rows) + 1 and offsets[0] == 0
-        assert len(successors) == len(sums) == offsets[-1] == entries
-        assert costs.shape == (1 + M, entries)
-        for r, row in enumerate(rows):
-            at = np.flatnonzero(row)
-            lo, hi = offsets[r], offsets[r + 1]
-            # the nonzero successors in order, then the sentinel: the last
-            # state, with a running sum above every uniform
-            assert successors[lo:hi].tolist() == at.tolist() + [S - 1]
-            assert sums[hi - 1] == np.inf
-            assert np.array_equal(np.asarray(sums[lo : hi - 1]), np.cumsum(row)[at])
-            # the running total sample_index accumulates, one float add at a time
-            totals = list(itertools.accumulate(row.tolist()))
-            assert sums[lo : hi - 1].tolist() == [totals[i] for i in at]
-            landing = list(successors[lo:hi])
-            assert np.array_equal(costs[:, lo:hi], cost_rows[:, r, landing])
+        dense = random_sparse_cmdp(rng, *shape)
+        # kernels with a zero stage stride: the table holds one stage's rows
+        shared = dataclasses.replace(
+            dense, kernels=np.broadcast_to(dense.kernels[:1], dense.kernels.shape)
+        )
+        for model, stages in [(dense, dense.horizon), (shared, 1)]:
+            table = model.successor_table
+            assert table._fields == ("offsets", "successors", "sums")
+            offsets, successors, sums = table
+            S = model.num_states
+            rows = model.kernels[:stages].reshape(-1, S)
+            entries = np.count_nonzero(rows) + len(rows)  # one sentinel per row
+            assert len(offsets) == len(rows) + 1 and offsets[0] == 0
+            assert len(successors) == len(sums) == offsets[-1] == entries
+            for r, row in enumerate(rows):
+                at = np.flatnonzero(row)
+                lo, hi = offsets[r], offsets[r + 1]
+                # the nonzero successors in order, then the sentinel: the last
+                # state, with a running sum above every uniform
+                assert successors[lo:hi].tolist() == at.tolist() + [S - 1]
+                assert sums[hi - 1] == np.inf
+                assert np.array_equal(np.asarray(sums[lo : hi - 1]), np.cumsum(row)[at])
+                # the running total sample_index accumulates, one float add at a time
+                totals = list(itertools.accumulate(row.tolist()))
+                assert sums[lo : hi - 1].tolist() == [totals[i] for i in at]
+        # built over blocks of one stage and of two (the last block short
+        # when H is odd), the dense table has the columns of one block
+        for block_values in (1, 2 * S * shape[1] * (S + 1)):
+            monkeypatch.setattr(mdp_model, "_BLOCK_VALUES", block_values)
+            rebuilt = dataclasses.replace(dense).successor_table
+            for got, want in zip(rebuilt, dense.successor_table, strict=True):
+                assert bytes(got) == bytes(want)
+        monkeypatch.undo()
 
 
 def test_successor_table_refuses_negative_and_non_finite_kernels():
