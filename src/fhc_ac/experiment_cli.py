@@ -13,8 +13,9 @@ schedule failed validation; 4 numerical failure at run time.
 Per-seed CSV columns are `episode,return,cost_1..cost_M,lambda_1..lambda_M,
 ma_return,ma_cost_1..ma_cost_M`, where the ma columns are trailing moving
 averages over the configured window (shorter at the start of the run). The
-environment variable FHC_AC_THREADS sets how many worker processes run seeds
-in parallel (default 1, sequential in-process).
+seeds train in lock-step, one `train` call per batch of seeds. The environment
+variable FHC_AC_THREADS sets how many worker processes share the seeds, one
+contiguous batch each (default 1: every seed in one batch, in-process).
 """
 
 from __future__ import annotations
@@ -305,22 +306,14 @@ def write_aggregate_csv(path: Path, series: dict) -> None:
 # seed execution
 
 
-def run_seed(model, settings: dict, seed: int, out_dir: Path, progress_every: int = 0):
-    """Train one seed on the checked model, write its CSV and checkpoint, and
-    return its summary.json record with the exact stationarity diagnostics of
-    the trained state."""
-    config = trainer_config(settings, seed)
+def run_seed(model, settings: dict, state, metrics, out_dir: Path, train_seconds: float):
+    """Write one trained seed's CSV and checkpoint from its state and its N
+    metrics rows, and return its summary.json record with the exact
+    stationarity diagnostics of the trained state. Its "seconds" are
+    `train_seconds`, the seed's share of its batch's training time, plus the
+    time its CSV and checkpoint take to write."""
     started = time.perf_counter()
-
-    def progress(done, total):
-        print(f"  seed {seed}: episode {done}/{total}", file=sys.stderr, flush=True)
-
-    try:
-        state, metrics = train(
-            model, config, progress_every=progress_every, progress=progress
-        )
-    except FloatingPointError as e:  # train checks once per chunk of episodes
-        raise FloatingPointError(f"seed {seed}: {e}") from None
+    seed = state.config.seed
     run_id = f"{config_hash(settings)}-seed{seed}"
     csv_path = out_dir / f"{run_id}.csv"
     ma = write_run_csv(csv_path, metrics, settings["window"])
@@ -337,7 +330,7 @@ def run_seed(model, settings: dict, seed: int, out_dir: Path, progress_every: in
         "final_multipliers": state.multipliers.tolist(),
         "theta_clipped_tail": int(np.count_nonzero(metrics.theta_clipped[tail])),
         "floor_clipped_tail": int(np.count_nonzero(metrics.multiplier_floor_clipped[tail])),
-        "seconds": time.perf_counter() - started,
+        "seconds": train_seconds + time.perf_counter() - started,
     }
     diag = stationarity_diagnostics(
         model, state.policy, state.multipliers, penalty_floor=settings["penalty_floor"]
@@ -352,10 +345,30 @@ def run_seed(model, settings: dict, seed: int, out_dir: Path, progress_every: in
     return record
 
 
-def _seed_worker(payload):
-    settings, seed, out_dir, progress_every = payload
+def run_batch(model, settings: dict, seeds: list, out_dir: Path, progress_every: int = 0):
+    """Train `seeds` on the checked model in one lock-step `train` call, then
+    write each seed's outputs through `run_seed`; returns their records. A
+    FloatingPointError from `train` names the seed that diverged, and then
+    no seed of the batch writes anything."""
+
+    def progress(done, total):
+        for seed in seeds:
+            print(f"  seed {seed}: episode {done}/{total}", file=sys.stderr, flush=True)
+
+    configs = [trainer_config(settings, seed) for seed in seeds]
+    started = time.perf_counter()
+    states, metrics = train(model, configs, progress_every=progress_every, progress=progress)
+    share = (time.perf_counter() - started) / len(seeds)
+    return [
+        run_seed(model, settings, state, rows, out_dir, share)
+        for state, rows in zip(states, metrics.per_seed(len(seeds)))
+    ]
+
+
+def _batch_worker(payload):
+    settings, seeds, out_dir, progress_every = payload
     model = model_from_resolved(settings["model"])
-    return run_seed(model, settings, seed, Path(out_dir), progress_every)
+    return run_batch(model, settings, seeds, Path(out_dir), progress_every)
 
 
 def worker_count(num_seeds: int) -> int:
@@ -386,20 +399,22 @@ def run_experiment(settings: dict, out_dir: Path, progress_every: int = 0) -> di
         raise CliError(f"cannot create output directory {out_dir}: {e}", EXIT_BAD_CONFIG)
 
     started = time.perf_counter()
-    workers = worker_count(len(settings["seeds"]))
+    seeds = settings["seeds"]
+    workers = worker_count(len(seeds))
     if workers > 1:
-        # Spawned, not forked: numpy's BLAS threads are already running here.
+        # One contiguous batch of seeds per worker. Spawned, not forked:
+        # numpy's BLAS threads are already running here.
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
-        payloads = [(settings, seed, str(out_dir), progress_every) for seed in settings["seeds"]]
-        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-            records = list(pool.map(_seed_worker, payloads))
-    else:
-        records = [
-            run_seed(model, settings, seed, out_dir, progress_every)
-            for seed in settings["seeds"]
+        payloads = [
+            (settings, batch.tolist(), str(out_dir), progress_every)
+            for batch in np.array_split(seeds, workers)
         ]
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+            records = [r for batch in pool.map(_batch_worker, payloads) for r in batch]
+    else:
+        records = run_batch(model, settings, seeds, out_dir, progress_every)
 
     M = model.num_constraints
     series = read_run_series(out_dir, records, M)

@@ -252,7 +252,7 @@ class Episode:
 
 def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
     """Prepare the flat views an episode draw reads; returns
-    draw(rng) -> (cells, actions, last).
+    draw(rng) -> (states, actions).
 
     `table` holds the action distributions of every stage and state, shape
     (H, S, A), e.g. `NonStationaryPolicy.distribution_table()`, and `running`
@@ -261,11 +261,11 @@ def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
     draw takes 2H+1 uniforms from `rng` in one block: one for s_0 from the
     model's initial distribution, then an action and a successor per stage.
 
-    A draw returns a lean record, no `Episode`: `cells` (H+1,), the ids
-    h*S + s_h of (h, s_h) in any stage-by-state table and so the (H*S, A)
-    rows of `table`; `actions` (H,), the a_h; and `last`, the terminal state
-    s_H as an int. `rollout` builds the `Episode`; it and `train` read what
-    each step pays from the model's `costs` at (h, s_h, a_h, s_{h+1}).
+    A draw returns a lean record, no `Episode`: two lists of ints, the states
+    s_0..s_H and the actions a_0..a_{H-1}. Lists, so that `train` makes the
+    (K, H+1) and (K, H) arrays of K seeds' draws with one conversion each.
+    `rollout` builds the `Episode`; it and `train` read what each step pays
+    from the model's `costs` at (h, s_h, a_h, s_{h+1}).
 
     Every draw is a bisection on running sums computed before the episode:
     s_0 is the first index of the initial distribution's running sums above
@@ -321,7 +321,7 @@ def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
         # per stage.
         uniforms = rng.random(count).tolist()
         cell = s = min(bisect_right(initial_sums, uniforms[0]), last_state)
-        cells = [cell]
+        states = [s]
         actions = []
         for next_base, shift, u_action, u_state in zip(
             next_bases, shifts, uniforms[1::2], uniforms[2::2]
@@ -336,8 +336,8 @@ def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
             # one of its entries.
             s = successors[bisect_right(sums, u_state, offsets[row], offsets[row + 1])]
             cell = next_base + s
-            cells.append(cell)
-        return np.array(cells, dtype=np.int64), np.array(actions, dtype=np.int64), s
+            states.append(s)
+        return states, actions
 
     return draw
 
@@ -351,14 +351,14 @@ def rollout(
     how each step is drawn and what the arguments must be.
     """
     H = model.horizon
-    cells, actions, last = sampler(model, table, running)(rng)
-    states = cells - np.arange(H + 1) * model.num_states
+    states, actions = map(np.array, sampler(model, table, running)(rng))
+    cells = states + np.arange(H + 1) * model.num_states
     return Episode(
         states=states,
         actions=actions,
         cells=cells,
         costs=model.costs[:, np.arange(H), states[:-1], actions, states[1:]],
-        terminal_costs=model.terminal_costs[:, last].copy(),
+        terminal_costs=model.terminal_costs[:, states[-1]].copy(),
         action_probs=table.reshape(-1, model.num_actions)[cells[:-1]],
     )
 

@@ -12,20 +12,27 @@ parameters held at episode start. The three
 step-size sequences decay at separated rates so the critics equilibrate
 fastest, the actor next, and the multipliers slowest.
 
-`train` prepares once per call what every episode reads: the policy's
-distribution table and running sums, the sampler's views of the model,
-per-state terminal tables, a table of the constraint critics' steps over
-every visit count the call can reach, and flat views of theta, the stacked
-critic table and the visit counts. An episode then indexes each table with
-the draw's 1-D id arrays, its `cells` h*S + s_h and its actions, and reads
-the realized reward and costs with one gather from the model's channel
-stack, costs[:, h, s_h, a_h, s_{h+1}]; for a grid world that stack is a
-broadcast view, so nothing of the (H, S, A, S) shape is copied. It runs
-the kernels `td_step` (once, for all 1+M critics), `score_rows` and
-`actor_step` that the one-episode functions `update_penalized_critic`,
+`train` steps K seeds in lock-step, one episode of every seed at a time; one
+seed is the case K = 1. It stacks the seeds' tables along a leading seed
+axis: theta, the distribution table and its running sums as (K*H*S, A)
+rows, the critics (K, 1+M, H+1, S), the visit counts (K, H+1, S) and the
+multipliers (K, M). It prepares once per call what every episode reads: a
+sampler per seed over that seed's rows, per-state terminal tables, a table
+of the constraint critics' steps over every visit count the call can reach,
+and the id bases below. Each seed keeps its own Generator, and its draw
+stays a Python loop. Everything after the draws is one numpy call per
+kernel over the K*H rows: the ids of each table are the drawn states plus a
+base fixed per seed and stage, the realized reward and costs are one gather
+from the model's channel stack, costs[:, h, s_h, a_h, s_{h+1}] (for a grid
+world a broadcast view, so nothing of the (H, S, A, S) shape is copied), and
+the kernels `td_step` (once, for all seeds' 1+M critics), `score_rows` and
+`actor_step` are those the one-episode functions `update_penalized_critic`,
 `update_constraint_critic` and `actor_update` wrap, so both run the same
-arithmetic bit for bit. The realized return and cost totals are summed once
-per chunk of episodes.
+arithmetic bit for bit. Every row belongs to one seed and every kernel acts
+row by row, so each seed gets the bits of its own one-seed call. The seeds
+share each episode's step sizes, since they share its count n; the
+multiplier step stays one `multiplier_update` call per seed. The realized
+return and cost totals are summed once per block of episodes.
 
 The penalized critic, the actor and the multipliers step on the global clock,
 the episode count n. The constraint critics step on local clocks, the
@@ -40,13 +47,13 @@ nu <= n + 1 and a local step is never smaller than the global a_n.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import dp_oracle
 from .critic import (
-    channel_offsets,
     flat_view,
     td_step,
     update_constraint_critic,  # unused here; bench/probe.py times calls at this name
@@ -186,14 +193,15 @@ def _check_resumable(state: TrainerState, model: FiniteHorizonCMDP, config: Trai
 
 
 def actor_step(theta_rows, moved, score, deltas, step: float, bound: float):
-    """theta_rows[moved] <- theta_rows[moved] + step * deltas[:, None] * score,
+    """theta_rows[moved] <- theta_rows[moved] + step * deltas[..., None] * score,
     clamped into [-bound, bound]; returns (the clamped rows written, whether
-    any coordinate was clamped). `theta_rows` is the (H*S, A) view of theta
-    and `moved` holds distinct row ids, so one fancy-indexed step equals
-    separate row updates."""
-    proposed = theta_rows.take(moved, axis=0) + (step * deltas)[:, None] * score
-    clipped = bool(np.maximum.reduce(np.abs(proposed), axis=None, initial=0.0) > bound)
-    if clipped:
+    any coordinate of each episode's rows was clamped). `theta_rows` is a
+    (rows, A) view of theta, and `moved` holds distinct row ids, (H,) for one
+    episode or (K, H) for K seeds' episodes, so one fancy-indexed step equals
+    separate row updates; the clamp flags are then a 0-d or a (K,) array."""
+    proposed = theta_rows.take(moved, axis=0) + (step * deltas)[..., None] * score
+    clipped = np.maximum.reduce(np.abs(proposed), axis=(-2, -1), initial=0.0) > bound
+    if clipped.any():  # the clamp is the identity otherwise
         np.clip(proposed, -bound, bound, out=proposed)
     theta_rows[moved] = proposed
     return proposed, clipped
@@ -216,7 +224,7 @@ def actor_update(policy: NonStationaryPolicy, episode, deltas, step: float) -> b
     score = policy.score(stages, episode.states[:-1], episode.actions, episode.action_probs)
     theta_rows = flat_view(theta).reshape(-1, theta.shape[-1])
     moved = episode.cells[:-1]
-    return actor_step(theta_rows, moved, score, deltas[:-1], step, policy.param_bound)[1]
+    return bool(actor_step(theta_rows, moved, score, deltas[:-1], step, policy.param_bound)[1])
 
 
 def multiplier_update(stored: np.ndarray, estimates: np.ndarray, step: float, config: TrainerConfig):
@@ -229,8 +237,12 @@ def multiplier_update(stored: np.ndarray, estimates: np.ndarray, step: float, co
     """
     floor = config.penalty_floor
     values = [s - step * e for s, e in zip(stored.tolist(), estimates.tolist())]
-    floor_hit = any(x < floor for x in values)
-    zero_hit = any(x > 0.0 for x in values)
+    floor_hit = zero_hit = False
+    for x in values:  # cheaper than two any() generators, once per seed-episode
+        if x < floor:
+            floor_hit = True
+        elif x > 0.0:
+            zero_hit = True
     if floor_hit or zero_hit:  # the clamp is the identity otherwise
         values = [min(max(x, floor), 0.0) for x in values]
     return np.array(values), floor_hit, zero_hit
@@ -238,7 +250,8 @@ def multiplier_update(stored: np.ndarray, estimates: np.ndarray, step: float, co
 
 @dataclass
 class TrainingMetrics:
-    """Per-episode observables recorded by `train`, oldest first."""
+    """Per-episode observables recorded by `train`, oldest first; a K-seed
+    call holds K*N rows, seed by seed (see `per_seed`)."""
 
     returns: np.ndarray              # realized total reward, (N,)
     constraint_totals: np.ndarray    # realized total constraint costs, (N, M)
@@ -247,143 +260,231 @@ class TrainingMetrics:
     theta_clipped: np.ndarray        # any actor coordinate clamped, (N,) bool
     multiplier_floor_clipped: np.ndarray  # penalty floor hit, (N,) bool
 
+    def per_seed(self, num_seeds: int) -> list:
+        """Split the rows of a `num_seeds`-seed `train` call, seed k's N
+        episodes at rows k*N to (k+1)*N - 1, into one TrainingMetrics of
+        views per seed."""
+        n = len(self.returns) // num_seeds
+        columns = [getattr(self, f.name) for f in fields(self)]
+        return [TrainingMetrics(*(c[k * n : (k + 1) * n] for c in columns))
+                for k in range(num_seeds)]
 
-CHUNK = 1024  # episodes per chunk: totals are summed and divergence is checked once per chunk
+
+CHUNK = 1024  # episodes between divergence checks; also the rows of realized costs held at once
 
 
 def _check_finite(state: TrainerState) -> None:
-    """Raise FloatingPointError, naming the episode count, when the critic
-    tables, theta or the multipliers hold a non-finite value."""
+    """Raise FloatingPointError, naming the seed and the episode count, when
+    the critic tables, theta or the multipliers hold a non-finite value."""
     for name, array in [
         ("critic tables", state.critic),
         ("policy parameters", state.policy.stage_params),
         ("multipliers", state.multipliers),
     ]:
         if not np.isfinite(array).all():
-            raise FloatingPointError(f"{name} became non-finite by episode {state.episode}")
+            raise FloatingPointError(
+                f"seed {state.config.seed}: {name} became non-finite by episode {state.episode}"
+            )
+
+
+def _lockstep_states(model, configs, states) -> list:
+    """The K states `train` steps together: fresh ones, or `states` checked
+    against the model and configs. Raises ValueError unless the configs agree
+    in everything but the seed and the states sit at one episode count,
+    since the seeds share every step size."""
+    if not configs:
+        raise ValueError("train needs at least one config")
+    if any(replace(c, seed=configs[0].seed) != configs[0] for c in configs):
+        raise ValueError("configs trained in lock-step may differ only in their seed")
+    if states is None:
+        return [make_trainer(model, c) for c in configs]
+    if len(states) != len(configs):
+        raise ValueError(f"{len(states)} states for {len(configs)} configs")
+    for state, config in zip(states, configs):
+        _check_resumable(state, model, config)
+        state.config = config
+    counts = sorted({state.episode for state in states})
+    if len(counts) > 1:
+        raise ValueError(f"cannot train in lock-step: the states are at episodes {counts}")
+    return list(states)
 
 
 def train(
     model: FiniteHorizonCMDP,
-    config: TrainerConfig,
-    state: TrainerState | None = None,
+    config: TrainerConfig | Sequence[TrainerConfig],
+    state: TrainerState | Sequence[TrainerState] | None = None,
     progress_every: int = 0,
     progress=None,
 ):
     """Run episodes until `config.episodes`; returns (state, metrics).
 
-    Resumes from `state` when given (ValueError if it does not fit the model
-    and config) and records `config` in it; metrics cover only the episodes
-    run by this call. The loop is deterministic given the model, config, and
-    seed. After every `CHUNK` episodes, and after the last, raises
-    FloatingPointError naming the episode count if the critic tables, theta
-    or the multipliers have gone non-finite.
+    `config` is one TrainerConfig, or a sequence of K that differ only in
+    their seed; then `state` is None or a sequence of K states at one episode
+    count, the K seeds run in lock-step, and the result is (list of K
+    states, metrics). One config is the K = 1 case of the same loop. The
+    metrics hold one row per seed-episode, seed by seed: rows k*N to
+    (k+1)*N - 1 are seed k's N episodes, and `TrainingMetrics.per_seed`
+    splits them. Each seed's state, metrics rows and Generator are those of
+    a one-seed call with its config, bit for bit.
+
+    Resumes from the states when given (ValueError if one does not fit the
+    model and its config) and records the configs in them; metrics cover only
+    the episodes run by this call. The loop is deterministic given the model,
+    configs and seeds. After every `CHUNK` episodes, and after the last,
+    raises FloatingPointError naming the first seed, in order, whose critic
+    tables, theta or multipliers have gone non-finite, and its episode count.
+    `progress(done, total)` is called after every `progress_every` episodes.
     """
-    if state is None:
-        state = make_trainer(model, config)
-    else:
-        _check_resumable(state, model, config)
-        state.config = config
-    H, A, M = model.horizon, model.num_actions, model.num_constraints
+    single = isinstance(config, TrainerConfig)
+    configs = [config] if single else list(config)
+    states = None if state is None else [state] if single else list(state)
+    states = _lockstep_states(model, configs, states)
+    config = configs[0]
+    K = len(states)
+    H, S, A, M = model.horizon, model.num_states, model.num_actions, model.num_constraints
+    C = 1 + M
     schedules = config.schedules
-    count = max(config.episodes - state.episode, 0)
+    count = max(config.episodes - states[0].episode, 0)
     metrics = TrainingMetrics(
-        returns=np.zeros(count),
-        constraint_totals=np.zeros((count, M)),
-        multipliers=np.zeros((count, M)),
-        gap_estimates=np.zeros((count, M)),
-        theta_clipped=np.zeros(count, dtype=bool),
-        multiplier_floor_clipped=np.zeros(count, dtype=bool),
+        returns=np.zeros(K * count),
+        constraint_totals=np.zeros((K * count, M)),
+        multipliers=np.zeros((K * count, M)),
+        gap_estimates=np.zeros((K * count, M)),
+        theta_clipped=np.zeros(K * count, dtype=bool),
+        multiplier_floor_clipped=np.zeros(K * count, dtype=bool),
+    )
+    # (K, N, ...) views of the metrics, written one episode of all seeds at a time.
+    returns, totals, multipliers, gap_estimates, theta_clipped, floor_clipped = (
+        column.reshape((K, count) + column.shape[1:])
+        for column in (getattr(metrics, f.name) for f in fields(metrics))
     )
 
-    # The actor moves only the H rows (h, s_h) of an episode, so the
-    # distribution table and its running sums are built once and refreshed
-    # through the (H*S, A) row views that the episode's cells index.
-    policy, critic, rng = state.policy, state.critic, state.rng
-    tau, bound = policy.temperature, policy.param_bound
-    table = policy.distribution_table()
+    # The seeds' tables are stacked along a leading seed axis, and each state
+    # keeps views of its slices, so it reads the stack as it moves. The actor
+    # moves only the H rows (h, s_h) of an episode, so the distribution table
+    # and its running sums are built once and refreshed through the
+    # (K*H*S, A) row views.
+    theta = np.stack([s.policy.stage_params for s in states])
+    critic = np.stack([s.critic for s in states])  # (K, 1+M, H+1, S)
+    visits = np.stack([s.visits for s in states])  # (K, H+1, S)
+    lam = np.stack([s.multipliers for s in states])  # (K, M)
+    for k, s in enumerate(states):
+        s.policy.stage_params, s.critic, s.visits, s.multipliers = (
+            theta[k], critic[k], visits[k], lam[k]
+        )
+    rngs = [s.rng for s in states]
+    tau, bound = states[0].policy.temperature, states[0].policy.param_bound
+    table = _gibbs(theta / tau)  # row by row, each seed's distribution_table()
     running = np.cumsum(table, axis=-1)
-    draw = sampler(model, table, running)
-    theta_rows = flat_view(policy.stage_params).reshape(-1, A)
-    table_rows, running_rows = table.reshape(-1, A), running.reshape(-1, A)
-    critic_flat, visits = flat_view(critic), flat_view(state.visits)
-    offsets = channel_offsets(critic)
-    action_base = np.arange(H) * A  # row h of an episode's (H, A) probabilities
+    draws = [sampler(model, t, r) for t, r in zip(table, running)]
+    theta_rows, table_rows, running_rows = (x.reshape(-1, A) for x in (theta, table, running))
+    critic_flat, visits_flat = critic.reshape(-1), visits.reshape(-1)
+    # An episode's drawn states, rewritten in place; its ids in every table
+    # are these states plus a base fixed per seed and stage (and channel).
+    path = np.empty((K, H + 1), dtype=np.int64)
+    actions = np.empty((K, H), dtype=np.int64)
+    sources, targets, lasts, columns = path[:, :-1], path[:, 1:], path[:, -1], path[:, None]
+    stage_bases = np.arange(H + 1) * S
+    seed_axis = np.arange(K)[:, None]
+    row_bases = seed_axis * (H * S) + stage_bases[:-1]  # (K, H): rows of theta and the table
+    visit_bases = seed_axis * ((H + 1) * S) + stage_bases  # (K, H+1)
+    critic_bases = np.arange(K * C).reshape(K, C, 1) * ((H + 1) * S) + stage_bases
+    picked_bases = np.arange(K * H).reshape(K, H) * A  # flat position of row (k, h) of a score
     # The realized reward and costs of the steps are one gather from the
     # model's costs at (h, s_h, a_h, s_{h+1}) through a channel-last view:
-    # an (H, 1+M) C-contiguous block, whose transpose is `rollout`'s
-    # `Episode.costs`. The M >= 2 products and sums take their bits from
-    # that layout.
+    # a (K, H, 1+M) C-contiguous block, whose (H, 1+M) block per seed is the
+    # transpose of `rollout`'s `Episode.costs`.
     step_costs, stages = np.moveaxis(model.costs, 0, -1), np.arange(H)
-    cell_base = np.arange(H + 1) * model.num_states
     terminal_gaps = model.channel_terminal[1:].T.copy()  # row s: g_H(s) - alpha, (S, M)
-    terminal_rewards = model.terminal_costs[0].tolist()
-    # The one TD step's inputs, rewritten in place each episode: channel 0
-    # is the penalized critic, channels 1..M the constraint critics, and the
-    # last column of the costs holds the terminal costs.
-    td_costs, steps = np.empty((1 + M, H + 1)), np.empty((1 + M, H + 1))
-    penalized_costs, constraint_costs = td_costs[0, :-1], td_costs[1:, :-1]
-    constraint_terminal = td_costs[1:, -1]
-    penalized_steps, constraint_steps = steps[0], steps[1:]
+    terminal_rewards = model.terminal_costs[0]
+    # The one TD step's inputs, rewritten in place each episode: channel 0 is
+    # the penalized critic, channels 1..M the constraint critics, and stage H
+    # holds the terminal costs. The costs are filled channel-last, in the
+    # layout of the gather, and td_step reads them through a (K, 1+M, H+1) view.
+    td_costs_cl, steps = np.empty((K, H + 1, C)), np.empty((K, C, H + 1))
+    td_costs = td_costs_cl.transpose(0, 2, 1)
+    stage_costs, penalized_costs = td_costs_cl[:, :-1], td_costs_cl[:, :-1, 0]
+    terminal_costs = td_costs_cl[:, -1]
+    penalized_steps, constraint_steps = steps[:, 0], steps[:, 1:]
     if M:
         # A visit count grows by at most one per episode.
-        step_table = schedules.critic_step(np.arange(state.visits.max() + count + 1))
-    chunk_costs = np.empty((CHUNK, H, 1 + M))
-    for start in range(0, count, CHUNK):
-        stop = min(start + CHUNK, count)
-        lasts = []
+        step_table = schedules.critic_step(np.arange(visits.max() + count + 1))
+    # The realized costs of a block of episodes of all seeds, summed into the
+    # totals once per block; a block holds at most CHUNK rows, and divides CHUNK.
+    block = max(CHUNK >> (K - 1).bit_length(), 1)
+    block_costs = np.empty((block, K, H, C))
+    block_lasts = np.empty((block, K), dtype=np.int64)
+    for start in range(0, count, block):
+        stop = min(start + block, count)
         for i in range(start, stop):
-            n = state.episode
-            lam = state.multipliers
-            cells, actions, last = draw(rng)
-            moved = cells[:-1]
-            ids = cells + offsets
-            states = cells - cell_base
-            realized = step_costs[stages, states[:-1], actions, states[1:]]
-            g = realized[:, 1:]
-            gap_h = terminal_gaps[last]
-            # .dot gives the bits of lam @ with less call overhead
-            penalized_costs[:] = realized[:, 0] + g.dot(lam)
-            constraint_costs[:] = g.T
-            td_costs[0, -1] = terminal_rewards[last] + lam.dot(gap_h)
-            constraint_terminal[:] = gap_h
+            n = states[0].episode
+            path[:], actions[:] = zip(*[draw(rng) for draw, rng in zip(draws, rngs)])
+            moved = sources + row_bases
+            ids = columns + critic_bases
+            realized = step_costs[stages, sources, actions, targets]
+            g = realized[..., 1:]
+            gap_h = terminal_gaps[lasts]
+            stage_costs[...] = realized
+            terminal_costs[:, 1:] = gap_h
+            # Per seed, realized[:, 0] + g.dot(lam) and terminal_rewards[s_H] +
+            # lam.dot(gap_h). For M >= 2 matmul runs .dot's BLAS gemv and ddot
+            # on each seed's block, so the sums keep their order. For M <= 1
+            # it adds each product to +0.0, as gemv does, which turns a -0.0
+            # reward into +0.0 (gemv's fused multiply-add would keep a product
+            # that underflows to -0.0 negative, the one case apart); ddot of
+            # one term is the bare product, which the sum keeps.
+            penalized_costs += np.matmul(g, lam[:, :, None])[..., 0]
+            if M > 1:
+                dots = np.matmul(lam[:, None], gap_h[:, :, None])[:, 0, 0]
+            else:
+                dots = (lam * gap_h).sum(axis=-1)
+            terminal_costs[:, 0] = terminal_rewards[lasts] + dots
             penalized_steps[:] = schedules.critic_step(n)
             if M:
-                gaps = critic_flat[ids[1:, 0]]  # a gather, so a copy: td_step moves the table
-                seen = visits[cells]
-                visits[cells] = seen + 1
-                constraint_steps[:] = step_table[seen]
+                gaps = critic_flat[ids[:, 1:, 0]]  # a gather, so a copy: td_step moves the table
+                cells = path + visit_bases
+                seen = visits_flat[cells]
+                visits_flat[cells] = seen + 1
+                constraint_steps[:] = step_table[seen][:, None]
             deltas = td_step(critic_flat, ids, td_costs, steps)
-            picked = action_base + actions
-            score = score_rows(table_rows.take(moved, axis=0), picked, tau)
+            score = score_rows(table_rows.take(moved, axis=0), picked_bases + actions, tau)
             proposed, clipped = actor_step(
-                theta_rows, moved, score, deltas[0, :-1], schedules.actor_step(n), bound
+                theta_rows, moved, score, deltas[:, 0, :-1], schedules.actor_step(n), bound
             )
             rows = _gibbs(proposed / tau)
             table_rows[moved] = rows
             running_rows[moved] = np.add.accumulate(rows, axis=-1)  # what rows.cumsum runs
             if M:
                 c_n = schedules.multiplier_step(n)
-                state.multipliers, floor_hit, _ = multiplier_update(lam, gaps, c_n, config)
-                metrics.multiplier_floor_clipped[i] = floor_hit
-                metrics.gap_estimates[i] = gaps
-                metrics.multipliers[i] = state.multipliers
+                for k, (gap, seed_config) in enumerate(zip(gaps, configs)):
+                    lam[k], floor_clipped[k, i], _ = multiplier_update(
+                        lam[k], gap, c_n, seed_config
+                    )
+                gap_estimates[:, i] = gaps
+                multipliers[:, i] = lam
 
-            chunk_costs[i - start] = realized
-            lasts.append(last)
-            metrics.theta_clipped[i] = clipped
-            state.episode = n + 1
+            block_costs[i - start] = realized
+            block_lasts[i - start] = lasts
+            theta_clipped[:, i] = clipped
+            for s in states:
+                s.episode = n + 1
             if progress_every and progress is not None and (n + 1) % progress_every == 0:
                 progress(n + 1, config.episodes)
-        # Summed over H in the order of an episode's costs[0].sum() and
-        # costs[1:].sum(axis=1), whose rows have the same strides.
-        done = chunk_costs[: stop - start]
-        metrics.returns[start:stop] = done[:, :, 0].sum(axis=1) + model.terminal_costs[0, lasts]
-        metrics.constraint_totals[start:stop] = (
-            done[:, :, 1:].sum(axis=1) + model.terminal_costs[1:, lasts].T
-        )
-        _check_finite(state)
-    return state, metrics
+        # Rows (episode, seed), each summed over H in the order of an
+        # episode's costs[0].sum() and costs[1:].sum(axis=1), whose rows have
+        # the same strides.
+        done = block_costs[: stop - start].reshape(-1, H, C)
+        ends = block_lasts[: stop - start].reshape(-1)
+        returns[:, start:stop] = (
+            done[:, :, 0].sum(axis=1) + model.terminal_costs[0, ends]
+        ).reshape(stop - start, K).T
+        totals[:, start:stop] = (
+            done[:, :, 1:].sum(axis=1) + model.terminal_costs[1:, ends].T
+        ).reshape(stop - start, K, M).transpose(1, 0, 2)
+        if stop % CHUNK == 0 or stop == count:
+            for s in states:
+                _check_finite(s)
+    return (states[0] if single else states), metrics
 
 
 def moving_average(values, window: int) -> np.ndarray:

@@ -41,9 +41,13 @@ def test_traced_probe_resolves_every_hooked_name(tmp_path):
 def test_traced_probe_runs_train(tmp_path):
     _, record = run_probe(
         tmp_path, "train", "--config", str(ROOT / "configs" / "experiment_4x4.json"),
-        "--episodes", "20", "--seeds", "0", "--no-plots", "--out-dir", str(tmp_path / "out"),
+        "--episodes", "20", "--seeds", "0,1", "--no-plots", "--out-dir", str(tmp_path / "out"),
     )
-    assert record["counts"]["trainer.train.episodes"] == 20
-    # train looks multiplier_update up at its module name once per episode,
-    # so the traced span keeps counting the 4x4 run's constrained episodes.
-    assert record["counts"]["trainer.multiplier_update"] == 20
+    # One lock-step call trains both seeds; the probe counts its metrics rows,
+    # one per seed-episode.
+    assert record["counts"]["trainer.train"] == 1
+    assert record["counts"]["trainer.train.episodes"] == 40
+    # train looks multiplier_update up at its module name once per
+    # seed-episode, so the traced span keeps counting the 4x4 run's
+    # constrained seed-episodes.
+    assert record["counts"]["trainer.multiplier_update"] == 40

@@ -256,14 +256,15 @@ def test_train_rejects_invalid_schedules_with_validation_exit(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_train_stops_at_the_first_chunk_check_when_training_diverges(tmp_path, capsys):
+@pytest.mark.parametrize("seeds", [[0], [0, 1]])
+def test_train_stops_at_the_first_chunk_check_when_training_diverges(tmp_path, capsys, seeds):
     # A critic scale of 1e300 overflows the critic tables within the first few
     # episodes. `train` checks for non-finite values once per 1,024-episode
-    # chunk, so the seed stops at the first check, long before its 5,000
-    # episodes, exits 4 naming the seed and the episode, and writes no CSV
-    # and no checkpoint.
+    # chunk, so the seeds stop at the first check, long before their 5,000
+    # episodes, exit 4 naming the first seed and the episode, and no seed of
+    # the lock-step batch writes a CSV or a checkpoint.
     config = write_experiment(
-        tmp_path, episodes=5000, seeds=[0], schedules={"critic_scale": 1e300}
+        tmp_path, episodes=5000, seeds=seeds, schedules={"critic_scale": 1e300}
     )
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -362,9 +363,12 @@ def test_saved_files_are_the_bytes_of_json_dumps(tmp_path):
         assert_json_dumps_bytes(policy_path)
 
 
-def test_parallel_seed_workers_report_progress(tmp_path, monkeypatch, capfd):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_parallel_seed_workers_report_progress(tmp_path, monkeypatch, capfd, threads):
+    # One worker trains both seeds in one lock-step batch, two workers one
+    # seed each; either way every seed reports its own progress.
     config = write_experiment(tmp_path, episodes=100)
-    monkeypatch.setenv("FHC_AC_THREADS", "2")
+    monkeypatch.setenv("FHC_AC_THREADS", threads)
     argv = ["train", "--config", str(config), "--out-dir", str(tmp_path / "out"),
             "--progress-every", "50"]
     assert main(argv) == 0

@@ -308,12 +308,11 @@ def test_sampler_draws_s0_by_bisection_like_the_row_scan():
     draw = sampler(model, table, running)
     for u0, s0 in [(0.0, 0), (0.1, 1), (0.29, 1), (0.35, 2), (0.99, 2)]:
         uniforms = [u0] + [0.5] * (2 * model.horizon)
-        cells, actions, last = draw(FixedUniforms(uniforms))
-        assert cells[0] == s0
+        states, actions = draw(FixedUniforms(uniforms))
+        assert states[0] == s0
         want = reference_rollout(model, table, FixedUniforms(uniforms))
-        assert cells.tolist() == want.cells.tolist() and last == want.states[-1]
-        assert actions.tolist() == want.actions.tolist()
-        assert type(last) is int
+        assert states == want.states.tolist() and actions == want.actions.tolist()
+        assert all(type(x) is int for x in states + actions)
     for bad in (-0.1, np.nan, np.inf):
         beta = np.array([0.5, 0.5, 0.0])
         beta[2] = bad

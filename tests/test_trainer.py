@@ -338,6 +338,50 @@ def test_train_equals_the_loop_of_public_one_episode_functions(num_constraints):
     assert resumed_past_count == (M > 0)  # visits are counted only with constraints
 
 
+@pytest.mark.parametrize("num_constraints", [0, 1, 2])
+def test_lockstep_seeds_equal_one_seed_calls(num_constraints):
+    # One call steps K seeds as (K, ...) arrays; each seed must end with the
+    # state, Generator and metrics rows of its own one-seed call, bit for bit,
+    # also when K states of a split run resume together. The 4x4 case runs
+    # past a 1,024-episode chunk and several blocks of summed costs.
+    M = num_constraints
+    rng = np.random.default_rng(60 + M)
+    grid = load_any_model(CONFIGS / "gridworld_4x4.json")
+    schedules = StepSizeSchedules(actor_scale=2.5, critic_scale=0.5, multiplier_scale=30.0)
+    cases = [
+        # (model, episodes, resume after, config settings)
+        (random_cmdp(rng, 4, 3, 6, M), 300, None, {}),
+        (random_cmdp(rng, 3, 2, 9, M), 300, 170,
+         {"param_bound": 0.3, "penalty_floor": -0.05, "schedules": schedules}),
+        (with_constraints(grid, M), 1100, 700, {}),
+    ]
+    seeds = [4, 0, 9]
+    clamped = floored = False
+    for model, episodes, split, settings in cases:
+        configs = [TrainerConfig(episodes=episodes, seed=seed, **settings) for seed in seeds]
+        want = [train(model, config) for config in configs]
+        if split is None:
+            states, metrics = train(model, configs)
+            rows = metrics.per_seed(len(seeds))
+        else:
+            states, head = train(model, [dataclasses.replace(c, episodes=split) for c in configs])
+            states, tail = train(model, configs, state=states)
+            rows = [
+                type(head)(**{
+                    f.name: np.concatenate([getattr(h, f.name), getattr(t, f.name)])
+                    for f in dataclasses.fields(head)
+                })
+                for h, t in zip(head.per_seed(len(seeds)), tail.per_seed(len(seeds)))
+            ]
+        assert len(states) == len(seeds)
+        for got, one_seed in zip(zip(states, rows), want, strict=True):
+            assert_same_training(got, one_seed)
+            clamped |= bool(one_seed[1].theta_clipped.any())
+            floored |= bool(one_seed[1].multiplier_floor_clipped.any())
+    assert clamped
+    assert floored == (M > 0)
+
+
 def test_make_trainer_takes_only_the_model_and_the_config():
     assert list(inspect.signature(make_trainer).parameters) == ["model", "config"]
 
@@ -475,6 +519,18 @@ def test_resume_rejects_a_state_that_does_not_fit_the_model_or_config():
         with pytest.raises(ValueError, match="cannot resume"):
             train(model, dataclasses.replace(config, **settings), state=state)
     assert state.episode == 10  # nothing was trained
+
+    # Seeds stepped in lock-step share every step size: their states must sit
+    # at one episode count and their configs differ only in the seed.
+    configs = [config, dataclasses.replace(config, seed=6)]
+    ahead, _ = train(model, dataclasses.replace(configs[1], episodes=15))
+    with pytest.raises(ValueError, match="lock-step: the states are at episodes"):
+        train(model, configs, state=[state, ahead])
+    with pytest.raises(ValueError, match="only in their seed"):
+        train(model, [config, dataclasses.replace(configs[1], temperature=0.5)])
+    with pytest.raises(ValueError, match="2 states for 1 configs"):
+        train(model, configs[:1], state=[state, ahead])
+    assert (state.episode, ahead.episode) == (10, 15)
     assert train(model, config, state=state)[0].episode == 20
 
 
