@@ -7,6 +7,11 @@ them at once and every penalized quantity is the combination r + lam . g of
 its channel values. That pass, `backward_induction`, keeps the table it read,
 so occupation measures and exact and finite-difference gradients need no
 second one. The exact constrained optimum comes by cutting planes on the dual.
+
+`fixed_points` keeps the general per-stage linear-feature ground truth: the
+limit the TD iterates converge to for any stage features phi_h, computed
+exactly for diagnostics and tests. The tabular critics are its case of one
+indicator feature per reachable state.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp_model import FiniteHorizonCMDP, reachable_sets
-from .policy import NonStationaryPolicy, _gibbs
+from .policy import NonStationaryPolicy, gibbs
 
 PENALTY_FLOOR = -100.0  # default lower end of every multiplier's range [floor, 0]
 
@@ -201,7 +206,7 @@ def finite_difference_gradient(
     for h, states in enumerate(reachable_sets(model)[: model.horizon]):
         rows = policy.stage_params[h, states][:, None, :] + steps
         probes = np.einsum(
-            "rpa,ra->rp", _gibbs(rows / policy.temperature), action_values[h, states]
+            "rpa,ra->rp", gibbs(rows / policy.temperature), action_values[h, states]
         ).ravel()
         v = np.repeat(values[h][None], len(probes), axis=0)
         v[np.arange(len(probes)), np.repeat(states, 2 * A)] = probes
@@ -210,6 +215,131 @@ def finite_difference_gradient(
         objective = (v @ model.initial_distribution).reshape(len(states), 2, A)
         grads[h, states] = (objective[:, 0] - objective[:, 1]) / (2.0 * FD_STEP)
     return grads
+
+
+@dataclass(frozen=True)
+class StationarityReport:
+    """How far the current iterates are from the coupled fixed-point conditions.
+
+    Gradient entries are projected onto the parameter box: coordinates sitting
+    at a bound only count movement into the feasible side. Multiplier drifts
+    apply the matching one-sided rule at the clamp bounds to the exact
+    constraint gaps.
+    """
+
+    stage_gradient_norms: np.ndarray       # (H,) raw exact gradient norms
+    projected_gradient_norms: np.ndarray   # (H,) after the box projection
+    max_projected_gradient_norm: float
+    multiplier_drifts: np.ndarray          # (M,) projected drift of each multiplier
+    max_multiplier_drift: float
+    theta_bound_active: int                # actor coordinates at the box edge
+    multiplier_bound_active: int           # multipliers at the floor or at zero
+    expected_return: float
+    constraint_totals: np.ndarray
+    multipliers: np.ndarray                # non-positive internal convention
+
+
+def stationarity_diagnostics(
+    model: FiniteHorizonCMDP,
+    policy: NonStationaryPolicy,
+    multipliers,
+    penalty_floor: float = PENALTY_FLOOR,
+) -> StationarityReport:
+    """Stationarity and multiplier-drift check at (theta, lambda) from one exact evaluation."""
+    lam = _coerce_multipliers(model, multipliers)
+    solution = backward_induction(model, policy, lam)
+    grads = _gradient(model, solution, policy.temperature)
+    theta, bound = policy.stage_params, policy.param_bound
+    upper = theta >= bound
+    lower = theta <= -bound
+    proj = grads.copy()
+    proj[upper] = np.minimum(proj[upper], 0.0)
+    proj[lower] = np.maximum(proj[lower], 0.0)
+    raw_norms = np.array([np.linalg.norm(g) for g in grads])
+    proj_norms = np.array([np.linalg.norm(g) for g in proj])
+    at_bound = int(np.count_nonzero(upper | lower))
+
+    gaps = solution.constraint_totals - model.thresholds
+    drift = -gaps
+    at_zero = lam >= 0.0
+    at_floor = lam <= penalty_floor
+    drift = np.where(at_zero, np.minimum(drift, 0.0), drift)
+    drift = np.where(at_floor, np.maximum(drift, 0.0), drift)
+    return StationarityReport(
+        stage_gradient_norms=raw_norms,
+        projected_gradient_norms=proj_norms,
+        max_projected_gradient_norm=float(proj_norms.max(initial=0.0)),
+        multiplier_drifts=drift,
+        max_multiplier_drift=float(np.abs(drift).max(initial=0.0)),
+        theta_bound_active=at_bound,
+        multiplier_bound_active=int(np.count_nonzero(at_zero | at_floor)),
+        expected_return=solution.expected_return,
+        constraint_totals=solution.constraint_totals,
+        multipliers=lam,
+    )
+
+
+SINGULAR_TOL = 1e-10
+
+
+def _solve_gram(gram: np.ndarray, rhs: np.ndarray, h: int) -> np.ndarray:
+    u, sig, vt = np.linalg.svd(gram)
+    if sig.size == 0 or sig.min() <= SINGULAR_TOL:
+        raise np.linalg.LinAlgError(
+            f"feature Gram matrix at stage {h} is numerically singular "
+            f"(smallest singular value {0.0 if sig.size == 0 else sig.min():.3e})"
+        )
+    return vt.T @ ((u.T @ rhs) / sig[:, None])
+
+
+@dataclass(frozen=True)
+class FixedPointWeights:
+    """Limiting critic weights at fixed policy and multipliers."""
+
+    penalized: list           # H+1 weight vectors
+    constraints: list         # M lists of H+1 weight vectors
+
+
+def fixed_points(
+    model: FiniteHorizonCMDP,
+    policy: NonStationaryPolicy,
+    multipliers,
+    features,
+) -> FixedPointWeights:
+    """Solve the backward least-squares chain the linear TD iterates converge to.
+
+    `features` holds the H+1 stage matrices phi_h, arrays of shape (S, x_h).
+    At the terminal stage the weights are the occupation-weighted projection
+    of the terminal cost; below, each stage projects its expected one-step
+    target built from the next stage's already-solved approximation. The
+    penalized and the M constraint critics share the stage Gram matrices, so
+    one chain solves all 1+M of them. Raises `LinAlgError` when a stage's
+    feature Gram matrix is singular under the policy's occupation measure.
+    """
+    lam = _coerce_multipliers(model, multipliers)
+    H = model.horizon
+    mus = _distribution_matrices(model, policy)
+    d = _occupation(model, mus)
+    steps = np.einsum("hij,hijk->hik", mus, model.kernels)
+    # Expected one-step costs under the policy, (1+M, H, S): the penalized
+    # channel first, then the M constraint channels.
+    expected = np.sum(mus * model.channel_costs, axis=-1)
+    terminal = model.channel_terminal
+    stage_costs = np.concatenate([_penalize(expected, lam)[None], expected[1:]])
+    terminal = np.concatenate([_penalize(terminal, lam)[None], terminal[1:]])
+
+    weights = [None] * (H + 1)   # stage h: (x_h, 1+M), one column per critic
+    target = terminal.T
+    for h in range(H, -1, -1):
+        if h < H:
+            target = stage_costs[:, h].T + steps[h] @ (features[h + 1] @ weights[h + 1])
+        phi = features[h]
+        gram = phi.T @ (d[h][:, None] * phi)
+        weights[h] = _solve_gram(gram, phi.T @ (d[h][:, None] * target), h)
+    return FixedPointWeights(
+        penalized=[w[:, 0] for w in weights],
+        constraints=[list(stages) for stages in zip(*(w.T[1:] for w in weights))],
+    )
 
 
 def greedy_response(model: FiniteHorizonCMDP, multipliers=()) -> np.ndarray:

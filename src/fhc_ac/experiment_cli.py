@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dp_oracle
+from .dp_oracle import fixed_points, stationarity_diagnostics
 from .gridworld_env import (
     benchmark_gridworld,
     build_gridworld,
@@ -40,10 +41,9 @@ from .gridworld_env import (
     random_gridworld,
     save_gridworld_config,
 )
-from .mdp_model import model_from_doc, reachable_sets, validate
+from .mdp_model import json_integer, json_real, model_from_doc, reachable_sets, validate
 from .plots import write_experiment_plots
 from .policy import load_policy, tabular_policy
-from .critic import fixed_points
 from .trainer import (
     StepSizeSchedules,
     TrainerConfig,
@@ -51,7 +51,6 @@ from .trainer import (
     load_checkpoint,  # unused here; bench/probe.py times calls at this name
     moving_average,
     save_checkpoint,
-    stationarity_diagnostics,
     train,
 )
 
@@ -74,37 +73,31 @@ class CliError(Exception):
 # experiment configuration
 
 
-def _integer(x) -> bool:
-    """A JSON integer; booleans are ints in Python but not here."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _real(x) -> bool:
-    """A JSON number that is a finite double, booleans excluded."""
-    return (_integer(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
-
-
 # The one schema of an experiment config: key -> (default, accepts, what it
 # must be). A None default marks a required key; any key not listed is refused.
 SETTING_RULES = {
     "name": ("experiment", lambda x: isinstance(x, str), "a string"),
     "model": (None, lambda x: isinstance(x, dict), "an object"),
-    "episodes": (None, lambda x: _integer(x) and x > 0, "a positive integer"),
+    "episodes": (None, lambda x: json_integer(x) and x > 0, "a positive integer"),
     "seeds": (
         None,
         lambda x: isinstance(x, list) and len(x) > 0
-        and all(_integer(s) and s >= 0 for s in x) and len(set(x)) == len(x),
+        and all(json_integer(s) and s >= 0 for s in x) and len(set(x)) == len(x),
         "a non-empty list of distinct non-negative integers",
     ),
-    "window": (10_000, lambda x: _integer(x) and x > 0, "a positive integer"),
-    "temperature": (TrainerConfig.temperature, lambda x: _real(x) and x > 0, "a positive number"),
-    "param_bound": (TrainerConfig.param_bound, lambda x: _real(x) and x > 0, "a positive number"),
+    "window": (10_000, lambda x: json_integer(x) and x > 0, "a positive integer"),
+    "temperature": (
+        TrainerConfig.temperature, lambda x: json_real(x) and x > 0, "a positive number"
+    ),
+    "param_bound": (
+        TrainerConfig.param_bound, lambda x: json_real(x) and x > 0, "a positive number"
+    ),
     "penalty_floor": (
-        TrainerConfig.penalty_floor, lambda x: _real(x) and x < 0, "a negative number"
+        TrainerConfig.penalty_floor, lambda x: json_real(x) and x < 0, "a negative number"
     ),
     "schedules": (
         {},
-        lambda x: isinstance(x, dict) and all(map(_real, x.values())),
+        lambda x: isinstance(x, dict) and all(map(json_real, x.values())),
         "an object of finite numbers",
     ),
     "plots": (True, lambda x: isinstance(x, bool), "a JSON boolean"),
@@ -121,12 +114,6 @@ def load_experiment_doc(path: Path) -> dict:
         raise CliError(f"experiment config is not valid JSON: {e}", EXIT_BAD_CONFIG)
     if not isinstance(doc, dict):
         raise CliError("experiment config must be a JSON object", EXIT_BAD_CONFIG)
-    unknown = set(doc) - set(SETTING_RULES)
-    if unknown:
-        raise CliError(f"unknown experiment keys: {sorted(unknown)}", EXIT_BAD_CONFIG)
-    for key, (default, _, _) in SETTING_RULES.items():
-        if default is None and key not in doc:
-            raise CliError(f"experiment config missing required key {key!r}", EXIT_BAD_CONFIG)
     return doc
 
 
@@ -179,14 +166,21 @@ def checked_model(resolved: dict):
 
 
 def experiment_settings(doc: dict, base_dir: Path) -> dict:
-    """Apply defaults, check every value and resolve the model; returns the
-    canonical settings, one entry per SETTING_RULES key.
+    """Apply defaults, check every key and value and resolve the model;
+    returns the canonical settings, one entry per SETTING_RULES key.
 
-    A value that breaks its SETTING_RULES entry exits 2; the step-size
-    exponents and scales are judged later by `check_schedules`.
+    An unknown key, a missing required key or a value that breaks its
+    SETTING_RULES entry exits 2; the step-size exponents and scales are
+    judged later by `check_schedules`. `doc` is the config with the command
+    line's overrides applied, so an override can supply a required key.
     """
+    unknown = set(doc) - set(SETTING_RULES)
+    if unknown:
+        raise CliError(f"unknown experiment keys: {sorted(unknown)}", EXIT_BAD_CONFIG)
     settings = {}
     for key, (default, accepts, what) in SETTING_RULES.items():
+        if default is None and key not in doc:
+            raise CliError(f"experiment config missing required key {key!r}", EXIT_BAD_CONFIG)
         settings[key] = doc.get(key, default)
         if not accepts(settings[key]):
             raise CliError(f"{key!r} must be {what}", EXIT_BAD_CONFIG)
@@ -676,18 +670,18 @@ def _check_plot_inputs(summary, summary_path: Path) -> None:
     try:
         reference = summary.get("reference")
         ok = (
-            _integer(summary["num_constraints"])
+            json_integer(summary["num_constraints"])
             and isinstance(summary["thresholds"], list)
-            and all(map(_real, summary["thresholds"]))
+            and all(map(json_real, summary["thresholds"]))
             and len(summary["thresholds"]) == summary["num_constraints"]
-            and _integer(summary["window"])
+            and json_integer(summary["window"])
             and summary["window"] > 0
             and isinstance(summary["seeds"], list)
             and len(summary["seeds"]) > 0
-            and all(_integer(e["seed"]) and isinstance(e["csv"], str)
+            and all(json_integer(e["seed"]) and isinstance(e["csv"], str)
                     for e in summary["seeds"])
             and (reference is None or not reference["feasible"]
-                 or _real(reference["best_return"]))
+                 or json_real(reference["best_return"]))
         )
     except (AttributeError, KeyError, TypeError):
         ok = False

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp_oracle
-from .mdp_model import FiniteHorizonCMDP, make_cmdp, write_json
+from .mdp_model import (
+    FiniteHorizonCMDP,
+    json_count,
+    json_integer,
+    json_real,
+    make_cmdp,
+    write_json,
+)
 
 DISPLACEMENTS = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
 NUM_ACTIONS = len(DISPLACEMENTS)
@@ -234,15 +241,23 @@ def load_gridworld_config(path) -> GridWorldConfig:
 
 
 def gridworld_config_from_doc(doc: dict) -> GridWorldConfig:
-    rows, cols, horizon = int(doc["rows"]), int(doc["cols"]), int(doc["horizon"])
+    """The grid world a `save_gridworld_config` document describes. Raises
+    ValueError unless rows, cols and horizon are non-negative JSON integers,
+    the start coordinates JSON integers and slip a JSON number."""
+    rows, cols, horizon = (json_count(doc, key) for key in ("rows", "cols", "horizon"))
     n = rows * cols
+    start = tuple(doc["start"])
+    if not all(map(json_integer, start)):
+        raise ValueError(f"'start' must hold integers, got {doc['start']!r}")
+    if not json_real(doc["slip"]):
+        raise ValueError(f"'slip' must be a number, got {doc['slip']!r}")
     thresholds = np.asarray(doc["thresholds"], dtype=float)
     return GridWorldConfig(
         rows=rows,
         cols=cols,
         horizon=horizon,
         slip=float(doc["slip"]),
-        start=tuple(int(x) for x in doc["start"]),
+        start=start,
         stage_rewards=np.asarray(doc["stage_rewards"], dtype=float),
         stage_costs=np.asarray(doc["stage_costs"], dtype=float).reshape(
             len(thresholds), horizon + 1, n

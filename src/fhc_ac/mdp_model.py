@@ -7,6 +7,7 @@ state. Decisions happen at stages 0..H-1 and the process terminates at stage H.
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -449,13 +450,33 @@ def load_model(path) -> FiniteHorizonCMDP:
         return model_from_doc(json.load(f))
 
 
+def json_integer(x) -> bool:
+    """A JSON integer; booleans are ints in Python but not here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def json_real(x) -> bool:
+    """A JSON number that is a finite double, booleans excluded."""
+    return (json_integer(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
+
+
+def json_count(doc: dict, key: str) -> int:
+    """doc[key] when it is a non-negative JSON integer; raises ValueError
+    otherwise. `int()` would parse "3" and truncate 3.9, and a reshape to
+    a count of -1 would infer it."""
+    value = doc[key]
+    if not (json_integer(value) and value >= 0):
+        raise ValueError(f"{key!r} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def model_from_doc(doc: dict) -> FiniteHorizonCMDP:
     """The model a `save_model` document describes: the reward and constraint
-    cost keys are stacked into its channel tables."""
-    num_states = int(doc["num_states"])
-    horizon = int(doc["horizon"])
-    num_actions = int(doc["num_actions"])
-    num_constraints = int(doc["num_constraints"])
+    cost keys are stacked into its channel tables. Raises ValueError unless
+    the four counts are non-negative JSON integers."""
+    num_states, horizon, num_actions, num_constraints = (
+        json_count(doc, key) for key in ("num_states", "horizon", "num_actions", "num_constraints")
+    )
 
     def channels(reward_key, cost_key, shape):
         constraint = np.asarray(doc[cost_key], dtype=float).reshape((num_constraints,) + shape)

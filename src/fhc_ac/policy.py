@@ -10,7 +10,7 @@ import numpy as np
 from .mdp_model import FiniteHorizonCMDP, write_json
 
 
-def _gibbs(prefs: np.ndarray) -> np.ndarray:
+def gibbs(prefs: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, shifted by the row maximum for stability."""
     # The ufunc reductions are what ndarray.max and .sum call, without the
     # Python wrapper around them.
@@ -61,7 +61,7 @@ class NonStationaryPolicy:
     def action_distribution(self, h: int, s: int) -> np.ndarray:
         """The Gibbs distribution over actions at (h, s); entries sum to 1."""
         self._check_stage(h)
-        return _gibbs(self.stage_params[h, s] / self.temperature)
+        return gibbs(self.stage_params[h, s] / self.temperature)
 
     def distribution_table(self) -> np.ndarray:
         """Action distributions of every stage and state, shape (H, S, A).
@@ -69,13 +69,13 @@ class NonStationaryPolicy:
         Row (h, s) equals `action_distribution(h, s)` bit for bit; one batched
         softmax replaces H * S row-by-row ones.
         """
-        return _gibbs(self.stage_params / self.temperature)
+        return gibbs(self.stage_params / self.temperature)
 
     def distribution_rows(self, stages, states) -> np.ndarray:
         """Action distributions of the (stage, state) pairs given as two index
         arrays, shape (len, A); equal to `distribution_table()[stages, states]`
         bit for bit at a fraction of its cost."""
-        return _gibbs(self.stage_params[stages, states] / self.temperature)
+        return gibbs(self.stage_params[stages, states] / self.temperature)
 
     def sample_action(self, rng: np.random.Generator, h: int, s: int) -> int:
         """Inverse-CDF draw from mu_h(s, .): the first action whose running sum

@@ -12,6 +12,13 @@ parameters held at episode start. The three
 step-size sequences decay at separated rates so the critics equilibrate
 fastest, the actor next, and the multipliers slowest.
 
+The critics are one C-contiguous float64 array `critic` (1+M, H+1, S),
+stacked like the model's and the episode's (1+M, ...) channel costs:
+channel 0 is the penalized critic v, which reads the reward channel and
+the multipliers, and channels 1..M the constraint critics w, one per
+constraint channel. An episode moves the entry of every stage's visited
+state once; entries of states a stage cannot reach stay zero.
+
 `train` steps K seeds in lock-step, one episode of every seed at a time; one
 seed is the case K = 1. It stacks the seeds' tables along a leading seed
 axis: theta, the distribution table and its running sums as (K*H*S, A)
@@ -47,18 +54,13 @@ nu <= n + 1 and a local step is never smaller than the global a_n.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import dp_oracle
-from .critic import (
-    flat_view,
-    td_step,
-    update_constraint_critic,  # unused here; bench/probe.py times calls at this name
-    update_penalized_critic,  # unused here; bench/probe.py times calls at this name
-)
 from .mdp_model import (
     FiniteHorizonCMDP,
     ValidationReport,
@@ -68,7 +70,7 @@ from .mdp_model import (
 )
 from .policy import (
     NonStationaryPolicy,
-    _gibbs,
+    gibbs,
     policy_from_doc,
     policy_to_doc,
     score_rows,
@@ -139,8 +141,9 @@ class TrainerConfig:
     schedules: StepSizeSchedules = field(default_factory=StepSizeSchedules)
 
     def __post_init__(self):
-        if self.penalty_floor >= 0:
-            raise ValueError("penalty_floor must be negative")
+        # multiplier_update's clamp max(x, floor) returns x for a NaN floor.
+        if not (math.isfinite(self.penalty_floor) and self.penalty_floor < 0):
+            raise ValueError("penalty_floor must be finite and negative")
 
 
 @dataclass
@@ -190,6 +193,66 @@ def _check_resumable(state: TrainerState, model: FiniteHorizonCMDP, config: Trai
     ]:
         if got != want:
             raise ValueError(f"cannot resume: the state's {name} is {got}, need {want}")
+
+
+def flat_view(table: np.ndarray) -> np.ndarray:
+    """`table` as a 1-D view, so writes through it move `table`; raises
+    ValueError when `table` is not C-contiguous and reshaping would copy."""
+    if not table.flags.c_contiguous:
+        raise ValueError(f"a table of shape {table.shape} must be C-contiguous")
+    return table.reshape(-1)
+
+
+def td_step(table, ids, costs, step) -> np.ndarray:
+    """Move the visited entries table[ids] of a flat critic table in place by
+    step * delta; returns the deltas, shaped like `ids` (..., H+1). `step`
+    broadcasts against them: a scalar, an (H+1,) row of per-stage steps, or
+    one step per entry.
+
+    `ids` holds each stage's entry in order, h = 0..H, and `costs` (..., H+1)
+    the realized stage costs followed by the terminal cost; leading axes
+    stack critics. Stage h < H compares its cost plus the next stage's
+    estimate against stage h's estimate; the terminal entry compares the
+    terminal cost against the terminal estimate. Every delta reads the table
+    held before the step, and all entries move in one add. That equals the
+    in-order sweep over stages, because each stage's entry is touched once
+    and delta_h reads only stages h and h+1 before their own updates.
+    """
+    vals = table[ids]
+    deltas = costs.copy()
+    deltas[..., :-1] += vals[..., 1:]
+    deltas -= vals
+    table[ids] = vals + step * deltas
+    return deltas
+
+
+def update_penalized_critic(model, critic, episode, multipliers, step) -> np.ndarray:
+    """One episode of TD updates on the penalized critic v = critic[0] with the
+    realized stage costs r_h + lambda . g_h and the terminal cost
+    r_H + lambda . (g_H - alpha), read from the episode's channel costs;
+    returns the H+1 deltas. `step` is a scalar or an (H+1,) array of
+    per-stage steps."""
+    lam = np.asarray(multipliers, dtype=float)
+    gaps = episode.terminal_costs[1:] - model.thresholds
+    costs = np.append(
+        episode.costs[0] + lam @ episode.costs[1:], episode.terminal_costs[0] + lam @ gaps
+    )
+    return td_step(flat_view(critic[0]), episode.cells, costs, step)
+
+
+def update_constraint_critic(model, critic, episode, step) -> np.ndarray:
+    """One episode of TD updates on all M constraint critics in one step, each
+    as `update_penalized_critic` does with the constraint's stage costs and
+    its terminal cost minus the threshold; returns the (M, H+1) deltas.
+    `step` is a scalar or an (H+1,) array of per-stage steps shared by the M
+    critics."""
+    terminal = episode.terminal_costs[1:] - model.thresholds
+    costs = np.concatenate([episode.costs[1:], terminal[:, None]], axis=1)
+    # Where each constraint channel's (H+1, S) table starts in the flat
+    # critic table, as an (M, 1) column: adding the episode's cells gives its
+    # (M, H+1) entry ids.
+    ids = episode.cells + np.arange(1, len(critic))[:, None] * critic[0].size
+    return td_step(flat_view(critic), ids, costs, step)
 
 
 def actor_step(theta_rows, moved, score, deltas, step: float, bound: float):
@@ -374,7 +437,7 @@ def train(
         )
     rngs = [s.rng for s in states]
     tau, bound = states[0].policy.temperature, states[0].policy.param_bound
-    table = _gibbs(theta / tau)  # row by row, each seed's distribution_table()
+    table = gibbs(theta / tau)  # row by row, each seed's distribution_table()
     running = np.cumsum(table, axis=-1)
     draws = [sampler(model, t, r) for t, r in zip(table, running)]
     theta_rows, table_rows, running_rows = (x.reshape(-1, A) for x in (theta, table, running))
@@ -451,7 +514,7 @@ def train(
             proposed, clipped = actor_step(
                 theta_rows, moved, score, deltas[:, 0, :-1], schedules.actor_step(n), bound
             )
-            rows = _gibbs(proposed / tau)
+            rows = gibbs(proposed / tau)
             table_rows[moved] = rows
             running_rows[moved] = np.add.accumulate(rows, axis=-1)  # what rows.cumsum runs
             if M:
@@ -501,68 +564,6 @@ def moving_average(values, window: int) -> np.ndarray:
     if len(v) > window:
         out[window:] = (totals[window:] - totals[:-window]) / window
     return out
-
-
-@dataclass(frozen=True)
-class StationarityReport:
-    """How far the current iterates are from the coupled fixed-point conditions.
-
-    Gradient entries are projected onto the parameter box: coordinates sitting
-    at a bound only count movement into the feasible side. Multiplier drifts
-    apply the matching one-sided rule at the clamp bounds to the exact
-    constraint gaps.
-    """
-
-    stage_gradient_norms: np.ndarray       # (H,) raw exact gradient norms
-    projected_gradient_norms: np.ndarray   # (H,) after the box projection
-    max_projected_gradient_norm: float
-    multiplier_drifts: np.ndarray          # (M,) projected drift of each multiplier
-    max_multiplier_drift: float
-    theta_bound_active: int                # actor coordinates at the box edge
-    multiplier_bound_active: int           # multipliers at the floor or at zero
-    expected_return: float
-    constraint_totals: np.ndarray
-    multipliers: np.ndarray                # non-positive internal convention
-
-
-def stationarity_diagnostics(
-    model: FiniteHorizonCMDP,
-    policy: NonStationaryPolicy,
-    multipliers,
-    penalty_floor: float = dp_oracle.PENALTY_FLOOR,
-) -> StationarityReport:
-    """Stationarity and multiplier-drift check at (theta, lambda) from one exact evaluation."""
-    lam = dp_oracle._coerce_multipliers(model, multipliers)
-    solution = dp_oracle.backward_induction(model, policy, lam)
-    grads = dp_oracle._gradient(model, solution, policy.temperature)
-    theta, bound = policy.stage_params, policy.param_bound
-    upper = theta >= bound
-    lower = theta <= -bound
-    proj = grads.copy()
-    proj[upper] = np.minimum(proj[upper], 0.0)
-    proj[lower] = np.maximum(proj[lower], 0.0)
-    raw_norms = np.array([np.linalg.norm(g) for g in grads])
-    proj_norms = np.array([np.linalg.norm(g) for g in proj])
-    at_bound = int(np.count_nonzero(upper | lower))
-
-    gaps = solution.constraint_totals - model.thresholds
-    drift = -gaps
-    at_zero = lam >= 0.0
-    at_floor = lam <= penalty_floor
-    drift = np.where(at_zero, np.minimum(drift, 0.0), drift)
-    drift = np.where(at_floor, np.maximum(drift, 0.0), drift)
-    return StationarityReport(
-        stage_gradient_norms=raw_norms,
-        projected_gradient_norms=proj_norms,
-        max_projected_gradient_norm=float(proj_norms.max(initial=0.0)),
-        multiplier_drifts=drift,
-        max_multiplier_drift=float(np.abs(drift).max(initial=0.0)),
-        theta_bound_active=at_bound,
-        multiplier_bound_active=int(np.count_nonzero(at_zero | at_floor)),
-        expected_return=solution.expected_return,
-        constraint_totals=solution.constraint_totals,
-        multipliers=lam,
-    )
 
 
 def save_checkpoint(state: TrainerState, path) -> None:

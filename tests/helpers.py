@@ -36,11 +36,9 @@ from fhc_ac import (
     update_penalized_critic,
 )
 from fhc_ac import dp_oracle
-from fhc_ac.critic import FixedPointWeights, _solve_gram
-from fhc_ac.dp_oracle import FD_STEP
+from fhc_ac.dp_oracle import FD_STEP, FixedPointWeights, StationarityReport, _solve_gram
 from fhc_ac.gridworld_env import DISPLACEMENTS, cell_index
-from fhc_ac.policy import _gibbs
-from fhc_ac.trainer import StationarityReport
+from fhc_ac.policy import gibbs
 
 
 def random_cmdp(
@@ -311,7 +309,7 @@ def unshared_finite_difference_gradient(model, policy, multipliers=()):
     for h, states in enumerate(reachable_sets(model)[: model.horizon]):
         rows = policy.stage_params[h, states][:, None, :] + steps
         probes = np.einsum(
-            "rpa,ra->rp", _gibbs(rows / policy.temperature), action_values[h, states]
+            "rpa,ra->rp", gibbs(rows / policy.temperature), action_values[h, states]
         ).ravel()
         v = np.repeat(values[h][None], len(probes), axis=0)
         v[np.arange(len(probes)), np.repeat(states, 2 * A)] = probes

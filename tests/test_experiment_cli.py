@@ -141,18 +141,24 @@ def test_train_reruns_bit_identically(tmp_path):
 
 def test_train_honors_episode_and_seed_overrides(tmp_path):
     config = write_experiment(tmp_path)
-    out = tmp_path / "out"
-    code = main(
-        [
-            "train", "--config", str(config), "--out-dir", str(out),
-            "--episodes", "40", "--seeds", "7",
-        ]
-    )
-    assert code == 0
-    csvs = list(out.glob("*-seed*.csv"))
-    assert len(csvs) == 1 and csvs[0].name.endswith("-seed7.csv")
-    _, data = read_csv(csvs[0])
-    assert data.shape[0] == 40
+    # The overrides also supply the required keys a config leaves out.
+    doc = json.loads(config.read_text())
+    del doc["episodes"], doc["seeds"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    for path in (config, bare):
+        out = tmp_path / f"out-{path.stem}"
+        code = main(
+            [
+                "train", "--config", str(path), "--out-dir", str(out),
+                "--episodes", "40", "--seeds", "7",
+            ]
+        )
+        assert code == 0, path.name
+        csvs = list(out.glob("*-seed*.csv"))
+        assert len(csvs) == 1 and csvs[0].name.endswith("-seed7.csv")
+        _, data = read_csv(csvs[0])
+        assert data.shape[0] == 40
 
 
 def test_train_rejects_malformed_configs(tmp_path):
@@ -205,6 +211,21 @@ def test_train_rejects_malformed_configs(tmp_path):
     (tmp_path / "rows.json").write_text(json.dumps({"rows": 2}))
     config = write_experiment(tmp_path, model={"kind": "file", "path": "rows.json"})
     assert main(["train", "--config", str(config), "--out-dir", out]) == 2
+    # Counts, start coordinates and slips of another JSON type, and negative
+    # counts, are refused rather than parsed, truncated or inferred by a reshape.
+    demo = json.loads((CONFIGS / "demo_model.json").read_text())
+    grid = json.loads((CONFIGS / "gridworld_4x4.json").read_text())
+    for base, key, value in [
+        (demo, "horizon", -1), (demo, "num_actions", -1), (demo, "num_constraints", -1),
+        (demo, "horizon", "3"), (demo, "horizon", 3.9),
+        (grid, "rows", "4"), (grid, "rows", 4.9), (grid, "horizon", "10"),
+        (grid, "slip", "0.1"), (grid, "start", [0.7, 0]),
+    ]:
+        mistyped = tmp_path / "mistyped.json"
+        mistyped.write_text(json.dumps({**base, key: value}))
+        config = write_experiment(tmp_path, model={"kind": "file", "path": "mistyped.json"})
+        assert main(["train", "--config", str(config), "--out-dir", out]) == 2, (key, value)
+        assert main(["oracle", "solve", "--model", str(mistyped)]) == 2, (key, value)
     assert not (tmp_path / "out").exists()
 
 

@@ -77,8 +77,9 @@ def test_step_sizes_follow_the_power_law():
 
 
 def test_trainer_config_rejects_bad_settings():
-    with pytest.raises(ValueError):
-        TrainerConfig(episodes=1, penalty_floor=0.0)
+    for floor in (0.0, float("nan"), float("-inf")):
+        with pytest.raises(ValueError):
+            TrainerConfig(episodes=1, penalty_floor=floor)
     with pytest.raises(ValueError):
         make_trainer(
             random_cmdp(np.random.default_rng(0)),
