@@ -25,6 +25,7 @@ from .mdp_model import (
     json_count,
     json_integer,
     json_real,
+    json_table,
     make_cmdp,
     write_json,
 )
@@ -243,7 +244,8 @@ def load_gridworld_config(path) -> GridWorldConfig:
 def gridworld_config_from_doc(doc: dict) -> GridWorldConfig:
     """The grid world a `save_gridworld_config` document describes. Raises
     ValueError unless rows, cols and horizon are non-negative JSON integers,
-    the start coordinates JSON integers and slip a JSON number."""
+    the start coordinates JSON integers, slip a JSON number and every table
+    holds only JSON numbers."""
     rows, cols, horizon = (json_count(doc, key) for key in ("rows", "cols", "horizon"))
     n = rows * cols
     start = tuple(doc["start"])
@@ -251,15 +253,15 @@ def gridworld_config_from_doc(doc: dict) -> GridWorldConfig:
         raise ValueError(f"'start' must hold integers, got {doc['start']!r}")
     if not json_real(doc["slip"]):
         raise ValueError(f"'slip' must be a number, got {doc['slip']!r}")
-    thresholds = np.asarray(doc["thresholds"], dtype=float)
+    thresholds = json_table(doc, "thresholds")
     return GridWorldConfig(
         rows=rows,
         cols=cols,
         horizon=horizon,
         slip=float(doc["slip"]),
         start=start,
-        stage_rewards=np.asarray(doc["stage_rewards"], dtype=float),
-        stage_costs=np.asarray(doc["stage_costs"], dtype=float).reshape(
+        stage_rewards=json_table(doc, "stage_rewards"),
+        stage_costs=json_table(doc, "stage_costs").reshape(
             len(thresholds), horizon + 1, n
         ),
         thresholds=thresholds,

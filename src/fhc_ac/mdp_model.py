@@ -11,12 +11,10 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 PROB_TOL = 1e-12
-_BLOCK_VALUES = 2**18  # cap on the (rows, S+1) work tables of a successor_table block
 
 
 @dataclass
@@ -28,14 +26,6 @@ class ValidationReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-class SuccessorTable(NamedTuple):
-    """Flat columns of the kernel rows' entries; see `FiniteHorizonCMDP.successor_table`."""
-
-    offsets: memoryview     # (rows + 1,) int64: row r owns entries offsets[r] to offsets[r+1]
-    successors: memoryview  # (E,) int32
-    sums: memoryview        # (E,) float64 running sums of the row
 
 
 @dataclass(frozen=True)
@@ -52,13 +42,12 @@ class FiniteHorizonCMDP:
     no array is changed in place, so the derived tables below are computed
     once, on first use, and cached. `channel_costs` is (1+M, H, S, A) and
     `channel_terminal` (1+M, S), both read by the oracle; `train` reads its
-    terminal gaps from the latter. `successor_table` is read by `sampler`:
-    12 bytes per entry (one per nonzero kernel entry and one sentinel per
-    kernel row) plus 8 per row, for the rows of one stage when the kernels
-    have a zero stage stride and of all H stages otherwise. That is about
-    23 KB for the 5x5 H=100 grid world (1,746 entries) and 2.3 MB for a
-    dense copy of it. `rollout` and `train` read the realized reward and
-    costs of each step from `costs` itself.
+    terminal gaps from the latter. `kernel_sums` is read by `sampler`: 8
+    bytes per kernel entry, for the rows of one stage when the kernels have
+    a zero stage stride and of all H stages otherwise. That is 18.4 KB for
+    the 4x4 grid world, 45 KB for the 5x5 H=100 one, and the size of the
+    kernels for a dense model. `rollout` and `train` read the realized
+    reward and costs of each step from `costs` itself.
     """
 
     kernels: np.ndarray
@@ -97,53 +86,25 @@ class FiniteHorizonCMDP:
         return terminal
 
     @cached_property
-    def successor_table(self) -> SuccessorTable:
-        """The kernel rows in sparse form, each closed by a sentinel entry.
+    def kernel_sums(self) -> memoryview:
+        """The running sums of every kernel row, `np.cumsum(kernels, axis=-1)`
+        as one flat float64 memoryview.
 
-        Row r = (h*S + s)*A + a owns entries offsets[r] to offsets[r+1]: its
-        nonzero successors s' in increasing order, then a sentinel with
-        successor S-1. Beside each entry sits the running sum of the row up to
-        and including it, +inf at the sentinel. The sums are `np.cumsum`'s,
-        which adds left to right, so they equal a running total taken one
-        entry at a time bit for bit; the zero entries left out add nothing to
-        it. No uniform is above the sentinel's sum, so bisecting a row always
-        ends on an entry: on the sentinel when round-off leaves the row's sum
-        at or below the uniform, which is the last state the row scan falls
-        back to.
-
-        When every stage reads one kernel array (a zero stage stride, as
-        `build_gridworld`'s view has), the table holds the S*A rows of that
-        one array, and row s*A + a stands for (h, s, a) at every stage h.
-        Otherwise it holds all H*S*A rows, built over blocks of stages whose
-        work tables hold about `_BLOCK_VALUES` values, so no float table of
-        the (H, S, A, S) shape is copied. Raises ValueError on a negative or
-        non-finite kernel entry, where the sums would not be non-decreasing
-        and bisection would not find the first of them above a uniform.
+        Row r = (h*S + s)*A + a owns entries r*S to r*S + S-1. np.cumsum adds
+        left to right, so each sum equals a running total taken one entry at
+        a time bit for bit. When every stage reads one kernel array (a zero
+        stage stride, as `build_gridworld`'s view has), only the S*A rows of
+        that array are summed, and row s*A + a stands for (h, s, a) at every
+        stage h. Raises ValueError on a negative or non-finite kernel entry,
+        where the sums would not be non-decreasing and bisection would not
+        find the first of them above a uniform.
         """
         kernels = self.kernels
         if kernels.strides[0] == 0:
             kernels = kernels[:1]
         if not np.isfinite(kernels).all() or (kernels < 0).any():
-            raise ValueError("successor_table needs finite, non-negative kernel entries")
-        stages, S = len(kernels), self.num_states
-        stage_rows = S * self.num_actions
-        offsets = np.zeros(stages * stage_rows + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(kernels, axis=-1) + 1, out=offsets[1:])
-        successors, sums = np.empty(offsets[-1], dtype=np.int32), np.empty(offsets[-1])
-        per_block = max(1, _BLOCK_VALUES // (stage_rows * (S + 1)))
-        for h in range(0, stages, per_block):
-            rows = kernels[h : h + per_block].reshape(-1, S)
-            lo, hi = offsets[h * stage_rows], offsets[h * stage_rows + len(rows)]
-            # The rows with one more column for the sentinel, whose successor
-            # is S-1 and whose sum is +inf.
-            kept = np.ones((len(rows), S + 1), dtype=bool)
-            running = np.full((len(rows), S + 1), np.inf)
-            np.not_equal(rows, 0, out=kept[:, :S])
-            np.cumsum(rows, axis=1, out=running[:, :S])
-            entries = np.flatnonzero(kept)
-            np.minimum(entries % (S + 1), S - 1, out=successors[lo:hi])
-            running.take(entries, out=sums[lo:hi])
-        return SuccessorTable(memoryview(offsets), memoryview(successors), memoryview(sums))
+            raise ValueError("kernel_sums needs finite, non-negative kernel entries")
+        return memoryview(np.cumsum(kernels, axis=-1).reshape(-1))
 
 
 def make_cmdp(
@@ -268,23 +229,18 @@ def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
     `rollout` builds the `Episode`; it and `train` read what each step pays
     from the model's `costs` at (h, s_h, a_h, s_{h+1}).
 
-    Every draw is a bisection on running sums computed before the episode:
-    s_0 is the first index of the initial distribution's running sums above
-    s_0's uniform, the action the first index of running[h, s_h] above the
-    action's uniform, and the successor that of the first entry in the
-    model's `successor_table` row of (h, s_h, a_h) whose running sum is
-    above the successor's uniform. That row is (h*S + s_h)*A + a_h less a
-    per-stage shift: h*S*A when the table holds one stage's rows for every
-    stage, 0 when it holds each stage's own. When no sum is above the
-    uniform (the row sums to less than it by round-off) the draw is the
-    last state, or the last action; for the successor that is the row's
-    sentinel entry. Each is the rule of an inverse-CDF scan of the row (the
-    tests keep one, `sample_index`) on the same sums: np.cumsum adds left to
-    right as the scan does, bisect_right finds the first sum above the
-    uniform, and the kernel entries left out are zeros, whose sums repeat
-    the one before them (or are 0 at the front), so none of them can be the
-    first above a uniform in [0, 1). Every draw is thus the index the scan
-    returns from the same uniform.
+    Every draw follows one rule on running sums computed before the episode:
+    bisect the first n-1 sums of a row of n, so the draw is the first index
+    whose sum is above the uniform, or the last index when no earlier one's
+    is, as when round-off leaves the row's sum at or below it. s_0's row is
+    the initial distribution's, the action's is running[h, s_h], and the
+    successor's is row (h*S + s_h)*A + a_h of the model's `kernel_sums`,
+    less a per-stage shift: h*S*A when it holds one stage's rows for every
+    stage, 0 when it holds each stage's own. This is the rule of an
+    inverse-CDF scan of the row (the tests keep one, `sample_index`) on the
+    same sums: np.cumsum adds left to right as the scan does, and
+    bisect_right finds the first sum above the uniform. Every draw is thus
+    the index the scan returns from the same uniform.
 
     Raises ValueError unless `table` and `running` have shape (H, S, A) and
     are C-contiguous float64 arrays, the layout the flat ids address, and
@@ -305,11 +261,11 @@ def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
     if not np.isfinite(initial).all() or (initial < 0).any():
         raise ValueError("sampling needs a finite, non-negative initial distribution")
     initial_sums = np.cumsum(initial).tolist()
-    offsets, successors, sums = model.successor_table
+    kernel_sums = model.kernel_sums
     action_sums = memoryview(running.reshape(-1))
     next_bases = range(num_states, (horizon + 1) * num_states, num_states)
     stage_rows = num_states * num_actions
-    if len(offsets) - 1 == stage_rows:
+    if len(kernel_sums) == stage_rows * num_states:
         shifts = range(0, horizon * stage_rows, stage_rows)
     else:
         shifts = [0] * horizon
@@ -321,21 +277,17 @@ def sampler(model: FiniteHorizonCMDP, table: np.ndarray, running: np.ndarray):
         # drawing them one at a time: s_0's, then an (action, successor) pair
         # per stage.
         uniforms = rng.random(count).tolist()
-        cell = s = min(bisect_right(initial_sums, uniforms[0]), last_state)
+        cell = s = bisect_right(initial_sums, uniforms[0], 0, last_state)
         states = [s]
         actions = []
         for next_base, shift, u_action, u_state in zip(
             next_bases, shifts, uniforms[1::2], uniforms[2::2]
         ):
-            # Bisecting the first A-1 sums gives the last action when none of
-            # them is above the uniform, whether or not the last sum is.
             lo = cell * num_actions
             row = bisect_right(action_sums, u_action, lo, lo + last_action)
             actions.append(row - lo)
-            row -= shift
-            # The row's sentinel sum is +inf, so the bisection always ends on
-            # one of its entries.
-            s = successors[bisect_right(sums, u_state, offsets[row], offsets[row + 1])]
+            lo = (row - shift) * num_states
+            s = bisect_right(kernel_sums, u_state, lo, lo + last_state) - lo
             cell = next_base + s
             states.append(s)
         return states, actions
@@ -470,24 +422,46 @@ def json_count(doc: dict, key: str) -> int:
     return value
 
 
+def _json_numbers(value) -> bool:
+    """A JSON number, or nested lists whose leaves are all JSON numbers."""
+    if type(value) is not list:
+        return type(value) in (int, float)
+    kinds = set(map(type, value))
+    if list in kinds:
+        return kinds == {list} and all(map(_json_numbers, value))
+    return kinds <= {int, float}
+
+
+def json_table(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as a float array when it is a JSON number or nested lists of
+    them; raises ValueError on a string, boolean or null anywhere in it,
+    which `np.asarray(..., dtype=float)` would parse ("0.5") or read as a
+    number (true as 1.0, null as NaN)."""
+    value = doc[key]
+    if not _json_numbers(value):
+        raise ValueError(f"{key!r} must hold only JSON numbers")
+    return np.asarray(value, dtype=float)
+
+
 def model_from_doc(doc: dict) -> FiniteHorizonCMDP:
     """The model a `save_model` document describes: the reward and constraint
     cost keys are stacked into its channel tables. Raises ValueError unless
-    the four counts are non-negative JSON integers."""
+    the four counts are non-negative JSON integers and every table holds
+    only JSON numbers."""
     num_states, horizon, num_actions, num_constraints = (
         json_count(doc, key) for key in ("num_states", "horizon", "num_actions", "num_constraints")
     )
 
     def channels(reward_key, cost_key, shape):
-        constraint = np.asarray(doc[cost_key], dtype=float).reshape((num_constraints,) + shape)
-        return np.concatenate([np.asarray(doc[reward_key], dtype=float)[None], constraint])
+        constraint = json_table(doc, cost_key).reshape((num_constraints,) + shape)
+        return np.concatenate([json_table(doc, reward_key)[None], constraint])
 
     return make_cmdp(
-        kernels=doc["kernels"],
+        kernels=json_table(doc, "kernels"),
         costs=channels(
             "rewards", "constraint_costs", (horizon, num_states, num_actions, num_states)
         ),
         terminal_costs=channels("terminal_reward", "terminal_constraint_costs", (num_states,)),
-        thresholds=np.asarray(doc["thresholds"], dtype=float).reshape(num_constraints),
-        initial_distribution=doc["initial_distribution"],
+        thresholds=json_table(doc, "thresholds").reshape(num_constraints),
+        initial_distribution=json_table(doc, "initial_distribution"),
     )

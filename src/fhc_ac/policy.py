@@ -7,7 +7,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .mdp_model import FiniteHorizonCMDP, write_json
+from .mdp_model import FiniteHorizonCMDP, json_real, json_table, write_json
 
 
 def gibbs(prefs: np.ndarray) -> np.ndarray:
@@ -78,11 +78,11 @@ class NonStationaryPolicy:
         return gibbs(self.stage_params[stages, states] / self.temperature)
 
     def sample_action(self, rng: np.random.Generator, h: int, s: int) -> int:
-        """Inverse-CDF draw from mu_h(s, .): the first action whose running sum
-        is above one uniform, or the last action when none is (round-off
-        below 1); the rule of `sampler`'s action draw."""
+        """Inverse-CDF draw from mu_h(s, .) by `sampler`'s rule: bisecting the
+        first A-1 running sums gives the first action whose sum is above one
+        uniform, or the last action when no earlier one's is."""
         sums = np.cumsum(self.action_distribution(h, s)).tolist()
-        return min(bisect_right(sums, rng.random()), len(sums) - 1)
+        return bisect_right(sums, rng.random(), 0, len(sums) - 1)
 
     def score(self, h, s, a, probs=None) -> np.ndarray:
         """Gradient of log mu_h(s, a) in the row theta[h, s]: (e_a - mu_h(s, .)) / tau.
@@ -128,8 +128,14 @@ def policy_to_doc(policy: NonStationaryPolicy) -> dict:
 
 
 def policy_from_doc(doc: dict) -> NonStationaryPolicy:
+    """The policy a `policy_to_doc` document describes. Raises ValueError
+    unless the temperature and bound are finite JSON numbers and the table
+    holds only JSON numbers."""
+    for key in ("temperature", "param_bound"):
+        if not json_real(doc[key]):
+            raise ValueError(f"{key!r} must be a finite number, got {doc[key]!r}")
     return NonStationaryPolicy(
-        doc["stage_params"], float(doc["temperature"]), float(doc["param_bound"])
+        json_table(doc, "stage_params"), doc["temperature"], doc["param_bound"]
     )
 
 

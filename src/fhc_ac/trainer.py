@@ -121,8 +121,8 @@ def check_schedules(schedules: StepSizeSchedules) -> ValidationReport:
                 f"{name} exponent {exponent} outside (0.5, 1]: increments must be "
                 "square summable but not summable"
             )
-        if scale <= 0:
-            violations.append(f"{name} scale {scale} must be positive")
+        if not (math.isfinite(scale) and scale > 0):
+            violations.append(f"{name} scale {scale} must be positive and finite")
     if not schedules.critic_exponent < schedules.actor_exponent < schedules.multiplier_exponent:
         violations.append(
             "exponents must strictly increase (critic < actor < multiplier) "

@@ -161,6 +161,13 @@ def test_train_honors_episode_and_seed_overrides(tmp_path):
         assert data.shape[0] == 40
 
 
+def with_first_entry(table, value):
+    """A copy of the nested list `table` whose first number is `value`."""
+    if not isinstance(table, list):
+        return value
+    return [with_first_entry(table[0], value)] + table[1:]
+
+
 def test_train_rejects_malformed_configs(tmp_path):
     out = str(tmp_path / "out")
     bad = tmp_path / "bad.json"
@@ -213,6 +220,8 @@ def test_train_rejects_malformed_configs(tmp_path):
     assert main(["train", "--config", str(config), "--out-dir", out]) == 2
     # Counts, start coordinates and slips of another JSON type, and negative
     # counts, are refused rather than parsed, truncated or inferred by a reshape.
+    # Tables holding a string, boolean or null are refused too, where a float
+    # conversion would parse "0.5" or read true as 1.0.
     demo = json.loads((CONFIGS / "demo_model.json").read_text())
     grid = json.loads((CONFIGS / "gridworld_4x4.json").read_text())
     for base, key, value in [
@@ -220,6 +229,16 @@ def test_train_rejects_malformed_configs(tmp_path):
         (demo, "horizon", "3"), (demo, "horizon", 3.9),
         (grid, "rows", "4"), (grid, "rows", 4.9), (grid, "horizon", "10"),
         (grid, "slip", "0.1"), (grid, "start", [0.7, 0]),
+        (grid, "thresholds", [str(x) for x in grid["thresholds"]]),
+        (grid, "stage_rewards", with_first_entry(grid["stage_rewards"], True)),
+        (grid, "stage_costs", with_first_entry(grid["stage_costs"], None)),
+        (demo, "kernels", with_first_entry(demo["kernels"], True)),
+        (demo, "rewards", with_first_entry(demo["rewards"], "0.5")),
+        (demo, "constraint_costs", with_first_entry(demo["constraint_costs"], None)),
+        (demo, "terminal_reward", with_first_entry(demo["terminal_reward"], False)),
+        (demo, "terminal_constraint_costs", [["0", "0", "0"]]),
+        (demo, "thresholds", [True]),
+        (demo, "initial_distribution", with_first_entry(demo["initial_distribution"], "1")),
     ]:
         mistyped = tmp_path / "mistyped.json"
         mistyped.write_text(json.dumps({**base, key: value}))
@@ -651,12 +670,17 @@ def test_oracle_evaluate_and_fixedpoint_run_on_saved_policies(tmp_path, capsys):
     assert main(["oracle", "evaluate", "--model", str(model_path),
                  "--policy", str(old_layout)]) == 2
 
-    # a non-finite temperature, bound or table entry is refused with exit 2
+    # a non-finite temperature, bound or table entry, or a string, boolean
+    # or null in their place, is refused with exit 2
     good = json.loads(policy_path.read_text())
     nan_entry = json.loads(policy_path.read_text())
     nan_entry["stage_params"][0][1][0] = float("nan")
     for doc in (nan_entry, {**good, "temperature": float("nan")},
-                {**good, "param_bound": float("nan")}, {**good, "param_bound": float("inf")}):
+                {**good, "param_bound": float("nan")}, {**good, "param_bound": float("inf")},
+                {**good, "temperature": "0.5"}, {**good, "temperature": True},
+                {**good, "param_bound": "10"}, {**good, "param_bound": None},
+                *({**good, "stage_params": with_first_entry(good["stage_params"], value)}
+                  for value in ("0.5", True, None))):
         bad_path = tmp_path / "non_finite.json"
         bad_path.write_text(json.dumps(doc))
         for command in ("evaluate", "fixedpoint"):

@@ -315,18 +315,13 @@ def test_build_gridworld_shares_its_tables_and_reads_like_dense_ones(world):
     dense = dataclasses.replace(model, kernels=model.kernels.copy(), costs=model.costs.copy())
     assert dense.kernels.strides[0] != 0
     assert same_bits(model.channel_costs, dense.channel_costs)
-    # The view's successor table is one stage block, equal to every stage
-    # block of the dense copy's.
-    rows = S * model.num_actions
-    offsets, successors, sums = map(np.asarray, model.successor_table)
-    dense_offsets, dense_successors, dense_sums = map(np.asarray, dense.successor_table)
-    assert len(offsets) == rows + 1 and len(dense_offsets) == H * rows + 1
+    # The view's kernel sums are one stage block, equal to every stage block
+    # of the dense copy's.
+    sums, dense_sums = np.asarray(model.kernel_sums), np.asarray(dense.kernel_sums)
+    entries = S * model.num_actions * S
+    assert len(sums) == entries and len(dense_sums) == H * entries
     for h in range(H):
-        block = dense_offsets[h * rows : (h + 1) * rows + 1]
-        lo, hi = block[0], block[-1]
-        assert same_bits(block - lo, offsets)
-        assert same_bits(dense_successors[lo:hi], successors)
-        assert same_bits(dense_sums[lo:hi], sums)
+        assert same_bits(dense_sums[h * entries : (h + 1) * entries], sums)
     rng = np.random.default_rng(7)
     policy = random_policy(model, rng, scale=2.0)
     table = policy.distribution_table()
@@ -352,7 +347,7 @@ def test_build_gridworld_shares_its_tables_and_reads_like_dense_ones(world):
 
 def test_training_the_h100_world_allocates_no_dense_table():
     # One dense float copy of an (H, S, A, S) table of this world is 4.29 MiB;
-    # the successor table train builds holds one stage, about 23 KB.
+    # the kernel sums train builds hold one stage, 45 KB.
     config = load_gridworld_config(CONFIGS / "gridworld_5x5_h100.json")
     tracemalloc.start()
     try:

@@ -22,7 +22,6 @@ from fhc_ac import (
     tabular_policy,
     validate,
 )
-from fhc_ac import mdp_model
 from fhc_ac.mdp_model import sampler, write_json
 
 from helpers import (
@@ -249,17 +248,27 @@ def assert_same_episode(got, want):
 
 def test_rollout_draws_what_the_row_scan_draws():
     rng = np.random.default_rng(30)
-    for num_constraints in (0, 1, 2):
-        for num_states, num_actions, horizon in [(25, 9, 4), (6, 3, 7), (2, 1, 3)]:
-            model = random_sparse_cmdp(rng, num_states, num_actions, horizon, num_constraints)
-            table = random_policy(model, rng, scale=3.0).distribution_table()
-            running = np.cumsum(table, axis=-1)
-            fast = np.random.default_rng(num_constraints)
-            slow = np.random.default_rng(num_constraints)
-            for _ in range(200):
-                assert_same_episode(
-                    rollout(model, table, running, fast), reference_rollout(model, table, slow)
+    # The edge shapes come last, so the first three draw their models as
+    # before. At H = 1 a model's kernel sums and its zero-stride view's have
+    # one length, which is how the sampler tells their layouts apart; both
+    # layouts then have the one stage shift 0, so the draws must agree.
+    for shapes in [[(25, 9, 4), (6, 3, 7), (2, 1, 3)], [(1, 1, 1), (1, 3, 2), (4, 1, 1)]]:
+        for num_constraints in (0, 1, 2):
+            for num_states, num_actions, horizon in shapes:
+                model = random_sparse_cmdp(rng, num_states, num_actions, horizon, num_constraints)
+                table = random_policy(model, rng, scale=3.0).distribution_table()
+                running = np.cumsum(table, axis=-1)
+                shared = dataclasses.replace(
+                    model, kernels=np.broadcast_to(model.kernels[:1], model.kernels.shape)
                 )
+                for world in (model, shared):
+                    fast = np.random.default_rng(num_constraints)
+                    slow = np.random.default_rng(num_constraints)
+                    for _ in range(200):
+                        assert_same_episode(
+                            rollout(world, table, running, fast),
+                            reference_rollout(world, table, slow),
+                        )
 
 
 class FixedUniforms:
@@ -320,54 +329,37 @@ def test_sampler_draws_s0_by_bisection_like_the_row_scan():
             sampler(dataclasses.replace(model, initial_distribution=beta), table, running)
 
 
-def test_successor_table_holds_each_rows_running_sums(monkeypatch):
+def test_kernel_sums_hold_each_rows_running_sums():
     rng = np.random.default_rng(31)
     for shape in [(1, 1, 1, 0), (4, 3, 5, 1), (25, 9, 3, 2), (7, 2, 4, 0)]:
         dense = random_sparse_cmdp(rng, *shape)
-        # kernels with a zero stage stride: the table holds one stage's rows
+        # kernels with a zero stage stride: the sums hold one stage's rows
         shared = dataclasses.replace(
             dense, kernels=np.broadcast_to(dense.kernels[:1], dense.kernels.shape)
         )
         for model, stages in [(dense, dense.horizon), (shared, 1)]:
-            table = model.successor_table
-            assert table._fields == ("offsets", "successors", "sums")
-            offsets, successors, sums = table
+            sums = model.kernel_sums
+            assert sums.format == "d"
             S = model.num_states
             rows = model.kernels[:stages].reshape(-1, S)
-            entries = np.count_nonzero(rows) + len(rows)  # one sentinel per row
-            assert len(offsets) == len(rows) + 1 and offsets[0] == 0
-            assert len(successors) == len(sums) == offsets[-1] == entries
+            assert len(sums) == rows.size
             for r, row in enumerate(rows):
-                at = np.flatnonzero(row)
-                lo, hi = offsets[r], offsets[r + 1]
-                # the nonzero successors in order, then the sentinel: the last
-                # state, with a running sum above every uniform
-                assert successors[lo:hi].tolist() == at.tolist() + [S - 1]
-                assert sums[hi - 1] == np.inf
-                assert np.array_equal(np.asarray(sums[lo : hi - 1]), np.cumsum(row)[at])
+                got = sums[r * S : (r + 1) * S]
+                assert bytes(got) == np.cumsum(row).tobytes()
                 # the running total sample_index accumulates, one float add at a time
-                totals = list(itertools.accumulate(row.tolist()))
-                assert sums[lo : hi - 1].tolist() == [totals[i] for i in at]
-        # built over blocks of one stage and of two (the last block short
-        # when H is odd), the dense table has the columns of one block
-        for block_values in (1, 2 * S * shape[1] * (S + 1)):
-            monkeypatch.setattr(mdp_model, "_BLOCK_VALUES", block_values)
-            rebuilt = dataclasses.replace(dense).successor_table
-            for got, want in zip(rebuilt, dense.successor_table, strict=True):
-                assert bytes(got) == bytes(want)
-        monkeypatch.undo()
+                assert got.tolist() == list(itertools.accumulate(row.tolist()))
 
 
-def test_successor_table_refuses_negative_and_non_finite_kernels():
+def test_kernel_sums_refuse_negative_and_non_finite_kernels():
     model = random_cmdp(np.random.default_rng(32), 3, 2, 2, 1)
     for bad in (-0.1, np.nan, np.inf):
         kernels = model.kernels.copy()
         kernels[1, 0, 1, 2] = bad
         with pytest.raises(ValueError):
-            dataclasses.replace(model, kernels=kernels).successor_table
+            dataclasses.replace(model, kernels=kernels).kernel_sums
 
 
-def test_the_oracle_leaves_the_successor_table_unbuilt():
+def test_the_oracle_leaves_the_kernel_sums_unbuilt():
     model = random_cmdp(np.random.default_rng(33), 3, 2, 3, 1)
     policy = random_policy(model, np.random.default_rng(34))
     lam = np.array([-0.5])
@@ -375,9 +367,9 @@ def test_the_oracle_leaves_the_successor_table_unbuilt():
     evaluate_policy(model, policy)
     exact_gradient(model, policy, lam)
     fixed_points(model, policy, lam, indicator_features(model))
-    assert "successor_table" not in model.__dict__
+    assert "kernel_sums" not in model.__dict__
     sample_episode(model, policy, np.random.default_rng(0))
-    assert "successor_table" in model.__dict__
+    assert "kernel_sums" in model.__dict__
 
 
 def test_reachable_sets_follow_kernel_support():

@@ -57,6 +57,11 @@ def test_check_schedules_rejects_out_of_range_exponents():
     assert not report.ok
     assert any("(0.5, 1]" in v for v in report.violations)
     assert not check_schedules(StepSizeSchedules(multiplier_exponent=1.2)).ok
+    for name in ("critic_scale", "actor_scale", "multiplier_scale"):
+        for bad in (float("nan"), float("inf")):
+            report = check_schedules(StepSizeSchedules(**{name: bad}))
+            assert not report.ok, (name, bad)
+            assert any("positive and finite" in v for v in report.violations), (name, bad)
 
 
 def test_check_schedules_rejects_unseparated_timescales():
