@@ -8,10 +8,11 @@ its channel values. That pass, `backward_induction`, keeps the table it read,
 so occupation measures and exact and finite-difference gradients need no
 second one. The exact constrained optimum comes by cutting planes on the dual.
 
-`fixed_points` keeps the general per-stage linear-feature ground truth: the
-limit the TD iterates converge to for any stage features phi_h, computed
-exactly for diagnostics and tests. The tabular critics are its case of one
-indicator feature per reachable state.
+`fixed_points` gives the limit of the tabular TD critics in their own
+(1+M, H+1, S) layout. The critics converge to the projected TD fixed point;
+with one table entry per reachable state the projection is the identity, so
+that limit is the exact value table, here evaluated along the policy's chain
+instead of through action values.
 """
 
 from __future__ import annotations
@@ -279,67 +280,34 @@ def stationarity_diagnostics(
     )
 
 
-SINGULAR_TOL = 1e-10
-
-
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray, h: int) -> np.ndarray:
-    u, sig, vt = np.linalg.svd(gram)
-    if sig.size == 0 or sig.min() <= SINGULAR_TOL:
-        raise np.linalg.LinAlgError(
-            f"feature Gram matrix at stage {h} is numerically singular "
-            f"(smallest singular value {0.0 if sig.size == 0 else sig.min():.3e})"
-        )
-    return vt.T @ ((u.T @ rhs) / sig[:, None])
-
-
-@dataclass(frozen=True)
-class FixedPointWeights:
-    """Limiting critic weights at fixed policy and multipliers."""
-
-    penalized: list           # H+1 weight vectors
-    constraints: list         # M lists of H+1 weight vectors
-
-
 def fixed_points(
-    model: FiniteHorizonCMDP,
-    policy: NonStationaryPolicy,
-    multipliers,
-    features,
-) -> FixedPointWeights:
-    """Solve the backward least-squares chain the linear TD iterates converge to.
+    model: FiniteHorizonCMDP, policy: NonStationaryPolicy, multipliers=()
+) -> np.ndarray:
+    """The table `train`'s tabular critics converge to at a fixed policy and
+    fixed multipliers, in the critic's layout (1+M, H+1, S).
 
-    `features` holds the H+1 stage matrices phi_h, arrays of shape (S, x_h).
-    At the terminal stage the weights are the occupation-weighted projection
-    of the terminal cost; below, each stage projects its expected one-step
-    target built from the next stage's already-solved approximation. The
-    penalized and the M constraint critics share the stage Gram matrices, so
-    one chain solves all 1+M of them. Raises `LinAlgError` when a stage's
-    feature Gram matrix is singular under the policy's occupation measure.
+    Channel 0 holds the penalized values, channels 1..M the constraint
+    values, whose terminal layer already subtracts the threshold. They come
+    from the policy's chain, v_h = c^mu_h + P^mu_h v_{h+1}, in the forms
+    `finite_difference_gradient` steps on, not from `backward_induction`'s
+    action values, so the two are two evaluation orders of one quantity.
+    Every entry of a state that `reachable_sets` excludes at its stage is
+    exactly 0, as in a trained critic: no episode visits it.
     """
     lam = _coerce_multipliers(model, multipliers)
-    H = model.horizon
     mus = _distribution_matrices(model, policy)
-    d = _occupation(model, mus)
-    steps = np.einsum("hij,hijk->hik", mus, model.kernels)
-    # Expected one-step costs under the policy, (1+M, H, S): the penalized
-    # channel first, then the M constraint channels.
-    expected = np.sum(mus * model.channel_costs, axis=-1)
-    terminal = model.channel_terminal
-    stage_costs = np.concatenate([_penalize(expected, lam)[None], expected[1:]])
-    terminal = np.concatenate([_penalize(terminal, lam)[None], terminal[1:]])
-
-    weights = [None] * (H + 1)   # stage h: (x_h, 1+M), one column per critic
-    target = terminal.T
-    for h in range(H, -1, -1):
-        if h < H:
-            target = stage_costs[:, h].T + steps[h] @ (features[h + 1] @ weights[h + 1])
-        phi = features[h]
-        gram = phi.T @ (d[h][:, None] * phi)
-        weights[h] = _solve_gram(gram, phi.T @ (d[h][:, None] * target), h)
-    return FixedPointWeights(
-        penalized=[w[:, 0] for w in weights],
-        constraints=[list(stages) for stages in zip(*(w.T[1:] for w in weights))],
-    )
+    costs, terminal = model.channel_costs, model.channel_terminal
+    chain_costs = np.sum(mus * np.concatenate([_penalize(costs, lam)[None], costs[1:]]), axis=3)
+    chains = np.einsum("hsa,hsak->hsk", mus, model.kernels)
+    table = np.empty((len(terminal), model.horizon + 1, model.num_states))
+    table[:, -1] = np.concatenate([_penalize(terminal, lam)[None], terminal[1:]])
+    for h in range(model.horizon - 1, -1, -1):
+        table[:, h] = chain_costs[:, h] + table[:, h + 1] @ chains[h].T
+    unreachable = np.ones(table.shape[1:], dtype=bool)
+    for h, states in enumerate(reachable_sets(model)):
+        unreachable[h, states] = False
+    table[:, unreachable] = 0.0
+    return table
 
 
 def greedy_response(model: FiniteHorizonCMDP, multipliers=()) -> np.ndarray:

@@ -379,7 +379,8 @@ def worker_count(num_seeds: int) -> int:
 def run_experiment(settings: dict, out_dir: Path, progress_every: int = 0) -> dict:
     """Run every seed, then write the aggregate CSV, summary, and plots; the
     aggregate and the plots read the seeds' CSVs back, as `plot` does. The
-    output directory is made only once the model and schedules pass."""
+    output directory is made only once the model, the schedules and
+    FHC_AC_THREADS pass."""
     model = checked_model(settings["model"])
     sched_report = check_schedules(StepSizeSchedules(**settings["schedules"]))
     if not sched_report:
@@ -387,14 +388,14 @@ def run_experiment(settings: dict, out_dir: Path, progress_every: int = 0) -> di
             "step-size schedules rejected: " + "; ".join(sched_report.violations),
             EXIT_INVALID_MODEL,
         )
+    seeds = settings["seeds"]
+    workers = worker_count(len(seeds))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise CliError(f"cannot create output directory {out_dir}: {e}", EXIT_BAD_CONFIG)
 
     started = time.perf_counter()
-    seeds = settings["seeds"]
-    workers = worker_count(len(seeds))
     if workers > 1:
         # One contiguous batch of seeds per worker. Spawned, not forked:
         # numpy's BLAS threads are already running here.
@@ -609,15 +610,13 @@ def cmd_oracle_fixedpoint(args) -> int:
     model = load_any_model(Path(args.model))
     policy = load_policy_for(model, args.policy)
     lam = parse_multipliers(args.multipliers, model)
-    # One indicator feature per reachable state: the tabular critics' features.
-    sets = reachable_sets(model)
-    features = [np.eye(model.num_states)[:, r] for r in sets]
-    weights = fixed_points(model, policy, lam, features)
+    limit = fixed_points(model, policy, lam)
     solution = dp_oracle.backward_induction(model, policy, lam)
-    worst = 0.0
-    for h, r in enumerate(sets):
-        approx = features[h] @ weights.penalized[h]
-        worst = max(worst, float(np.abs(approx[r] - solution.values[h][r]).max()))
+    exact = np.concatenate([solution.values[None], solution.constraint_values])
+    worst = max(
+        float(np.abs(limit[:, h, r] - exact[:, h, r]).max())
+        for h, r in enumerate(reachable_sets(model))
+    )
     print(
         f"fixed-point weights computed for {model.horizon + 1} stages; "
         f"max |projected - exact| on reachable states = {worst:.3e}"

@@ -422,14 +422,15 @@ def json_count(doc: dict, key: str) -> int:
     return value
 
 
-def _json_numbers(value) -> bool:
-    """A JSON number, or nested lists whose leaves are all JSON numbers."""
+def _json_numbers(value, kinds=frozenset({int, float})) -> bool:
+    """A JSON number, or nested lists whose leaves are all JSON numbers; the
+    leaves' Python types must lie in `kinds`."""
     if type(value) is not list:
-        return type(value) in (int, float)
-    kinds = set(map(type, value))
-    if list in kinds:
-        return kinds == {list} and all(map(_json_numbers, value))
-    return kinds <= {int, float}
+        return type(value) in kinds
+    found = set(map(type, value))
+    if list in found:
+        return found == {list} and all(_json_numbers(x, kinds) for x in value)
+    return found <= kinds
 
 
 def json_table(doc: dict, key: str) -> np.ndarray:
@@ -441,6 +442,17 @@ def json_table(doc: dict, key: str) -> np.ndarray:
     if not _json_numbers(value):
         raise ValueError(f"{key!r} must hold only JSON numbers")
     return np.asarray(value, dtype=float)
+
+
+def json_counts(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as an int64 array when it holds only non-negative JSON
+    integers; raises ValueError otherwise, where an int64 conversion would
+    truncate 2.9 to 2."""
+    value = doc[key]
+    table = np.asarray(value) if _json_numbers(value, {int}) else None
+    if table is None or table.dtype != np.int64 or (table < 0).any():
+        raise ValueError(f"{key!r} must hold only non-negative JSON integers")
+    return table
 
 
 def model_from_doc(doc: dict) -> FiniteHorizonCMDP:

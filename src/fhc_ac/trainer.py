@@ -64,6 +64,11 @@ from . import dp_oracle
 from .mdp_model import (
     FiniteHorizonCMDP,
     ValidationReport,
+    json_count,
+    json_counts,
+    json_integer,
+    json_real,
+    json_table,
     rollout,  # unused here; bench/probe.py times calls at this name
     sampler,
     write_json,
@@ -589,7 +594,9 @@ def load_checkpoint(path) -> TrainerState:
     The critic tables are stored under "critic_tables". Raises ValueError on
     a checkpoint that has only the older "critic" block, weights padded by
     position in each stage's reachable set, which cannot be resumed;
-    `load_policy` still reads the policy inside it.
+    `load_policy` still reads the policy inside it. Also raises ValueError,
+    naming the key, on a number of the wrong JSON type: a string, a
+    boolean, a fraction where a count belongs, or a non-finite setting.
     """
     with open(path) as f:
         doc = json.load(f)
@@ -599,18 +606,23 @@ def load_checkpoint(path) -> TrainerState:
             "layout cannot be resumed (load_policy still reads its policy)"
         )
     cfg = dict(doc["config"])
-    cfg["schedules"] = StepSizeSchedules(**cfg["schedules"])
+    schedules = cfg.pop("schedules")
+    for key, value in [*cfg.items(), *schedules.items()]:
+        integer = key in ("episodes", "seed")
+        if not (json_integer(value) if integer else json_real(value)):
+            kind = "an integer" if integer else "a finite number"
+            raise ValueError(f"{key!r} must be {kind}, got {value!r}")
     tables = doc["critic_tables"]
-    v = np.asarray(tables["v"], dtype=float)
-    w = np.asarray(tables["w"], dtype=float).reshape((-1,) + v.shape)
+    v = json_table(tables, "v")
+    w = json_table(tables, "w").reshape((-1,) + v.shape)
     rng = np.random.default_rng()
     rng.bit_generator.state = doc["rng_state"]
     return TrainerState(
-        config=TrainerConfig(**cfg),
+        config=TrainerConfig(**cfg, schedules=StepSizeSchedules(**schedules)),
         policy=policy_from_doc(doc["policy"]),
         critic=np.concatenate([v[None], w]),
-        visits=np.asarray(tables["visits"], dtype=np.int64),
-        multipliers=np.asarray(doc["multipliers"], dtype=float),
-        episode=int(doc["episode"]),
+        visits=json_counts(tables, "visits"),
+        multipliers=json_table(doc, "multipliers"),
+        episode=json_count(doc, "episode"),
         rng=rng,
     )

@@ -10,6 +10,7 @@ the whole objective once per probe with `lagrangian_value`,
 `reference_train` composes the public one-episode functions that `train`'s
 flat step shares its kernels with, the `unshared_*` oracle readers each
 evaluate the policy on their own, as they did before they shared one pass,
+`assert_exact_critic_limit` compares `fixed_points` with `backward_induction`,
 and `reference_step_kernel` builds the grid world's kernel cell by cell.
 """
 
@@ -36,7 +37,7 @@ from fhc_ac import (
     update_penalized_critic,
 )
 from fhc_ac import dp_oracle
-from fhc_ac.dp_oracle import FD_STEP, FixedPointWeights, StationarityReport, _solve_gram
+from fhc_ac.dp_oracle import FD_STEP, StationarityReport
 from fhc_ac.gridworld_env import DISPLACEMENTS, cell_index
 from fhc_ac.policy import gibbs
 
@@ -320,63 +321,24 @@ def unshared_finite_difference_gradient(model, policy, multipliers=()):
     return grads
 
 
-def unshared_fixed_points(model, policy, multipliers, features):
-    """`fixed_points` with a second table for the occupation measures."""
-    lam = np.atleast_1d(np.asarray(multipliers, dtype=float))
-    H = model.horizon
-    mus = policy.distribution_table()
-    d = unshared_occupation_measures(model, policy)
-    steps = np.einsum("hij,hijk->hik", mus, model.kernels)
-    expected = np.sum(mus * model.channel_costs, axis=-1)
-    terminal = model.channel_terminal
-    stage_costs = np.concatenate([dp_oracle._penalize(expected, lam)[None], expected[1:]])
-    terminal = np.concatenate([dp_oracle._penalize(terminal, lam)[None], terminal[1:]])
-    weights = [None] * (H + 1)
-    target = terminal.T
-    for h in range(H, -1, -1):
-        if h < H:
-            target = stage_costs[:, h].T + steps[h] @ (features[h + 1] @ weights[h + 1])
-        phi = features[h]
-        gram = phi.T @ (d[h][:, None] * phi)
-        weights[h] = _solve_gram(gram, phi.T @ (d[h][:, None] * target), h)
-    return FixedPointWeights(
-        penalized=[w[:, 0] for w in weights],
-        constraints=[list(stages) for stages in zip(*(w.T[1:] for w in weights))],
-    )
+def unreachable_mask(model):
+    """(H+1, S) booleans, True at every (h, s) with s outside `reachable_sets`' S_h."""
+    off = np.ones((model.horizon + 1, model.num_states), dtype=bool)
+    for h, states in enumerate(reachable_sets(model)):
+        off[h, states] = False
+    return off
 
 
-def indicator_features(model):
-    """The tabular critics' stage features: one indicator column per state of
-    the stage's reachable set, H+1 matrices (S, |S_h|)."""
-    return [np.eye(model.num_states)[:, r] for r in reachable_sets(model)]
-
-
-def random_basis(model, rng, dims=None):
-    """Dense Gaussian stage features on each reachable set, full column rank:
-    H+1 matrices (S, x_h), zero on the rows of unreachable states.
-
-    `dims` may be an int, a per-stage sequence, or None for full dimension
-    |S_h| at every stage.
-    """
-    sets = reachable_sets(model)
-    if dims is None:
-        stage_dims = [len(r) for r in sets]
-    elif np.isscalar(dims):
-        stage_dims = [min(int(dims), len(r)) for r in sets]
-    else:
-        stage_dims = [int(x) for x in dims]
-    matrices = []
-    for r, x in zip(sets, stage_dims):
-        if not 1 <= x <= len(r):
-            raise ValueError(f"stage dimension {x} outside [1, {len(r)}]")
-        while True:
-            block = rng.normal(size=(len(r), x))
-            if np.linalg.matrix_rank(block) == x:
-                break
-        mat = np.zeros((model.num_states, x))
-        mat[r] = block
-        matrices.append(mat)
-    return matrices
+def assert_exact_critic_limit(model, policy, multipliers, limit, tol=1e-10):
+    """`limit` holds `backward_induction`'s values in the critic layout
+    (1+M, H+1, S), penalized channel first: within `tol` of them on every
+    stage's reachable states and exactly 0 on the others."""
+    solution = backward_induction(model, policy, multipliers)
+    exact = np.concatenate([solution.values[None], solution.constraint_values])
+    assert limit.shape == exact.shape
+    off = unreachable_mask(model)
+    assert np.abs(limit - exact)[:, ~off].max() < tol
+    assert not limit[:, off].any()
 
 
 def iter_trajectories(model, mus):

@@ -19,7 +19,6 @@ import pytest
 from fhc_ac import (
     StepSizeSchedules,
     TrainerConfig,
-    backward_induction,
     evaluate_deterministic,
     evaluate_policy,
     exact_gradient,
@@ -42,10 +41,9 @@ from fhc_ac.experiment_cli import (
 )
 
 from helpers import (
+    assert_exact_critic_limit,
     brute_occupation,
     gradient_without_baseline,
-    indicator_features,
-    random_basis,
     random_cmdp,
     random_policy,
 )
@@ -92,44 +90,15 @@ def test_criterion_2_baseline_subtraction_leaves_the_exact_gradient_unchanged():
 
 
 def test_criterion_3_critic_fixed_points_match_exact_values_and_projections():
+    # With one table entry per reachable state the projection is the
+    # identity: the critics' limit equals the exact values there and is 0 on
+    # every state a stage cannot reach.
     rng = np.random.default_rng(7)
-    # full-rank per-stage indicators: the limiting weights equal exact values
     for _ in range(3):
         model = random_cmdp(rng, 4, 2, 3, 1)
         policy = random_policy(model, rng)
         lam = np.array([-0.8])
-        features = indicator_features(model)
-        weights = fixed_points(model, policy, lam, features)
-        solution = backward_induction(model, policy, lam)
-        for h, r in enumerate(reachable_sets(model)):
-            approx = (features[h] @ weights.penalized[h])[r]
-            assert np.abs(approx - solution.values[h][r]).max() < 1e-10
-            approx_g = (features[h] @ weights.constraints[0][h])[r]
-            assert np.abs(approx_g - solution.constraint_values[0, h][r]).max() < 1e-10
-    # low-dimensional random features: weights solve the projected equations,
-    # with the residual rebuilt here from first principles
-    model = random_cmdp(rng, 4, 3, 3, 1)
-    policy = random_policy(model, rng)
-    lam = np.array([-0.8])
-    features = random_basis(model, rng, dims=2)
-    weights = fixed_points(model, policy, lam, features).penalized
-    d = occupation_measures(model, policy)
-    mus = policy.distribution_table()
-    H = model.horizon
-    terminal = model.terminal_costs[0] + lam[0] * (
-        model.terminal_costs[1] - model.thresholds[0]
-    )
-    phi = features[H]
-    assert np.abs(phi.T @ (d[H] * (terminal - phi @ weights[H]))).max() < 1e-10
-    for h in range(H):
-        cost = model.costs[0, h] + lam[0] * model.costs[1, h]
-        expected_cost = np.sum(
-            mus[h] * np.einsum("ijk,ijk->ij", model.kernels[h], cost), axis=1
-        )
-        step = np.einsum("ij,ijk->ik", mus[h], model.kernels[h])
-        target = expected_cost + step @ (features[h + 1] @ weights[h + 1])
-        phi = features[h]
-        assert np.abs(phi.T @ (d[h] * (target - phi @ weights[h]))).max() < 1e-10
+        assert_exact_critic_limit(model, policy, lam, fixed_points(model, policy, lam))
 
 
 @pytest.mark.slow
@@ -138,7 +107,9 @@ def test_criterion_4_td_critic_converges_to_its_fixed_point_within_budget():
     model = random_cmdp(rng, 3, 2, 3, 1)
     policy = random_policy(model, rng)
     lam = np.array([-0.5])
-    target = fixed_points(model, policy, lam, indicator_features(model)).penalized
+    limit = fixed_points(model, policy, lam)
+    assert_exact_critic_limit(model, policy, lam, limit)
+    target = limit[0]
 
     episodes, burn = 200_000, 50_000
     schedules = StepSizeSchedules()
@@ -155,7 +126,7 @@ def test_criterion_4_td_critic_converges_to_its_fixed_point_within_budget():
             sums += critic[0]
     elapsed = time.perf_counter() - started
     worst = max(
-        float(np.abs(sums[h, r] / (episodes - burn) - target[h]).max())
+        float(np.abs(sums[h, r] / (episodes - burn) - target[h, r]).max())
         for h, r in enumerate(reachable_sets(model))
     )
     assert worst < 1e-2, f"tail-averaged weight error {worst:.3e}"

@@ -1,19 +1,22 @@
-"""Tabular TD critics: errors, updates, and the limiting weights of linear features."""
+"""Tabular TD critics: errors, updates, and the table they converge to."""
 
 import numpy as np
 import pytest
 
 from fhc_ac import (
-    backward_induction,
     fixed_points,
-    occupation_measures,
     reachable_sets,
     rollout,
     update_constraint_critic,
     update_penalized_critic,
 )
 
-from helpers import indicator_features, random_basis, random_cmdp, random_policy, sample_episode
+from helpers import (
+    assert_exact_critic_limit,
+    random_cmdp,
+    random_policy,
+    sample_episode,
+)
 
 
 def random_critic(model, rng):
@@ -83,7 +86,7 @@ def test_update_moves_weights_along_features():
         assert np.array_equal(critic[1:], expected_w)
 
 
-def test_random_basis_updates_follow_the_per_stage_formula():
+def test_random_critic_updates_follow_the_per_stage_formula():
     # Critic tables with random entries: at every stage the TD error must be
     # the hand-computed target minus the visited entry, for the penalized
     # critic and each constraint critic, and only that entry may move.
@@ -208,59 +211,4 @@ def test_fixed_points_with_tabular_basis_equal_exact_values():
         model = random_cmdp(rng, 4, 2, 3, 1)
         policy = random_policy(model, rng)
         lam = np.array([-1.2])
-        features = indicator_features(model)
-        weights = fixed_points(model, policy, lam, features)
-        solution = backward_induction(model, policy, lam)
-        for h, r in enumerate(reachable_sets(model)):
-            assert np.abs(
-                (features[h] @ weights.penalized[h])[r] - solution.values[h][r]
-            ).max() < 1e-10
-            assert np.abs(
-                (features[h] @ weights.constraints[0][h])[r]
-                - solution.constraint_values[0, h][r]
-            ).max() < 1e-10
-
-
-def test_fixed_points_solve_the_projected_equations_for_random_features():
-    # Independent check of the backward least-squares chain: at every stage
-    # the feature-weighted residual of the one-step target must vanish.
-    rng = np.random.default_rng(30)
-    model = random_cmdp(rng, 4, 3, 3, 1)
-    policy = random_policy(model, rng)
-    lam = np.array([-0.5])
-    features = random_basis(model, rng, dims=2)
-    weights = fixed_points(model, policy, lam, features).penalized
-    d = occupation_measures(model, policy)
-    H = model.horizon
-    mus = policy.distribution_table()
-
-    terminal_cost = model.terminal_costs[0] + lam[0] * (
-        model.terminal_costs[1] - model.thresholds[0]
-    )
-    phi = features[H]
-    residual = phi.T @ (d[H] * (terminal_cost - phi @ weights[H]))
-    assert np.abs(residual).max() < 1e-10
-    for h in range(H):
-        cost = model.costs[0, h] + lam[0] * model.costs[1, h]
-        inner = np.einsum("ijk,ijk->ij", model.kernels[h], cost)
-        expected_cost = np.sum(mus[h] * inner, axis=1)
-        step = np.einsum("ij,ijk->ik", mus[h], model.kernels[h])
-        target = expected_cost + step @ (features[h + 1] @ weights[h + 1])
-        phi = features[h]
-        residual = phi.T @ (d[h] * (target - phi @ weights[h]))
-        assert np.abs(residual).max() < 1e-10
-
-
-def test_fixed_points_raise_on_singular_gram_matrix():
-    rng = np.random.default_rng(31)
-    model = random_cmdp(rng, 3, 2, 2, 0)
-    policy = random_policy(model, rng)
-    duplicated = [np.column_stack([m, m[:, :1]]) for m in indicator_features(model)]
-    with pytest.raises(np.linalg.LinAlgError):
-        fixed_points(model, policy, np.zeros(0), duplicated)
-
-
-def test_random_basis_rejects_bad_dimensions():
-    model = random_cmdp(np.random.default_rng(32), 3, 2, 2, 0)
-    with pytest.raises(ValueError):
-        random_basis(model, np.random.default_rng(0), dims=[0, 1, 1])
+        assert_exact_critic_limit(model, policy, lam, fixed_points(model, policy, lam))

@@ -248,12 +248,16 @@ def test_train_rejects_malformed_configs(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_train_overrides_face_the_config_checks(tmp_path):
+def test_train_overrides_face_the_config_checks(tmp_path, monkeypatch):
     config = write_experiment(tmp_path)
     out = str(tmp_path / "out")
     for override in (["--episodes", "0"], ["--episodes", "-5"], ["--seeds", "-1"],
                      ["--seeds", "0,0"], ["--seeds", "0,x"], ["--progress-every", "-1"]):
         assert main(["train", "--config", str(config), "--out-dir", out] + override) == 2
+    for threads in ("0", "abc"):
+        monkeypatch.setenv("FHC_AC_THREADS", threads)
+        assert main(["train", "--config", str(config), "--out-dir", out]) == 2, threads
+    monkeypatch.delenv("FHC_AC_THREADS")
     config = write_experiment(tmp_path, seeds=[-1])
     assert main(["train", "--config", str(config), "--out-dir", out]) == 2
     assert not (tmp_path / "out").exists()

@@ -25,7 +25,6 @@ from fhc_ac import (
 from fhc_ac.mdp_model import sampler, write_json
 
 from helpers import (
-    indicator_features,
     random_cmdp,
     random_policy,
     random_sparse_cmdp,
@@ -366,7 +365,7 @@ def test_the_oracle_leaves_the_kernel_sums_unbuilt():
     constrained_reference(model)
     evaluate_policy(model, policy)
     exact_gradient(model, policy, lam)
-    fixed_points(model, policy, lam, indicator_features(model))
+    fixed_points(model, policy, lam)
     assert "kernel_sums" not in model.__dict__
     sample_episode(model, policy, np.random.default_rng(0))
     assert "kernel_sums" in model.__dict__

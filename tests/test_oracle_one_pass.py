@@ -3,6 +3,8 @@
 Each reader must give the bits of its `unshared_*` counterpart in helpers.py,
 which evaluates the policy on its own as many times as it needs, and must
 build one distribution table and run at most one channel recursion per call.
+`fixed_points` evaluates along the policy's chain, another order than
+`backward_induction`'s, so its counterpart is that evaluation to round-off.
 """
 
 import dataclasses
@@ -24,15 +26,13 @@ from fhc_ac import dp_oracle
 from fhc_ac.experiment_cli import load_any_model
 
 from helpers import (
+    assert_exact_critic_limit,
     cut_off_last_state,
-    indicator_features,
-    random_basis,
     random_cmdp,
     random_policy,
     random_sparse_cmdp,
     unshared_exact_gradient,
     unshared_finite_difference_gradient,
-    unshared_fixed_points,
     unshared_occupation_measures,
     unshared_stationarity_diagnostics,
 )
@@ -95,15 +95,7 @@ def test_finite_difference_gradient_equals_the_unshared_reader(case):
 @pytest.mark.parametrize("case", CASES)
 def test_fixed_points_equal_the_unshared_reader(case):
     model, policy, lam = _instance(case)
-    bases = [indicator_features(model), random_basis(model, np.random.default_rng(3))]
-    for features in bases:
-        got = fixed_points(model, policy, lam, features)
-        want = unshared_fixed_points(model, policy, lam, features)
-        for a, b in zip(got.penalized, want.penalized, strict=True):
-            assert np.array_equal(a, b)
-        for stages, expected in zip(got.constraints, want.constraints, strict=True):
-            for a, b in zip(stages, expected, strict=True):
-                assert np.array_equal(a, b)
+    assert_exact_critic_limit(model, policy, lam, fixed_points(model, policy, lam))
 
 
 def test_each_reader_builds_one_table_and_runs_at_most_one_recursion(monkeypatch):
@@ -121,12 +113,11 @@ def test_each_reader_builds_one_table_and_runs_at_most_one_recursion(monkeypatch
     monkeypatch.setattr(dp_oracle, "_channel_values",
                         counted("recursions", dp_oracle._channel_values))
     model, policy, lam = _instance("M1")
-    features = indicator_features(model)
     readers = [
         (lambda: exact_gradient(model, policy, lam), 1),
         (lambda: stationarity_diagnostics(model, policy, lam), 1),
         (lambda: finite_difference_gradient(model, policy, lam), 1),
-        (lambda: fixed_points(model, policy, lam, features), 0),
+        (lambda: fixed_points(model, policy, lam), 0),
         (lambda: occupation_measures(model, policy), 0),
     ]
     for call, recursions in readers:

@@ -18,6 +18,7 @@ from fhc_ac import (
     check_schedules,
     evaluate_policy,
     exact_gradient,
+    fixed_points,
     load_checkpoint,
     load_policy,
     make_trainer,
@@ -42,6 +43,7 @@ from helpers import (
     random_sparse_cmdp,
     reference_train,
     sample_episode,
+    unreachable_mask,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -264,17 +266,21 @@ def test_constraint_critics_step_on_per_state_visit_clocks():
 def test_unreachable_entries_stay_untouched_by_training():
     # Stage 0 of the 4x4 grid world reaches 1 of its 16 states; the tables
     # and the visit clock must stay exactly zero off every reachable set.
+    # The oracle's limit of the critics has the critic's layout and the same
+    # zeros.
     model = load_any_model(CONFIGS / "gridworld_4x4.json")
-    sets = reachable_sets(model)
-    assert len(sets[0]) < model.num_states
-    state, _ = train(model, TrainerConfig(episodes=300, seed=2))
-    off = np.ones((model.horizon + 1, model.num_states), dtype=bool)
-    for h, r in enumerate(sets):
-        off[h, r] = False
+    assert len(reachable_sets(model)[0]) < model.num_states
+    config = TrainerConfig(episodes=300, seed=2)
+    state, _ = train(model, config)
+    off = unreachable_mask(model)
     assert state.visits[~off].sum() == 300 * (model.horizon + 1)
     assert not state.critic[0][off].any()
     assert not state.critic[1:, off].any()
     assert not state.visits[off].any()
+    limit = fixed_points(model, state.policy, state.multipliers)
+    assert limit.shape == make_trainer(model, config).critic.shape
+    assert not limit[:, off].any()
+    assert limit[:, ~off].all()
 
 
 def with_constraints(model, num_constraints):
@@ -431,6 +437,33 @@ def test_checkpoint_resume_reproduces_the_straight_run(tmp_path):
         assert np.array_equal(state_full.critic[0], state_resumed.critic[0])
         assert np.array_equal(state_full.critic[1:], state_resumed.critic[1:])
         assert np.array_equal(state_full.visits, state_resumed.visits)
+
+    # Numbers of the wrong JSON type are refused, naming their key, where a
+    # conversion would parse "20", truncate a visit count of 2.9 or keep NaN.
+    good = path.read_text()
+    for *where, value in [
+        ("episode", "20"),
+        ("multipliers", ["-0.5"]),
+        ("critic_tables", "visits", 0, 0, 2.9),
+        ("critic_tables", "visits", 0, 0, -1),
+        ("critic_tables", "v", 0, 0, "0.5"),
+        ("critic_tables", "w", 0, 0, 0, None),
+        ("config", "episodes", "30000"),
+        ("config", "seed", True),
+        ("config", "temperature", float("nan")),
+        ("config", "param_bound", "10"),
+        ("config", "penalty_floor", float("-inf")),
+        ("config", "schedules", "actor_scale", "2.5"),
+    ]:
+        doc = json.loads(good)
+        inner = doc
+        for step in where[:-1]:
+            inner = inner[step]
+        inner[where[-1]] = value
+        path.write_text(json.dumps(doc))
+        key = [step for step in where if isinstance(step, str)][-1]
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            load_checkpoint(path)
 
 
 def test_saving_the_5x5_h100_world_copies_no_whole_table(tmp_path):
