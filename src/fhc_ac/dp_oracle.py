@@ -3,8 +3,8 @@
 Everything here works on the model's cached channel tables: channel 0 is the
 reward, channel k the k-th constraint cost. The penalized objective is linear
 in the channels, so one backward recursion evaluates a fixed policy for all of
-them at once and every penalized quantity is the combination r + lam . g of
-its channel values. That pass, `backward_induction`, keeps the table it read,
+them at once and every penalized quantity is `penalize`'s r + lam . g of its
+channel values. That pass, `backward_induction`, keeps the table it read,
 so occupation measures and exact and finite-difference gradients need no
 second one. The exact constrained optimum comes by cutting planes on the dual.
 
@@ -37,17 +37,17 @@ def _coerce_multipliers(model: FiniteHorizonCMDP, multipliers) -> np.ndarray:
     return lam
 
 
-def _penalize(channels: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The penalized combination r + sum_k lam_k g_k of a channel stack (1+M, ...),
-    as a fresh array for every M (callers add into it).
-
-    Summed channel by channel, not by `np.tensordot`: that is a BLAS gemv,
-    which on a multi-threaded BLAS waits for a sleeping helper thread
-    between this module's single-threaded stretches.
+def penalize(channels: np.ndarray, lam) -> np.ndarray:
+    """r + lam_1 g_1 + ... + lam_M g_M of a channel stack (1+M, ...), added in
+    that order into a fresh array (callers add into it); each lam[k] is a
+    number or an array that broadcasts against a channel, such as a (K, 1)
+    column of one multiplier per seed. The package's one r + lam . g, for the
+    oracle and training: elementwise, so no BLAS kernel sets its last bits
+    and no multi-threaded gemv waits for a sleeping helper thread.
     """
     out = channels[0].copy()
-    for k, x in enumerate(lam.tolist()):
-        out += x * channels[1 + k]
+    for k in range(len(lam)):
+        out += lam[k] * channels[1 + k]
     return out
 
 
@@ -112,12 +112,12 @@ def backward_induction(
     lam = _coerce_multipliers(model, multipliers)
     mus = _distribution_matrices(model, policy)
     values, action_values = _channel_values(model, mus)
-    penalized = _penalize(values, lam)
+    penalized = penalize(values, lam)
     expected_return, totals = _totals(model, values)
     return ExactSolution(
         distributions=mus,
         values=penalized,
-        action_values=_penalize(action_values, lam),
+        action_values=penalize(action_values, lam),
         constraint_values=values[1:],
         lagrangian=float(model.initial_distribution @ penalized[0]),
         expected_return=expected_return,
@@ -199,7 +199,7 @@ def finite_difference_gradient(
     lam = _coerce_multipliers(model, multipliers)
     solution = backward_induction(model, policy, lam)
     mus, values, action_values = solution.distributions, solution.values, solution.action_values
-    chain_costs = np.sum(mus * _penalize(model.channel_costs, lam), axis=2)
+    chain_costs = np.sum(mus * penalize(model.channel_costs, lam), axis=2)
     chains = np.einsum("hsa,hsak->hsk", mus, model.kernels)
     A = model.num_actions
     steps = np.concatenate([np.eye(A), -np.eye(A)]) * FD_STEP
@@ -297,10 +297,10 @@ def fixed_points(
     lam = _coerce_multipliers(model, multipliers)
     mus = _distribution_matrices(model, policy)
     costs, terminal = model.channel_costs, model.channel_terminal
-    chain_costs = np.sum(mus * np.concatenate([_penalize(costs, lam)[None], costs[1:]]), axis=3)
+    chain_costs = np.sum(mus * np.concatenate([penalize(costs, lam)[None], costs[1:]]), axis=3)
     chains = np.einsum("hsa,hsak->hsk", mus, model.kernels)
     table = np.empty((len(terminal), model.horizon + 1, model.num_states))
-    table[:, -1] = np.concatenate([_penalize(terminal, lam)[None], terminal[1:]])
+    table[:, -1] = np.concatenate([penalize(terminal, lam)[None], terminal[1:]])
     for h in range(model.horizon - 1, -1, -1):
         table[:, h] = chain_costs[:, h] + table[:, h + 1] @ chains[h].T
     unreachable = np.ones(table.shape[1:], dtype=bool)
@@ -318,8 +318,8 @@ def greedy_response(model: FiniteHorizonCMDP, multipliers=()) -> np.ndarray:
     tied actions do not depend on the summation order of q.
     """
     lam = _coerce_multipliers(model, multipliers)
-    q = _penalize(model.channel_costs, lam)
-    v = _penalize(model.channel_terminal, lam)
+    q = penalize(model.channel_costs, lam)
+    v = penalize(model.channel_terminal, lam)
     for h in range(model.horizon - 1, -1, -1):
         q[h] += model.kernels[h] @ v
         v = q[h].max(axis=1)
@@ -419,7 +419,7 @@ def constrained_reference(
         policies.append(actions)
         returns.append(j)
         gaps.append(totals - model.thresholds)
-        return j + lam @ gaps[-1]
+        return penalize(np.append(j, gaps[-1]), lam)
 
     add_plane(np.zeros(M))
     # Columns: mu_1..mu_M, the slacks s_1..s_M, then one w_i per plane. The

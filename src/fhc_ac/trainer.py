@@ -24,16 +24,18 @@ seed is the case K = 1. It stacks the seeds' tables along a leading seed
 axis: theta, the distribution table and its running sums as (K*H*S, A)
 rows, the critics (K, 1+M, H+1, S), the visit counts (K, H+1, S) and the
 multipliers (K, M). It prepares once per call what every episode reads: a
-sampler per seed over that seed's rows, per-state terminal tables, a table
+sampler per seed over that seed's rows, a per-state terminal table, a table
 of the constraint critics' steps over every visit count the call can reach,
 and the id bases below. Each seed keeps its own Generator, and its draw
 stays a Python loop. Everything after the draws is one numpy call per
 kernel over the K*H rows: the ids of each table are the drawn states plus a
 base fixed per seed and stage, the realized reward and costs are one gather
 from the model's channel stack, costs[:, h, s_h, a_h, s_{h+1}] (for a grid
-world a broadcast view, so nothing of the (H, S, A, S) shape is copied), and
-the kernels `td_step` (once, for all seeds' 1+M critics), `score_rows` and
-`actor_step` are those the one-episode functions `update_penalized_critic`,
+world a broadcast view, so nothing of the (H, S, A, S) shape is copied), the
+penalized costs r + lambda . g of all H+1 stages are one `dp_oracle.penalize`
+call, elementwise, so no BLAS kernel sets their bits, and the kernels
+`td_step` (once, for all seeds' 1+M critics), `score_rows` and `actor_step`
+are those the one-episode functions `update_penalized_critic`,
 `update_constraint_critic` and `actor_update` wrap, so both run the same
 arithmetic bit for bit. Every row belongs to one seed and every kernel acts
 row by row, so each seed gets the bits of its own one-seed call. The seeds
@@ -233,15 +235,13 @@ def td_step(table, ids, costs, step) -> np.ndarray:
 
 def update_penalized_critic(model, critic, episode, multipliers, step) -> np.ndarray:
     """One episode of TD updates on the penalized critic v = critic[0] with the
-    realized stage costs r_h + lambda . g_h and the terminal cost
-    r_H + lambda . (g_H - alpha), read from the episode's channel costs;
-    returns the H+1 deltas. `step` is a scalar or an (H+1,) array of
-    per-stage steps."""
-    lam = np.asarray(multipliers, dtype=float)
-    gaps = episode.terminal_costs[1:] - model.thresholds
-    costs = np.append(
-        episode.costs[0] + lam @ episode.costs[1:], episode.terminal_costs[0] + lam @ gaps
-    )
+    realized stage costs r_h + lambda . g_h, read from the episode's channel
+    costs, and the terminal cost r_H + lambda . (g_H - alpha) of s_H, both
+    formed by `dp_oracle.penalize`; returns the H+1 deltas. `step` is a
+    scalar or an (H+1,) array of per-stage steps."""
+    terminal = model.channel_terminal[:, episode.states[-1]]
+    channels = np.concatenate([episode.costs, terminal[:, None]], axis=1)
+    costs = dp_oracle.penalize(channels, multipliers)
     return td_step(flat_view(critic[0]), episode.cells, costs, step)
 
 
@@ -463,16 +463,15 @@ def train(
     # a (K, H, 1+M) C-contiguous block, whose (H, 1+M) block per seed is the
     # transpose of `rollout`'s `Episode.costs`.
     step_costs, stages = np.moveaxis(model.costs, 0, -1), np.arange(H)
-    terminal_gaps = model.channel_terminal[1:].T.copy()  # row s: g_H(s) - alpha, (S, M)
-    terminal_rewards = model.terminal_costs[0]
+    terminal_table = model.channel_terminal.T.copy()  # row s: r_H(s), g_H(s) - alpha
     # The one TD step's inputs, rewritten in place each episode: channel 0 is
     # the penalized critic, channels 1..M the constraint critics, and stage H
     # holds the terminal costs. The costs are filled channel-last, in the
-    # layout of the gather, and td_step reads them through a (K, 1+M, H+1) view.
+    # layout of the gather; `penalize` reads them as a (1+M, K, H+1) channel
+    # stack and td_step as a (K, 1+M, H+1) table, both views.
     td_costs_cl, steps = np.empty((K, H + 1, C)), np.empty((K, C, H + 1))
-    td_costs = td_costs_cl.transpose(0, 2, 1)
-    stage_costs, penalized_costs = td_costs_cl[:, :-1], td_costs_cl[:, :-1, 0]
-    terminal_costs = td_costs_cl[:, -1]
+    td_costs, channels = td_costs_cl.transpose(0, 2, 1), td_costs_cl.transpose(2, 0, 1)
+    seed_lams = lam.T[:, :, None]  # lam_k of every seed as a (K, 1) column, a view
     penalized_steps, constraint_steps = steps[:, 0], steps[:, 1:]
     if M:
         # A visit count grows by at most one per episode.
@@ -490,23 +489,9 @@ def train(
             moved = sources + row_bases
             ids = columns + critic_bases
             realized = step_costs[stages, sources, actions, targets]
-            g = realized[..., 1:]
-            gap_h = terminal_gaps[lasts]
-            stage_costs[...] = realized
-            terminal_costs[:, 1:] = gap_h
-            # Per seed, realized[:, 0] + g.dot(lam) and terminal_rewards[s_H] +
-            # lam.dot(gap_h). For M >= 2 matmul runs .dot's BLAS gemv and ddot
-            # on each seed's block, so the sums keep their order. For M <= 1
-            # it adds each product to +0.0, as gemv does, which turns a -0.0
-            # reward into +0.0 (gemv's fused multiply-add would keep a product
-            # that underflows to -0.0 negative, the one case apart); ddot of
-            # one term is the bare product, which the sum keeps.
-            penalized_costs += np.matmul(g, lam[:, :, None])[..., 0]
-            if M > 1:
-                dots = np.matmul(lam[:, None], gap_h[:, :, None])[:, 0, 0]
-            else:
-                dots = (lam * gap_h).sum(axis=-1)
-            terminal_costs[:, 0] = terminal_rewards[lasts] + dots
+            td_costs_cl[:, :-1] = realized
+            td_costs_cl[:, -1] = terminal_table[lasts]
+            td_costs[:, 0] = dp_oracle.penalize(channels, seed_lams)
             penalized_steps[:] = schedules.critic_step(n)
             if M:
                 gaps = critic_flat[ids[:, 1:, 0]]  # a gather, so a copy: td_step moves the table
@@ -596,7 +581,9 @@ def load_checkpoint(path) -> TrainerState:
     position in each stage's reachable set, which cannot be resumed;
     `load_policy` still reads the policy inside it. Also raises ValueError,
     naming the key, on a number of the wrong JSON type: a string, a
-    boolean, a fraction where a count belongs, or a non-finite setting.
+    boolean, a fraction where a count belongs, a non-finite setting, or a
+    Generator state other than PCG64's integers of their widths, where
+    numpy would resume a float `state` or raise TypeError or OverflowError.
     """
     with open(path) as f:
         doc = json.load(f)
@@ -615,8 +602,16 @@ def load_checkpoint(path) -> TrainerState:
     tables = doc["critic_tables"]
     v = json_table(tables, "v")
     w = json_table(tables, "w").reshape((-1,) + v.shape)
+    rng_state = doc["rng_state"]
+    if rng_state["bit_generator"] != "PCG64":
+        raise ValueError(f"'bit_generator' must be 'PCG64', got {rng_state['bit_generator']!r}")
+    pcg = rng_state["state"]
+    for inner, key, limit in [(pcg, "state", 2**128), (pcg, "inc", 2**128),
+                              (rng_state, "uinteger", 2**32), (rng_state, "has_uint32", 2)]:
+        if json_count(inner, key) >= limit:
+            raise ValueError(f"{key!r} must be below {limit}, got {inner[key]!r}")
     rng = np.random.default_rng()
-    rng.bit_generator.state = doc["rng_state"]
+    rng.bit_generator.state = rng_state
     return TrainerState(
         config=TrainerConfig(**cfg, schedules=StepSizeSchedules(**schedules)),
         policy=policy_from_doc(doc["policy"]),

@@ -300,9 +300,9 @@ def unshared_finite_difference_gradient(model, policy, multipliers=()):
     lam = np.atleast_1d(np.asarray(multipliers, dtype=float))
     mus = policy.distribution_table()
     values, action_values = (
-        dp_oracle._penalize(x, lam) for x in dp_oracle._channel_values(model, mus)
+        dp_oracle.penalize(x, lam) for x in dp_oracle._channel_values(model, mus)
     )
-    chain_costs = np.sum(mus * dp_oracle._penalize(model.channel_costs, lam), axis=2)
+    chain_costs = np.sum(mus * dp_oracle.penalize(model.channel_costs, lam), axis=2)
     chains = np.einsum("hsa,hsak->hsk", mus, model.kernels)
     A = model.num_actions
     steps = np.concatenate([np.eye(A), -np.eye(A)]) * FD_STEP

@@ -10,6 +10,7 @@ from fhc_ac import (
     update_constraint_critic,
     update_penalized_critic,
 )
+from fhc_ac.dp_oracle import penalize
 
 from helpers import (
     assert_exact_critic_limit,
@@ -187,8 +188,9 @@ def test_synchronous_and_sequential_updates_coincide():
         ep_a = rollout(model, table, running, rng_a)
         ep_b = rollout(model, table, running, rng_b)
         d_a = update_penalized_critic(model, critic_a, ep_a, lam, 0.05)
-        costs = ep_b.costs[0] + lam @ ep_b.costs[1:]
-        cterm = ep_b.terminal_costs[0] + lam @ (ep_b.terminal_costs[1:] - model.thresholds)
+        costs = penalize(ep_b.costs, lam)
+        gaps = ep_b.terminal_costs[1:] - model.thresholds
+        cterm = penalize(np.append(ep_b.terminal_costs[0], gaps), lam)
         d_b = sequential_sweep(critic_b[0], ep_b.states, costs, cterm, 0.05)
         assert np.array_equal(d_a, d_b)
         x_a = update_constraint_critic(model, critic_a, ep_a, 0.05)

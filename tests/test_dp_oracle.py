@@ -216,7 +216,7 @@ def test_penalize_returns_a_fresh_array_that_greedy_response_may_add_into(num_co
     lam = -rng.uniform(0.0, 2.0, size=num_constraints)
     costs, terminal = model.channel_costs.copy(), model.channel_terminal.copy()
     for channels in (model.channel_costs, model.channel_terminal):
-        out = dp_oracle._penalize(channels, lam)
+        out = dp_oracle.penalize(channels, lam)
         assert out.shape == channels.shape[1:]
         assert not np.shares_memory(out, channels)
         if num_constraints == 1:

@@ -47,8 +47,10 @@ GOLDEN_4X4_SEED0_THETA_SHA256 = "fa030cb1e1578e173003596b333b14ea494a5b61103f7f5
 # sha256 of the seed-0 CSV of the two-constraint run in
 # test_train_matches_the_golden_two_constraint_run.
 GOLDEN_M2_SEED0_SHA256 = "7cdc704dace19fc64c02a8565d038ce07f7feed28ce2a840be006eed171bcb34"
-# sha256 of the JSON of that run's final (H, S, A) policy table.
-GOLDEN_M2_SEED0_THETA_SHA256 = "4198f6ea64f621bd2a12c96e7c25410ff0e07438d242773daef25985c8961af0"
+# sha256 of the JSON of that run's final (H, S, A) policy table. Re-taken once
+# when `train` moved from BLAS products to `dp_oracle.penalize` for
+# r + lam . g: the earlier value held only under OpenBLAS's SkylakeX kernel.
+GOLDEN_M2_SEED0_THETA_SHA256 = "61698a9902405e1c5134fbaa9c34150f4e2760754d8163ae66c57e0ca288a935"
 # sha256 of the aggregate CSV and the charts of `train --config
 # configs/experiment_4x4.json --episodes 2000 --seeds 0,1`.
 GOLDEN_4X4_TWO_SEED_SHA256 = {
@@ -734,6 +736,10 @@ def test_train_matches_the_golden_two_constraint_run(tmp_path):
     # Both multipliers move, so the run pins how the penalized costs
     # r + lam_1 g_1 + lam_2 g_2 are formed: the CSV through the sampled
     # actions and the multipliers, the final policy table to the last bit.
+    # The same run in fresh processes under other OpenBLAS kernels must give
+    # the same bits, since training forms no BLAS product. numpy reads
+    # OPENBLAS_CORETYPE when it loads; a BLAS built without DYNAMIC_ARCH
+    # ignores it, and then the subprocess runs repeat the default kernel.
     model = dataclasses.replace(
         random_cmdp(np.random.default_rng(2), 4, 3, 4, 2), thresholds=np.array([3.5, 3.0])
     )
@@ -744,9 +750,20 @@ def test_train_matches_the_golden_two_constraint_run(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["train", "--config", str(config), "--out-dir", str(out)]) == 0
-    csv = next(out.glob("*-seed0.csv"))
-    assert hashlib.sha256(csv.read_bytes()).hexdigest() == GOLDEN_M2_SEED0_SHA256
-    assert final_theta_sha256(out) == GOLDEN_M2_SEED0_THETA_SHA256
+    runs = [out]
+    for coretype in ("Prescott", "Haswell"):
+        runs.append(tmp_path / coretype)
+        env = {**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src"),
+               "OPENBLAS_CORETYPE": coretype}
+        argv = ["train", "--config", str(config), "--out-dir", str(runs[-1])]
+        done = subprocess.run(
+            [sys.executable, "-m", "fhc_ac", *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, (coretype, done.stderr)
+    for run in runs:
+        csv = next(run.glob("*-seed0.csv"))
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == GOLDEN_M2_SEED0_SHA256, run.name
+        assert final_theta_sha256(run) == GOLDEN_M2_SEED0_THETA_SHA256, run.name
 
 
 def test_plot_rerenders_charts_from_the_run_directory(tmp_path):

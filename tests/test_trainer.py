@@ -439,7 +439,9 @@ def test_checkpoint_resume_reproduces_the_straight_run(tmp_path):
         assert np.array_equal(state_full.visits, state_resumed.visits)
 
     # Numbers of the wrong JSON type are refused, naming their key, where a
-    # conversion would parse "20", truncate a visit count of 2.9 or keep NaN.
+    # conversion would parse "20", truncate a visit count of 2.9 or keep NaN,
+    # and where numpy's Generator would resume from a float state, keep a
+    # has_uint32 of 1.5, or raise TypeError or OverflowError.
     good = path.read_text()
     for *where, value in [
         ("episode", "20"),
@@ -454,6 +456,15 @@ def test_checkpoint_resume_reproduces_the_straight_run(tmp_path):
         ("config", "param_bound", "10"),
         ("config", "penalty_floor", float("-inf")),
         ("config", "schedules", "actor_scale", "2.5"),
+        ("rng_state", "bit_generator", "MT19937"),
+        ("rng_state", "state", "state", 3.5),
+        ("rng_state", "state", "state", -1),
+        ("rng_state", "state", "state", 2**128),
+        ("rng_state", "state", "inc", "7"),
+        ("rng_state", "has_uint32", 1.5),
+        ("rng_state", "has_uint32", True),
+        ("rng_state", "has_uint32", 2),
+        ("rng_state", "uinteger", 2**32),
     ]:
         doc = json.loads(good)
         inner = doc
