@@ -20,28 +20,20 @@ constraint channel. An episode moves the entry of every stage's visited
 state once; entries of states a stage cannot reach stay zero.
 
 `train` steps K seeds in lock-step, one episode of every seed at a time; one
-seed is the case K = 1. It stacks the seeds' tables along a leading seed
-axis: theta, the distribution table and its running sums as (K*H*S, A)
-rows, the critics (K, 1+M, H+1, S), the visit counts (K, H+1, S) and the
-multipliers (K, M). It prepares once per call what every episode reads: a
-sampler per seed over that seed's rows, a per-state terminal table, a table
-of the constraint critics' steps over every visit count the call can reach,
-and the id bases below. Each seed keeps its own Generator, and its draw
-stays a Python loop. Everything after the draws is one numpy call per
-kernel over the K*H rows: the ids of each table are the drawn states plus a
-base fixed per seed and stage, the realized reward and costs are one gather
-from the model's channel stack, costs[:, h, s_h, a_h, s_{h+1}] (for a grid
-world a broadcast view, so nothing of the (H, S, A, S) shape is copied), the
-penalized costs r + lambda . g of all H+1 stages are one `dp_oracle.penalize`
-call, elementwise, so no BLAS kernel sets their bits, and the kernels
-`td_step` (once, for all seeds' 1+M critics), `score_rows` and `actor_step`
-are those the one-episode functions `update_penalized_critic`,
-`update_constraint_critic` and `actor_update` wrap, so both run the same
-arithmetic bit for bit. Every row belongs to one seed and every kernel acts
-row by row, so each seed gets the bits of its own one-seed call. The seeds
-share each episode's step sizes, since they share its count n; the
-multiplier step stays one `multiplier_update` call per seed. The realized
-return and cost totals are summed once per block of episodes.
+seed is the case K = 1. `lockstep` stacks the seeds' tables along a leading
+seed axis and returns each seed's draw, a Python loop on its own Generator,
+and the one episode step `train` calls. The step makes one numpy call per
+kernel over the K*H rows, in this order: the realized costs, one gather from
+the model's channel stack (a grid world's broadcast view is not copied);
+r + lambda . g by `dp_oracle.penalize`, elementwise, so no BLAS kernel sets
+its bits; the gap estimates w(0, s_0); one `td_step` on all 1+M critics; one
+`actor_step` on the penalized critic's deltas and the `score_rows` of the
+distribution table; and one `multiplier_update` per seed, the name the
+benchmark's probe times. The one-episode functions `update_penalized_critic`,
+`update_constraint_critic` and `actor_update` wrap the same kernels, so both
+run the same arithmetic bit for bit. Every kernel acts row by row, so each
+seed gets the bits of its own one-seed call; the seeds share each episode's
+step sizes, since they share its count n.
 
 The penalized critic, the actor and the multipliers step on the global clock,
 the episode count n. The constraint critics step on local clocks, the
@@ -377,61 +369,33 @@ def _lockstep_states(model, configs, states) -> list:
     return list(states)
 
 
-def train(
-    model: FiniteHorizonCMDP,
-    config: TrainerConfig | Sequence[TrainerConfig],
-    state: TrainerState | Sequence[TrainerState] | None = None,
-    progress_every: int = 0,
-    progress=None,
-):
-    """Run episodes until `config.episodes`; returns (state, metrics).
+def lockstep(model: FiniteHorizonCMDP, states: Sequence[TrainerState], count: int):
+    """Stack the K `states` for `count` lock-step episodes; returns
+    (draws, step).
 
-    `config` is one TrainerConfig, or a sequence of K that differ only in
-    their seed; then `state` is None or a sequence of K states at one episode
-    count, the K seeds run in lock-step, and the result is (list of K
-    states, metrics). One config is the K = 1 case of the same loop. The
-    metrics hold one row per seed-episode, seed by seed: rows k*N to
-    (k+1)*N - 1 are seed k's N episodes, and `TrainingMetrics.per_seed`
-    splits them. Each seed's state, metrics rows and Generator are those of
-    a one-seed call with its config, bit for bit.
+    The states must fit the model and share their config but for the seed,
+    as `train` checks. Their tables are stacked along a leading seed axis,
+    and each state keeps views of its slices, so it reads the stack as it
+    moves. `draws[k](rng)` is seed k's `sampler` draw over its rows.
 
-    Resumes from the states when given (ValueError if one does not fit the
-    model and its config) and records the configs in them; metrics cover only
-    the episodes run by this call. The loop is deterministic given the model,
-    configs and seeds. After every `CHUNK` episodes, and after the last,
-    raises FloatingPointError naming the first seed, in order, whose critic
-    tables, theta or multipliers have gone non-finite, and its episode count.
-    `progress(done, total)` is called after every `progress_every` episodes.
+    `step(drawn, n)` runs episode n of every seed, given each seed's drawn
+    (states, actions) in order; it may run `count` times. It moves every
+    table in place, sets every state's episode count to n + 1, and returns
+    (realized, lasts, gaps, lam, clipped, floored): the realized reward and
+    costs (K, H, 1+M), the last states (K,), the gap estimates w(0, s_0)
+    held at episode start (K, M), the multipliers after the step (K, M),
+    and whether each seed's actor step clamped theta and its multiplier step
+    hit the floor (K,). `lasts`, `lam` and `floored` are views the next step
+    rewrites.
     """
-    single = isinstance(config, TrainerConfig)
-    configs = [config] if single else list(config)
-    states = None if state is None else [state] if single else list(state)
-    states = _lockstep_states(model, configs, states)
-    config = configs[0]
     K = len(states)
     H, S, A, M = model.horizon, model.num_states, model.num_actions, model.num_constraints
     C = 1 + M
-    schedules = config.schedules
-    count = max(config.episodes - states[0].episode, 0)
-    metrics = TrainingMetrics(
-        returns=np.zeros(K * count),
-        constraint_totals=np.zeros((K * count, M)),
-        multipliers=np.zeros((K * count, M)),
-        gap_estimates=np.zeros((K * count, M)),
-        theta_clipped=np.zeros(K * count, dtype=bool),
-        multiplier_floor_clipped=np.zeros(K * count, dtype=bool),
-    )
-    # (K, N, ...) views of the metrics, written one episode of all seeds at a time.
-    returns, totals, multipliers, gap_estimates, theta_clipped, floor_clipped = (
-        column.reshape((K, count) + column.shape[1:])
-        for column in (getattr(metrics, f.name) for f in fields(metrics))
-    )
-
-    # The seeds' tables are stacked along a leading seed axis, and each state
-    # keeps views of its slices, so it reads the stack as it moves. The actor
-    # moves only the H rows (h, s_h) of an episode, so the distribution table
-    # and its running sums are built once and refreshed through the
-    # (K*H*S, A) row views.
+    configs = [s.config for s in states]
+    schedules = configs[0].schedules
+    # The actor moves only the H rows (h, s_h) of an episode, so the
+    # distribution table and its running sums are built once and refreshed
+    # through the (K*H*S, A) row views.
     theta = np.stack([s.policy.stage_params for s in states])
     critic = np.stack([s.critic for s in states])  # (K, 1+M, H+1, S)
     visits = np.stack([s.visits for s in states])  # (K, H+1, S)
@@ -440,7 +404,6 @@ def train(
         s.policy.stage_params, s.critic, s.visits, s.multipliers = (
             theta[k], critic[k], visits[k], lam[k]
         )
-    rngs = [s.rng for s in states]
     tau, bound = states[0].policy.temperature, states[0].policy.param_bound
     table = gibbs(theta / tau)  # row by row, each seed's distribution_table()
     running = np.cumsum(table, axis=-1)
@@ -476,57 +439,111 @@ def train(
     if M:
         # A visit count grows by at most one per episode.
         step_table = schedules.critic_step(np.arange(visits.max() + count + 1))
+    floored = np.zeros(K, dtype=bool)
+
+    def step(drawn, n):
+        path[:], actions[:] = zip(*drawn)
+        moved = sources + row_bases
+        ids = columns + critic_bases
+        realized = step_costs[stages, sources, actions, targets]
+        td_costs_cl[:, :-1] = realized
+        td_costs_cl[:, -1] = terminal_table[lasts]
+        td_costs[:, 0] = dp_oracle.penalize(channels, seed_lams)
+        penalized_steps[:] = schedules.critic_step(n)
+        gaps = critic_flat[ids[:, 1:, 0]]  # a gather, so a copy: td_step moves the table
+        if M:
+            cells = path + visit_bases
+            seen = visits_flat[cells]
+            visits_flat[cells] = seen + 1
+            constraint_steps[:] = step_table[seen][:, None]
+        deltas = td_step(critic_flat, ids, td_costs, steps)
+        score = score_rows(table_rows.take(moved, axis=0), picked_bases + actions, tau)
+        proposed, clipped = actor_step(
+            theta_rows, moved, score, deltas[:, 0, :-1], schedules.actor_step(n), bound
+        )
+        rows = gibbs(proposed / tau)
+        table_rows[moved] = rows
+        running_rows[moved] = np.add.accumulate(rows, axis=-1)  # what rows.cumsum runs
+        if M:
+            c_n = schedules.multiplier_step(n)
+            for k, (gap, seed_config) in enumerate(zip(gaps, configs)):
+                lam[k], floored[k], _ = multiplier_update(lam[k], gap, c_n, seed_config)
+        for s in states:
+            s.episode = n + 1
+        return realized, lasts, gaps, lam, clipped, floored
+
+    return draws, step
+
+
+def train(
+    model: FiniteHorizonCMDP,
+    config: TrainerConfig | Sequence[TrainerConfig],
+    state: TrainerState | Sequence[TrainerState] | None = None,
+    progress_every: int = 0,
+    progress=None,
+):
+    """Run episodes until `config.episodes`; returns (state, metrics).
+
+    `config` is one TrainerConfig, or a sequence of K that differ only in
+    their seed; then `state` is None or a sequence of K states at one episode
+    count, the K seeds run in lock-step, and the result is (list of K
+    states, metrics). One config is the K = 1 case of the same loop. The
+    metrics hold one row per seed-episode, seed by seed: rows k*N to
+    (k+1)*N - 1 are seed k's N episodes, and `TrainingMetrics.per_seed`
+    splits them. Each seed's state, metrics rows and Generator are those of
+    a one-seed call with its config, bit for bit.
+
+    Resumes from the states when given (ValueError if one does not fit the
+    model and its config) and records the configs in them; metrics cover only
+    the episodes run by this call. The loop is deterministic given the model,
+    configs and seeds. After every `CHUNK` episodes, and after the last,
+    raises FloatingPointError naming the first seed, in order, whose critic
+    tables, theta or multipliers have gone non-finite, and its episode count.
+    `progress(done, total)` is called after every `progress_every` episodes.
+    """
+    single = isinstance(config, TrainerConfig)
+    configs = [config] if single else list(config)
+    states = None if state is None else [state] if single else list(state)
+    states = _lockstep_states(model, configs, states)
+    config = configs[0]
+    K = len(states)
+    H, M = model.horizon, model.num_constraints
+    count = max(config.episodes - states[0].episode, 0)
+    metrics = TrainingMetrics(
+        returns=np.zeros(K * count),
+        constraint_totals=np.zeros((K * count, M)),
+        multipliers=np.zeros((K * count, M)),
+        gap_estimates=np.zeros((K * count, M)),
+        theta_clipped=np.zeros(K * count, dtype=bool),
+        multiplier_floor_clipped=np.zeros(K * count, dtype=bool),
+    )
+    # (K, N, ...) views of the metrics, written one episode of all seeds at a time.
+    returns, totals, multipliers, gap_estimates, theta_clipped, floor_clipped = (
+        column.reshape((K, count) + column.shape[1:])
+        for column in (getattr(metrics, f.name) for f in fields(metrics))
+    )
+    draws, step = lockstep(model, states, count)
+    rngs = [s.rng for s in states]
     # The realized costs of a block of episodes of all seeds, summed into the
     # totals once per block; a block holds at most CHUNK rows, and divides CHUNK.
     block = max(CHUNK >> (K - 1).bit_length(), 1)
-    block_costs = np.empty((block, K, H, C))
+    block_costs = np.empty((block, K, H, 1 + M))
     block_lasts = np.empty((block, K), dtype=np.int64)
     for start in range(0, count, block):
         stop = min(start + block, count)
         for i in range(start, stop):
             n = states[0].episode
-            path[:], actions[:] = zip(*[draw(rng) for draw, rng in zip(draws, rngs)])
-            moved = sources + row_bases
-            ids = columns + critic_bases
-            realized = step_costs[stages, sources, actions, targets]
-            td_costs_cl[:, :-1] = realized
-            td_costs_cl[:, -1] = terminal_table[lasts]
-            td_costs[:, 0] = dp_oracle.penalize(channels, seed_lams)
-            penalized_steps[:] = schedules.critic_step(n)
-            if M:
-                gaps = critic_flat[ids[:, 1:, 0]]  # a gather, so a copy: td_step moves the table
-                cells = path + visit_bases
-                seen = visits_flat[cells]
-                visits_flat[cells] = seen + 1
-                constraint_steps[:] = step_table[seen][:, None]
-            deltas = td_step(critic_flat, ids, td_costs, steps)
-            score = score_rows(table_rows.take(moved, axis=0), picked_bases + actions, tau)
-            proposed, clipped = actor_step(
-                theta_rows, moved, score, deltas[:, 0, :-1], schedules.actor_step(n), bound
-            )
-            rows = gibbs(proposed / tau)
-            table_rows[moved] = rows
-            running_rows[moved] = np.add.accumulate(rows, axis=-1)  # what rows.cumsum runs
-            if M:
-                c_n = schedules.multiplier_step(n)
-                for k, (gap, seed_config) in enumerate(zip(gaps, configs)):
-                    lam[k], floor_clipped[k, i], _ = multiplier_update(
-                        lam[k], gap, c_n, seed_config
-                    )
-                gap_estimates[:, i] = gaps
-                multipliers[:, i] = lam
-
-            block_costs[i - start] = realized
-            block_lasts[i - start] = lasts
-            theta_clipped[:, i] = clipped
-            for s in states:
-                s.episode = n + 1
+            drawn = [draw(rng) for draw, rng in zip(draws, rngs)]
+            realized, lasts, gaps, lam, clipped, floored = step(drawn, n)
+            block_costs[i - start], block_lasts[i - start] = realized, lasts
+            gap_estimates[:, i], multipliers[:, i] = gaps, lam
+            theta_clipped[:, i], floor_clipped[:, i] = clipped, floored
             if progress_every and progress is not None and (n + 1) % progress_every == 0:
                 progress(n + 1, config.episodes)
         # Rows (episode, seed), each summed over H in the order of an
         # episode's costs[0].sum() and costs[1:].sum(axis=1), whose rows have
         # the same strides.
-        done = block_costs[: stop - start].reshape(-1, H, C)
+        done = block_costs[: stop - start].reshape(-1, H, 1 + M)
         ends = block_lasts[: stop - start].reshape(-1)
         returns[:, start:stop] = (
             done[:, :, 0].sum(axis=1) + model.terminal_costs[0, ends]
@@ -573,6 +590,14 @@ def save_checkpoint(state: TrainerState, path) -> None:
     write_json(path, doc)
 
 
+def _json_object(doc: dict, key: str) -> dict:
+    """doc[key] when it is a JSON object; raises ValueError naming the key."""
+    value = doc[key]
+    if not isinstance(value, dict):
+        raise ValueError(f"{key!r} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def load_checkpoint(path) -> TrainerState:
     """Read a `save_checkpoint` file.
 
@@ -580,32 +605,49 @@ def load_checkpoint(path) -> TrainerState:
     a checkpoint that has only the older "critic" block, weights padded by
     position in each stage's reachable set, which cannot be resumed;
     `load_policy` still reads the policy inside it. Also raises ValueError,
-    naming the key, on a number of the wrong JSON type: a string, a
-    boolean, a fraction where a count belongs, a non-finite setting, or a
-    Generator state other than PCG64's integers of their widths, where
-    numpy would resume a float `state` or raise TypeError or OverflowError.
+    naming the key, on a missing key, on a block that is not a JSON object,
+    on an unknown or missing config or schedule setting, and on a number of
+    the wrong JSON type: a string, a boolean, a fraction where a count
+    belongs, a non-finite setting, or a Generator state other than PCG64's
+    integers of their widths, where numpy would resume a float `state` or
+    raise TypeError or OverflowError.
     """
     with open(path) as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a checkpoint must hold a JSON object")
+    try:
+        return _checkpoint_from_doc(doc, path)
+    except KeyError as e:  # every lookup is into a JSON object
+        raise ValueError(f"{path}: missing key {e.args[0]!r}") from None
+
+
+def _checkpoint_from_doc(doc: dict, path) -> TrainerState:
     if "critic_tables" not in doc:
         raise ValueError(
-            f"{path}: no critic tables; a checkpoint with the older padded \"critic\" "
+            f"{path}: no 'critic_tables'; a checkpoint with the older padded \"critic\" "
             "layout cannot be resumed (load_policy still reads its policy)"
         )
-    cfg = dict(doc["config"])
-    schedules = cfg.pop("schedules")
+    cfg = dict(_json_object(doc, "config"))
+    schedules = _json_object(cfg, "schedules")
+    for block, settings in [(cfg, TrainerConfig), (schedules, StepSizeSchedules)]:
+        names = {f.name for f in fields(settings)}
+        for problem, keys in [("unknown", set(block) - names), ("missing", names - set(block))]:
+            if keys:
+                raise ValueError(f"{problem} {settings.__name__} settings {sorted(keys)}")
+    del cfg["schedules"]
     for key, value in [*cfg.items(), *schedules.items()]:
         integer = key in ("episodes", "seed")
         if not (json_integer(value) if integer else json_real(value)):
             kind = "an integer" if integer else "a finite number"
             raise ValueError(f"{key!r} must be {kind}, got {value!r}")
-    tables = doc["critic_tables"]
+    tables = _json_object(doc, "critic_tables")
     v = json_table(tables, "v")
     w = json_table(tables, "w").reshape((-1,) + v.shape)
-    rng_state = doc["rng_state"]
+    rng_state = _json_object(doc, "rng_state")
     if rng_state["bit_generator"] != "PCG64":
         raise ValueError(f"'bit_generator' must be 'PCG64', got {rng_state['bit_generator']!r}")
-    pcg = rng_state["state"]
+    pcg = _json_object(rng_state, "state")
     for inner, key, limit in [(pcg, "state", 2**128), (pcg, "inc", 2**128),
                               (rng_state, "uinteger", 2**32), (rng_state, "has_uint32", 2)]:
         if json_count(inner, key) >= limit:
@@ -614,7 +656,7 @@ def load_checkpoint(path) -> TrainerState:
     rng.bit_generator.state = rng_state
     return TrainerState(
         config=TrainerConfig(**cfg, schedules=StepSizeSchedules(**schedules)),
-        policy=policy_from_doc(doc["policy"]),
+        policy=policy_from_doc(_json_object(doc, "policy")),
         critic=np.concatenate([v[None], w]),
         visits=json_counts(tables, "visits"),
         multipliers=json_table(doc, "multipliers"),

@@ -477,6 +477,50 @@ def test_checkpoint_resume_reproduces_the_straight_run(tmp_path):
             load_checkpoint(path)
 
 
+def test_load_checkpoint_loads_or_raises_value_error_on_every_mutated_key(tmp_path):
+    # Every key of a 20-episode 4x4 checkpoint, at every depth, is replaced by
+    # a value of each JSON kind or deleted, and an unknown setting is added:
+    # each case loads or raises ValueError, never TypeError, KeyError or
+    # AttributeError. A deleted key, a block that is not a JSON object, and an
+    # unknown setting are named in the message.
+    model = load_any_model(CONFIGS / "gridworld_4x4.json")
+    state, _ = train(model, TrainerConfig(episodes=20, seed=0))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(state, path)
+    good = json.loads(path.read_text())
+
+    def key_paths(doc, where=()):
+        for key, value in doc.items():
+            yield where + (key,), value
+            if isinstance(value, dict):
+                yield from key_paths(value, where + (key,))
+
+    deleted = object()
+    cases = [
+        (where, was, value)
+        for where, was in key_paths(good)
+        for value in ["x", True, None, [], {}, -1, 0, 1.5, [[1]], 1e308, deleted]
+    ]
+    cases += [(("config", "momentum"), None, 0.9),
+              (("config", "schedules", "momentum"), None, 0.9)]
+    assert len(cases) == 332
+    for where, was, value in cases:
+        doc = json.loads(json.dumps(good))
+        inner = doc
+        for key in where[:-1]:
+            inner = inner[key]
+        if value is deleted:
+            del inner[where[-1]]
+        else:
+            inner[where[-1]] = value
+        path.write_text(json.dumps(doc))
+        try:
+            load_checkpoint(path)
+        except ValueError as e:
+            if value is deleted or was is None or (isinstance(was, dict) and value != {}):
+                assert f"'{where[-1]}'" in str(e), (where, value, str(e))
+
+
 def test_saving_the_5x5_h100_world_copies_no_whole_table(tmp_path):
     # The writer encodes one 2-D block at a time, so the peak allocation of
     # a save stays far below the size of its tables (the model's dense
