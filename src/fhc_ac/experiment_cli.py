@@ -227,10 +227,16 @@ def csv_header(num_constraints: int) -> str:
     return ",".join(cols)
 
 
+CSV_BLOCK = 8192  # rows formatted and written at once, so a CSV is never one string
+
+
 def write_columns(path: Path, header: str, columns: list) -> None:
     """Write equal-length 1-D arrays as CSV columns, each value as its exact `repr`."""
-    rows = zip(*(c.tolist() for c in columns))
-    path.write_text("\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n")
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for start in range(0, len(columns[0]), CSV_BLOCK):
+            rows = zip(*(c[start : start + CSV_BLOCK].tolist() for c in columns))
+            f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def write_run_csv(path: Path, metrics, window: int) -> dict:

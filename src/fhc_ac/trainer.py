@@ -42,7 +42,10 @@ moves by critic_step(nu - 1), where nu counts the visits to (h, s) including
 this one. A rarely visited state thus learns at its own rate instead of at
 the visit frequency times a_n, so its zero start does not bias the stage-0
 gap estimate the multipliers follow. An episode visits each stage once, so
-nu <= n + 1 and a local step is never smaller than the global a_n.
+nu <= n + 1 and a local step is never smaller than the global a_n. The visits
+are counted for every M, and both critic clocks read one table of
+critic_step built from the scalar rule, so a step's bits do not depend on
+the clock that reads it or on numpy's SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -152,8 +155,7 @@ class TrainerState:
     config: TrainerConfig
     policy: NonStationaryPolicy
     critic: np.ndarray           # (1+M, H+1, S): v = critic[0], w = critic[1:]
-    visits: np.ndarray           # the constraint critics' clock: visits to (h, s), (H+1, S);
-                                 # counted only when M > 0
+    visits: np.ndarray           # the constraint critics' clock: visits to (h, s), (H+1, S)
     multipliers: np.ndarray      # non-positive penalties, (M,)
     episode: int
     rng: np.random.Generator
@@ -436,26 +438,27 @@ def lockstep(model: FiniteHorizonCMDP, states: Sequence[TrainerState], count: in
     td_costs, channels = td_costs_cl.transpose(0, 2, 1), td_costs_cl.transpose(2, 0, 1)
     seed_lams = lam.T[:, :, None]  # lam_k of every seed as a (K, 1) column, a view
     penalized_steps, constraint_steps = steps[:, 0], steps[:, 1:]
-    if M:
-        # A visit count grows by at most one per episode.
-        step_table = schedules.critic_step(np.arange(visits.max() + count + 1))
+    # critic_step(c) from the scalar rule, whose last bit numpy's vector power
+    # can miss, at every clock the call reaches: each grows by at most one
+    # per episode.
+    clocks = max(visits.max(), states[0].episode) + count + 1
+    step_table = np.fromiter(map(schedules.critic_step, range(clocks)), float, clocks)
     floored = np.zeros(K, dtype=bool)
 
     def step(drawn, n):
         path[:], actions[:] = zip(*drawn)
         moved = sources + row_bases
         ids = columns + critic_bases
+        cells = path + visit_bases
         realized = step_costs[stages, sources, actions, targets]
         td_costs_cl[:, :-1] = realized
         td_costs_cl[:, -1] = terminal_table[lasts]
         td_costs[:, 0] = dp_oracle.penalize(channels, seed_lams)
-        penalized_steps[:] = schedules.critic_step(n)
+        penalized_steps[:] = step_table[n]
         gaps = critic_flat[ids[:, 1:, 0]]  # a gather, so a copy: td_step moves the table
-        if M:
-            cells = path + visit_bases
-            seen = visits_flat[cells]
-            visits_flat[cells] = seen + 1
-            constraint_steps[:] = step_table[seen][:, None]
+        seen = visits_flat[cells]
+        visits_flat[cells] = seen + 1
+        constraint_steps[:] = step_table[seen][:, None]
         deltas = td_step(critic_flat, ids, td_costs, steps)
         score = score_rows(table_rows.take(moved, axis=0), picked_bases + actions, tau)
         proposed, clipped = actor_step(
@@ -606,7 +609,8 @@ def load_checkpoint(path) -> TrainerState:
     position in each stage's reachable set, which cannot be resumed;
     `load_policy` still reads the policy inside it. Also raises ValueError,
     naming the key, on a missing key, on a block that is not a JSON object,
-    on an unknown or missing config or schedule setting, and on a number of
+    on an unknown or missing config or schedule setting, on a "v" that is not
+    an (H+1, S) table or a "w" that does not stack under it, and on a number of
     the wrong JSON type: a string, a boolean, a fraction where a count
     belongs, a non-finite setting, or a Generator state other than PCG64's
     integers of their widths, where numpy would resume a float `state` or
@@ -642,8 +646,13 @@ def _checkpoint_from_doc(doc: dict, path) -> TrainerState:
             kind = "an integer" if integer else "a finite number"
             raise ValueError(f"{key!r} must be {kind}, got {value!r}")
     tables = _json_object(doc, "critic_tables")
-    v = json_table(tables, "v")
-    w = json_table(tables, "w").reshape((-1,) + v.shape)
+    v, w = json_table(tables, "v"), json_table(tables, "w")
+    if v.ndim != 2:
+        raise ValueError(f"'v' must be an (H+1, S) table, got shape {v.shape}")
+    if not w.size:  # M = 0 saves an empty list
+        w = w.reshape((0,) + v.shape)
+    elif w.shape[1:] != v.shape:
+        raise ValueError(f"'w' must be (M,) + {v.shape}, the shape of 'v', got {w.shape}")
     rng_state = _json_object(doc, "rng_state")
     if rng_state["bit_generator"] != "PCG64":
         raise ValueError(f"'bit_generator' must be 'PCG64', got {rng_state['bit_generator']!r}")

@@ -156,8 +156,9 @@ def reference_train(model, config):
     """The episode loop `train` replaced, one public one-episode function per
     layer: `rollout`, `update_penalized_critic`, `actor_update`, a refresh of
     the moved rows from `distribution_rows`, `update_constraint_critic` on the
-    visit clocks and `multiplier_update`. Returns what `train(model, config)`
-    returns."""
+    visit clocks, which are counted for every M, each step a scalar
+    `critic_step` call, and `multiplier_update`. Returns what
+    `train(model, config)` returns."""
     state = make_trainer(model, config)
     H, M = model.horizon, model.num_constraints
     schedules = config.schedules
@@ -187,11 +188,12 @@ def reference_train(model, config):
         rows = policy.distribution_rows(*moved)
         table[moved] = rows
         running[moved] = np.cumsum(rows, axis=-1)
+        visited = (stages, episode.states)
+        seen = visits[visited]
+        visits[visited] = seen + 1
         if M:
-            visited = (stages, episode.states)
-            seen = visits[visited]
-            visits[visited] = seen + 1
-            update_constraint_critic(model, critic, episode, schedules.critic_step(seen))
+            local = np.array([schedules.critic_step(c) for c in seen.tolist()])
+            update_constraint_critic(model, critic, episode, local)
             state.multipliers, floor_hit, _ = multiplier_update(
                 state.multipliers, gaps, schedules.multiplier_step(n), config
             )

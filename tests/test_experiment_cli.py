@@ -29,7 +29,7 @@ from fhc_ac import (
     stationarity_diagnostics,
     tabular_policy,
 )
-from fhc_ac.experiment_cli import csv_header, main, worker_count
+from fhc_ac.experiment_cli import CSV_BLOCK, csv_header, main, worker_count, write_columns
 
 from helpers import random_cmdp
 
@@ -39,18 +39,33 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # changes every M >= 1 trajectory; with the global step put back, the same
 # code reproduces the earlier digests byte for byte.
 #
+# The CSVs, the aggregate and the charts hold under every numpy SIMD
+# dispatch: every critic step is the scalar rule's float. The final policy
+# tables do not, since numpy's AVX512 kernels of np.exp, which `gibbs` calls,
+# differ from its AVX2 and baseline kernels in the last bit, while those two
+# agree. So the policy tables are pinned from runs in fresh processes with
+# the AVX512 kernels disabled (`train_without_avx512`).
+#
 # sha256 of the seed-0 CSV of `train --config configs/experiment_4x4.json
-# --episodes 3000 --seeds 0`.
-GOLDEN_4X4_SEED0_SHA256 = "e22fd993bc4278beb9572436ba332f7b1faa7203a744608efb1fa0270bcfb0a7"
-# sha256 of the JSON of that run's final (H, S, A) policy table.
-GOLDEN_4X4_SEED0_THETA_SHA256 = "fa030cb1e1578e173003596b333b14ea494a5b61103f7f59e4e90d0a89ea42cb"
+# --episodes 3000 --seeds 0`. Re-taken once when the constraint critics'
+# step table moved from numpy's vector power to the scalar rule: the earlier
+# value held only where numpy dispatches AVX512 kernels.
+GOLDEN_4X4_SEED0_SHA256 = "c04b3089538d71f4d8d6bf07ae8998531d089a449e331acf048ffe6bdc33ad89"
+# sha256 of the JSON of that run's final (H, S, A) policy table, trained
+# without AVX512 kernels.
+GOLDEN_4X4_SEED0_THETA_SHA256 = "8526ddef580328b88f5f2bc43362613d12efca390f46eb71f7d13ab3a10dddf3"
 # sha256 of the seed-0 CSV of the two-constraint run in
 # test_train_matches_the_golden_two_constraint_run.
 GOLDEN_M2_SEED0_SHA256 = "7cdc704dace19fc64c02a8565d038ce07f7feed28ce2a840be006eed171bcb34"
-# sha256 of the JSON of that run's final (H, S, A) policy table. Re-taken once
-# when `train` moved from BLAS products to `dp_oracle.penalize` for
-# r + lam . g: the earlier value held only under OpenBLAS's SkylakeX kernel.
-GOLDEN_M2_SEED0_THETA_SHA256 = "61698a9902405e1c5134fbaa9c34150f4e2760754d8163ae66c57e0ca288a935"
+# sha256 of the JSON of that run's final (H, S, A) policy table, trained
+# without AVX512 kernels. Re-taken once when `train` moved from BLAS products
+# to `dp_oracle.penalize` for r + lam . g (the earlier value held only under
+# OpenBLAS's SkylakeX kernel), and once when the table was first trained
+# without AVX512 kernels.
+GOLDEN_M2_SEED0_THETA_SHA256 = "a121c3d137841af18a5840efa000ea447b14cbb948d32ad73617b160f17c5890"
+# numpy's dispatch names of its AVX512 kernels; numpy 2 only warns when one of
+# them is not dispatched, so disabling them is harmless on any x86-64 machine.
+AVX512_FEATURES = {"X86_V4", "AVX512_ICL", "AVX512_SPR"}
 # sha256 of the aggregate CSV and the charts of `train --config
 # configs/experiment_4x4.json --episodes 2000 --seeds 0,1`.
 GOLDEN_4X4_TWO_SEED_SHA256 = {
@@ -89,6 +104,21 @@ def read_csv(path):
         header = f.readline().strip()
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return header, data
+
+
+def test_write_columns_writes_the_bytes_of_one_joined_string(tmp_path):
+    # The rows go out in blocks of CSV_BLOCK through one open file; the bytes
+    # are those of the whole CSV joined as one string, at and across block
+    # boundaries, and a run with no rows writes the header alone.
+    rng = np.random.default_rng(3)
+    n = 2 * CSV_BLOCK + 5
+    columns = [np.arange(1, n + 1), rng.normal(size=n), -np.abs(rng.normal(size=n)) ** 9]
+    for rows in (0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, n):
+        head = [c[:rows] for c in columns]
+        lines = [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in head))]
+        path = tmp_path / f"{rows}.csv"
+        write_columns(path, "episode,a,b", head)
+        assert path.read_bytes() == ("\n".join(["episode,a,b", *lines]) + "\n").encode(), rows
 
 
 def test_train_writes_the_pinned_csv_schema(tmp_path):
@@ -722,14 +752,27 @@ def final_theta_sha256(out):
     return hashlib.sha256(json.dumps(doc["policy"]["stage_params"]).encode()).hexdigest()
 
 
+def train_without_avx512(argv, out, **env):
+    """Run `fhc-ac train argv --out-dir out` in a fresh process with numpy's
+    AVX512 kernels disabled, besides any the caller's environment disables."""
+    disabled = set(os.environ.get("NPY_DISABLE_CPU_FEATURES", "").replace(",", " ").split())
+    env = {**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src"),
+           "NPY_DISABLE_CPU_FEATURES": " ".join(sorted(disabled | AVX512_FEATURES)), **env}
+    done = subprocess.run([sys.executable, "-m", "fhc_ac", "train", *argv, "--out-dir", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_train_matches_the_golden_4x4_csv(tmp_path):
-    out = tmp_path / "out"
-    argv = ["train", "--config", str(CONFIGS / "experiment_4x4.json"), "--out-dir", str(out),
-            "--episodes", "3000", "--seeds", "0", "--no-plots"]
-    assert main(argv) == 0
-    csv = next(out.glob("*-seed0.csv"))
-    assert hashlib.sha256(csv.read_bytes()).hexdigest() == GOLDEN_4X4_SEED0_SHA256
-    assert final_theta_sha256(out) == GOLDEN_4X4_SEED0_THETA_SHA256
+    argv = ["--config", str(CONFIGS / "experiment_4x4.json"), "--episodes", "3000",
+            "--seeds", "0", "--no-plots"]
+    runs = [tmp_path / "here", tmp_path / "without-avx512"]
+    assert main(["train", *argv, "--out-dir", str(runs[0])]) == 0
+    train_without_avx512(argv, runs[1])
+    for run in runs:
+        csv = next(run.glob("*-seed0.csv"))
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == GOLDEN_4X4_SEED0_SHA256, run.name
+    assert final_theta_sha256(runs[1]) == GOLDEN_4X4_SEED0_THETA_SHA256
 
 
 def test_train_matches_the_golden_two_constraint_run(tmp_path):
@@ -737,7 +780,8 @@ def test_train_matches_the_golden_two_constraint_run(tmp_path):
     # r + lam_1 g_1 + lam_2 g_2 are formed: the CSV through the sampled
     # actions and the multipliers, the final policy table to the last bit.
     # The same run in fresh processes under other OpenBLAS kernels must give
-    # the same bits, since training forms no BLAS product. numpy reads
+    # the same bits, since training forms no BLAS product; those runs also
+    # disable numpy's AVX512 kernels and pin the policy table. numpy reads
     # OPENBLAS_CORETYPE when it loads; a BLAS built without DYNAMIC_ARCH
     # ignores it, and then the subprocess runs repeat the default kernel.
     model = dataclasses.replace(
@@ -753,16 +797,11 @@ def test_train_matches_the_golden_two_constraint_run(tmp_path):
     runs = [out]
     for coretype in ("Prescott", "Haswell"):
         runs.append(tmp_path / coretype)
-        env = {**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src"),
-               "OPENBLAS_CORETYPE": coretype}
-        argv = ["train", "--config", str(config), "--out-dir", str(runs[-1])]
-        done = subprocess.run(
-            [sys.executable, "-m", "fhc_ac", *argv], env=env, capture_output=True, text=True
-        )
-        assert done.returncode == 0, (coretype, done.stderr)
+        train_without_avx512(["--config", str(config)], runs[-1], OPENBLAS_CORETYPE=coretype)
     for run in runs:
         csv = next(run.glob("*-seed0.csv"))
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == GOLDEN_M2_SEED0_SHA256, run.name
+    for run in runs[1:]:
         assert final_theta_sha256(run) == GOLDEN_M2_SEED0_THETA_SHA256, run.name
 
 

@@ -263,6 +263,41 @@ def test_constraint_critics_step_on_per_state_visit_clocks():
     assert np.array_equal(state.visits, visits)
 
 
+@pytest.mark.parametrize("num_constraints", [0, 2])
+def test_every_critic_step_has_the_bits_of_the_scalar_rule(num_constraints):
+    # At these counts numpy's vector power differs from the scalar rule in
+    # the last bit where it dispatches AVX512 kernels; a step at visit count
+    # nu - 1 or at episode n must still be critic_step's own float.
+    rng = np.random.default_rng(11)
+    model = random_cmdp(rng, 3, 2, 5, num_constraints)
+    clocks = [10, 16, 38, 45, 113, 119]
+    n = 125
+    state = make_trainer(model, TrainerConfig(episodes=n + 1, seed=4))
+    state.episode = n
+    state.multipliers = -rng.random(num_constraints)
+    state.critic[:] = rng.normal(size=state.critic.shape)
+    state.visits[:] = np.resize(clocks, state.visits.shape)
+    start, visits = state.critic.copy(), state.visits.copy()
+
+    replay = np.random.default_rng()
+    replay.bit_generator.state = state.rng.bit_generator.state
+    episode = sample_episode(model, state.policy, replay)
+    visited = (np.arange(model.horizon + 1), episode.states)
+    deltas = update_penalized_critic(model, start.copy(), episode, state.multipliers, 0.0)
+    gaps = update_constraint_critic(model, start.copy(), episode, 0.0)
+
+    state, _ = train(model, state.config, state=state)
+    critic_step = state.config.schedules.critic_step
+    want = start.copy()
+    for h, s in zip(*visited):
+        want[0, h, s] = start[0, h, s] + critic_step(n) * deltas[h]
+        for k in range(num_constraints):
+            want[1 + k, h, s] = start[1 + k, h, s] + critic_step(int(visits[h, s])) * gaps[k, h]
+    assert state.critic.tobytes() == want.tobytes()
+    visits[visited] += 1
+    assert np.array_equal(state.visits, visits)
+
+
 def test_unreachable_entries_stay_untouched_by_training():
     # Stage 0 of the 4x4 grid world reaches 1 of its 16 states; the tables
     # and the visit clock must stay exactly zero off every reachable set.
@@ -347,7 +382,7 @@ def test_train_equals_the_loop_of_public_one_episode_functions(num_constraints):
         floored |= bool(want[1].multiplier_floor_clipped.any())
     assert clamped
     assert floored == (M > 0)
-    assert resumed_past_count == (M > 0)  # visits are counted only with constraints
+    assert resumed_past_count  # visits are counted for every M
 
 
 @pytest.mark.parametrize("num_constraints", [0, 1, 2])
@@ -440,8 +475,9 @@ def test_checkpoint_resume_reproduces_the_straight_run(tmp_path):
 
     # Numbers of the wrong JSON type are refused, naming their key, where a
     # conversion would parse "20", truncate a visit count of 2.9 or keep NaN,
-    # and where numpy's Generator would resume from a float state, keep a
-    # has_uint32 of 1.5, or raise TypeError or OverflowError.
+    # where numpy's Generator would resume from a float state, keep a
+    # has_uint32 of 1.5, or raise TypeError or OverflowError, and where a
+    # "w" table that does not stack under "v" would fail numpy's reshape.
     good = path.read_text()
     for *where, value in [
         ("episode", "20"),
@@ -450,6 +486,11 @@ def test_checkpoint_resume_reproduces_the_straight_run(tmp_path):
         ("critic_tables", "visits", 0, 0, -1),
         ("critic_tables", "v", 0, 0, "0.5"),
         ("critic_tables", "w", 0, 0, 0, None),
+        ("critic_tables", "w", -1),
+        ("critic_tables", "w", 0),
+        ("critic_tables", "w", 1.5),
+        ("critic_tables", "w", 1e308),
+        ("critic_tables", "w", [[1]]),
         ("config", "episodes", "30000"),
         ("config", "seed", True),
         ("config", "temperature", float("nan")),
@@ -481,8 +522,9 @@ def test_load_checkpoint_loads_or_raises_value_error_on_every_mutated_key(tmp_pa
     # Every key of a 20-episode 4x4 checkpoint, at every depth, is replaced by
     # a value of each JSON kind or deleted, and an unknown setting is added:
     # each case loads or raises ValueError, never TypeError, KeyError or
-    # AttributeError. A deleted key, a block that is not a JSON object, and an
-    # unknown setting are named in the message.
+    # AttributeError. A deleted key, a block that is not a JSON object, an
+    # unknown setting and a critic table of the wrong shape are named in the
+    # message.
     model = load_any_model(CONFIGS / "gridworld_4x4.json")
     state, _ = train(model, TrainerConfig(episodes=20, seed=0))
     path = tmp_path / "ckpt.json"
@@ -517,7 +559,8 @@ def test_load_checkpoint_loads_or_raises_value_error_on_every_mutated_key(tmp_pa
         try:
             load_checkpoint(path)
         except ValueError as e:
-            if value is deleted or was is None or (isinstance(was, dict) and value != {}):
+            named = value is deleted or was is None or where[-1] in ("v", "w")
+            if named or (isinstance(was, dict) and value != {}):
                 assert f"'{where[-1]}'" in str(e), (where, value, str(e))
 
 
