@@ -63,9 +63,15 @@ GOLDEN_M2_SEED0_SHA256 = "7cdc704dace19fc64c02a8565d038ce07f7feed28ce2a840be006e
 # OpenBLAS's SkylakeX kernel), and once when the table was first trained
 # without AVX512 kernels.
 GOLDEN_M2_SEED0_THETA_SHA256 = "a121c3d137841af18a5840efa000ea447b14cbb948d32ad73617b160f17c5890"
-# numpy's dispatch names of its AVX512 kernels; numpy 2 only warns when one of
-# them is not dispatched, so disabling them is harmless on any x86-64 machine.
-AVX512_FEATURES = {"X86_V4", "AVX512_ICL", "AVX512_SPR"}
+# numpy's dispatch names of its AVX512 kernels: X86_V4, AVX512_ICL and
+# AVX512_SPR since numpy 2.4, the AVX512F ... AVX512_CNL targets before it.
+# numpy 2.4.6 only raises an ImportWarning, ignored by default, for a name it
+# does not dispatch, so disabling them all is harmless on any x86-64 machine.
+# The digests were checked on numpy 2.4.6 alone.
+AVX512_FEATURES = {
+    "X86_V4", "AVX512_ICL", "AVX512_SPR",
+    "AVX512F", "AVX512CD", "AVX512_KNL", "AVX512_KNM", "AVX512_SKX", "AVX512_CLX", "AVX512_CNL",
+}
 # sha256 of the aggregate CSV and the charts of `train --config
 # configs/experiment_4x4.json --episodes 2000 --seeds 0,1`.
 GOLDEN_4X4_TWO_SEED_SHA256 = {
@@ -779,11 +785,12 @@ def test_train_matches_the_golden_two_constraint_run(tmp_path):
     # Both multipliers move, so the run pins how the penalized costs
     # r + lam_1 g_1 + lam_2 g_2 are formed: the CSV through the sampled
     # actions and the multipliers, the final policy table to the last bit.
-    # The same run in fresh processes under other OpenBLAS kernels must give
-    # the same bits, since training forms no BLAS product; those runs also
-    # disable numpy's AVX512 kernels and pin the policy table. numpy reads
-    # OPENBLAS_CORETYPE when it loads; a BLAS built without DYNAMIC_ARCH
-    # ignores it, and then the subprocess runs repeat the default kernel.
+    # The same run in fresh processes under OpenBLAS's default kernel and two
+    # others must give the same bits, since training forms no BLAS product;
+    # those runs also disable numpy's AVX512 kernels and pin the policy table.
+    # numpy reads OPENBLAS_CORETYPE when it loads; a BLAS built without
+    # DYNAMIC_ARCH ignores it, and then every subprocess runs the default
+    # kernel.
     model = dataclasses.replace(
         random_cmdp(np.random.default_rng(2), 4, 3, 4, 2), thresholds=np.array([3.5, 3.0])
     )
@@ -795,9 +802,10 @@ def test_train_matches_the_golden_two_constraint_run(tmp_path):
     out = tmp_path / "out"
     assert main(["train", "--config", str(config), "--out-dir", str(out)]) == 0
     runs = [out]
-    for coretype in ("Prescott", "Haswell"):
+    for coretype in ("default", "Prescott", "Haswell"):
         runs.append(tmp_path / coretype)
-        train_without_avx512(["--config", str(config)], runs[-1], OPENBLAS_CORETYPE=coretype)
+        env = {} if coretype == "default" else {"OPENBLAS_CORETYPE": coretype}
+        train_without_avx512(["--config", str(config)], runs[-1], **env)
     for run in runs:
         csv = next(run.glob("*-seed0.csv"))
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == GOLDEN_M2_SEED0_SHA256, run.name

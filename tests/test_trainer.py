@@ -228,18 +228,23 @@ def test_training_runs_without_constraints():
     assert not metrics.multiplier_floor_clipped.any()
 
 
-def test_constraint_critics_step_on_per_state_visit_clocks():
+@pytest.mark.parametrize("num_constraints", [0, 2])
+def test_critics_step_by_the_scalar_rule_on_their_clocks(num_constraints):
+    # The penalized critic steps at the episode count n, each constraint
+    # entry at its own visit count nu - 1, and every step is critic_step's own
+    # float. At these counts numpy's vector power differs from the scalar
+    # rule in the last bit where it dispatches AVX512 kernels. The visit
+    # clock is counted for every M.
     rng = np.random.default_rng(6)
-    model = random_cmdp(rng, 3, 2, 4, 2)
+    model = random_cmdp(rng, 3, 2, 4, num_constraints)
     schedules = StepSizeSchedules(critic_scale=0.5)
-    state = make_trainer(model, TrainerConfig(episodes=41, seed=3, schedules=schedules))
-    state.episode = 40
-    state.multipliers = np.array([-0.7, -0.2])
-    state.critic[0][:] = rng.normal(size=state.critic[0].shape)
-    state.critic[1:][:] = rng.normal(size=state.critic[1:].shape)
-    state.visits[0] = 8  # stage 0 is revisited, every later stage is new
-    start = state.critic.copy()
-    visits = state.visits.copy()
+    n = 125
+    state = make_trainer(model, TrainerConfig(episodes=n + 1, seed=3, schedules=schedules))
+    state.episode = n
+    state.multipliers = -rng.random(num_constraints)
+    state.critic[:] = rng.normal(size=state.critic.shape)
+    state.visits[:] = np.resize([10, 16, 38, 45, 113, 119], state.visits.shape)
+    start, visits = state.critic.copy(), state.visits.copy()
 
     replay = np.random.default_rng()
     replay.bit_generator.state = state.rng.bit_generator.state
@@ -250,49 +255,10 @@ def test_constraint_critics_step_on_per_state_visit_clocks():
     deltas = update_penalized_critic(model, start.copy(), episode, state.multipliers, 0.0)
 
     state, _ = train(model, state.config, state=state)
-    local = np.full(model.horizon + 1, 0.5)
-    local[0] = schedules.critic_step(8)  # the ninth visit
-    expected_w = start[1:].copy()
-    expected_w[:, visited[0], visited[1]] += local * gaps
-    assert np.array_equal(state.critic[1:], expected_w)
-    # the penalized critic keeps the global clock a_n at n = 40
-    expected_v = start[0].copy()
-    expected_v[visited] += schedules.critic_step(40) * deltas
-    assert np.array_equal(state.critic[0], expected_v)
-    visits[visited] += 1
-    assert np.array_equal(state.visits, visits)
-
-
-@pytest.mark.parametrize("num_constraints", [0, 2])
-def test_every_critic_step_has_the_bits_of_the_scalar_rule(num_constraints):
-    # At these counts numpy's vector power differs from the scalar rule in
-    # the last bit where it dispatches AVX512 kernels; a step at visit count
-    # nu - 1 or at episode n must still be critic_step's own float.
-    rng = np.random.default_rng(11)
-    model = random_cmdp(rng, 3, 2, 5, num_constraints)
-    clocks = [10, 16, 38, 45, 113, 119]
-    n = 125
-    state = make_trainer(model, TrainerConfig(episodes=n + 1, seed=4))
-    state.episode = n
-    state.multipliers = -rng.random(num_constraints)
-    state.critic[:] = rng.normal(size=state.critic.shape)
-    state.visits[:] = np.resize(clocks, state.visits.shape)
-    start, visits = state.critic.copy(), state.visits.copy()
-
-    replay = np.random.default_rng()
-    replay.bit_generator.state = state.rng.bit_generator.state
-    episode = sample_episode(model, state.policy, replay)
-    visited = (np.arange(model.horizon + 1), episode.states)
-    deltas = update_penalized_critic(model, start.copy(), episode, state.multipliers, 0.0)
-    gaps = update_constraint_critic(model, start.copy(), episode, 0.0)
-
-    state, _ = train(model, state.config, state=state)
-    critic_step = state.config.schedules.critic_step
     want = start.copy()
     for h, s in zip(*visited):
-        want[0, h, s] = start[0, h, s] + critic_step(n) * deltas[h]
-        for k in range(num_constraints):
-            want[1 + k, h, s] = start[1 + k, h, s] + critic_step(int(visits[h, s])) * gaps[k, h]
+        want[0, h, s] += schedules.critic_step(n) * deltas[h]
+        want[1:, h, s] += schedules.critic_step(int(visits[h, s])) * gaps[:, h]
     assert state.critic.tobytes() == want.tobytes()
     visits[visited] += 1
     assert np.array_equal(state.visits, visits)
