@@ -41,7 +41,9 @@ from .gridworld_env import (
     random_gridworld,
     save_gridworld_config,
 )
-from .mdp_model import json_integer, json_real, model_from_doc, reachable_sets, validate
+from .mdp_model import (
+    json_integer, json_real, model_from_doc, reachable_sets, read_document, validate
+)
 from .plots import write_experiment_plots
 from .policy import load_policy, tabular_policy
 from .trainer import (
@@ -104,17 +106,12 @@ SETTING_RULES = {
 }
 
 
-def load_experiment_doc(path: Path) -> dict:
+def read_object(path, what: str, parse=dict):
+    """`read_document(path, parse)`, or exit 2 naming `what` and why."""
     try:
-        with open(path) as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise CliError(f"cannot read experiment config: {e}", EXIT_BAD_CONFIG)
-    except json.JSONDecodeError as e:
-        raise CliError(f"experiment config is not valid JSON: {e}", EXIT_BAD_CONFIG)
-    if not isinstance(doc, dict):
-        raise CliError("experiment config must be a JSON object", EXIT_BAD_CONFIG)
-    return doc
+        return read_document(path, parse)
+    except (OSError, ValueError) as e:
+        raise CliError(f"cannot read {what}: {e}", EXIT_BAD_CONFIG)
 
 
 def resolve_model_doc(model_section: dict, base_dir: Path) -> dict:
@@ -130,12 +127,8 @@ def resolve_model_doc(model_section: dict, base_dir: Path) -> dict:
         path = Path(model_section.get("path", ""))
         if not path.is_absolute():
             path = base_dir / path
-        try:
-            with open(path) as f:
-                content = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            raise CliError(f"cannot load model file {path}: {e}", EXIT_BAD_CONFIG)
-        if isinstance(content, dict) and "rows" in content:
+        content = read_object(path, "model file")
+        if "rows" in content:
             return {"kind": "gridworld", "gridworld": content}
         return {"kind": "tables", "tables": content}
     raise CliError(f"unknown model kind {kind!r}", EXIT_BAD_CONFIG)
@@ -259,13 +252,13 @@ def read_run_series(run_dir: Path, seed_entries: list, num_constraints: int) -> 
     """Read the K seeds' curves back from the CSVs that summary.json's `{seed, csv}`
     entries name, each found by its file name in `run_dir` so that a moved run
     directory still plots: "ma_return" (K, n), "ma_costs" and "multipliers"
-    (M, K, n). A CSV that cannot be read, has another header than
-    `csv_header(M)`, or whose row count is 0 or not the first's exits 2.
+    (M, K, n), views of one array filled seed by seed. A CSV that cannot be
+    read, has another header than `csv_header(M)`, or whose row count is 0 or
+    not the first's exits 2.
     """
     m = num_constraints
     header = csv_header(m)
-    tables = []
-    for entry in seed_entries:
+    for k, entry in enumerate(seed_entries):
         csv_path = run_dir / Path(entry["csv"]).name
         try:
             with open(csv_path) as f:
@@ -275,14 +268,15 @@ def read_run_series(run_dir: Path, seed_entries: list, num_constraints: int) -> 
         except (OSError, ValueError) as e:
             raise CliError(f"cannot read {csv_path}: {e}", EXIT_BAD_CONFIG)
         n = data.shape[0]
-        if found != header or n == 0 or (tables and n != tables[0].shape[0]):
+        if k == 0:
+            curves = np.empty((1 + 2 * m, len(seed_entries), n))
+        if found != header or n == 0 or n != curves.shape[2]:
             raise CliError(
                 f"{csv_path} has header {found!r} and {n} rows; expected {header!r} and "
                 "a positive row count shared by every seed",
                 EXIT_BAD_CONFIG,
             )
-        tables.append(data)
-    curves = np.stack(tables).transpose(2, 0, 1)
+        curves[:, k] = data.T
     return {
         "seeds": [entry["seed"] for entry in seed_entries],
         "multipliers": curves[:m],
@@ -468,8 +462,8 @@ def load_policy_for(model, path):
     """Read a policy file or checkpoint whose (H, S, A) table fits the model."""
     try:
         policy = load_policy(path)
-    except (OSError, KeyError, TypeError, ValueError) as e:
-        raise CliError(f"cannot load policy {path}: {e!r}", EXIT_BAD_CONFIG)
+    except (OSError, ValueError) as e:
+        raise CliError(f"cannot load policy: {e}", EXIT_BAD_CONFIG)
     shape = (model.horizon, model.num_states, model.num_actions)
     if policy.stage_params.shape != shape:
         raise CliError(
@@ -504,7 +498,7 @@ def cmd_train(args) -> int:
     if args.progress_every < 0:
         raise CliError("--progress-every must be a non-negative integer", EXIT_BAD_CONFIG)
     config_path = Path(args.config)
-    doc = load_experiment_doc(config_path)
+    doc = read_object(config_path, "experiment config")
     # Overrides replace config entries before the checks, so both face the same ones.
     if args.episodes is not None:
         doc["episodes"] = args.episodes
@@ -669,9 +663,8 @@ def cmd_env_benchmark(args) -> int:
     return _save_and_summarize_gridworld(benchmark_gridworld(), args.out)
 
 
-def _check_plot_inputs(summary, summary_path: Path) -> None:
-    """Exit 2 unless summary.json holds every entry `plot` reads, with its type."""
-
+def _plot_inputs(summary: dict) -> dict:
+    """`summary` if it holds every entry `plot` reads, with its type; else ValueError."""
     try:
         reference = summary.get("reference")
         ok = (
@@ -688,25 +681,20 @@ def _check_plot_inputs(summary, summary_path: Path) -> None:
             and (reference is None or not reference["feasible"]
                  or json_real(reference["best_return"]))
         )
-    except (AttributeError, KeyError, TypeError):
+    except (KeyError, TypeError):
         ok = False
     if not ok:
-        raise CliError(
-            f"{summary_path} needs num_constraints, one threshold per constraint, a "
-            "positive window, a non-empty seeds list of {seed, csv} and a null or "
-            "well-formed reference",
-            EXIT_BAD_CONFIG,
+        raise ValueError(
+            "plot needs num_constraints, one threshold per constraint, a positive "
+            "window, a non-empty seeds list of {seed, csv} and a null or well-formed "
+            "reference"
         )
+    return summary
 
 
 def cmd_plot(args) -> int:
     run_dir = Path(args.run_dir)
-    summary_path = run_dir / "summary.json"
-    try:
-        summary = json.loads(summary_path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise CliError(f"cannot read {summary_path}: {e}", EXIT_BAD_CONFIG)
-    _check_plot_inputs(summary, summary_path)
+    summary = read_object(run_dir / "summary.json", "run summary", _plot_inputs)
     series = read_run_series(run_dir, summary["seeds"], summary["num_constraints"])
     write_experiment_plots(
         run_dir, series, summary["thresholds"], summary.get("reference"), summary["window"]

@@ -13,7 +13,6 @@ the stage-H row of each schedule is paid once on the final state.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,6 +26,7 @@ from .mdp_model import (
     json_real,
     json_table,
     make_cmdp,
+    read_document,
     write_json,
 )
 
@@ -236,30 +236,30 @@ def save_gridworld_config(config: GridWorldConfig, path) -> None:
 
 
 def load_gridworld_config(path) -> GridWorldConfig:
-    with open(path) as f:
-        doc = json.load(f)
-    return gridworld_config_from_doc(doc)
+    return read_document(path, gridworld_config_from_doc)
 
 
 def gridworld_config_from_doc(doc: dict) -> GridWorldConfig:
     """The grid world a `save_gridworld_config` document describes. Raises
     ValueError unless rows, cols and horizon are non-negative JSON integers,
-    the start coordinates JSON integers, slip a JSON number and every table
-    holds only JSON numbers."""
+    start a list of two JSON integers, slip a JSON number, thresholds a list
+    and every table holds only JSON numbers."""
     rows, cols, horizon = (json_count(doc, key) for key in ("rows", "cols", "horizon"))
     n = rows * cols
-    start = tuple(doc["start"])
-    if not all(map(json_integer, start)):
-        raise ValueError(f"'start' must hold integers, got {doc['start']!r}")
+    start = doc["start"]
+    if not (type(start) is list and len(start) == 2 and all(map(json_integer, start))):
+        raise ValueError(f"'start' must be a list of two integers, got {start!r}")
     if not json_real(doc["slip"]):
         raise ValueError(f"'slip' must be a number, got {doc['slip']!r}")
     thresholds = json_table(doc, "thresholds")
+    if thresholds.ndim != 1:
+        raise ValueError(f"'thresholds' must be a list of numbers, got {doc['thresholds']!r}")
     return GridWorldConfig(
         rows=rows,
         cols=cols,
         horizon=horizon,
         slip=float(doc["slip"]),
-        start=start,
+        start=tuple(start),
         stage_rewards=json_table(doc, "stage_rewards"),
         stage_costs=json_table(doc, "stage_costs").reshape(
             len(thresholds), horizon + 1, n

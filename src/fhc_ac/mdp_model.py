@@ -398,8 +398,32 @@ def _json_chunks(obj):
 
 
 def load_model(path) -> FiniteHorizonCMDP:
+    return read_document(path, model_from_doc)
+
+
+def read_document(path, parse):
+    """parse(doc) for the JSON object in the file at `path`; every loader reads
+    through it. Raises OSError when the file cannot be read, and ValueError
+    naming the file when it is not JSON, its top level is not an object, or
+    `parse` raises ValueError or KeyError (a missing key, which it names)."""
     with open(path) as f:
-        return model_from_doc(json.load(f))
+        try:
+            doc = json.load(f)
+            if not isinstance(doc, dict):
+                raise ValueError(f"the top level must be a JSON object, got {type(doc).__name__}")
+            return parse(doc)
+        except KeyError as e:  # every lookup is into a JSON object
+            raise ValueError(f"{path}: missing key {e.args[0]!r}") from None
+        except (ValueError, RecursionError) as e:  # RecursionError: JSON nested too deep
+            raise ValueError(f"{path}: {e}") from None
+
+
+def json_object(doc: dict, key: str) -> dict:
+    """doc[key] when it is a JSON object; raises ValueError naming the key."""
+    value = doc[key]
+    if not isinstance(value, dict):
+        raise ValueError(f"{key!r} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def json_integer(x) -> bool:
@@ -435,13 +459,16 @@ def _json_numbers(value, kinds=frozenset({int, float})) -> bool:
 
 def json_table(doc: dict, key: str) -> np.ndarray:
     """doc[key] as a float array when it is a JSON number or nested lists of
-    them; raises ValueError on a string, boolean or null anywhere in it,
-    which `np.asarray(..., dtype=float)` would parse ("0.5") or read as a
-    number (true as 1.0, null as NaN)."""
+    them; raises ValueError on a string, boolean or null anywhere in it, which
+    `np.asarray(..., dtype=float)` would parse ("0.5") or read as a number
+    (true as 1.0, null as NaN), and on an int too large for it (OverflowError)."""
     value = doc[key]
     if not _json_numbers(value):
         raise ValueError(f"{key!r} must hold only JSON numbers")
-    return np.asarray(value, dtype=float)
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{key!r} holds an integer beyond the float range") from None
 
 
 def json_counts(doc: dict, key: str) -> np.ndarray:

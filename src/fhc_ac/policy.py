@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 
 import numpy as np
 
-from .mdp_model import FiniteHorizonCMDP, json_real, json_table, write_json
+from .mdp_model import (
+    FiniteHorizonCMDP, json_object, json_real, json_table, read_document, write_json
+)
 
 
 def gibbs(prefs: np.ndarray) -> np.ndarray:
@@ -146,8 +147,6 @@ def save_policy(policy: NonStationaryPolicy, path) -> None:
 
 def load_policy(path) -> NonStationaryPolicy:
     """Read a policy file, or the policy inside a trainer checkpoint."""
-    with open(path) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise ValueError("a policy file must hold a JSON object")
-    return policy_from_doc(doc.get("policy", doc))
+    return read_document(
+        path, lambda doc: policy_from_doc(json_object(doc, "policy") if "policy" in doc else doc)
+    )

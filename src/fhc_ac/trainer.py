@@ -50,7 +50,6 @@ the clock that reads it or on numpy's SIMD dispatch.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -64,8 +63,10 @@ from .mdp_model import (
     json_count,
     json_counts,
     json_integer,
+    json_object,
     json_real,
     json_table,
+    read_document,
     rollout,  # unused here; bench/probe.py times calls at this name
     sampler,
     write_json,
@@ -593,14 +594,6 @@ def save_checkpoint(state: TrainerState, path) -> None:
     write_json(path, doc)
 
 
-def _json_object(doc: dict, key: str) -> dict:
-    """doc[key] when it is a JSON object; raises ValueError naming the key."""
-    value = doc[key]
-    if not isinstance(value, dict):
-        raise ValueError(f"{key!r} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
 def load_checkpoint(path) -> TrainerState:
     """Read a `save_checkpoint` file.
 
@@ -616,24 +609,17 @@ def load_checkpoint(path) -> TrainerState:
     integers of their widths, where numpy would resume a float `state` or
     raise TypeError or OverflowError.
     """
-    with open(path) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: a checkpoint must hold a JSON object")
-    try:
-        return _checkpoint_from_doc(doc, path)
-    except KeyError as e:  # every lookup is into a JSON object
-        raise ValueError(f"{path}: missing key {e.args[0]!r}") from None
+    return read_document(path, _checkpoint_from_doc)
 
 
-def _checkpoint_from_doc(doc: dict, path) -> TrainerState:
+def _checkpoint_from_doc(doc: dict) -> TrainerState:
     if "critic_tables" not in doc:
         raise ValueError(
-            f"{path}: no 'critic_tables'; a checkpoint with the older padded \"critic\" "
+            "no 'critic_tables'; a checkpoint with the older padded \"critic\" "
             "layout cannot be resumed (load_policy still reads its policy)"
         )
-    cfg = dict(_json_object(doc, "config"))
-    schedules = _json_object(cfg, "schedules")
+    cfg = dict(json_object(doc, "config"))
+    schedules = json_object(cfg, "schedules")
     for block, settings in [(cfg, TrainerConfig), (schedules, StepSizeSchedules)]:
         names = {f.name for f in fields(settings)}
         for problem, keys in [("unknown", set(block) - names), ("missing", names - set(block))]:
@@ -645,7 +631,7 @@ def _checkpoint_from_doc(doc: dict, path) -> TrainerState:
         if not (json_integer(value) if integer else json_real(value)):
             kind = "an integer" if integer else "a finite number"
             raise ValueError(f"{key!r} must be {kind}, got {value!r}")
-    tables = _json_object(doc, "critic_tables")
+    tables = json_object(doc, "critic_tables")
     v, w = json_table(tables, "v"), json_table(tables, "w")
     if v.ndim != 2:
         raise ValueError(f"'v' must be an (H+1, S) table, got shape {v.shape}")
@@ -653,10 +639,10 @@ def _checkpoint_from_doc(doc: dict, path) -> TrainerState:
         w = w.reshape((0,) + v.shape)
     elif w.shape[1:] != v.shape:
         raise ValueError(f"'w' must be (M,) + {v.shape}, the shape of 'v', got {w.shape}")
-    rng_state = _json_object(doc, "rng_state")
+    rng_state = json_object(doc, "rng_state")
     if rng_state["bit_generator"] != "PCG64":
         raise ValueError(f"'bit_generator' must be 'PCG64', got {rng_state['bit_generator']!r}")
-    pcg = _json_object(rng_state, "state")
+    pcg = json_object(rng_state, "state")
     for inner, key, limit in [(pcg, "state", 2**128), (pcg, "inc", 2**128),
                               (rng_state, "uinteger", 2**32), (rng_state, "has_uint32", 2)]:
         if json_count(inner, key) >= limit:
@@ -665,7 +651,7 @@ def _checkpoint_from_doc(doc: dict, path) -> TrainerState:
     rng.bit_generator.state = rng_state
     return TrainerState(
         config=TrainerConfig(**cfg, schedules=StepSizeSchedules(**schedules)),
-        policy=policy_from_doc(_json_object(doc, "policy")),
+        policy=policy_from_doc(json_object(doc, "policy")),
         critic=np.concatenate([v[None], w]),
         visits=json_counts(tables, "visits"),
         multipliers=json_table(doc, "multipliers"),

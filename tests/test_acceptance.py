@@ -35,8 +35,8 @@ from fhc_ac import (
 )
 from fhc_ac.experiment_cli import (
     experiment_settings,
-    load_experiment_doc,
     main,
+    read_object,
     run_experiment,
 )
 
@@ -194,7 +194,7 @@ def benchmark_run(tmp_path_factory):
     and criterion 10 covers the in-process path.
     """
     config_path = CONFIGS / "experiment_4x4.json"
-    doc = load_experiment_doc(config_path)
+    doc = read_object(config_path, "experiment config")
     settings = experiment_settings(doc, config_path.parent)
     out_dir = tmp_path_factory.mktemp("benchmark")
     with pytest.MonkeyPatch.context() as env:

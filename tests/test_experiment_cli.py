@@ -259,7 +259,8 @@ def test_train_rejects_malformed_configs(tmp_path):
     # Counts, start coordinates and slips of another JSON type, and negative
     # counts, are refused rather than parsed, truncated or inferred by a reshape.
     # Tables holding a string, boolean or null are refused too, where a float
-    # conversion would parse "0.5" or read true as 1.0.
+    # conversion would parse "0.5" or read true as 1.0, and so are integers
+    # beyond the float range, where it would raise OverflowError.
     demo = json.loads((CONFIGS / "demo_model.json").read_text())
     grid = json.loads((CONFIGS / "gridworld_4x4.json").read_text())
     for base, key, value in [
@@ -270,6 +271,8 @@ def test_train_rejects_malformed_configs(tmp_path):
         (grid, "thresholds", [str(x) for x in grid["thresholds"]]),
         (grid, "stage_rewards", with_first_entry(grid["stage_rewards"], True)),
         (grid, "stage_costs", with_first_entry(grid["stage_costs"], None)),
+        (grid, "thresholds", [10**400]),
+        (demo, "kernels", with_first_entry(demo["kernels"], 10**400)),
         (demo, "kernels", with_first_entry(demo["kernels"], True)),
         (demo, "rewards", with_first_entry(demo["rewards"], "0.5")),
         (demo, "constraint_costs", with_first_entry(demo["constraint_costs"], None)),
@@ -887,3 +890,71 @@ def test_plot_rejects_malformed_summaries(tmp_path):
     csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n")  # header only
     with pytest.warns(UserWarning, match="no data"):
         assert main(["plot", "--run-dir", str(out)]) == 2
+
+
+DELETED = object()
+MUTATIONS = ["x", True, None, [], {}, -1, 0, 1.5, [[1]], 1e308, DELETED]
+
+
+def mutated(good, rng):
+    """A copy of the JSON document `good` with one entry replaced by a value of
+    another JSON kind, or deleted. The entry is reached by random steps down
+    from the top, each taken with probability 1/2, into objects and lists."""
+    doc = json.loads(json.dumps(good))
+    inner = doc
+    while True:
+        key = rng.choice(list(inner)) if isinstance(inner, dict) else rng.integers(len(inner))
+        child = inner[key]
+        if not (isinstance(child, (dict, list)) and child) or rng.random() < 0.5:
+            break
+        inner = child
+    value = MUTATIONS[rng.integers(len(MUTATIONS))]
+    if value is DELETED:
+        del inner[key]
+    else:
+        inner[key] = value
+    return doc
+
+
+def test_every_command_exits_with_a_documented_code_on_mutated_inputs(tmp_path, capsys):
+    # Seeded mutations of every kind of file the command line reads: an
+    # experiment config for `train`, a grid-world and a dense model file, a
+    # policy file and a checkpoint for `oracle evaluate`, and a finished run's
+    # summary.json for `plot`; each file is also replaced by a top level that
+    # is not a JSON object and cut off halfway. Every call returns 0, 2, 3 or
+    # 4 and raises nothing.
+    config = write_experiment(tmp_path, seeds=[0], episodes=20, window=5)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out-dir", str(run)]) == 0
+    grid = tmp_path / "model.json"
+    dense = random_cmdp(np.random.default_rng(0), 3, 2, 2, 1)
+    save_model(dense, tmp_path / "dense.json")
+    save_policy(tabular_policy(dense), tmp_path / "dense-policy.json")
+    save_policy(tabular_policy(build_gridworld(load_gridworld_config(grid))),
+                tmp_path / "policy.json")
+
+    def evaluate(model, policy):
+        return ["oracle", "evaluate", "--model", str(model), "--policy", str(policy)]
+
+    fuzz = tmp_path / "fuzz.json"  # beside model.json, which the config names
+    inputs = [
+        (config, fuzz, ["train", "--config", str(fuzz), "--out-dir", str(tmp_path / "out")]),
+        (grid, fuzz, evaluate(fuzz, tmp_path / "policy.json")),
+        (tmp_path / "dense.json", fuzz, evaluate(fuzz, tmp_path / "dense-policy.json")),
+        (tmp_path / "policy.json", fuzz, evaluate(grid, fuzz)),
+        (next(run.glob("*-seed0.checkpoint.json")), fuzz, evaluate(grid, fuzz)),
+        (run / "summary.json", run / "summary.json", ["plot", "--run-dir", str(run)]),
+    ]
+    rng = np.random.default_rng(0)
+    for source, target, argv in inputs:
+        text = source.read_text()
+        good = json.loads(text)
+        codes = []
+        for doc in [*(json.dumps(mutated(good, rng)) for _ in range(100)),
+                    "[]", '"x"', "3", "null", text[: len(text) // 2]]:
+            target.write_text(doc)
+            codes.append(main(argv))
+            assert codes[-1] in (0, 2, 3, 4), (argv, doc[:200])
+        target.write_text(text)
+        assert codes.count(2) >= 5 and 0 in codes, (argv[0], codes)
+    capsys.readouterr()

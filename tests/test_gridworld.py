@@ -276,6 +276,12 @@ def test_gridworld_config_round_trips_through_json(tmp_path):
 
     doc = gridworld_config_to_doc(config)
     again = gridworld_config_from_doc(doc)
+    # A start that is not a list of two JSON integers is refused by name,
+    # where tuple(3) would raise TypeError and a start of another length
+    # would load and fail in build_gridworld's unpacking.
+    for start in (3, "x", None, {}, [], [0], [0, 0, 0], [0.0, 0], [True, 0], [[0], 0]):
+        with pytest.raises(ValueError, match="'start'"):
+            gridworld_config_from_doc({**doc, "start": start})
     model_a = build_gridworld(config)
     model_b = build_gridworld(again)
     assert np.array_equal(model_a.kernels, model_b.kernels)

@@ -20,6 +20,8 @@ from fhc_ac import (
     exact_gradient,
     fixed_points,
     load_checkpoint,
+    load_gridworld_config,
+    load_model,
     load_policy,
     make_trainer,
     moving_average,
@@ -484,18 +486,28 @@ def test_checkpoint_resume_reproduces_the_straight_run(tmp_path):
             load_checkpoint(path)
 
 
-def test_load_checkpoint_loads_or_raises_value_error_on_every_mutated_key(tmp_path):
-    # Every key of a 20-episode 4x4 checkpoint, at every depth, is replaced by
-    # a value of each JSON kind or deleted, and an unknown setting is added:
-    # each case loads or raises ValueError, never TypeError, KeyError or
-    # AttributeError. A deleted key, a block that is not a JSON object, an
-    # unknown setting and a critic table of the wrong shape are named in the
-    # message.
+def test_every_loader_loads_or_raises_value_error_on_every_mutated_key(tmp_path):
+    # Every key, at every depth, of a 20-episode 4x4 checkpoint (read by
+    # load_checkpoint and by load_policy), of that run's policy file, of a
+    # dense random model file and of the shipped 4x4 grid world is replaced
+    # by a value of each JSON kind or deleted, and an unknown setting is added
+    # to the checkpoint: each case loads or raises ValueError naming the
+    # file, never TypeError, KeyError or AttributeError. A deleted key, a
+    # block that is not a JSON object, an unknown setting and a critic table
+    # of the wrong shape are named in the message. So is each file with a
+    # top level that is not a JSON object, or cut off halfway.
     model = load_any_model(CONFIGS / "gridworld_4x4.json")
     state, _ = train(model, TrainerConfig(episodes=20, seed=0))
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(state, path)
-    good = json.loads(path.read_text())
+    path = tmp_path / "doc.json"
+    goods = []
+    for save, obj in [(save_checkpoint, state), (save_policy, state.policy),
+                      (save_model, random_cmdp(np.random.default_rng(0)))]:
+        save(obj, path)
+        goods.append(json.loads(path.read_text()))
+    checkpoint, policy, dense = goods
+    grid = json.loads((CONFIGS / "gridworld_4x4.json").read_text())
+    inputs = [(load_checkpoint, checkpoint), (load_policy, checkpoint), (load_policy, policy),
+              (load_model, dense), (load_gridworld_config, grid)]
 
     def key_paths(doc, where=()):
         for key, value in doc.items():
@@ -505,14 +517,15 @@ def test_load_checkpoint_loads_or_raises_value_error_on_every_mutated_key(tmp_pa
 
     deleted = object()
     cases = [
-        (where, was, value)
+        (load, good, where, was, value)
+        for load, good in inputs
         for where, was in key_paths(good)
         for value in ["x", True, None, [], {}, -1, 0, 1.5, [[1]], 1e308, deleted]
     ]
-    cases += [(("config", "momentum"), None, 0.9),
-              (("config", "schedules", "momentum"), None, 0.9)]
-    assert len(cases) == 332
-    for where, was, value in cases:
+    cases += [(load_checkpoint, checkpoint, ("config", "momentum"), None, 0.9),
+              (load_checkpoint, checkpoint, ("config", "schedules", "momentum"), None, 0.9)]
+    assert len(cases) == 332 + 330 + 33 + 121 + 88
+    for load, good, where, was, value in cases:
         doc = json.loads(json.dumps(good))
         inner = doc
         for key in where[:-1]:
@@ -523,11 +536,24 @@ def test_load_checkpoint_loads_or_raises_value_error_on_every_mutated_key(tmp_pa
             inner[where[-1]] = value
         path.write_text(json.dumps(doc))
         try:
-            load_checkpoint(path)
+            load(path)
         except ValueError as e:
+            assert str(e).startswith(f"{path}: "), (load.__name__, where, value, str(e))
             named = value is deleted or was is None or where[-1] in ("v", "w")
             if named or (isinstance(was, dict) and value != {}):
-                assert f"'{where[-1]}'" in str(e), (where, value, str(e))
+                # Without its policy block a checkpoint reads as a policy
+                # file, whose first key is missing.
+                key = where[-1]
+                if (load, where, value) == (load_policy, ("policy",), deleted):
+                    key = "temperature"
+                assert f"'{key}'" in str(e), (load.__name__, where, value, str(e))
+    for load, good in inputs:
+        text = json.dumps(good)
+        for top in ["[]", '"x"', "3", "null", text[: len(text) // 2]]:
+            path.write_text(top)
+            with pytest.raises(ValueError) as raised:
+                load(path)
+            assert str(raised.value).startswith(f"{path}: "), (load.__name__, top[:20])
 
 
 def test_saving_the_5x5_h100_world_copies_no_whole_table(tmp_path):
